@@ -1,0 +1,383 @@
+"""Point clouds, graphs, and clique complexes with a bit-word simplex encoding.
+
+A k-simplex on n vertices is stored as an n-bit integer whose set bits are the
+member vertices (Hamming weight k+1, ascending bit index = ascending vertex).
+The full "slot space" at dimension k is the set of all binom(n, k+1) such
+words, ordered by numeric value.
+"""
+
+from __future__ import annotations
+
+import json
+from bisect import bisect_left
+from dataclasses import dataclass, field
+from math import comb
+from pathlib import Path
+
+import numpy as np
+
+__all__ = [
+    "SimplexWord",
+    "PointCloud",
+    "VertexGraph",
+    "CliqueComplex",
+    "InstanceSpec",
+    "word_from_vertices",
+    "vertices_of_word",
+    "slot_rank",
+    "slot_words",
+    "enumerate_slots",
+    "build_clique_complex",
+    "induced_graph",
+    "complement_complex",
+    "membership",
+    "generate_instance",
+    "load_instance",
+    "dump_instance",
+    "instance_to_dict",
+]
+
+GENERATOR_MODELS = ("erdos-renyi", "cycle", "complete", "octahedron", "annulus-cloud")
+
+
+def word_from_vertices(vertices) -> int:
+    word = 0
+    for v in vertices:
+        bit = 1 << int(v)
+        if word & bit:
+            raise ValueError(f"repeated vertex {v}")
+        word |= bit
+    return word
+
+
+def vertices_of_word(word: int) -> list[int]:
+    out = []
+    v = 0
+    while word:
+        if word & 1:
+            out.append(v)
+        word >>= 1
+        v += 1
+    return out
+
+
+def slot_rank(word: int) -> int:
+    """Index of `word` among all equal-weight words in ascending numeric order."""
+    rank = 0
+    i = 0
+    v = 0
+    while word:
+        if word & 1:
+            rank += comb(v, i + 1)
+            i += 1
+        word >>= 1
+        v += 1
+    return rank
+
+
+def slot_words(n: int, k: int) -> list[int]:
+    """All n-bit words of Hamming weight k+1, ascending by numeric value."""
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"dimension k={k} out of range for n={n}")
+    w = (1 << (k + 1)) - 1
+    limit = 1 << n
+    out = []
+    while w < limit:
+        out.append(w)
+        c = w & -w
+        r = w + c
+        w = (((r ^ w) >> 2) // c) | r
+    return out
+
+
+@dataclass(frozen=True, order=True)
+class SimplexWord:
+    """A k-simplex on n vertices, encoded as an n-bit word of weight k+1."""
+
+    bits: int
+    n: int
+    k: int
+
+    def __post_init__(self):
+        if not 0 <= self.bits < (1 << self.n):
+            raise ValueError(f"word {self.bits:#b} does not fit in {self.n} bits")
+        if self.bits.bit_count() != self.k + 1:
+            raise ValueError(
+                f"word {self.bits:#b} has weight {self.bits.bit_count()}, expected k+1={self.k + 1}"
+            )
+
+    @classmethod
+    def from_vertices(cls, vertices, n: int) -> "SimplexWord":
+        word = word_from_vertices(vertices)
+        return cls(word, n, word.bit_count() - 1)
+
+    def vertices(self) -> list[int]:
+        return vertices_of_word(self.bits)
+
+    def slot_index(self) -> int:
+        return slot_rank(self.bits)
+
+
+def enumerate_slots(n: int, k: int) -> list[SimplexWord]:
+    """Every potential k-simplex on n vertices, in ascending word order."""
+    return [SimplexWord(w, n, k) for w in slot_words(n, k)]
+
+
+@dataclass(frozen=True)
+class PointCloud:
+    """Euclidean point cloud with the length scale that induces its graph."""
+
+    points: np.ndarray
+    length_scale: float
+
+    def __post_init__(self):
+        pts = np.asarray(self.points, dtype=float)
+        if pts.ndim != 2:
+            raise ValueError("points must be a rectangular array of coordinate vectors")
+        if not self.length_scale > 0:
+            raise ValueError("length_scale must be positive")
+        pts = pts.copy()
+        pts.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+
+    @property
+    def n(self) -> int:
+        return self.points.shape[0]
+
+
+@dataclass(frozen=True)
+class VertexGraph:
+    """Simple undirected graph as a symmetric boolean adjacency matrix."""
+
+    n: int
+    adjacency: np.ndarray
+
+    def __post_init__(self):
+        adj = np.asarray(self.adjacency, dtype=bool)
+        if adj.shape != (self.n, self.n):
+            raise ValueError(f"adjacency must be {self.n}x{self.n}")
+        if not np.array_equal(adj, adj.T):
+            raise ValueError("adjacency must be symmetric")
+        if adj.diagonal().any():
+            raise ValueError("self-loops are not allowed")
+        adj = adj.copy()
+        adj.setflags(write=False)
+        object.__setattr__(self, "adjacency", adj)
+
+    @classmethod
+    def from_edges(cls, n: int, edges) -> "VertexGraph":
+        adj = np.zeros((n, n), dtype=bool)
+        for u, v in edges:
+            u, v = int(u), int(v)
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            adj[u, v] = adj[v, u] = True
+        return cls(n, adj)
+
+    def edges(self) -> list[tuple[int, int]]:
+        iu, iv = np.nonzero(np.triu(self.adjacency, 1))
+        return [(int(u), int(v)) for u, v in zip(iu, iv)]
+
+    def complement(self) -> "VertexGraph":
+        adj = ~self.adjacency
+        np.fill_diagonal(adj, False)
+        return VertexGraph(self.n, adj)
+
+    def adjacency_masks(self) -> list[int]:
+        """Neighbourhood of each vertex as a bit mask."""
+        masks = []
+        for v in range(self.n):
+            m = 0
+            for u in np.nonzero(self.adjacency[v])[0]:
+                m |= 1 << int(u)
+            masks.append(m)
+        return masks
+
+
+@dataclass(frozen=True)
+class CliqueComplex:
+    """Clique complex of a graph, truncated at max_dim.
+
+    simplices[k] holds the k-simplices (the (k+1)-cliques) as sorted words;
+    the complex is downward closed by construction.
+    """
+
+    n: int
+    max_dim: int
+    simplices: tuple[tuple[int, ...], ...]
+    graph: VertexGraph
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return tuple(len(level) for level in self.simplices)
+
+    @property
+    def total_slots(self) -> tuple[int, ...]:
+        return tuple(comb(self.n, k + 1) for k in range(self.max_dim + 1))
+
+    def simplex_count(self, k: int) -> int:
+        self._check_dim(k)
+        return len(self.simplices[k])
+
+    def slot_count(self, k: int) -> int:
+        return comb(self.n, k + 1)
+
+    def words(self, k: int) -> tuple[int, ...]:
+        self._check_dim(k)
+        return self.simplices[k]
+
+    def contains_word(self, k: int, word: int) -> bool:
+        self._check_dim(k)
+        level = self.simplices[k]
+        i = bisect_left(level, word)
+        return i < len(level) and level[i] == word
+
+    def _check_dim(self, k: int):
+        if not 0 <= k <= self.max_dim:
+            raise ValueError(f"dimension {k} not built (max_dim={self.max_dim})")
+
+
+def induced_graph(cloud: PointCloud) -> VertexGraph:
+    """Graph connecting points at pairwise distance <= length_scale (closed ball)."""
+    diff = cloud.points[:, None, :] - cloud.points[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    adj = dist <= cloud.length_scale
+    np.fill_diagonal(adj, False)
+    return VertexGraph(cloud.n, adj)
+
+
+def build_clique_complex(source, max_dim: int) -> CliqueComplex:
+    """Enumerate the (k+1)-cliques of the (induced) graph for every k <= max_dim."""
+    graph = induced_graph(source) if isinstance(source, PointCloud) else source
+    if not isinstance(graph, VertexGraph):
+        raise ValueError(f"cannot build a complex from {type(source).__name__}")
+    n = graph.n
+    if max_dim < 0:
+        raise ValueError("max_dim must be nonnegative")
+    if max_dim > n - 1:
+        raise ValueError(f"max_dim={max_dim} exceeds n-1={n - 1}")
+
+    masks = graph.adjacency_masks()
+    levels: list[tuple[int, ...]] = [tuple(1 << v for v in range(n))]
+    # frontier holds (word, candidate mask of common neighbours above the top vertex)
+    frontier = [(1 << v, masks[v] & ~((1 << (v + 1)) - 1)) for v in range(n)]
+    for _ in range(max_dim):
+        next_frontier = []
+        for word, cand in frontier:
+            m = cand
+            while m:
+                bit = m & -m
+                m ^= bit
+                v = bit.bit_length() - 1
+                next_frontier.append((word | bit, cand & masks[v] & ~((bit << 1) - 1)))
+        next_frontier.sort(key=lambda item: item[0])
+        levels.append(tuple(word for word, _ in next_frontier))
+        frontier = next_frontier
+    return CliqueComplex(n=n, max_dim=max_dim, simplices=tuple(levels), graph=graph)
+
+
+def membership(complex_: CliqueComplex, s: SimplexWord) -> int:
+    """1 if the simplex belongs to the complex, else 0 (binary search)."""
+    if s.n != complex_.n:
+        raise ValueError(f"simplex on {s.n} vertices, complex on {complex_.n}")
+    return int(complex_.contains_word(s.k, s.bits))
+
+
+def complement_complex(g: VertexGraph, max_dim: int) -> CliqueComplex:
+    """Clique complex of the edge-complement graph."""
+    return build_clique_complex(g.complement(), max_dim)
+
+
+@dataclass(frozen=True)
+class InstanceSpec:
+    """Seeded generator description; the seed fully determines the instance."""
+
+    model: str
+    params: dict = field(default_factory=dict)
+    seed: int | None = None
+
+
+def _octahedron_graph() -> VertexGraph:
+    # 6 vertices, all pairs adjacent except the antipodal pairs (i, i+3)
+    adj = ~np.eye(6, dtype=bool)
+    for i in range(3):
+        adj[i, i + 3] = adj[i + 3, i] = False
+    return VertexGraph(6, adj)
+
+
+def generate_instance(spec: InstanceSpec):
+    """Materialize a VertexGraph or PointCloud from a generator spec."""
+    model, params = spec.model, dict(spec.params)
+    if model == "cycle":
+        n = int(params["n"])
+        if n < 3:
+            raise ValueError("cycle needs n >= 3")
+        return VertexGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    if model == "complete":
+        n = int(params["n"])
+        adj = ~np.eye(n, dtype=bool)
+        return VertexGraph(n, adj)
+    if model == "erdos-renyi":
+        n, p = int(params["n"]), float(params["p"])
+        if not 0 <= p <= 1:
+            raise ValueError("edge probability must be in [0, 1]")
+        rng = np.random.default_rng(spec.seed)
+        upper = np.triu(rng.random((n, n)) < p, 1)
+        return VertexGraph(n, upper | upper.T)
+    if model == "octahedron":
+        return _octahedron_graph()
+    if model == "annulus-cloud":
+        n = int(params["n"])
+        inner = float(params.get("inner", 1.0))
+        outer = float(params.get("outer", 1.5))
+        length_scale = float(params["length_scale"])
+        if not 0 < inner <= outer:
+            raise ValueError("need 0 < inner <= outer")
+        rng = np.random.default_rng(spec.seed)
+        radius = np.sqrt(rng.uniform(inner**2, outer**2, size=n))
+        angle = rng.uniform(0.0, 2 * np.pi, size=n)
+        pts = np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+        return PointCloud(pts, length_scale)
+    raise ValueError(f"unknown generator model {model!r} (known: {', '.join(GENERATOR_MODELS)})")
+
+
+def instance_to_dict(instance, spec: InstanceSpec | None = None) -> dict:
+    """Canonical JSON form of an instance, optionally echoing its generator spec."""
+    if isinstance(instance, VertexGraph):
+        out = {"n": instance.n, "edges": [list(e) for e in instance.edges()]}
+    elif isinstance(instance, PointCloud):
+        out = {
+            "points": [[float(x) for x in row] for row in instance.points],
+            "length_scale": float(instance.length_scale),
+        }
+    else:
+        raise ValueError(f"not an instance: {type(instance).__name__}")
+    if spec is not None:
+        out["generator"] = {"model": spec.model, "params": spec.params, "seed": spec.seed}
+    return out
+
+
+def load_instance(source):
+    """Load a VertexGraph or PointCloud from a JSON file, path, or parsed dict."""
+    if isinstance(source, (str, Path)):
+        with open(source) as fh:
+            data = json.load(fh)
+    else:
+        data = source
+    if "edges" in data:
+        return VertexGraph.from_edges(int(data["n"]), data["edges"])
+    if "points" in data:
+        return PointCloud(np.asarray(data["points"], dtype=float), float(data["length_scale"]))
+    if "model" in data:
+        spec = InstanceSpec(data["model"], dict(data.get("params", {})), data.get("seed"))
+        return generate_instance(spec)
+    raise ValueError("instance JSON needs 'edges', 'points', or 'model'")
+
+
+def dump_instance(instance, path, spec: InstanceSpec | None = None) -> None:
+    payload = instance_to_dict(instance, spec)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -1,0 +1,660 @@
+"""Recovering Betti numbers from two observable traces.
+
+Two flag-qubit observables turn the pipeline's mixed state into a 2x2 linear
+system whose solution is (beta_k, p1), where p1 is the zero-outcome weight
+summed over off-complex slots.  Because the system matrix is known exactly,
+the only error source is the right-hand side; the solution error is bounded
+by ||A^-1|| times the measurement error, which drives the per-measurement
+accuracy planner.
+"""
+
+from __future__ import annotations
+
+import warnings
+from dataclasses import dataclass
+from math import comb, sqrt
+
+import numpy as np
+
+from .complexes import CliqueComplex, PointCloud, VertexGraph, build_clique_complex, slot_rank
+from .homology import (
+    DEFAULT_ZERO_TOL,
+    HodgeOperator,
+    betti_exact,
+    complement_complex,
+    hodge_laplacian,
+    spectral_summary,
+)
+from .pipeline import (
+    DensityOperator,
+    PEConfig,
+    TraceEstimate,
+    as_seed_sequence,
+    block_encode_hermitian,
+    block_encode_projector,
+    grover_prep_cost,
+    hoeffding_sample_count,
+    reduced_density,
+    seed_descriptor,
+    tensor_block_encoding,
+    trace_estimate,
+    zero_phase_weights,
+)
+
+__all__ = [
+    "SingularSystemError",
+    "ObservablePair",
+    "PipelineContext",
+    "ExtractionSystem",
+    "BettiEstimate",
+    "NormalizedBettiEstimate",
+    "ResourceReport",
+    "pipeline_context",
+    "observable_b",
+    "assemble_system",
+    "solve_system",
+    "inv_norm",
+    "perturbation_bound",
+    "plan_delta",
+    "estimate_betti",
+    "estimate_normalized_betti",
+    "complement_report",
+    "resource_estimate",
+]
+
+CONDITION_WARN_THRESHOLD = 1e8
+
+
+class SingularSystemError(RuntimeError):
+    """The 2x2 extraction system cannot be solved reliably."""
+
+
+def _check_flag_observable(mat) -> np.ndarray:
+    m = np.asarray(mat, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError("flag observables are 2x2")
+    if np.abs(m - m.conj().T).max() > 1e-12:
+        raise ValueError("flag observable must be Hermitian")
+    if np.abs(np.linalg.eigvalsh(m)).max() > 1.0 + 1e-12:
+        raise ValueError("flag observable must have operator norm <= 1")
+    return m
+
+
+@dataclass(frozen=True)
+class ObservablePair:
+    """Two flag-qubit observables; their diagonal traces form the system matrix."""
+
+    m1: np.ndarray
+    m2: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "m1", _check_flag_observable(self.m1))
+        object.__setattr__(self, "m2", _check_flag_observable(self.m2))
+        if abs(np.linalg.det(self.raw_matrix())) < 1e-12:
+            raise ValueError("observable pair induces a singular system; choose distinct diagonals")
+
+    @classmethod
+    def default(cls) -> "ObservablePair":
+        """Flag projectors |1><1|, |0><0|: the identity system up to 1/C, the
+        best-conditioned choice (||A^-1|| is then exactly the slot count)."""
+        return cls(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+
+    def raw_matrix(self) -> np.ndarray:
+        """System matrix without the 1/C factor: rows (Tr M|1><1|, Tr M|0><0|)."""
+        return np.array(
+            [
+                [self.m1[1, 1].real, self.m1[0, 0].real],
+                [self.m2[1, 1].real, self.m2[0, 0].real],
+            ]
+        )
+
+
+def assemble_system(pair: ObservablePair, slot_count: int) -> np.ndarray:
+    """The 2x2 matrix mapping (beta_k, p1) to the observable traces."""
+    if slot_count < 1:
+        raise ValueError("slot count must be positive")
+    a = pair.raw_matrix() / slot_count
+    if abs(np.linalg.det(a)) < 1e-15 / slot_count**2:
+        raise SingularSystemError("singular system matrix; re-choose the observable pair")
+    return a
+
+
+def inv_norm(a: np.ndarray) -> float:
+    """Spectral norm of A^-1, i.e. one over the smallest singular value."""
+    smin = float(np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)[-1])
+    if smin <= 0.0:
+        raise SingularSystemError("matrix is singular")
+    return 1.0 / smin
+
+
+def solve_system(a: np.ndarray, y) -> tuple[float, float]:
+    """Exact 2x2 solve of A.(beta, p1) = Y; warns when badly conditioned."""
+    a = np.asarray(a, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if abs(np.linalg.det(a)) == 0.0:
+        raise SingularSystemError("matrix is singular")
+    cond = np.linalg.cond(a)
+    if cond > CONDITION_WARN_THRESHOLD:
+        warnings.warn(f"extraction system condition number {cond:.3g} is large", RuntimeWarning)
+    x = np.linalg.solve(a, y)
+    return float(x[0]), float(x[1])
+
+
+def perturbation_bound(a: np.ndarray, delta_y_norm: float) -> float:
+    """Bound ||X2 - X1|| <= ||A^-1|| ||Y2 - Y1|| for a right-hand-side-only
+    perturbation (the system matrix is known exactly)."""
+    if delta_y_norm < 0:
+        raise ValueError("perturbation norm must be nonnegative")
+    return inv_norm(a) * delta_y_norm
+
+
+def plan_delta(eps: float, beta_lower: float, a: np.ndarray) -> float:
+    """Per-measurement additive accuracy achieving multiplicative accuracy eps,
+    assuming the true Betti number is at least beta_lower."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if beta_lower <= 0:
+        raise ValueError("beta_lower must be positive")
+    return eps * beta_lower / (sqrt(2.0) * inv_norm(a))
+
+
+# ---------------------------------------------------------------------------
+# pipeline context
+
+
+def _as_complex(source, k: int) -> CliqueComplex:
+    if isinstance(source, CliqueComplex):
+        if source.max_dim < k + 1:
+            raise ValueError(f"complex must be built to dimension {k + 1}")
+        return source
+    if isinstance(source, (VertexGraph, PointCloud)):
+        return build_clique_complex(source, k + 1)
+    raise ValueError(f"cannot run the pipeline on {type(source).__name__}")
+
+
+@dataclass(eq=False)
+class PipelineContext:
+    """One instance/dimension/convention binding of the pipeline, with the
+    spectral pieces cached."""
+
+    complex: CliqueComplex
+    k: int
+    op: HodgeOperator
+    cfg: PEConfig
+
+    def __post_init__(self):
+        self._weights = None
+        self._rho = None
+
+    @property
+    def slot_count(self) -> int:
+        return comb(self.complex.n, self.k + 1)
+
+    @property
+    def s_count(self) -> int:
+        return self.complex.simplex_count(self.k)
+
+    def weights(self) -> np.ndarray:
+        if self._weights is None:
+            self._weights = zero_phase_weights(self.op, self.cfg)
+        return self._weights
+
+    def member_mask(self) -> np.ndarray:
+        mask = np.zeros(self.slot_count, dtype=bool)
+        mask[[slot_rank(w) for w in self.complex.words(self.k)]] = True
+        return mask
+
+    def beta_pe(self) -> float:
+        """Zero-outcome weight summed over the complex's simplices (the Betti
+        number under ideal phase estimation)."""
+        return float(self.weights()[self.member_mask()].sum())
+
+    def p1_trace(self) -> float:
+        return float(self.weights()[~self.member_mask()].sum())
+
+    def rho(self) -> DensityOperator:
+        if self._rho is None:
+            self._rho = reduced_density(self.complex, self.k, self.op, self.cfg)
+        return self._rho
+
+    def observable_encoding(self, m: np.ndarray):
+        """Block encoding of |0><0|_phase x I_slot x M via the tensor construction."""
+        rho = self.rho()
+        return tensor_block_encoding(
+            [block_encode_projector(rho.phase_dim, rho.slot_dim), block_encode_hermitian(m)]
+        )
+
+
+def pipeline_context(source, k: int, convention: str = "restricted",
+                     pe: PEConfig | None = None) -> PipelineContext:
+    complex_ = _as_complex(source, k)
+    cfg = pe or PEConfig.ideal()
+    op = hodge_laplacian(complex_, k, convention)
+    return PipelineContext(complex_, k, op, cfg)
+
+
+def observable_b(m, ctx: PipelineContext, mode: str = "exact", delta: float | None = None,
+                 confidence: float = 0.95, seed=None):
+    """The scalar b = Tr[(|0><0| x I x M) rho] for a flag observable M.
+
+    Exact mode evaluates the analytic expansion; sampled mode runs the seeded
+    trace estimator against the block-encoded observable."""
+    m = _check_flag_observable(m)
+    if mode == "exact":
+        c_total = ctx.slot_count
+        return float(
+            (ctx.beta_pe() * m[1, 1].real + ctx.p1_trace() * m[0, 0].real) / c_total
+        )
+    if mode == "sampled":
+        if delta is None:
+            raise ValueError("sampled mode needs a per-measurement delta")
+        return trace_estimate(ctx.observable_encoding(m), ctx.rho(), delta, confidence, seed)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+# ---------------------------------------------------------------------------
+# estimators
+
+
+@dataclass(frozen=True)
+class ExtractionSystem:
+    """The assembled system, its data, solution, and conditioning."""
+
+    a: np.ndarray
+    y: tuple[float, float]
+    x: tuple[float, float]
+    inv_norm: float
+    kappa_a: float
+
+
+@dataclass(frozen=True)
+class BettiEstimate:
+    """Betti-number estimate with its error budget and diagnostics."""
+
+    beta_estimate: float
+    beta_rounded: int
+    p1_estimate: float
+    eps: float | None
+    delta: float | None
+    samples_per_observable: int
+    confidence: float
+    mode: str
+    convention: str
+    pe_mode: str
+    n: int
+    k: int
+    s_count: int
+    slot_count: int
+    system: ExtractionSystem
+    kappa_laplacian: float | None
+    beta_oracle: int | None
+    beta_lower_used: float | None
+    resource: "ResourceReport | None"
+    seed: dict | None
+
+    def to_dict(self, instance=None) -> dict:
+        out = {
+            "instance": instance,
+            "k": self.k,
+            "convention": self.convention,
+            "mode": self.mode,
+            "pe": self.pe_mode,
+            "epsilon": self.eps,
+            "delta": self.delta,
+            "beta_estimate": self.beta_estimate,
+            "beta_rounded": self.beta_rounded,
+            "p1": self.p1_estimate,
+            "samples": self.samples_per_observable,
+            "confidence": self.confidence,
+            "inv_norm": self.system.inv_norm,
+            "kappa_system": self.system.kappa_a,
+            "kappa_laplacian": self.kappa_laplacian,
+            "beta_oracle": self.beta_oracle,
+            "n": self.n,
+            "s_count": self.s_count,
+            "slot_count": self.slot_count,
+            "resource_report": self.resource.to_dict() if self.resource else None,
+            "seed": self.seed,
+        }
+        return out
+
+
+def _solve_pair(pair: ObservablePair, slot_count: int, y) -> ExtractionSystem:
+    a = assemble_system(pair, slot_count)
+    x = solve_system(a, y)
+    return ExtractionSystem(a=a, y=(float(y[0]), float(y[1])), x=x,
+                            inv_norm=inv_norm(a), kappa_a=float(np.linalg.cond(a)))
+
+
+def _round_beta(beta_raw: float) -> int:
+    return int(np.floor(max(beta_raw, 0.0) + 0.5))
+
+
+def _sample_pair(ctx: PipelineContext, pair: ObservablePair, delta: float,
+                 confidence: float, parent: np.random.SeedSequence) -> tuple[float, float, int]:
+    # split the confidence budget evenly so the joint guarantee holds by union bound
+    conf_each = 1.0 - (1.0 - confidence) / 2.0
+    child1, child2 = parent.spawn(2)
+    est1 = observable_b(pair.m1, ctx, "sampled", delta, conf_each, child1)
+    est2 = observable_b(pair.m2, ctx, "sampled", delta, conf_each, child2)
+    return est1.value, est2.value, est1.samples_used
+
+
+def estimate_betti(source, k: int, eps: float | None = None, *, pair: ObservablePair | None = None,
+                   convention: str = "restricted", pe: PEConfig | None = None,
+                   mode: str = "exact", confidence: float = 0.95, seed=None,
+                   beta_lower: float = 1.0, refine: bool = False,
+                   max_refinements: int = 4) -> BettiEstimate:
+    """Full pipeline: complex -> Hodge operator -> mixed state -> two traces ->
+    2x2 solve -> Betti estimate.
+
+    Sampled mode plans the per-measurement accuracy from eps and beta_lower;
+    with refine=True a pilot whose rounded estimate undershoots beta_lower
+    triggers a halve-and-replan loop.  Deterministic per master seed.
+    """
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    ctx = pipeline_context(source, k, convention, pe)
+    if ctx.s_count == 0:
+        raise ValueError("no k-simplices; the estimate is undefined")
+    pair = pair or ObservablePair.default()
+    a = assemble_system(pair, ctx.slot_count)
+
+    seed_info = None
+    if mode == "exact":
+        y = (observable_b(pair.m1, ctx), observable_b(pair.m2, ctx))
+        system = _solve_pair(pair, ctx.slot_count, y)
+        delta = None
+        samples = 0
+    else:
+        if eps is None:
+            raise ValueError("sampled mode needs a target multiplicative accuracy eps")
+        ss = as_seed_sequence(seed)
+        seed_info = seed_descriptor(ss)
+        bound = beta_lower
+        for _ in range(max_refinements + 1):
+            delta = plan_delta(eps, bound, a)
+            y0, y1, samples = _sample_pair(ctx, pair, delta, confidence, ss)
+            system = _solve_pair(pair, ctx.slot_count, (y0, y1))
+            rounded = _round_beta(system.x[0])
+            if not refine or rounded >= bound or bound <= 0.5:
+                break
+            bound /= 2.0
+        beta_lower = bound
+
+    beta_raw, p1 = system.x
+    beta_rounded = _round_beta(beta_raw)
+    summary = spectral_summary(ctx.op, ctx.cfg.zero_tol)
+    beta_oracle = betti_exact(ctx.complex, k)
+
+    resource = None
+    if eps is not None and beta_rounded > 0 and summary.kappa is not None:
+        resource = resource_estimate(ctx.complex.n, k, summary.kappa, beta_rounded,
+                                     ctx.s_count, eps=eps, confidence=confidence)
+
+    return BettiEstimate(
+        beta_estimate=beta_raw,
+        beta_rounded=beta_rounded,
+        p1_estimate=p1,
+        eps=eps,
+        delta=delta,
+        samples_per_observable=samples,
+        confidence=confidence,
+        mode=mode,
+        convention=convention,
+        pe_mode=ctx.cfg.mode,
+        n=ctx.complex.n,
+        k=k,
+        s_count=ctx.s_count,
+        slot_count=ctx.slot_count,
+        system=system,
+        kappa_laplacian=summary.kappa,
+        beta_oracle=beta_oracle,
+        beta_lower_used=beta_lower if mode == "sampled" else None,
+        resource=resource,
+        seed=seed_info,
+    )
+
+
+@dataclass(frozen=True)
+class NormalizedBettiEstimate:
+    """Estimate of beta_k / |S_k| with an additive accuracy target."""
+
+    value: float
+    raw_value: float
+    delta: float
+    eps_measurement: float
+    samples_per_observable: int
+    confidence: float
+    mode: str
+    convention: str
+    pe_mode: str
+    n: int
+    k: int
+    s_count: int
+    slot_count: int
+    oracle_value: float | None
+    seed: dict | None
+
+    def to_dict(self, instance=None) -> dict:
+        return {
+            "instance": instance,
+            "k": self.k,
+            "convention": self.convention,
+            "mode": self.mode,
+            "pe": self.pe_mode,
+            "delta": self.delta,
+            "eps_measurement": self.eps_measurement,
+            "normalized_betti": self.value,
+            "normalized_betti_raw": self.raw_value,
+            "samples": self.samples_per_observable,
+            "confidence": self.confidence,
+            "oracle_value": self.oracle_value,
+            "n": self.n,
+            "s_count": self.s_count,
+            "slot_count": self.slot_count,
+            "seed": self.seed,
+        }
+
+
+def estimate_normalized_betti(source, k: int, delta: float, *,
+                              pair: ObservablePair | None = None,
+                              convention: str = "restricted", pe: PEConfig | None = None,
+                              mode: str = "exact", confidence: float = 0.95,
+                              seed=None) -> NormalizedBettiEstimate:
+    """Estimate beta_k/|S_k| to additive accuracy delta.
+
+    Works on the rescaled system whose unknowns are (beta_k/C, p1/C): each
+    trace is measured to eps = delta * |S_k| / C, the solution is scaled by
+    C/|S_k|, and the result is clamped to [0, 1].
+    """
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    ctx = pipeline_context(source, k, convention, pe)
+    if ctx.s_count == 0:
+        raise ValueError("no k-simplices; the normalized estimate is undefined")
+    pair = pair or ObservablePair.default()
+    a_scaled = pair.raw_matrix()  # the system in the (beta/C, p1/C) variables
+    eps_measurement = delta * ctx.s_count / ctx.slot_count
+
+    seed_info = None
+    if mode == "exact":
+        y = np.array([observable_b(pair.m1, ctx), observable_b(pair.m2, ctx)])
+        samples = 0
+    elif mode == "sampled":
+        ss = as_seed_sequence(seed)
+        seed_info = seed_descriptor(ss)
+        y0, y1, samples = _sample_pair(ctx, pair, eps_measurement, confidence, ss)
+        y = np.array([y0, y1])
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    x0, _ = solve_system(a_scaled, y)
+    raw = x0 * ctx.slot_count / ctx.s_count
+    value = min(max(raw, 0.0), 1.0)
+    oracle = betti_exact(ctx.complex, k) / ctx.s_count
+
+    return NormalizedBettiEstimate(
+        value=value,
+        raw_value=raw,
+        delta=delta,
+        eps_measurement=eps_measurement,
+        samples_per_observable=samples,
+        confidence=confidence,
+        mode=mode,
+        convention=convention,
+        pe_mode=ctx.cfg.mode,
+        n=ctx.complex.n,
+        k=k,
+        s_count=ctx.s_count,
+        slot_count=ctx.slot_count,
+        oracle_value=oracle,
+        seed=seed_info,
+    )
+
+
+def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
+    """Three-way comparison of what p1 measures under each convention against
+    the complement complex's true Betti number.
+
+    Draws no conclusion: it documents whether p1 can be read as complement
+    homology.  Under the restricted convention p1 is identically C - |S_k|;
+    under the dual convention it equals the kernel dimension of the
+    off-complex block (complement homology plus one per slot lying in neither
+    complex).
+    """
+    if isinstance(source, CliqueComplex):
+        graph = source.graph
+    elif isinstance(source, VertexGraph):
+        graph = source
+    else:
+        raise ValueError("the complement comparison needs a graph instance")
+    cfg = pe or PEConfig.ideal()
+    complex_ = build_clique_complex(graph, k + 1)
+    c_total = comb(graph.n, k + 1)
+    s_count = complex_.simplex_count(k)
+    comp_slots = c_total - s_count
+
+    ctx_restricted = PipelineContext(complex_, k, hodge_laplacian(complex_, k, "restricted"), cfg)
+    ctx_dual = PipelineContext(complex_, k, hodge_laplacian(complex_, k, "dual"), cfg)
+    p1_restricted = ctx_restricted.p1_trace()
+    p1_dual = ctx_dual.p1_trace()
+
+    comp_complex = complement_complex(graph, k + 1)
+    beta_comp = betti_exact(comp_complex, k)
+
+    # kernel dimension of the dual operator's off-complex block, by diagonalization
+    mask = ~ctx_dual.member_mask()
+    sub = ctx_dual.op.matrix[np.ix_(np.nonzero(mask)[0], np.nonzero(mask)[0])]
+    if sub.size:
+        evals = np.linalg.eigvalsh(sub)
+        kernel_dim_block = int((evals < ctx_dual.op.zero_threshold(cfg.zero_tol)).sum())
+    else:
+        kernel_dim_block = 0
+    neither = comp_slots - comp_complex.simplex_count(k) if k >= 1 else 0
+
+    return {
+        "n": graph.n,
+        "k": k,
+        "slot_count": c_total,
+        "s_count": s_count,
+        "complement_slot_count": comp_slots,
+        "p1_restricted": p1_restricted,
+        "p1_restricted_per_slot": p1_restricted / comp_slots if comp_slots else None,
+        "p1_dual": p1_dual,
+        "p1_dual_per_slot": p1_dual / comp_slots if comp_slots else None,
+        "betti_complement_exact": beta_comp,
+        "kernel_dim_complement_block": kernel_dim_block,
+        "neither_complex_slot_count": int(neither),
+        "dual_matches_block_kernel": bool(abs(p1_dual - kernel_dim_block) <= 1e-9),
+    }
+
+
+# ---------------------------------------------------------------------------
+# resource model
+
+
+@dataclass(frozen=True)
+class ResourceReport:
+    """Pure arithmetic on the cost formulas; nothing is executed.
+
+    `sample_cost` is the simulator's Hoeffding count at the planned
+    per-measurement accuracy (a 1/delta^2 statistical realization of the
+    1/delta query model), reported separately so the two scalings are never
+    conflated.
+    """
+
+    n: int
+    k: int
+    kappa: float
+    beta: float
+    s_count: int
+    slot_count: int
+    eps: float | None
+    delta: float | None
+    this_method_cost: float | None
+    prior_quantum_cost: float | None
+    classical_cost: float
+    depth_this_method: float
+    depth_prior_quantum: float
+    normalized_this_method_cost: float | None
+    normalized_prior_cost: float | None
+    grover_preparation_cost: float
+    planned_measurement_delta: float | None
+    sample_cost: int | None
+
+    def to_dict(self) -> dict:
+        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+
+
+def resource_estimate(n: int, k: int, kappa: float, beta: float, s_count: int,
+                      eps: float | None = None, delta: float | None = None,
+                      confidence: float = 0.95) -> ResourceReport:
+    """Evaluate the cost formulas at one parameter point.
+
+    Multiplicative-accuracy costs need eps and beta > 0; normalized-mode costs
+    need delta.  Deterministic, pure arithmetic.
+    """
+    if n < 1 or not 0 <= k <= n - 1:
+        raise ValueError("bad (n, k)")
+    if kappa <= 0 or s_count < 1:
+        raise ValueError("kappa and |S_k| must be positive")
+    if eps is not None and eps <= 0:
+        raise ValueError("eps must be positive")
+    if delta is not None and delta <= 0:
+        raise ValueError("delta must be positive")
+    if eps is not None and beta <= 0:
+        raise ValueError("multiplicative accuracy is undefined at beta = 0")
+    c_total = comb(n, k + 1)
+
+    this_cost = prior_cost = norm_this = norm_prior = None
+    planned_delta = sample_cost = None
+    if eps is not None:
+        this_cost = (n * k + kappa * n) * c_total / (eps * beta)
+        prior_cost = (n**2 * sqrt(c_total / beta) + n * kappa * sqrt(s_count / beta)) / eps
+        planned_delta = eps * beta / (sqrt(2.0) * c_total)
+        sample_cost = hoeffding_sample_count(planned_delta, confidence)
+    if delta is not None:
+        norm_this = (n * k + kappa * n) * c_total / (delta * s_count)
+        norm_prior = (n**2 * sqrt(c_total / s_count) + n * kappa) / delta
+
+    return ResourceReport(
+        n=n,
+        k=k,
+        kappa=kappa,
+        beta=beta,
+        s_count=s_count,
+        slot_count=c_total,
+        eps=eps,
+        delta=delta,
+        this_method_cost=this_cost,
+        prior_quantum_cost=prior_cost,
+        classical_cost=float(c_total),
+        depth_this_method=n * k + n * kappa,
+        depth_prior_quantum=n**2 * sqrt(c_total / s_count) + n * kappa,
+        normalized_this_method_cost=norm_this,
+        normalized_prior_cost=norm_prior,
+        grover_preparation_cost=grover_prep_cost(n, k, s_count) if k >= 0 else 0.0,
+        planned_measurement_delta=planned_delta,
+        sample_cost=sample_cost,
+    )

@@ -1,0 +1,276 @@
+"""Boundary operators, combinatorial Hodge Laplacians, and exact Betti numbers.
+
+The Laplacian at dimension k lives on the full slot space of binom(n, k+1)
+potential simplices.  Two conventions fill the slots outside the complex:
+
+* ``restricted`` - off-complex slots are zero rows/columns, so every one of
+  them is a kernel state;
+* ``dual`` - slots holding simplices of the complement graph's clique complex
+  carry that complex's own Laplacian block (slots in neither complex stay
+  zero).  At k=0 there are no off-complex slots and both conventions agree.
+
+Betti numbers are computed by exact integer rank (fraction-free elimination),
+independent of any floating-point spectral path.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from math import comb
+
+import numpy as np
+
+from .complexes import CliqueComplex, complement_complex, slot_rank, vertices_of_word
+
+__all__ = [
+    "BoundaryMatrix",
+    "HodgeOperator",
+    "SpectralSummary",
+    "boundary_matrix",
+    "integer_rank",
+    "hodge_laplacian",
+    "betti_exact",
+    "kernel_projector",
+    "spectral_summary",
+    "euler_check",
+    "DEFAULT_ZERO_TOL",
+]
+
+# Relative kernel threshold: eigenvalues below zero_tol * max(lambda_max, 1)
+# count as zero.  Integer Laplacians at desk scale have smallest nonzero
+# eigenvalues well above any accumulated floating error.
+DEFAULT_ZERO_TOL = 1e-8
+
+# Bareiss intermediate entries are minors of the input; fall back to Python
+# ints before int64 products can overflow.
+_BAREISS_INT64_LIMIT = 2_000_000_000
+
+
+@dataclass(frozen=True)
+class BoundaryMatrix:
+    """Signed incidence matrix from k-simplices (columns) to their faces (rows)."""
+
+    k: int
+    matrix: np.ndarray
+    row_words: tuple[int, ...]
+    col_words: tuple[int, ...]
+
+
+def boundary_matrix(complex_: CliqueComplex, k: int) -> BoundaryMatrix:
+    """Boundary operator at dimension k; the face dropping the i-th smallest
+    vertex carries sign (-1)^i.  k=0 yields the empty-row zero map."""
+    if not 0 <= k <= complex_.max_dim:
+        raise ValueError(f"k={k} out of range (max_dim={complex_.max_dim})")
+    cols = complex_.words(k)
+    if k == 0:
+        mat = np.zeros((0, len(cols)), dtype=np.int64)
+        return BoundaryMatrix(0, mat, (), cols)
+    rows = complex_.words(k - 1)
+    row_index = {w: i for i, w in enumerate(rows)}
+    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for j, word in enumerate(cols):
+        sign = 1
+        for v in vertices_of_word(word):
+            face = word & ~(1 << v)
+            mat[row_index[face], j] = sign
+            sign = -sign
+    return BoundaryMatrix(k, mat, rows, cols)
+
+
+def _rank_pyint(rows: list[list[int]]) -> int:
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    rank = 0
+    prev = 1
+    for c in range(n):
+        pivot_row = next((i for i in range(rank, m) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        piv = rows[rank][c]
+        for i in range(rank + 1, m):
+            fac = rows[i][c]
+            if fac == 0 and prev == 1:
+                continue
+            ri, rr = rows[i], rows[rank]
+            rows[i] = [(piv * ri[j] - fac * rr[j]) // prev for j in range(n)]
+        prev = piv
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def integer_rank(matrix) -> int:
+    """Exact rank of an integer matrix over the rationals.
+
+    Fraction-free (Bareiss) elimination on int64, with an automatic pure
+    Python big-int fallback if intermediate minors grow too large.
+    """
+    a = np.array(matrix, dtype=np.int64, copy=True)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    m, n = a.shape
+    if m == 0 or n == 0:
+        return 0
+    rank = 0
+    prev = np.int64(1)
+    for c in range(n):
+        col = a[rank:, c]
+        nz = np.nonzero(col)[0]
+        if nz.size == 0:
+            continue
+        pr = rank + int(nz[0])
+        if pr != rank:
+            a[[rank, pr]] = a[[pr, rank]]
+        piv = a[rank, c]
+        if rank + 1 < m:
+            block = a[rank + 1 :]
+            if max(abs(int(piv)), int(np.abs(block).max(initial=0)),
+                   int(np.abs(a[rank]).max())) > _BAREISS_INT64_LIMIT:
+                return _rank_pyint([[int(x) for x in row] for row in matrix])
+            a[rank + 1 :] = (piv * block - np.outer(block[:, c], a[rank])) // prev
+        prev = piv
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+@dataclass(eq=False)
+class HodgeOperator:
+    """Symmetric PSD operator on the full slot space at dimension k."""
+
+    k: int
+    matrix: np.ndarray
+    convention: str
+    support_size: int
+    n: int
+    complex_slot_indices: tuple[int, ...]
+    complement_complex_slot_indices: tuple[int, ...] = ()
+    _eig: tuple | None = field(default=None, repr=False)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    def eig(self):
+        """Cached eigendecomposition (ascending eigenvalues)."""
+        if self._eig is None:
+            evals, evecs = np.linalg.eigh(self.matrix)
+            self._eig = (evals, evecs)
+        return self._eig
+
+    def zero_threshold(self, zero_tol: float = DEFAULT_ZERO_TOL) -> float:
+        evals, _ = self.eig()
+        lam_max = float(evals[-1]) if evals.size else 0.0
+        return zero_tol * max(lam_max, 1.0)
+
+
+def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
+    low = boundary_matrix(complex_, k).matrix
+    up = boundary_matrix(complex_, k + 1).matrix
+    block = low.T @ low + up @ up.T
+    return block.astype(float)
+
+
+def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restricted") -> HodgeOperator:
+    """Embed d_k^T d_k + d_{k+1} d_{k+1}^T into the full slot space."""
+    if convention not in ("restricted", "dual"):
+        raise ValueError(f"unknown convention {convention!r}")
+    if k + 1 > complex_.max_dim:
+        raise ValueError(f"need simplices at dimension {k + 1}; complex built to {complex_.max_dim}")
+    n = complex_.n
+    slots = comb(n, k + 1)
+    full = np.zeros((slots, slots))
+    idx = tuple(slot_rank(w) for w in complex_.words(k))
+    if idx:
+        full[np.ix_(idx, idx)] = _laplacian_block(complex_, k)
+
+    comp_idx: tuple[int, ...] = ()
+    if convention == "dual" and k >= 1:
+        comp = complement_complex(complex_.graph, k + 1)
+        comp_idx = tuple(slot_rank(w) for w in comp.words(k))
+        if set(comp_idx) & set(idx):
+            raise AssertionError("complement-complex simplices collide with the complex")
+        if comp_idx:
+            full[np.ix_(comp_idx, comp_idx)] = _laplacian_block(comp, k)
+
+    support = len(idx) if convention == "restricted" else slots
+    return HodgeOperator(
+        k=k,
+        matrix=full,
+        convention=convention,
+        support_size=support,
+        n=n,
+        complex_slot_indices=idx,
+        complement_complex_slot_indices=comp_idx,
+    )
+
+
+def betti_exact(complex_: CliqueComplex, k: int) -> int:
+    """k-th Betti number by exact integer ranks: |S_k| - rank d_k - rank d_{k+1}."""
+    if k + 1 > complex_.max_dim:
+        raise ValueError(
+            f"betti_exact({k}) needs dimension {k + 1} built (max_dim={complex_.max_dim})"
+        )
+    s_k = complex_.simplex_count(k)
+    r_low = integer_rank(boundary_matrix(complex_, k).matrix)
+    r_up = integer_rank(boundary_matrix(complex_, k + 1).matrix)
+    beta = s_k - r_low - r_up
+    assert beta >= 0, "rank computation produced a negative Betti number"
+    return beta
+
+
+def kernel_projector(op: HodgeOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+    """Orthogonal projector onto the near-zero eigenspace."""
+    evals, evecs = op.eig()
+    kernel = evecs[:, evals < op.zero_threshold(zero_tol)]
+    return kernel @ kernel.T
+
+
+@dataclass(frozen=True)
+class SpectralSummary:
+    """Spectrum digest; kappa = lambda_max / lambda_min_nonzero over the
+    nonzero spectrum (an interpretation - the source ratio is not pinned to a
+    norm), None when the spectrum is all zero."""
+
+    eigenvalues: np.ndarray
+    kernel_dim: int
+    lambda_min_nonzero: float | None
+    lambda_max: float
+    kappa: float | None
+
+
+def spectral_summary(op: HodgeOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectralSummary:
+    evals, _ = op.eig()
+    thresh = op.zero_threshold(zero_tol)
+    nonzero = evals[evals >= thresh]
+    kernel_dim = int(evals.size - nonzero.size)
+    lam_max = float(evals[-1]) if evals.size else 0.0
+    if nonzero.size == 0:
+        return SpectralSummary(evals, kernel_dim, None, lam_max, None)
+    lam_min = float(nonzero[0])
+    return SpectralSummary(evals, kernel_dim, lam_min, lam_max, lam_max / lam_min)
+
+
+def euler_check(complex_: CliqueComplex) -> tuple[bool, dict]:
+    """Verify the alternating simplex-count sum equals the alternating Betti sum.
+
+    Betti numbers here are those of the stored skeleton: the boundary above
+    max_dim is treated as zero.
+    """
+    counts = complex_.counts
+    ranks = [0] * (complex_.max_dim + 2)
+    for k in range(1, complex_.max_dim + 1):
+        ranks[k] = integer_rank(boundary_matrix(complex_, k).matrix)
+    bettis = [counts[k] - ranks[k] - ranks[k + 1] for k in range(complex_.max_dim + 1)]
+    chi_counts = sum((-1) ** k * c for k, c in enumerate(counts))
+    chi_betti = sum((-1) ** k * b for k, b in enumerate(bettis))
+    report = {
+        "counts": list(counts),
+        "bettis": bettis,
+        "chi_from_counts": chi_counts,
+        "chi_from_bettis": chi_betti,
+    }
+    return chi_counts == chi_betti, report

@@ -1,0 +1,662 @@
+"""Desk-scale simulation of the measurement pipeline.
+
+Everything a hardware run would produce is reproduced exactly from small
+dense matrices: the flag-tagged uniform state over simplex slots, a
+phase-estimation unitary for the Hodge operator (either a finite t-bit
+register or an idealized kernel-flag bit), the reduced mixed state over
+(phase, slot, flag), block encodings with verifiable unitarity and block
+equality, and additive-error trace estimation realized as seeded Bernoulli
+sampling of the Hadamard-test statistic.
+
+The mixed state is kept in its analytic form (a uniform mixture of one pure
+state per slot); materializing the full register would change nothing but
+memory use.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from functools import reduce
+from math import ceil, comb, log, sqrt
+
+import numpy as np
+
+from .complexes import CliqueComplex, SimplexWord, slot_rank, slot_words
+from .homology import DEFAULT_ZERO_TOL, HodgeOperator
+
+__all__ = [
+    "PEConfig",
+    "TaggedState",
+    "DensityOperator",
+    "BlockEncoding",
+    "BlockEncodingError",
+    "TraceEstimate",
+    "ComplementWeight",
+    "prepare_phi",
+    "copy_register",
+    "partial_trace",
+    "phase_zero_probability",
+    "phase_estimation_unitary",
+    "zero_phase_weights",
+    "zero_phase_weight",
+    "reduced_density",
+    "p_zero",
+    "p_one",
+    "householder_unitary",
+    "block_encode_state_mixture",
+    "block_encode_density",
+    "block_encode_projector",
+    "block_encode_hermitian",
+    "tensor_block_encoding",
+    "hoeffding_sample_count",
+    "trace_estimate",
+    "grover_prep_cost",
+    "as_seed_sequence",
+    "seed_descriptor",
+]
+
+# Largest dimension at which unitaries are materialized as explicit matrices.
+DENSE_DIM_CAP = 4608
+
+
+# ---------------------------------------------------------------------------
+# phase estimation configuration
+
+
+@dataclass(frozen=True)
+class _ResolvedPE:
+    mode: str
+    t: int
+    tau: float
+    phase_dim: int
+    threshold: float
+
+
+@dataclass(frozen=True)
+class PEConfig:
+    """Phase-estimation settings.
+
+    mode "ideal": a single flag bit marks kernel vs non-kernel components
+    exactly.  mode "bits": a t-bit register with the standard readout
+    statistics; tau rescales eigenvalues into [0, 2*pi) eigenphases.
+    Unset t and tau are resolved against the operator's spectrum.
+    """
+
+    mode: str = "ideal"
+    t: int | None = None
+    tau: float | None = None
+    zero_tol: float = DEFAULT_ZERO_TOL
+
+    def __post_init__(self):
+        if self.mode not in ("ideal", "bits"):
+            raise ValueError(f"unknown phase-estimation mode {self.mode!r}")
+        if self.t is not None and self.t < 1:
+            raise ValueError("phase register needs t >= 1 bits")
+
+    @classmethod
+    def ideal(cls, zero_tol: float = DEFAULT_ZERO_TOL) -> "PEConfig":
+        return cls(mode="ideal", zero_tol=zero_tol)
+
+    @classmethod
+    def bits(cls, t: int | None = None, tau: float | None = None,
+             zero_tol: float = DEFAULT_ZERO_TOL) -> "PEConfig":
+        return cls(mode="bits", t=t, tau=tau, zero_tol=zero_tol)
+
+    def resolve(self, op: HodgeOperator) -> _ResolvedPE:
+        evals, _ = op.eig()
+        threshold = op.zero_threshold(self.zero_tol)
+        lam_max = float(evals[-1]) if evals.size else 0.0
+        nonzero = evals[evals >= threshold]
+        if self.tau is not None:
+            tau = float(self.tau)
+        elif lam_max < threshold:
+            tau = 1.0
+        else:
+            tau = np.pi / lam_max
+        if tau * lam_max >= 2 * np.pi:
+            raise ValueError(f"tau*lambda_max = {tau * lam_max:.6g} must stay below 2*pi")
+        if self.mode == "ideal":
+            return _ResolvedPE("ideal", 1, tau, 2, threshold)
+        if self.t is not None:
+            t = self.t
+        elif nonzero.size == 0:
+            t = 1
+        else:
+            t = ceil(np.log2(lam_max / float(nonzero[0]))) + 2
+        return _ResolvedPE("bits", max(t, 1), tau, 2**t if t >= 1 else 2, threshold)
+
+
+def phase_zero_probability(phi, t: int):
+    """Probability that t-bit phase estimation of eigenphase phi reads all zeros."""
+    if t < 1:
+        raise ValueError("need t >= 1")
+    phi_arr = np.asarray(phi, dtype=float)
+    big = float(2**t)
+    half = phi_arr / 2.0
+    sin_half = np.sin(half)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(sin_half == 0.0, 1.0, np.sin(big * half) / (big * sin_half))
+    out = ratio**2
+    return float(out) if out.ndim == 0 else out
+
+
+def phase_estimation_unitary(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
+    """Explicit phase-estimation unitary on (phase register) x (slot space).
+
+    bits mode composes (inverse QFT x I) . controlled-powers . (H^t x I) in the
+    operator's eigenbasis; ideal mode writes the kernel indicator to one bit.
+    """
+    res = cfg.resolve(op)
+    evals, evecs = op.eig()
+    dim = op.dim
+    if res.mode == "ideal":
+        kernel = evecs[:, evals < res.threshold]
+        proj = kernel @ kernel.T
+        rest = np.eye(dim) - proj
+        return np.block([[proj, rest], [rest, proj]]).astype(complex)
+
+    big = res.phase_dim
+    phases = res.tau * evals
+    phases[evals < res.threshold] = 0.0
+    m = np.arange(big)
+    expo = np.exp(1j * np.outer(m, phases))  # (P, J): controlled powers in eigenbasis
+    qft_dag = np.exp(-2j * np.pi * np.outer(m, m) / big) / sqrt(big)
+    had = _hadamard_power(res.t)
+    # R_j = QFT^dagger . diag(e^{i m phi_j}) . H^{x t}, assembled per eigenvalue
+    r_all = np.einsum("am,mj,ml->jal", qft_dag, expo, had)
+    u = np.einsum("jal,cj,dj->acld", r_all, evecs.astype(complex), evecs.conj().astype(complex))
+    return u.reshape(big * dim, big * dim)
+
+
+def _hadamard_power(t: int) -> np.ndarray:
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / sqrt(2.0)
+    out = np.array([[1.0]])
+    for _ in range(t):
+        out = np.kron(out, h)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# tagged states and the reduced mixed state
+
+
+@dataclass(frozen=True)
+class TaggedState:
+    """Uniform superposition over all slots with the membership flag on an
+    ancilla qubit; after copying, the slot word is mirrored to a third register."""
+
+    amplitudes: np.ndarray
+    n: int
+    k: int
+    copied: bool
+
+    def __post_init__(self):
+        norm = np.linalg.norm(self.amplitudes)
+        if abs(norm - 1.0) > 1e-12:
+            raise ValueError(f"state norm {norm} is not 1")
+
+    @property
+    def slot_dim(self) -> int:
+        return self.amplitudes.shape[0]
+
+    def vector(self) -> np.ndarray:
+        return self.amplitudes.reshape(-1)
+
+
+def prepare_phi(complex_: CliqueComplex, k: int) -> TaggedState:
+    """The flag-tagged uniform state: amplitude 1/sqrt(C) on (s, member(s))."""
+    n = complex_.n
+    words = slot_words(n, k)
+    c_total = len(words)
+    if c_total == 0:
+        raise ValueError("empty slot space")
+    amp = np.zeros((c_total, 2))
+    root = 1.0 / sqrt(c_total)
+    for i, w in enumerate(words):
+        amp[i, int(complex_.contains_word(k, w))] = root
+    return TaggedState(amp, n, k, copied=False)
+
+
+def copy_register(state: TaggedState) -> TaggedState:
+    """Mirror the slot register onto a fresh register of the same size."""
+    if state.copied:
+        raise ValueError("state already carries a copy register")
+    c_total = state.slot_dim
+    amp = np.zeros((c_total, 2, c_total))
+    idx = np.arange(c_total)
+    amp[idx, :, idx] = state.amplitudes
+    return TaggedState(amp, state.n, state.k, copied=True)
+
+
+def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
+    """Trace out every subsystem not listed in `keep` (dims in tensor order)."""
+    dims = tuple(int(d) for d in dims)
+    keep = sorted(keep)
+    arr = np.asarray(rho).reshape(dims + dims)
+    current = list(range(len(dims)))
+    for sys in reversed([i for i in range(len(dims)) if i not in keep]):
+        ax = current.index(sys)
+        arr = np.trace(arr, axis1=ax, axis2=ax + len(current))
+        current.pop(ax)
+    kept = int(np.prod([dims[i] for i in keep])) if keep else 1
+    return arr.reshape(kept, kept)
+
+
+@dataclass(eq=False)
+class DensityOperator:
+    """Mixed state on (phase x slot x flag), stored analytically as a uniform
+    mixture of one phase-estimated pure state per slot."""
+
+    phase_dim: int
+    slot_dim: int
+    vectors: np.ndarray  # (phase_dim*slot_dim, slot_dim); column s = U_PE |0>|s>
+    flags: np.ndarray  # (slot_dim,) membership bits
+    _full: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def dim(self) -> int:
+        return self.phase_dim * self.slot_dim * 2
+
+    def full_vectors(self) -> np.ndarray:
+        """Rows: the mixture's pure states on phase x slot x flag."""
+        if self._full is None:
+            c_total = self.slot_dim
+            base = self.vectors.T  # (C, P*C)
+            fv = np.zeros((c_total, self.dim), dtype=complex)
+            cols = 2 * np.arange(self.phase_dim * c_total)[None, :] + self.flags[:, None]
+            fv[np.arange(c_total)[:, None], cols] = base
+            self._full = fv
+        return self._full
+
+    def matrix(self) -> np.ndarray:
+        fv = self.full_vectors()
+        return (fv.T @ fv.conj()) / self.slot_dim
+
+    def trace(self) -> float:
+        fv = self.full_vectors()
+        return float((np.abs(fv) ** 2).sum() / self.slot_dim)
+
+    def expectation(self, observable: np.ndarray) -> float:
+        """Tr(observable . rho), evaluated on the mixture."""
+        fv = self.full_vectors()
+        vals = np.einsum("sd,de,se->s", fv.conj(), np.asarray(observable, dtype=complex), fv)
+        total = vals.sum() / self.slot_dim
+        if abs(total.imag) > 1e-10:
+            raise ValueError(f"expectation has imaginary part {total.imag:.3g}")
+        return float(total.real)
+
+    def validate(self, atol_trace: float = 1e-10, atol_psd: float = 1e-10) -> dict:
+        mat = self.matrix()
+        herm = float(np.abs(mat - mat.conj().T).max())
+        tr = self.trace()
+        min_eig = float(np.linalg.eigvalsh(mat).min())
+        ok = herm <= 1e-12 and abs(tr - 1.0) <= atol_trace and min_eig >= -atol_psd
+        return {"hermiticity": herm, "trace": tr, "min_eigenvalue": min_eig, "ok": ok}
+
+
+def reduced_density(complex_: CliqueComplex, k: int, op: HodgeOperator, cfg: PEConfig) -> DensityOperator:
+    """The mixed state left on (phase, slot, flag) after discarding the copy register."""
+    if op.k != k or op.n != complex_.n:
+        raise ValueError("operator does not match the requested complex/dimension")
+    u_pe = phase_estimation_unitary(op, cfg)
+    c_total = op.dim
+    phase_dim = u_pe.shape[0] // c_total
+    vectors = u_pe[:, :c_total]  # columns: input phase register |0>, slot |s>
+    flags = np.array([int(complex_.contains_word(k, w)) for w in slot_words(complex_.n, k)],
+                     dtype=np.int64)
+    return DensityOperator(phase_dim=phase_dim, slot_dim=c_total, vectors=vectors, flags=flags)
+
+
+# ---------------------------------------------------------------------------
+# zero-phase statistics
+
+
+def zero_phase_weights(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
+    """Per-slot probability of the all-zeros phase outcome on input |s>."""
+    res = cfg.resolve(op)
+    evals, evecs = op.eig()
+    if res.mode == "ideal":
+        weights = (evals < res.threshold).astype(float)
+    else:
+        phases = res.tau * evals
+        phases[evals < res.threshold] = 0.0
+        weights = phase_zero_probability(phases, res.t)
+    return (evecs * evecs) @ weights
+
+
+def zero_phase_weight(op: HodgeOperator, cfg: PEConfig, s) -> float:
+    word = s.bits if isinstance(s, SimplexWord) else int(s)
+    if word.bit_count() != op.k + 1:
+        raise ValueError(f"word {word:#b} is not a dimension-{op.k} slot")
+    if word >= (1 << op.n):
+        raise ValueError(f"word {word:#b} does not fit in {op.n} bits")
+    return float(zero_phase_weights(op, cfg)[slot_rank(word)])
+
+
+def p_zero(complex_: CliqueComplex, k: int, op: HodgeOperator, cfg: PEConfig) -> float:
+    """Zero-outcome probability over the complex's own simplices; with ideal
+    phase estimation this times |S_k| is exactly the Betti number."""
+    s_count = complex_.simplex_count(k)
+    if s_count == 0:
+        raise ValueError("no k-simplices: zero-outcome probability undefined")
+    weights = zero_phase_weights(op, cfg)
+    idx = [slot_rank(w) for w in complex_.words(k)]
+    return float(weights[idx].sum() / s_count)
+
+
+@dataclass(frozen=True)
+class ComplementWeight:
+    """Zero-outcome weight summed over off-complex slots.
+
+    `trace` is the raw sum (the convention the 2x2 extraction consumes);
+    `per_slot` divides by the number of off-complex slots (None if there are
+    none)."""
+
+    trace: float
+    per_slot: float | None
+    slot_count: int
+
+
+def p_one(complex_: CliqueComplex, k: int, op: HodgeOperator, cfg: PEConfig) -> ComplementWeight:
+    weights = zero_phase_weights(op, cfg)
+    member = np.zeros(len(weights), dtype=bool)
+    member[[slot_rank(w) for w in complex_.words(k)]] = True
+    comp = weights[~member]
+    trace = float(comp.sum())
+    per_slot = float(trace / comp.size) if comp.size else None
+    return ComplementWeight(trace=trace, per_slot=per_slot, slot_count=int(comp.size))
+
+
+# ---------------------------------------------------------------------------
+# block encodings
+
+
+class BlockEncodingError(RuntimeError):
+    """A block-encoding construction failed its verification contract."""
+
+
+def householder_unitary(target) -> np.ndarray:
+    """Unitary sending e_0 to the given unit vector (reflection times a phase)."""
+    v = np.asarray(target, dtype=complex).reshape(-1)
+    norm = np.linalg.norm(v)
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"target norm {norm} is not 1")
+    v = v / norm
+    v0 = v[0]
+    phase = v0 / abs(v0) if abs(v0) > 1e-14 else 1.0
+    aligned = v / phase
+    w = aligned.copy()
+    w[0] -= 1.0
+    wn = np.linalg.norm(w)
+    if wn < 1e-14:
+        return phase * np.eye(v.size, dtype=complex)
+    w /= wn
+    return phase * (np.eye(v.size, dtype=complex) - 2.0 * np.outer(w, w.conj()))
+
+
+@dataclass(eq=False)
+class BlockEncoding:
+    """Unitary whose all-zeros-ancilla block equals `target` (subnormalization 1).
+
+    Small constructions hold the matrix explicitly.  Large ones keep the
+    verified factor composition and apply it structurally; the block is still
+    extracted by honestly applying every factor.
+    """
+
+    ancilla_dim: int
+    system_dim: int
+    target: np.ndarray
+    dense: np.ndarray | None = None
+    apply_fn: object = None
+    factor_unitarity: float = 0.0
+    description: str = ""
+
+    @property
+    def dim(self) -> int:
+        return self.ancilla_dim * self.system_dim
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        mat = x if x.ndim == 2 else x.reshape(-1, 1)
+        if mat.shape[0] != self.dim:
+            raise ValueError(f"expected leading dimension {self.dim}")
+        out = self.dense @ mat if self.dense is not None else self.apply_fn(mat)
+        return out if x.ndim == 2 else out.reshape(-1)
+
+    def unitary(self) -> np.ndarray:
+        if self.dense is not None:
+            return self.dense
+        if self.dim > DENSE_DIM_CAP:
+            raise BlockEncodingError(
+                f"dimension {self.dim} too large to materialize (cap {DENSE_DIM_CAP})"
+            )
+        return self.apply(np.eye(self.dim, dtype=complex))
+
+    def encoded_block(self, chunk_bytes: int = 1 << 26) -> np.ndarray:
+        """(<0|_anc x I) U (|0>_anc x I), computed through the construction."""
+        d = self.system_dim
+        if self.dense is not None:
+            return self.dense[:d, :d]
+        per_col = self.dim * 16
+        chunk = max(1, min(d, chunk_bytes // per_col))
+        block = np.empty((d, d), dtype=complex)
+        for start in range(0, d, chunk):
+            stop = min(start + chunk, d)
+            cols = np.zeros((self.dim, stop - start), dtype=complex)
+            cols[np.arange(start, stop), np.arange(stop - start)] = 1.0
+            block[:, start:stop] = self.apply_fn(cols)[:d]
+        return block
+
+    def unitarity_deviation(self) -> float:
+        """max|U^dagger U - I|; for factored constructions, the worst deviation
+        over the (dense) factors - the permutation factors are exact."""
+        if self.dense is not None:
+            gram = self.dense.conj().T @ self.dense
+            return float(np.abs(gram - np.eye(self.dim)).max())
+        if self.dim <= DENSE_DIM_CAP:
+            u = self.unitary()
+            gram = u.conj().T @ u
+            return float(np.abs(gram - np.eye(self.dim)).max())
+        return self.factor_unitarity
+
+    def block_deviation(self) -> float:
+        return float(np.abs(self.encoded_block() - self.target).max())
+
+    def verify(self, unitarity_tol: float = 1e-10, block_tol: float = 1e-9) -> dict:
+        u_dev = self.unitarity_deviation()
+        b_dev = self.block_deviation()
+        report = {
+            "unitarity_deviation": u_dev,
+            "block_deviation": b_dev,
+            "ancilla_dim": self.ancilla_dim,
+            "system_dim": self.system_dim,
+            "ok": u_dev <= unitarity_tol and b_dev <= block_tol,
+        }
+        if not report["ok"]:
+            raise BlockEncodingError(
+                f"verification failed for {self.description or 'block encoding'}: "
+                f"unitarity {u_dev:.3e} (tol {unitarity_tol:.1e}), "
+                f"block {b_dev:.3e} (tol {block_tol:.1e})"
+            )
+        return report
+
+
+def _max_unitarity_dev(mat: np.ndarray) -> float:
+    gram = mat.conj().T @ mat
+    return float(np.abs(gram - np.eye(mat.shape[0])).max())
+
+
+def block_encode_state_mixture(states: np.ndarray, description: str = "") -> BlockEncoding:
+    """Block-encode the uniform mixture of the given pure states (rows).
+
+    Uses the purification route: prepare sum_s |s>|psi_s>/sqrt(m) with a
+    mixture-index rotation and per-index state preparations, then swap the
+    system against a fresh register and undo the preparation.
+    """
+    states = np.asarray(states, dtype=complex)
+    m, d = states.shape
+    v_anc = householder_unitary(np.full(m, 1.0 / sqrt(m)))
+    w_blocks = np.stack([householder_unitary(states[s]) for s in range(m)])
+    factor_dev = max(
+        _max_unitarity_dev(v_anc),
+        max(_max_unitarity_dev(w_blocks[s]) for s in range(m)),
+    )
+    target = (states.T @ states.conj()) / m
+
+    def apply_fn(x: np.ndarray) -> np.ndarray:
+        t = x.reshape(m, d, d, -1)
+        t = np.einsum("ac,cdem->adem", v_anc, t)  # mixture-index rotation
+        t = np.einsum("abd,adem->abem", w_blocks, t)  # per-index preparation
+        t = t.transpose(0, 2, 1, 3)  # swap purified system against the input register
+        t = np.einsum("adb,adem->abem", w_blocks.conj(), t)  # undo preparation
+        t = np.einsum("ca,cdem->adem", v_anc.conj(), t)
+        return t.reshape(m * d * d, -1)
+
+    enc = BlockEncoding(
+        ancilla_dim=m * d,
+        system_dim=d,
+        target=target,
+        apply_fn=apply_fn,
+        factor_unitarity=factor_dev,
+        description=description or f"density encoding ({m} states, dim {d})",
+    )
+    if enc.dim <= DENSE_DIM_CAP:
+        enc.dense = enc.apply(np.eye(enc.dim, dtype=complex))
+    return enc
+
+
+def block_encode_density(rho: DensityOperator) -> BlockEncoding:
+    """Exact block encoding of the pipeline's mixed state from its purification."""
+    enc = block_encode_state_mixture(
+        rho.full_vectors(),
+        description=f"pipeline density (P={rho.phase_dim}, C={rho.slot_dim})",
+    )
+    # the mixture target and the density matrix are the same sum; keep rho's form
+    enc.target = rho.matrix()
+    return enc
+
+
+def block_encode_projector(phase_dim: int, slot_dim: int) -> BlockEncoding:
+    """Exact encoding of |0><0|_phase x I_slot with one ancilla qubit."""
+    if phase_dim < 1 or slot_dim < 1:
+        raise ValueError("dimensions must be >= 1")
+    d = phase_dim * slot_dim
+    proj = np.zeros((d, d))
+    proj[:slot_dim, :slot_dim] = np.eye(slot_dim)
+    rest = np.eye(d) - proj
+    dense = np.block([[proj, rest], [rest, proj]]).astype(complex)
+    return BlockEncoding(2, d, proj.astype(complex), dense=dense,
+                         description=f"zero-phase projector ({phase_dim}x{slot_dim})")
+
+
+def block_encode_hermitian(mat: np.ndarray) -> BlockEncoding:
+    """Exact one-ancilla encoding of a Hermitian contraction via its dilation."""
+    m = np.asarray(mat, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("expected a square matrix")
+    if np.abs(m - m.conj().T).max() > 1e-12:
+        raise ValueError("matrix must be Hermitian")
+    evals, evecs = np.linalg.eigh(m)
+    if np.abs(evals).max() > 1.0 + 1e-9:
+        raise ValueError(f"operator norm {np.abs(evals).max():.6g} exceeds 1")
+    comp = evecs @ np.diag(np.sqrt(np.clip(1.0 - evals**2, 0.0, None))) @ evecs.conj().T
+    dense = np.block([[m, comp], [comp, -m]])
+    return BlockEncoding(2, m.shape[0], m, dense=dense,
+                         description=f"hermitian dilation (dim {m.shape[0]})")
+
+
+def tensor_block_encoding(encodings) -> BlockEncoding:
+    """Block encoding of the tensor product of targets: tensor the unitaries and
+    permute all ancilla registers in front of all system registers."""
+    encodings = list(encodings)
+    if not encodings:
+        raise ValueError("need at least one encoding")
+    total = 1
+    for e in encodings:
+        total *= e.dim
+    if total > DENSE_DIM_CAP:
+        raise BlockEncodingError(f"tensor construction of dimension {total} exceeds the dense cap")
+    u_kron = reduce(np.kron, [e.unitary() for e in encodings])
+    interleaved = []
+    for e in encodings:
+        interleaved.extend([e.ancilla_dim, e.system_dim])
+    order = list(range(0, 2 * len(encodings), 2)) + list(range(1, 2 * len(encodings), 2))
+    idx = np.arange(total).reshape(interleaved).transpose(order).reshape(-1)
+    dense = u_kron[np.ix_(idx, idx)]
+    target = reduce(np.kron, [e.target for e in encodings])
+    ancilla_dim = int(np.prod([e.ancilla_dim for e in encodings]))
+    system_dim = int(np.prod([e.system_dim for e in encodings]))
+    return BlockEncoding(ancilla_dim, system_dim, target, dense=dense,
+                         factor_unitarity=max(e.factor_unitarity for e in encodings),
+                         description="tensor of " + ", ".join(e.description or "?" for e in encodings))
+
+
+# ---------------------------------------------------------------------------
+# trace estimation by seeded sampling
+
+
+def hoeffding_sample_count(delta: float, confidence: float, outcome_range: float = 2.0) -> int:
+    """Samples guaranteeing |mean - truth| <= delta with the given confidence
+    for outcomes spanning `outcome_range` (2 for the +/-1 Hadamard statistic)."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    if not 0 < confidence < 1:
+        raise ValueError("confidence must lie in (0, 1)")
+    return ceil(outcome_range**2 * log(2.0 / (1.0 - confidence)) / (2.0 * delta**2))
+
+
+def as_seed_sequence(seed) -> np.random.SeedSequence:
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
+
+
+def seed_descriptor(seed) -> dict:
+    ss = as_seed_sequence(seed)
+    return {"entropy": ss.entropy, "spawn_key": list(ss.spawn_key)}
+
+
+@dataclass(frozen=True)
+class TraceEstimate:
+    """Additive-error estimate of Tr(A rho) from seeded Bernoulli draws."""
+
+    value: float
+    additive_err: float
+    confidence: float
+    samples_used: int
+    seed: dict
+
+    def __post_init__(self):
+        floor = hoeffding_sample_count(self.additive_err, self.confidence, outcome_range=1.0)
+        if self.samples_used < floor:
+            raise ValueError(f"samples_used {self.samples_used} below the Hoeffding floor {floor}")
+
+
+def trace_estimate(encoded_observable, rho: DensityOperator, delta: float,
+                   confidence: float = 0.95, seed=None) -> TraceEstimate:
+    """Estimate Tr(A rho) to +/- delta at the given confidence.
+
+    Draws the exact Hadamard-test statistic: N Bernoulli outcomes with success
+    probability (1 + Tr(A rho))/2, N sized so the +/-1-valued average meets the
+    additive-error contract.  Deterministic per seed (counter-based Philox)."""
+    target = encoded_observable.target if isinstance(encoded_observable, BlockEncoding) \
+        else np.asarray(encoded_observable, dtype=complex)
+    norm = float(np.abs(np.linalg.eigvalsh(target)).max())
+    if norm > 1.0 + 1e-9:
+        raise ValueError(f"observable norm {norm:.6g} exceeds 1")
+    truth = rho.expectation(target)
+    p_success = min(max((1.0 + truth) / 2.0, 0.0), 1.0)
+    n_samples = hoeffding_sample_count(delta, confidence)
+    ss = as_seed_sequence(seed)
+    rng = np.random.Generator(np.random.Philox(ss))
+    hits = int((rng.random(n_samples) < p_success).sum())
+    value = 2.0 * hits / n_samples - 1.0
+    return TraceEstimate(value=value, additive_err=delta, confidence=confidence,
+                         samples_used=n_samples, seed=seed_descriptor(ss))
+
+
+def grover_prep_cost(n: int, k: int, s_k: int) -> float:
+    """Oracle-call count n*k*sqrt(C/|S_k|) for amplitude-amplified state
+    preparation; a comparison unit, no circuit is built."""
+    if s_k < 1:
+        raise ValueError("need at least one k-simplex")
+    return n * k * sqrt(comb(n, k + 1) / s_k)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 
-# name -> (unit, better); every workload reports each of these with --trace 0
+# name -> (unit, better); every workload reports each of these with --trace 0.
+# A "ref" is the time the workload's reference op takes on the same machine at
+# the same moment (see reference.py).
 END_TO_END = {
     "setup_s": ("s", "lower"),
-    "ops_per_s": ("ops/s", "higher"),
-    "op_p50_s": ("s", "lower"),
+    "ops_per_ref": ("ops/ref", "higher"),
+    "op_p50_ref": ("ref", "lower"),
     "peak_rss_mb": ("MB", "lower"),
 }
 

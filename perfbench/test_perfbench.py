@@ -18,6 +18,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path[:0] = [str(HERE), str(ROOT / "src")]
 
+import reference  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
 from layers import PER_LAYER, TARGETS  # noqa: E402
@@ -107,6 +108,22 @@ def test_every_layer_name_exists_in_the_library():
     tracer.install(TARGETS)
     tracer.uninstall()
     assert tracer.missing == set()
+
+
+# --- reference ops ---------------------------------------------------------------
+
+def test_each_op_gets_the_mean_of_the_probes_around_its_segment():
+    probes = [10.0, 1.0, 2.0, 4.0]
+    # ops in segment s ran between probes[s] and probes[s + 1]
+    assert reference.scales(probes, [0, 0, 1, 2]) == [5.5, 5.5, 1.5, 3.0]
+
+
+def test_reference_ops_run_a_frozen_copy_not_the_library():
+    assert list(reference.REFERENCES) == list(workloads.WORKLOADS)
+    frozen = Path(reference.extraction.__file__).resolve()
+    assert frozen.parent == HERE / "bettiq_ref"
+    for name in reference.REFERENCES:
+        assert reference.probe(reference.REFERENCES[name]()) > 0
 
 
 # --- correctness gate ------------------------------------------------------------

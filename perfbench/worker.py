@@ -6,7 +6,8 @@ files, one untimed warm-up op) is timed from the moment run.py spawned this
 process. Then either:
 
 * trace 0: the timed phase runs whole rounds of ops for about --seconds, with
-  no tracing, and gives the end-to-end metrics; or
+  no tracing, and probes the machine's speed between ops with the workload's
+  reference op (see reference.py); it gives the end-to-end metrics; or
 * trace 1: the same rounds run untraced for about --seconds/2, then again
   with every layer boundary wrapped, and give the per-layer metrics.
 
@@ -47,6 +48,7 @@ class Execution:
     seconds: float
     summary: dict | None
     error: str | None
+    segment: int = 0  # probes of the machine's speed taken before this op
 
 
 def execute(op, tracer=None, index=None) -> Execution:
@@ -64,21 +66,44 @@ def execute(op, tracer=None, index=None) -> Execution:
         return Execution(op, seconds, None, traceback.format_exc(limit=6))
 
 
-def run_rounds(rounds, seconds: float | None = None, count: int | None = None, tracer=None):
+def run_rounds(rounds, seconds: float | None = None, count: int | None = None, tracer=None,
+               probe=None, probe_every: float = 0.0):
     """Run whole rounds round-robin: `count` of them, or as many as fit in
     `seconds` judging by the last round's length (always at least one).
-    Returns the executions, the wall time and the number of rounds run."""
+    With `probe` (a call that returns a reference time), the machine is probed
+    before the first op, after an op once `probe_every` seconds have passed
+    since the last probe, and after the last op. Returns the executions, the
+    wall time spent in ops (probes excluded), the number of rounds run and
+    the probe times."""
     executions: list[Execution] = []
-    start = time.perf_counter()
+    probes: list[float] = []
+    probing = 0.0
+    last_probe = start = time.perf_counter()
+
+    def take_probe():
+        nonlocal probing, last_probe
+        before = time.perf_counter()
+        probes.append(probe())
+        last_probe = time.perf_counter()
+        probing += last_probe - before
+
+    if probe:
+        take_probe()
     done, last = 0, 0.0
     while (done < count) if count is not None else (
             done == 0 or time.perf_counter() - start + last <= seconds):
         round_start = time.perf_counter()
         for op in rounds[done % len(rounds)]:
-            executions.append(execute(op, tracer, len(executions)))
+            ex = execute(op, tracer, len(executions))
+            ex.segment = len(probes) - 1
+            executions.append(ex)
+            if probe and time.perf_counter() - last_probe >= probe_every:
+                take_probe()
         last = time.perf_counter() - round_start
         done += 1
-    return executions, time.perf_counter() - start, done
+    if probe and executions[-1].segment == len(probes) - 1:
+        take_probe()
+    return executions, time.perf_counter() - start - probing, done, probes
 
 
 def check_all(executions, refs) -> tuple[int, list[dict], dict]:
@@ -169,7 +194,8 @@ def main(argv=None) -> int:
             spans_path = os.path.join(RUN_DIR, f"spans-{args.workload}-seed{args.seed}.jsonl.gz")
             result, detail = traced(plan, args.seconds, spans_path)
         else:
-            result, detail = timed(plan, args.seconds)
+            import reference  # a frozen copy of the library, loaded after set-up is timed
+            result, detail = timed(plan, args.seconds, reference, args.workload)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -180,7 +206,10 @@ def main(argv=None) -> int:
         failures.insert(0, {"op": "warm-up " + warmup.op.label, "error": warmup.error})
     correct_ops = len(executions) - failed
     if not args.trace:
-        result = {"ops_per_s": metric("ops_per_s", correct_ops / detail["phase_seconds"]), **result}
+        result = {"ops_per_ref": metric("ops_per_ref", correct_ops / detail["phase_refs"]),
+                  **result}
+        detail["figures"]["ops_per_s"] = {"value": correct_ops / detail["phase_seconds"],
+                                          "unit": "ops/s"}
     detail.update({
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "trace": args.trace, "setup_s": setup_s, "attempted": len(executions),
@@ -193,7 +222,7 @@ def main(argv=None) -> int:
     print(json.dumps({
         "setup_s": setup_s, "correct": failed == 0 and warmup.error is None,
         "attempted": len(executions), "failed": failed, "fail_frac": detail["fail_frac"],
-        "tail": detail.get("tail"), "metrics": result, "detail": detail_path,
+        "figures": detail.get("figures", {}), "metrics": result, "detail": detail_path,
     }))
     return 0
 
@@ -202,36 +231,38 @@ def metric(name: str, value: float) -> dict:
     return {"value": value, "unit": END_TO_END[name][0]}
 
 
-def timed(plan, seconds: float):
-    executions, wall, rounds = run_rounds(plan.rounds, seconds)
+def timed(plan, seconds: float, reference, workload: str):
+    """End-to-end metrics with tracing off. Each op's wall time is divided by
+    the reference time probed around it (see reference.py); the wall-clock
+    figures are kept too, as `figures`, for people to read."""
+    work = reference.REFERENCES[workload]()
+    executions, wall, rounds, probes = run_rounds(plan.rounds, seconds,
+                                                  probe=lambda: reference.probe(work),
+                                                  probe_every=reference.PROBE_EVERY_S)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     times = [ex.seconds for ex in executions]
+    refs = reference.scales(probes, [ex.segment for ex in executions])
+    scaled = [t / ref for t, ref in zip(times, refs)]
     n = len(times)
-    tail = None
+    figures = {"op_p50_s": {"value": statistics.median(times), "unit": "s"},
+               "ref_s": {"value": statistics.median(probes), "unit": "s",
+                         "note": f"median of {len(probes)} probes of the reference op"}}
     if percentile_allowed(TAIL_PERCENTILE, n):
-        tail = {"name": "op_p99_s", "value": percentile(times, TAIL_PERCENTILE), "unit": "s",
-                "samples": n, "beyond": samples_beyond(TAIL_PERCENTILE, n)}
-    # The median over rounds of each round's median op time: a drift in machine
-    # speed during the run then cannot smear census6's two-peaked op times.
-    # A workload that runs one round gets the plain median.
-    round_medians, start = [], 0
-    for r in range(rounds):
-        size = len(plan.rounds[r % len(plan.rounds)])
-        round_medians.append(statistics.median(times[start:start + size]))
-        start += size
-    metrics = {"op_p50_s": metric("op_p50_s", statistics.median(round_medians)),
+        figures["op_p99_s"] = {"value": percentile(times, TAIL_PERCENTILE), "unit": "s",
+                               "note": f"{samples_beyond(TAIL_PERCENTILE, n)} of {n} ops beyond it"}
+    metrics = {"op_p50_ref": metric("op_p50_ref", statistics.median(scaled)),
                "peak_rss_mb": metric("peak_rss_mb", rss_mb)}
-    detail = {"executions": executions, "phase_seconds": wall, "rounds": rounds,
-              "op_samples": n, "tail": tail}
+    detail = {"executions": executions, "phase_seconds": wall, "phase_refs": sum(scaled),
+              "rounds": rounds, "op_samples": n, "probes": probes, "figures": figures}
     return metrics, detail
 
 
 def traced(plan, seconds: float, spans_path: str):
-    plain, plain_wall, rounds = run_rounds(plan.rounds, seconds / 2.0)
+    plain, plain_wall, rounds, _ = run_rounds(plan.rounds, seconds / 2.0)
     tracer = Tracer()
     tracer.install(TARGETS)
     try:
-        spanned, spanned_wall, _ = run_rounds(plan.rounds, count=rounds, tracer=tracer)
+        spanned, spanned_wall, _, _ = run_rounds(plan.rounds, count=rounds, tracer=tracer)
     finally:
         tracer.uninstall()
     metrics = layer_metrics(tracer, sum(ex.seconds for ex in spanned), plain_wall, spanned_wall)
