@@ -7,15 +7,14 @@ the kernel still reads zero with certainty, but nonzero eigenphases leak into
 the zero outcome; the leakage dies off monotonically as t grows.
 """
 
-from bettiq import (
-    PEConfig,
-    betti_exact,
-    build_clique_complex,
-    hodge_laplacian,
-    p_one,
-    p_zero,
-)
+from bettiq import PEConfig, betti_exact, build_clique_complex, complement_report, pipeline_context
 from bettiq.complexes import InstanceSpec, generate_instance
+
+
+def p_zero(complex_, k, pe):
+    ctx = pipeline_context(complex_, k, pe=pe)
+    return ctx.beta_pe() / ctx.s_count
+
 
 print("ideal phase estimation: p0 * |S_k| recovers the Betti number exactly\n")
 for name, spec, k in [
@@ -24,28 +23,26 @@ for name, spec, k in [
     ("ER(7, 0.6), k=1", InstanceSpec("erdos-renyi", {"n": 7, "p": 0.6}, seed=12), 1),
 ]:
     c = build_clique_complex(generate_instance(spec), k + 1)
-    op = hodge_laplacian(c, k)
-    p0 = p_zero(c, k, op, PEConfig.ideal())
+    p0 = p_zero(c, k, PEConfig.ideal())
     s = c.simplex_count(k)
     print(f"{name:22s} p0={p0:.6f}  p0*|S_k|={p0 * s:.6f}  beta={betti_exact(c, k)}")
 
 print("\nfinite register on a path graph (eigenphases pi/3 and pi leak):\n")
 c = build_clique_complex(generate_instance(InstanceSpec("cycle", {"n": 5})), 1)
 # vertex Laplacian of C5: eigenvalues 2 - 2cos(2 pi j / 5), nothing dyadic
-op = hodge_laplacian(c, 0)
-ideal = p_zero(c, 0, op, PEConfig.ideal())
+ideal = p_zero(c, 0, PEConfig.ideal())
 print(f"{'t':>3s} {'p0(t)':>12s} {'excess over ideal':>18s}")
 for t in range(1, 10):
-    pt = p_zero(c, 0, op, PEConfig.bits(t=t))
+    pt = p_zero(c, 0, PEConfig.bits(t=t))
     print(f"{t:3d} {pt:12.8f} {pt - ideal:18.3e}")
 print(f"ideal: {ideal:.8f} (= beta_0 / |S_0| = 1/5)")
 
 print("\nthe off-complex slots always read zero under the restricted convention:")
-comp = p_one(c, 0, op, PEConfig.bits(t=3))
-print(f"p1 trace = {comp.trace:.1f} over {comp.slot_count} off-complex slots "
+ctx = pipeline_context(c, 0, pe=PEConfig.bits(t=3))
+print(f"p1 trace = {ctx.p1_trace():.1f} over {ctx.slot_count - ctx.s_count} off-complex slots "
       "(none at k=0: every vertex is a simplex)")
 c4 = build_clique_complex(generate_instance(InstanceSpec("cycle", {"n": 4})), 2)
-op4 = hodge_laplacian(c4, 1)
-comp4 = p_one(c4, 1, op4, PEConfig.bits(t=3))
-print(f"4-cycle, k=1: p1 trace = {comp4.trace:.1f} over {comp4.slot_count} slots "
-      f"(the two diagonals), per-slot {comp4.per_slot:.1f}")
+rep4 = complement_report(c4, 1, pe=PEConfig.bits(t=3))
+print(f"4-cycle, k=1: p1 trace = {rep4['p1_restricted']:.1f} over "
+      f"{rep4['complement_slot_count']} slots (the two diagonals), "
+      f"per-slot {rep4['p1_restricted_per_slot']:.1f}")

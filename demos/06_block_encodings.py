@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Block encodings, verified the hard way.
 
-Every unitary construction used by the trace estimator is checked against its
+The estimators draw the Hadamard-test statistic straight from the zero-phase
+weights; the block encodings that a hardware run would use for it are built
+here only to be verified.  Every construction is checked against its
 contract: U is unitary and its all-zeros-ancilla block equals the target.
 The mixed-state encoding goes through a purification, a register swap, and the
 inverse preparation; for large dimensions the factors are applied structurally

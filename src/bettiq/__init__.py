@@ -40,7 +40,6 @@ from .homology import (
 from .pipeline import (
     BlockEncoding,
     BlockEncodingError,
-    ComplementWeight,
     DensityOperator,
     PEConfig,
     TaggedState,
@@ -52,8 +51,6 @@ from .pipeline import (
     copy_register,
     grover_prep_cost,
     hoeffding_sample_count,
-    p_one,
-    p_zero,
     partial_trace,
     phase_estimation_unitary,
     phase_zero_probability,

@@ -16,7 +16,7 @@ from math import comb, sqrt
 
 import numpy as np
 
-from .complexes import CliqueComplex, PointCloud, VertexGraph, build_clique_complex, slot_rank
+from .complexes import CliqueComplex, PointCloud, VertexGraph, build_clique_complex
 from .homology import (
     DEFAULT_ZERO_TOL,
     HodgeOperator,
@@ -184,6 +184,7 @@ class PipelineContext:
 
     def __post_init__(self):
         self._weights = None
+        self._member = None
         self._rho = None
 
     @property
@@ -200,9 +201,10 @@ class PipelineContext:
         return self._weights
 
     def member_mask(self) -> np.ndarray:
-        mask = np.zeros(self.slot_count, dtype=bool)
-        mask[[slot_rank(w) for w in self.complex.words(self.k)]] = True
-        return mask
+        if self._member is None:
+            self._member = np.zeros(self.slot_count, dtype=bool)
+            self._member[list(self.op.complex_slot_indices)] = True
+        return self._member
 
     def beta_pe(self) -> float:
         """Zero-outcome weight summed over the complex's simplices (the Betti
@@ -213,6 +215,8 @@ class PipelineContext:
         return float(self.weights()[~self.member_mask()].sum())
 
     def rho(self) -> DensityOperator:
+        """The reduced mixed state, for block-encoding verification only: the
+        estimators read the zero-phase weights and never build it."""
         if self._rho is None:
             self._rho = reduced_density(self.complex, self.k, self.op, self.cfg)
         return self._rho
@@ -237,8 +241,9 @@ def observable_b(m, ctx: PipelineContext, mode: str = "exact", delta: float | No
                  confidence: float = 0.95, seed=None):
     """The scalar b = Tr[(|0><0| x I x M) rho] for a flag observable M.
 
-    Exact mode evaluates the analytic expansion; sampled mode runs the seeded
-    trace estimator against the block-encoded observable."""
+    Exact mode sums the zero-phase weights; sampled mode draws the seeded
+    Hadamard-test statistic whose success probability is (1 + b)/2 for that
+    same b."""
     m = _check_flag_observable(m)
     if mode == "exact":
         c_total = ctx.slot_count
@@ -248,7 +253,7 @@ def observable_b(m, ctx: PipelineContext, mode: str = "exact", delta: float | No
     if mode == "sampled":
         if delta is None:
             raise ValueError("sampled mode needs a per-measurement delta")
-        return trace_estimate(ctx.observable_encoding(m), ctx.rho(), delta, confidence, seed)
+        return trace_estimate(observable_b(m, ctx), delta, confidence, seed)
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "BlockEncoding",
     "BlockEncodingError",
     "TraceEstimate",
-    "ComplementWeight",
     "prepare_phi",
     "copy_register",
     "partial_trace",
@@ -40,9 +39,6 @@ __all__ = [
     "zero_phase_weights",
     "zero_phase_weight",
     "reduced_density",
-    "p_zero",
-    "p_one",
-    "householder_unitary",
     "block_encode_state_mixture",
     "block_encode_density",
     "block_encode_projector",
@@ -123,7 +119,7 @@ class PEConfig:
             t = 1
         else:
             t = ceil(np.log2(lam_max / float(nonzero[0]))) + 2
-        return _ResolvedPE("bits", max(t, 1), tau, 2**t if t >= 1 else 2, threshold)
+        return _ResolvedPE("bits", t, tau, 2**t, threshold)
 
 
 def phase_zero_probability(phi, t: int):
@@ -302,8 +298,8 @@ def reduced_density(complex_: CliqueComplex, k: int, op: HodgeOperator, cfg: PEC
     c_total = op.dim
     phase_dim = u_pe.shape[0] // c_total
     vectors = u_pe[:, :c_total]  # columns: input phase register |0>, slot |s>
-    flags = np.array([int(complex_.contains_word(k, w)) for w in slot_words(complex_.n, k)],
-                     dtype=np.int64)
+    flags = np.zeros(c_total, dtype=np.int64)
+    flags[list(op.complex_slot_indices)] = 1
     return DensityOperator(phase_dim=phase_dim, slot_dim=c_total, vectors=vectors, flags=flags)
 
 
@@ -331,40 +327,6 @@ def zero_phase_weight(op: HodgeOperator, cfg: PEConfig, s) -> float:
     if word >= (1 << op.n):
         raise ValueError(f"word {word:#b} does not fit in {op.n} bits")
     return float(zero_phase_weights(op, cfg)[slot_rank(word)])
-
-
-def p_zero(complex_: CliqueComplex, k: int, op: HodgeOperator, cfg: PEConfig) -> float:
-    """Zero-outcome probability over the complex's own simplices; with ideal
-    phase estimation this times |S_k| is exactly the Betti number."""
-    s_count = complex_.simplex_count(k)
-    if s_count == 0:
-        raise ValueError("no k-simplices: zero-outcome probability undefined")
-    weights = zero_phase_weights(op, cfg)
-    idx = [slot_rank(w) for w in complex_.words(k)]
-    return float(weights[idx].sum() / s_count)
-
-
-@dataclass(frozen=True)
-class ComplementWeight:
-    """Zero-outcome weight summed over off-complex slots.
-
-    `trace` is the raw sum (the convention the 2x2 extraction consumes);
-    `per_slot` divides by the number of off-complex slots (None if there are
-    none)."""
-
-    trace: float
-    per_slot: float | None
-    slot_count: int
-
-
-def p_one(complex_: CliqueComplex, k: int, op: HodgeOperator, cfg: PEConfig) -> ComplementWeight:
-    weights = zero_phase_weights(op, cfg)
-    member = np.zeros(len(weights), dtype=bool)
-    member[[slot_rank(w) for w in complex_.words(k)]] = True
-    comp = weights[~member]
-    trace = float(comp.sum())
-    per_slot = float(trace / comp.size) if comp.size else None
-    return ComplementWeight(trace=trace, per_slot=per_slot, slot_count=int(comp.size))
 
 
 # ---------------------------------------------------------------------------
@@ -631,19 +593,16 @@ class TraceEstimate:
             raise ValueError(f"samples_used {self.samples_used} below the Hoeffding floor {floor}")
 
 
-def trace_estimate(encoded_observable, rho: DensityOperator, delta: float,
-                   confidence: float = 0.95, seed=None) -> TraceEstimate:
-    """Estimate Tr(A rho) to +/- delta at the given confidence.
+def trace_estimate(truth: float, delta: float, confidence: float = 0.95,
+                   seed=None) -> TraceEstimate:
+    """Estimate a trace Tr(A rho) whose exact value is `truth` to +/- delta at
+    the given confidence.
 
     Draws the exact Hadamard-test statistic: N Bernoulli outcomes with success
-    probability (1 + Tr(A rho))/2, N sized so the +/-1-valued average meets the
+    probability (1 + truth)/2, N sized so the +/-1-valued average meets the
     additive-error contract.  Deterministic per seed (counter-based Philox)."""
-    target = encoded_observable.target if isinstance(encoded_observable, BlockEncoding) \
-        else np.asarray(encoded_observable, dtype=complex)
-    norm = float(np.abs(np.linalg.eigvalsh(target)).max())
-    if norm > 1.0 + 1e-9:
-        raise ValueError(f"observable norm {norm:.6g} exceeds 1")
-    truth = rho.expectation(target)
+    if abs(truth) > 1.0 + 1e-9:
+        raise ValueError(f"trace {truth:.6g} lies outside [-1, 1]: observable norm exceeds 1")
     p_success = min(max((1.0 + truth) / 2.0, 0.0), 1.0)
     n_samples = hoeffding_sample_count(delta, confidence)
     ss = as_seed_sequence(seed)

@@ -26,8 +26,6 @@ from bettiq import (
     hoeffding_sample_count,
     inv_norm,
     observable_b,
-    p_one,
-    p_zero,
     pipeline_context,
     plan_delta,
     reduced_density,
@@ -67,8 +65,8 @@ def run_exact_pipeline(complex_, k):
     """One exact-mode pipeline pass; returns everything the criteria inspect."""
     ctx = pipeline_context(complex_, k)
     oracle = betti_exact(complex_, k)
-    p0 = p_zero(complex_, k, ctx.op, ctx.cfg)
-    p1 = p_one(complex_, k, ctx.op, ctx.cfg).trace
+    p0 = ctx.beta_pe() / ctx.s_count
+    p1 = ctx.p1_trace()
     a = assemble_system(PAIR, ctx.slot_count)
     y = (observable_b(PAIR.m1, ctx), observable_b(PAIR.m2, ctx))
     beta_raw, p1_solved = solve_system(a, y)
@@ -241,13 +239,13 @@ def test_criterion_04_block_encoding_verification():
 def test_criterion_05_trace_estimation_contract():
     ctx = pipeline_context(cycle_graph(4), 1)
     rho = ctx.rho()
-    enc = ctx.observable_encoding(PAIR.m1)
+    b = rho.expectation(ctx.observable_encoding(PAIR.m1).target)
     truth = 1 / 6
     delta, confidence = 0.05, 0.95
     covered = 0
     for i in range(200):
         seed = np.random.SeedSequence(entropy=505, spawn_key=(i,))
-        est = trace_estimate(enc, rho, delta, confidence, seed=seed)
+        est = trace_estimate(b, delta, confidence, seed=seed)
         covered += abs(est.value - truth) <= delta
     assert covered >= 180, f"coverage {covered}/200"
 
@@ -258,7 +256,7 @@ def test_criterion_05_trace_estimation_contract():
         errors = []
         for i in range(120):
             seed = np.random.SeedSequence(entropy=9090, spawn_key=(j, i))
-            est = trace_estimate(enc, rho, d, confidence, seed=seed)
+            est = trace_estimate(b, d, confidence, seed=seed)
             errors.append(abs(est.value - truth))
         log_n.append(math.log(est.samples_used))
         log_err.append(math.log(np.mean(errors)))

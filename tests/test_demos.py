@@ -1,0 +1,32 @@
+"""Each demo script runs to completion in a fresh interpreter.
+
+Demo 06 is left out: it spends about a minute verifying block encodings,
+which is the cost of the encoding-verification layer itself; it joins this
+list once that layer is made cheap.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = [
+    "01_exact_homology.py",
+    "02_pipeline_identity.py",
+    "03_estimate_with_budget.py",
+    "04_complement_comparison.py",
+    "05_resource_model.py",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import pytest
 from bettiq import (
     ObservablePair,
     PEConfig,
+    PipelineContext,
     SingularSystemError,
     TraceEstimate,
     assemble_system,
@@ -45,11 +46,15 @@ class TestObservableB:
         assert observable_b(np.eye(2), ctx) == pytest.approx(3 / 6, abs=1e-10)
 
     def test_exact_matches_density_expectation(self):
-        ctx = c4_context()
-        for m in (FLAG_ONE, FLAG_ZERO, np.array([[0.5, 0.2], [0.2, 0.75]])):
-            enc = ctx.observable_encoding(m)
-            assert observable_b(m, ctx) == pytest.approx(ctx.rho().expectation(enc.target),
-                                                         abs=1e-10)
+        # the sampled estimators draw from this b, so it must equal Tr(A rho)
+        # under every phase-estimation mode and convention
+        for convention in ("restricted", "dual"):
+            for pe in (PEConfig.ideal(), PEConfig.bits(t=2)):
+                ctx = pipeline_context(cycle_graph(4), 1, convention, pe)
+                for m in (FLAG_ONE, FLAG_ZERO, np.array([[0.5, 0.2], [0.2, 0.75]])):
+                    enc = ctx.observable_encoding(m)
+                    assert observable_b(m, ctx) == pytest.approx(
+                        ctx.rho().expectation(enc.target), abs=1e-10)
 
     def test_sampled_returns_trace_estimate(self):
         ctx = c4_context()
@@ -60,6 +65,17 @@ class TestObservableB:
     def test_norm_violation_rejected(self):
         with pytest.raises(ValueError):
             observable_b(np.diag([2.0, 0.0]), c4_context())
+
+    def test_sampled_estimators_build_no_state_or_encoding(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("estimation built a verification artifact")
+
+        monkeypatch.setattr(PipelineContext, "rho", forbidden)
+        monkeypatch.setattr(PipelineContext, "observable_encoding", forbidden)
+        est = estimate_betti(cycle_graph(4), 1, 0.25, mode="sampled", seed=7)
+        assert est.beta_rounded == 1
+        norm = estimate_normalized_betti(cycle_graph(4), 1, 0.1, mode="sampled", seed=7)
+        assert abs(norm.value - 0.25) <= 0.1
 
 
 class TestAssembleSolve:
@@ -247,6 +263,14 @@ class TestEstimateNormalized:
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError):
             estimate_normalized_betti(cycle_graph(4), 1, 0.0)
+
+    def test_sampled_beyond_dense_encoding_cap(self):
+        # C = binom(14, 3) = 364: a dense observable encoding would exceed 4,608
+        est = estimate_normalized_betti(random_graph(14, 0.5, seed=3), 2, 0.1,
+                                        mode="sampled", seed=3)
+        assert est.slot_count == 364
+        assert np.isfinite(est.value)
+        assert est.samples_per_observable >= hoeffding_sample_count(est.eps_measurement, 0.975)
 
 
 class TestComplementReport:

@@ -10,15 +10,16 @@ from bettiq import (
     block_encode_projector,
     block_encode_state_mixture,
     build_clique_complex,
+    complement_report,
     copy_register,
+    estimate_betti,
     grover_prep_cost,
     hodge_laplacian,
     hoeffding_sample_count,
-    p_one,
-    p_zero,
     partial_trace,
     phase_estimation_unitary,
     phase_zero_probability,
+    pipeline_context,
     prepare_phi,
     reduced_density,
     slot_rank,
@@ -35,6 +36,12 @@ IDEAL = PEConfig.ideal()
 
 def c4_complex(max_dim=2):
     return build_clique_complex(cycle_graph(4), max_dim)
+
+
+def p_zero(complex_, k, cfg=IDEAL):
+    """Zero-outcome probability over the complex's own simplices."""
+    ctx = pipeline_context(complex_, k, pe=cfg)
+    return ctx.beta_pe() / ctx.s_count
 
 
 def flag_one_observable(rho):
@@ -168,10 +175,9 @@ class TestPhaseEstimationUnitary:
     def test_finite_bits_p0_converges_monotonically(self):
         # path vertex Laplacian has eigenphases {pi/3, pi}: non-dyadic leakage
         c = build_clique_complex(path_graph(3), 1)
-        op = hodge_laplacian(c, 0)
-        ideal = p_zero(c, 0, op, IDEAL)
+        ideal = p_zero(c, 0)
         assert ideal == pytest.approx(1 / 3, abs=1e-10)
-        diffs = [p_zero(c, 0, op, PEConfig.bits(t=t)) - ideal for t in range(1, 9)]
+        diffs = [p_zero(c, 0, PEConfig.bits(t=t)) - ideal for t in range(1, 9)]
         assert all(d >= -1e-12 for d in diffs)
         assert all(diffs[i + 1] <= diffs[i] + 1e-12 for i in range(len(diffs) - 1))
         assert diffs[-1] < 1e-3
@@ -227,35 +233,29 @@ class TestReducedDensity:
 class TestPZeroPOne:
     def test_c4(self):
         c = c4_complex()
-        op = hodge_laplacian(c, 1)
-        assert p_zero(c, 1, op, IDEAL) == pytest.approx(0.25, abs=1e-10)
-        comp = p_one(c, 1, op, IDEAL)
-        assert comp.trace == pytest.approx(2.0, abs=1e-9)
-        assert comp.per_slot == pytest.approx(1.0, abs=1e-9)
+        assert p_zero(c, 1) == pytest.approx(0.25, abs=1e-10)
+        assert pipeline_context(c, 1).p1_trace() == pytest.approx(2.0, abs=1e-9)
+        assert complement_report(c, 1)["p1_restricted_per_slot"] == pytest.approx(1.0, abs=1e-9)
 
     def test_octahedron_k2(self):
         c = build_clique_complex(octahedron_graph(), 3)
-        op = hodge_laplacian(c, 2)
-        assert p_zero(c, 2, op, IDEAL) == pytest.approx(1 / 8, abs=1e-10)
+        assert p_zero(c, 2) == pytest.approx(1 / 8, abs=1e-10)
 
     def test_k4_no_holes(self):
         c = build_clique_complex(complete_graph(4), 2)
-        op = hodge_laplacian(c, 1)
-        assert p_zero(c, 1, op, IDEAL) == pytest.approx(0.0, abs=1e-10)
-        assert p_one(c, 1, op, IDEAL).per_slot is None  # dense level: no off-complex slots
+        assert p_zero(c, 1) == pytest.approx(0.0, abs=1e-10)
+        # dense level: no off-complex slots
+        assert complement_report(c, 1)["p1_restricted_per_slot"] is None
 
     def test_c4_dual_p1_by_diagonalization(self):
         c = c4_complex()
-        op = hodge_laplacian(c, 1, "dual")
-        comp = p_one(c, 1, op, IDEAL)
         # complement block is the edge Laplacian of two disjoint edges: no kernel
-        assert comp.trace == pytest.approx(0.0, abs=1e-10)
+        assert pipeline_context(c, 1, "dual").p1_trace() == pytest.approx(0.0, abs=1e-10)
 
     def test_empty_level_rejected(self):
         c = build_clique_complex(empty_graph(3), 2)
-        op = hodge_laplacian(c, 1)
         with pytest.raises(ValueError):
-            p_zero(c, 1, op, IDEAL)
+            estimate_betti(c, 1)
 
 
 class TestBlockEncodeProjector:
@@ -384,23 +384,24 @@ class TestTraceEstimate:
     def test_identity_observable_is_exact(self):
         c = c4_complex()
         rho = reduced_density(c, 1, hodge_laplacian(c, 1), IDEAL)
-        est = trace_estimate(np.eye(rho.dim), rho, delta=0.1, confidence=0.95, seed=1)
+        est = trace_estimate(rho.expectation(np.eye(rho.dim)), delta=0.1, confidence=0.95, seed=1)
         assert est.value == 1.0
 
     def test_deterministic_per_seed(self):
         c = c4_complex()
         rho = reduced_density(c, 1, hodge_laplacian(c, 1), IDEAL)
-        obs = flag_one_observable(rho)
-        a = trace_estimate(obs, rho, 0.05, 0.95, seed=123)
-        b = trace_estimate(obs, rho, 0.05, 0.95, seed=123)
-        other = trace_estimate(obs, rho, 0.05, 0.95, seed=124)
+        truth = rho.expectation(flag_one_observable(rho))
+        a = trace_estimate(truth, 0.05, 0.95, seed=123)
+        b = trace_estimate(truth, 0.05, 0.95, seed=123)
+        other = trace_estimate(truth, 0.05, 0.95, seed=124)
         assert a.value == b.value
         assert a.value != other.value  # different stream
 
     def test_c4_flag_observable_hits_truth(self):
         c = c4_complex()
         rho = reduced_density(c, 1, hodge_laplacian(c, 1), IDEAL)
-        est = trace_estimate(flag_one_observable(rho), rho, delta=0.01, confidence=0.95, seed=0)
+        est = trace_estimate(rho.expectation(flag_one_observable(rho)), delta=0.01,
+                             confidence=0.95, seed=0)
         assert est.samples_used == 73778
         assert abs(est.value - 1 / 6) <= 0.01
 
@@ -408,7 +409,7 @@ class TestTraceEstimate:
         c = c4_complex()
         rho = reduced_density(c, 1, hodge_laplacian(c, 1), IDEAL)
         with pytest.raises(ValueError):
-            trace_estimate(2.0 * np.eye(rho.dim), rho, 0.1, 0.95, seed=0)
+            trace_estimate(rho.expectation(2.0 * np.eye(rho.dim)), 0.1, 0.95, seed=0)
 
 
 class TestGroverCost:
