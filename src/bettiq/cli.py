@@ -152,10 +152,10 @@ def _cmd_generate(args) -> int:
 
 def _cmd_exact(args) -> int:
     instance = load_instance(args.instance)
+    start = time.perf_counter()
     ctx = pipeline_context(instance, args.k, convention=args.convention)
     if ctx.s_count == 0:
         raise ValueError(f"instance has no simplices at dimension k={args.k}")
-    start = time.perf_counter()
     beta = betti_exact(ctx.complex, args.k)
     summary = spectral_summary(ctx.op)
     euler_ok, euler_rep = euler_check(ctx.complex)

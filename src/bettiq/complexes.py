@@ -213,10 +213,6 @@ class CliqueComplex:
     def counts(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.simplices)
 
-    @property
-    def total_slots(self) -> tuple[int, ...]:
-        return tuple(comb(self.n, k + 1) for k in range(self.max_dim + 1))
-
     def simplex_count(self, k: int) -> int:
         self._check_dim(k)
         return len(self.simplices[k])

@@ -18,7 +18,6 @@ import numpy as np
 
 from .complexes import CliqueComplex, PointCloud, VertexGraph, build_clique_complex
 from .homology import (
-    DEFAULT_ZERO_TOL,
     HodgeOperator,
     betti_exact,
     complement_complex,
@@ -245,16 +244,12 @@ def observable_b(m, ctx: PipelineContext, mode: str = "exact", delta: float | No
     Hadamard-test statistic whose success probability is (1 + b)/2 for that
     same b."""
     m = _check_flag_observable(m)
-    if mode == "exact":
-        c_total = ctx.slot_count
-        return float(
-            (ctx.beta_pe() * m[1, 1].real + ctx.p1_trace() * m[0, 0].real) / c_total
-        )
-    if mode == "sampled":
-        if delta is None:
-            raise ValueError("sampled mode needs a per-measurement delta")
-        return trace_estimate(observable_b(m, ctx), delta, confidence, seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and delta is None:
+        raise ValueError("sampled mode needs a per-measurement delta")
+    b = float((ctx.beta_pe() * m[1, 1].real + ctx.p1_trace() * m[0, 0].real) / ctx.slot_count)
+    return b if mode == "exact" else trace_estimate(b, delta, confidence, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +319,7 @@ class BettiEstimate:
         return out
 
 
-def _solve_pair(pair: ObservablePair, slot_count: int, y) -> ExtractionSystem:
-    a = assemble_system(pair, slot_count)
+def _solve_pair(a: np.ndarray, y) -> ExtractionSystem:
     x = solve_system(a, y)
     return ExtractionSystem(a=a, y=(float(y[0]), float(y[1])), x=x,
                             inv_norm=inv_norm(a), kappa_a=float(np.linalg.cond(a)))
@@ -368,7 +362,7 @@ def estimate_betti(source, k: int, eps: float | None = None, *, pair: Observable
     seed_info = None
     if mode == "exact":
         y = (observable_b(pair.m1, ctx), observable_b(pair.m2, ctx))
-        system = _solve_pair(pair, ctx.slot_count, y)
+        system = _solve_pair(a, y)
         delta = None
         samples = 0
     else:
@@ -380,7 +374,7 @@ def estimate_betti(source, k: int, eps: float | None = None, *, pair: Observable
         for _ in range(max_refinements + 1):
             delta = plan_delta(eps, bound, a)
             y0, y1, samples = _sample_pair(ctx, pair, delta, confidence, ss)
-            system = _solve_pair(pair, ctx.slot_count, (y0, y1))
+            system = _solve_pair(a, (y0, y1))
             rounded = _round_beta(system.x[0])
             if not refine or rounded >= bound or bound <= 0.5:
                 break
@@ -389,7 +383,7 @@ def estimate_betti(source, k: int, eps: float | None = None, *, pair: Observable
 
     beta_raw, p1 = system.x
     beta_rounded = _round_beta(beta_raw)
-    summary = spectral_summary(ctx.op, ctx.cfg.zero_tol)
+    summary = spectral_summary(ctx.op)
     beta_oracle = betti_exact(ctx.complex, k)
 
     resource = None
@@ -553,7 +547,7 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
     sub = ctx_dual.op.matrix[np.ix_(np.nonzero(mask)[0], np.nonzero(mask)[0])]
     if sub.size:
         evals = np.linalg.eigvalsh(sub)
-        kernel_dim_block = int((evals < ctx_dual.op.zero_threshold(cfg.zero_tol)).sum())
+        kernel_dim_block = int((evals < spectral_summary(ctx_dual.op).threshold).sum())
     else:
         kernel_dim_block = 0
     neither = comp_slots - comp_complex.simplex_count(k) if k >= 1 else 0

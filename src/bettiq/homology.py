@@ -36,9 +36,9 @@ __all__ = [
     "DEFAULT_ZERO_TOL",
 ]
 
-# Relative kernel threshold: eigenvalues below zero_tol * max(lambda_max, 1)
-# count as zero.  Integer Laplacians at desk scale have smallest nonzero
-# eigenvalues well above any accumulated floating error.
+# Relative kernel threshold, applied by spectral_summary.  Integer Laplacians
+# at desk scale have smallest nonzero eigenvalues well above any accumulated
+# floating error.
 DEFAULT_ZERO_TOL = 1e-8
 
 # Bareiss intermediate entries are minors of the input; fall back to Python
@@ -161,11 +161,6 @@ class HodgeOperator:
             self._eig = (evals, evecs)
         return self._eig
 
-    def zero_threshold(self, zero_tol: float = DEFAULT_ZERO_TOL) -> float:
-        evals, _ = self.eig()
-        lam_max = float(evals[-1]) if evals.size else 0.0
-        return zero_tol * max(lam_max, 1.0)
-
 
 def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
     low = boundary_matrix(complex_, k).matrix
@@ -222,10 +217,10 @@ def betti_exact(complex_: CliqueComplex, k: int) -> int:
     return beta
 
 
-def kernel_projector(op: HodgeOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> np.ndarray:
+def kernel_projector(op: HodgeOperator) -> np.ndarray:
     """Orthogonal projector onto the near-zero eigenspace."""
-    evals, evecs = op.eig()
-    kernel = evecs[:, evals < op.zero_threshold(zero_tol)]
+    _, evecs = op.eig()
+    kernel = evecs[:, : spectral_summary(op).kernel_dim]
     return kernel @ kernel.T
 
 
@@ -233,25 +228,29 @@ def kernel_projector(op: HodgeOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> n
 class SpectralSummary:
     """Spectrum digest; kappa = lambda_max / lambda_min_nonzero over the
     nonzero spectrum (an interpretation - the source ratio is not pinned to a
-    norm), None when the spectrum is all zero."""
+    norm), None when the spectrum is all zero.  `threshold` is the zero cut
+    kernel_dim was counted at."""
 
     eigenvalues: np.ndarray
     kernel_dim: int
+    threshold: float
     lambda_min_nonzero: float | None
     lambda_max: float
     kappa: float | None
 
 
-def spectral_summary(op: HodgeOperator, zero_tol: float = DEFAULT_ZERO_TOL) -> SpectralSummary:
+def spectral_summary(op: HodgeOperator) -> SpectralSummary:
+    """The pipeline's one kernel decision: eigenvalues below
+    DEFAULT_ZERO_TOL * max(lambda_max, 1) count as zero.  eigh sorts them
+    ascending, so the kernel is a prefix of the spectrum."""
     evals, _ = op.eig()
-    thresh = op.zero_threshold(zero_tol)
-    nonzero = evals[evals >= thresh]
-    kernel_dim = int(evals.size - nonzero.size)
     lam_max = float(evals[-1]) if evals.size else 0.0
-    if nonzero.size == 0:
-        return SpectralSummary(evals, kernel_dim, None, lam_max, None)
-    lam_min = float(nonzero[0])
-    return SpectralSummary(evals, kernel_dim, lam_min, lam_max, lam_max / lam_min)
+    thresh = DEFAULT_ZERO_TOL * max(lam_max, 1.0)
+    kernel_dim = int((evals < thresh).sum())
+    if kernel_dim == evals.size:
+        return SpectralSummary(evals, kernel_dim, thresh, None, lam_max, None)
+    lam_min = float(evals[kernel_dim])
+    return SpectralSummary(evals, kernel_dim, thresh, lam_min, lam_max, lam_max / lam_min)
 
 
 def euler_check(complex_: CliqueComplex) -> tuple[bool, dict]:

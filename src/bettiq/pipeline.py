@@ -22,7 +22,7 @@ from math import ceil, comb, log, sqrt
 import numpy as np
 
 from .complexes import CliqueComplex, SimplexWord, slot_rank, slot_words
-from .homology import DEFAULT_ZERO_TOL, HodgeOperator
+from .homology import HodgeOperator, spectral_summary
 
 __all__ = [
     "PEConfig",
@@ -63,9 +63,9 @@ DENSE_DIM_CAP = 4608
 class _ResolvedPE:
     mode: str
     t: int
-    tau: float
     phase_dim: int
-    threshold: float
+    kernel_dim: int
+    phases: np.ndarray  # tau * lambda per eigenvalue, the kernel pinned to phase 0
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,6 @@ class PEConfig:
     mode: str = "ideal"
     t: int | None = None
     tau: float | None = None
-    zero_tol: float = DEFAULT_ZERO_TOL
 
     def __post_init__(self):
         if self.mode not in ("ideal", "bits"):
@@ -90,36 +89,35 @@ class PEConfig:
             raise ValueError("phase register needs t >= 1 bits")
 
     @classmethod
-    def ideal(cls, zero_tol: float = DEFAULT_ZERO_TOL) -> "PEConfig":
-        return cls(mode="ideal", zero_tol=zero_tol)
+    def ideal(cls) -> "PEConfig":
+        return cls(mode="ideal")
 
     @classmethod
-    def bits(cls, t: int | None = None, tau: float | None = None,
-             zero_tol: float = DEFAULT_ZERO_TOL) -> "PEConfig":
-        return cls(mode="bits", t=t, tau=tau, zero_tol=zero_tol)
+    def bits(cls, t: int | None = None, tau: float | None = None) -> "PEConfig":
+        return cls(mode="bits", t=t, tau=tau)
 
     def resolve(self, op: HodgeOperator) -> _ResolvedPE:
-        evals, _ = op.eig()
-        threshold = op.zero_threshold(self.zero_tol)
-        lam_max = float(evals[-1]) if evals.size else 0.0
-        nonzero = evals[evals >= threshold]
+        summary = spectral_summary(op)
+        lam_max = summary.lambda_max
         if self.tau is not None:
             tau = float(self.tau)
-        elif lam_max < threshold:
+        elif summary.lambda_min_nonzero is None:
             tau = 1.0
         else:
             tau = np.pi / lam_max
         if tau * lam_max >= 2 * np.pi:
             raise ValueError(f"tau*lambda_max = {tau * lam_max:.6g} must stay below 2*pi")
+        phases = tau * summary.eigenvalues
+        phases[: summary.kernel_dim] = 0.0
         if self.mode == "ideal":
-            return _ResolvedPE("ideal", 1, tau, 2, threshold)
+            return _ResolvedPE("ideal", 1, 2, summary.kernel_dim, phases)
         if self.t is not None:
             t = self.t
-        elif nonzero.size == 0:
+        elif summary.kappa is None:
             t = 1
         else:
-            t = ceil(np.log2(lam_max / float(nonzero[0]))) + 2
-        return _ResolvedPE("bits", t, tau, 2**t, threshold)
+            t = ceil(np.log2(summary.kappa)) + 2
+        return _ResolvedPE("bits", t, 2**t, summary.kernel_dim, phases)
 
 
 def phase_zero_probability(phi, t: int):
@@ -143,19 +141,17 @@ def phase_estimation_unitary(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
     operator's eigenbasis; ideal mode writes the kernel indicator to one bit.
     """
     res = cfg.resolve(op)
-    evals, evecs = op.eig()
+    _, evecs = op.eig()
     dim = op.dim
     if res.mode == "ideal":
-        kernel = evecs[:, evals < res.threshold]
+        kernel = evecs[:, : res.kernel_dim]
         proj = kernel @ kernel.T
         rest = np.eye(dim) - proj
         return np.block([[proj, rest], [rest, proj]]).astype(complex)
 
     big = res.phase_dim
-    phases = res.tau * evals
-    phases[evals < res.threshold] = 0.0
     m = np.arange(big)
-    expo = np.exp(1j * np.outer(m, phases))  # (P, J): controlled powers in eigenbasis
+    expo = np.exp(1j * np.outer(m, res.phases))  # (P, J): controlled powers in eigenbasis
     qft_dag = np.exp(-2j * np.pi * np.outer(m, m) / big) / sqrt(big)
     had = _hadamard_power(res.t)
     # R_j = QFT^dagger . diag(e^{i m phi_j}) . H^{x t}, assembled per eigenvalue
@@ -310,13 +306,12 @@ def reduced_density(complex_: CliqueComplex, k: int, op: HodgeOperator, cfg: PEC
 def zero_phase_weights(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
     """Per-slot probability of the all-zeros phase outcome on input |s>."""
     res = cfg.resolve(op)
-    evals, evecs = op.eig()
+    _, evecs = op.eig()
     if res.mode == "ideal":
-        weights = (evals < res.threshold).astype(float)
+        weights = np.zeros(res.phases.size)
+        weights[: res.kernel_dim] = 1.0
     else:
-        phases = res.tau * evals
-        phases[evals < res.threshold] = 0.0
-        weights = phase_zero_probability(phases, res.t)
+        weights = phase_zero_probability(res.phases, res.t)
     return (evecs * evecs) @ weights
 
 
@@ -488,13 +483,10 @@ def block_encode_state_mixture(states: np.ndarray, description: str = "") -> Blo
 
 def block_encode_density(rho: DensityOperator) -> BlockEncoding:
     """Exact block encoding of the pipeline's mixed state from its purification."""
-    enc = block_encode_state_mixture(
+    return block_encode_state_mixture(
         rho.full_vectors(),
         description=f"pipeline density (P={rho.phase_dim}, C={rho.slot_dim})",
     )
-    # the mixture target and the density matrix are the same sum; keep rho's form
-    enc.target = rho.matrix()
-    return enc
 
 
 def block_encode_projector(phase_dim: int, slot_dim: int) -> BlockEncoding:

@@ -1,9 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from bettiq import SingularSystemError, cli, hoeffding_sample_count
+from bettiq import SingularSystemError, cli, extraction, hoeffding_sample_count
 
 
 def run(args):
@@ -59,6 +60,18 @@ class TestExact:
         assert rep["slot_count"] == 6
         assert rep["kappa_laplacian"] == pytest.approx(2.0)
         assert rep["euler_ok"]
+
+    def test_timing_covers_operator_build(self, c4_file, tmp_path, monkeypatch):
+        build = extraction.hodge_laplacian
+
+        def slow_build(*args, **kwargs):
+            time.sleep(0.3)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(extraction, "hodge_laplacian", slow_build)
+        out = tmp_path / "exact.json"
+        assert run(["exact", "--instance", str(c4_file), "--k", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["timing_seconds"] >= 0.3
 
     def test_empty_level_exits_2(self, tmp_path):
         path = tmp_path / "empty.json"

@@ -1,8 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bettiq import (
     HodgeOperator,
+    PEConfig,
+    VertexGraph,
     betti_exact,
     boundary_matrix,
     build_clique_complex,
@@ -13,6 +18,7 @@ from bettiq import (
     kernel_projector,
     slot_rank,
     spectral_summary,
+    zero_phase_weights,
 )
 from helpers import (
     betti_by_fraction_ranks,
@@ -186,7 +192,7 @@ class TestBettiExact:
             if idx:
                 block = op.matrix[np.ix_(idx, idx)]
                 evals = np.linalg.eigvalsh(block)
-                assert beta == int((evals < op.zero_threshold()).sum())
+                assert beta == int((evals < spectral_summary(op).threshold).sum())
             else:
                 assert beta == 0
 
@@ -201,7 +207,7 @@ class TestBettiExact:
             if comp_idx:
                 sub = op.matrix[np.ix_(comp_idx, comp_idx)]
                 evals = np.linalg.eigvalsh(sub)
-                kernel = int((evals < op.zero_threshold()).sum())
+                kernel = int((evals < spectral_summary(op).threshold).sum())
             else:
                 kernel = 0
             assert kernel == betti_exact(comp, k)
@@ -250,8 +256,30 @@ class TestSpectralSummary:
         c = build_clique_complex(random_graph(6, 0.5, seed=8), 2)
         op = hodge_laplacian(c, 1)
         summary = spectral_summary(op)
-        nonzero = int((summary.eigenvalues >= op.zero_threshold()).sum())
+        nonzero = int((summary.eigenvalues >= summary.threshold).sum())
         assert summary.kernel_dim + nonzero == op.dim
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on 3 to 8 vertices, drawn from booleans only, so the examples do
+    not depend on the literals hypothesis harvests from local source files."""
+    n = 3 + sum(draw(st.booleans()) for _ in range(5))
+    pairs = itertools.combinations(range(n), 2)
+    return VertexGraph.from_edges(n, [p for p in pairs if draw(st.booleans())])
+
+
+class TestKernelDecision:
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(graph=small_graphs(), upper=st.booleans())
+    def test_consumers_agree_with_the_oracle(self, graph, upper):
+        k = int(upper)  # k in {0, 1}
+        c = build_clique_complex(graph, k + 1)
+        op = hodge_laplacian(c, k, "restricted")
+        kernel_dim = spectral_summary(op).kernel_dim
+        assert kernel_dim == betti_exact(c, k) + op.dim - c.simplex_count(k)
+        assert np.trace(kernel_projector(op)) == pytest.approx(kernel_dim, abs=1e-9)
+        assert zero_phase_weights(op, PEConfig.ideal()).sum() == pytest.approx(kernel_dim, abs=1e-9)
 
 
 class TestEuler:
