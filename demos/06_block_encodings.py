@@ -6,8 +6,8 @@ weights; the block encodings that a hardware run would use for it are built
 here only to be verified.  Every construction is checked against its
 contract: U is unitary and its all-zeros-ancilla block equals the target.
 The mixed-state encoding goes through a purification, a register swap, and the
-inverse preparation; for large dimensions the factors are applied structurally
-and still verified.
+inverse preparation; at every size it is applied factor by factor, never
+materialized, and its factors and encoded block are still verified.
 """
 
 import numpy as np
@@ -46,7 +46,7 @@ show("tensor product (ancillas regrouped)", tens)
 dens = block_encode_density(rho)
 show("mixed state via purification + swap", dens)
 
-print("\nthe same mixed-state construction on a larger instance stays structured:")
+print("\nthe same factor-by-factor mixed-state construction on a larger instance:")
 ctx_big = pipeline_context(
     generate_instance(InstanceSpec("erdos-renyi", {"n": 8, "p": 0.3}, seed=5)), 1)
 dens_big = block_encode_density(ctx_big.rho())

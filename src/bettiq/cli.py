@@ -95,8 +95,10 @@ def _parse_pair(text: str) -> ObservablePair:
 
 def _parse_grid(text: str) -> list[int]:
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(part) for part in text.split("..", 1))
+        if hi < lo:
+            raise ValueError(f"empty range {text!r}: lo..hi needs lo <= hi")
+        return list(range(lo, hi + 1))
     return [int(part) for part in text.split(",")]
 
 
@@ -197,6 +199,8 @@ def _cmd_estimate(args) -> int:
         raise ValueError("--normalized needs --delta (additive accuracy)")
     if not args.normalized and args.mode == "sampled" and args.eps is None:
         raise ValueError("sampled estimation needs --eps (multiplicative accuracy)")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     instance = load_instance(args.instance)
     pe = _parse_pe(args.pe)
     pair = _parse_pair(args.pair)
@@ -228,7 +232,7 @@ def _cmd_estimate(args) -> int:
 
     start = time.perf_counter()
     instance_desc = instance_to_dict(instance)
-    if args.trials <= 1:
+    if args.trials == 1:
         result = run_one(master)
         payload = {
             "config": config,

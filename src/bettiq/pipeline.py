@@ -51,8 +51,11 @@ __all__ = [
     "seed_descriptor",
 ]
 
-# Largest dimension at which unitaries are materialized as explicit matrices.
+# Largest dimension of a tensor-product encoding held as an explicit matrix.
 DENSE_DIM_CAP = 4608
+
+# Bytes of zero-ancilla input columns pushed through a factored encoding at once.
+BLOCK_CHUNK_BYTES = 1 << 26
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +358,10 @@ def householder_unitary(target) -> np.ndarray:
 class BlockEncoding:
     """Unitary whose all-zeros-ancilla block equals `target` (subnormalization 1).
 
-    Small constructions hold the matrix explicitly.  Large ones keep the
-    verified factor composition and apply it structurally; the block is still
-    extracted by honestly applying every factor.
+    One-ancilla constructions and their tensor products hold the matrix
+    explicitly (`dense`).  The mixed-state encoding keeps its verified factor
+    composition and applies it factor by factor at every size; its block is
+    still extracted by honestly applying every factor.
     """
 
     ancilla_dim: int
@@ -379,22 +383,13 @@ class BlockEncoding:
         out = self.dense @ mat if self.dense is not None else self.apply_fn(mat)
         return out if x.ndim == 2 else out.reshape(-1)
 
-    def unitary(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense
-        if self.dim > DENSE_DIM_CAP:
-            raise BlockEncodingError(
-                f"dimension {self.dim} too large to materialize (cap {DENSE_DIM_CAP})"
-            )
-        return self.apply(np.eye(self.dim, dtype=complex))
-
-    def encoded_block(self, chunk_bytes: int = 1 << 26) -> np.ndarray:
+    def encoded_block(self) -> np.ndarray:
         """(<0|_anc x I) U (|0>_anc x I), computed through the construction."""
         d = self.system_dim
         if self.dense is not None:
             return self.dense[:d, :d]
         per_col = self.dim * 16
-        chunk = max(1, min(d, chunk_bytes // per_col))
+        chunk = max(1, min(d, BLOCK_CHUNK_BYTES // per_col))
         block = np.empty((d, d), dtype=complex)
         for start in range(0, d, chunk):
             stop = min(start + chunk, d)
@@ -407,12 +402,7 @@ class BlockEncoding:
         """max|U^dagger U - I|; for factored constructions, the worst deviation
         over the (dense) factors - the permutation factors are exact."""
         if self.dense is not None:
-            gram = self.dense.conj().T @ self.dense
-            return float(np.abs(gram - np.eye(self.dim)).max())
-        if self.dim <= DENSE_DIM_CAP:
-            u = self.unitary()
-            gram = u.conj().T @ u
-            return float(np.abs(gram - np.eye(self.dim)).max())
+            return _max_unitarity_dev(self.dense)
         return self.factor_unitarity
 
     def block_deviation(self) -> float:
@@ -447,7 +437,9 @@ def block_encode_state_mixture(states: np.ndarray, description: str = "") -> Blo
 
     Uses the purification route: prepare sum_s |s>|psi_s>/sqrt(m) with a
     mixture-index rotation and per-index state preparations, then swap the
-    system against a fresh register and undo the preparation.
+    system against a fresh register and undo the preparation.  The circuit is
+    applied factor by factor at every size and never materialized; its
+    unitarity is that of the dense factors, since the swap is a permutation.
     """
     states = np.asarray(states, dtype=complex)
     m, d = states.shape
@@ -468,7 +460,7 @@ def block_encode_state_mixture(states: np.ndarray, description: str = "") -> Blo
         t = np.einsum("ca,cdem->adem", v_anc.conj(), t)
         return t.reshape(m * d * d, -1)
 
-    enc = BlockEncoding(
+    return BlockEncoding(
         ancilla_dim=m * d,
         system_dim=d,
         target=target,
@@ -476,9 +468,6 @@ def block_encode_state_mixture(states: np.ndarray, description: str = "") -> Blo
         factor_unitarity=factor_dev,
         description=description or f"density encoding ({m} states, dim {d})",
     )
-    if enc.dim <= DENSE_DIM_CAP:
-        enc.dense = enc.apply(np.eye(enc.dim, dtype=complex))
-    return enc
 
 
 def block_encode_density(rho: DensityOperator) -> BlockEncoding:
@@ -526,10 +515,12 @@ def tensor_block_encoding(encodings) -> BlockEncoding:
         raise ValueError("need at least one encoding")
     total = 1
     for e in encodings:
+        if e.dense is None:
+            raise BlockEncodingError(f"tensor input {e.description or '?'} is not held densely")
         total *= e.dim
     if total > DENSE_DIM_CAP:
         raise BlockEncodingError(f"tensor construction of dimension {total} exceeds the dense cap")
-    u_kron = reduce(np.kron, [e.unitary() for e in encodings])
+    u_kron = reduce(np.kron, [e.dense for e in encodings])
     interleaved = []
     for e in encodings:
         interleaved.extend([e.ancilla_dim, e.system_dim])
@@ -540,7 +531,6 @@ def tensor_block_encoding(encodings) -> BlockEncoding:
     ancilla_dim = int(np.prod([e.ancilla_dim for e in encodings]))
     system_dim = int(np.prod([e.system_dim for e in encodings]))
     return BlockEncoding(ancilla_dim, system_dim, target, dense=dense,
-                         factor_unitarity=max(e.factor_unitarity for e in encodings),
                          description="tensor of " + ", ".join(e.description or "?" for e in encodings))
 
 
@@ -580,7 +570,7 @@ class TraceEstimate:
     seed: dict
 
     def __post_init__(self):
-        floor = hoeffding_sample_count(self.additive_err, self.confidence, outcome_range=1.0)
+        floor = hoeffding_sample_count(self.additive_err, self.confidence)
         if self.samples_used < floor:
             raise ValueError(f"samples_used {self.samples_used} below the Hoeffding floor {floor}")
 

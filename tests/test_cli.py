@@ -156,6 +156,11 @@ class TestEstimate:
         assert run(["estimate", "--instance", str(c4_file), "--k", "1",
                     "--normalized"]) == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_nonpositive_trials_exits_2(self, c4_file, trials):
+        assert run(["estimate", "--instance", str(c4_file), "--k", "1",
+                    "--trials", trials]) == 2
+
     def test_bad_pe_string_exits_2(self, c4_file):
         assert run(["estimate", "--instance", str(c4_file), "--k", "1",
                     "--pe", "magic"]) == 2
@@ -198,6 +203,12 @@ class TestResources:
         row = dict(zip(header, lines[1].split(",")))
         assert row["valid"] == "False"
         assert "beta" in row["error"]
+
+    def test_empty_range_exits_2(self, tmp_path):
+        out = tmp_path / "empty.csv"
+        assert run(["resources", "--n", "5..3", "--k", "1", "--kappa", "2",
+                    "--beta", "1", "--eps", "0.25", "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestComplement:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bettiq import (
+    BlockEncodingError,
     HodgeOperator,
     PEConfig,
     TraceEstimate,
@@ -323,6 +324,11 @@ class TestTensorBlockEncoding:
         assert enc.verify()["ok"]
         assert np.abs(enc.encoded_block() - np.kron(encs[0].target, encs[1].target)).max() < 1e-9
 
+    def test_factored_input_rejected(self):
+        mixture = block_encode_state_mixture(np.eye(2))  # dim 8, well under the dense cap
+        with pytest.raises(BlockEncodingError):
+            tensor_block_encoding([mixture, block_encode_hermitian(np.eye(2))])
+
 
 class TestBlockEncodeMixture:
     def test_pure_zero_state(self):
@@ -339,7 +345,7 @@ class TestBlockEncodeMixture:
         op = hodge_laplacian(c, 1)
         rho = reduced_density(c, 1, op, PEConfig.bits(t=1))
         enc = block_encode_density(rho)
-        assert enc.dense is not None  # 3 * 12 * 12 = 432 fits the dense cap
+        assert enc.dense is None  # the mixture is applied factor by factor at every size
         report = enc.verify()
         assert report["unitarity_deviation"] <= 1e-10
         assert report["block_deviation"] <= 1e-9
@@ -353,7 +359,9 @@ class TestBlockEncodeMixture:
         cols = np.zeros((enc.dim, d), dtype=complex)
         cols[np.arange(d), np.arange(d)] = 1.0
         structured_block = enc.apply_fn(cols)[:d]
-        assert np.abs(structured_block - enc.dense[:d, :d]).max() < 1e-12
+        full = enc.apply(np.eye(enc.dim))  # the whole circuit, dim 432, as the reference
+        assert np.abs(full.conj().T @ full - np.eye(enc.dim)).max() < 1e-10
+        assert np.abs(structured_block - full[:d, :d]).max() < 1e-12
 
     def test_structured_only_large_mixture(self):
         rng = np.random.default_rng(5)
@@ -380,6 +388,12 @@ class TestTraceEstimate:
         with pytest.raises(ValueError):
             TraceEstimate(value=0.0, additive_err=0.05, confidence=0.95,
                           samples_used=10, seed={"entropy": 0, "spawn_key": []})
+
+    def test_floor_is_the_drawn_pm1_count(self):
+        # 1000 clears the range-1 floor (738) but not the +/-1 count drawn (2952)
+        with pytest.raises(ValueError):
+            TraceEstimate(value=0.0, additive_err=0.05, confidence=0.95,
+                          samples_used=1000, seed={"entropy": 0, "spawn_key": []})
 
     def test_identity_observable_is_exact(self):
         c = c4_complex()
