@@ -6,8 +6,10 @@ weights; the block encodings that a hardware run would use for it are built
 here only to be verified.  Every construction is checked against its
 contract: U is unitary and its all-zeros-ancilla block equals the target.
 The mixed-state encoding goes through a purification, a register swap, and the
-inverse preparation; at every size it is applied factor by factor, never
-materialized, and its factors and encoded block are still verified.
+inverse preparation; at every size it is applied factor by factor, as matrix
+products, never materialized, and its factors and encoded block are still
+verified.  The whole script takes a few seconds and runs in the test suite
+(tests/test_demos.py).
 """
 
 import numpy as np

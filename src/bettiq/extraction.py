@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, sqrt
 
 import numpy as np
@@ -62,6 +63,7 @@ __all__ = [
 ]
 
 CONDITION_WARN_THRESHOLD = 1e8
+MAX_REFINEMENTS = 4  # halvings of beta_lower a refining sampled estimate may take
 
 
 class SingularSystemError(RuntimeError):
@@ -69,19 +71,22 @@ class SingularSystemError(RuntimeError):
 
 
 def _check_flag_observable(mat) -> np.ndarray:
-    m = np.asarray(mat, dtype=complex)
+    """A read-only copy of `mat`, once it is checked to be a 2x2 Hermitian contraction."""
+    m = np.array(mat, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError("flag observables are 2x2")
     if np.abs(m - m.conj().T).max() > 1e-12:
         raise ValueError("flag observable must be Hermitian")
     if np.abs(np.linalg.eigvalsh(m)).max() > 1.0 + 1e-12:
         raise ValueError("flag observable must have operator norm <= 1")
+    m.setflags(write=False)
     return m
 
 
 @dataclass(frozen=True)
 class ObservablePair:
-    """Two flag-qubit observables; their diagonal traces form the system matrix."""
+    """Two flag-qubit observables, checked and frozen here and read unchecked by
+    the estimators; their diagonal traces form the system matrix."""
 
     m1: np.ndarray
     m2: np.ndarray
@@ -95,8 +100,9 @@ class ObservablePair:
     @classmethod
     def default(cls) -> "ObservablePair":
         """Flag projectors |1><1|, |0><0|: the identity system up to 1/C, the
-        best-conditioned choice (||A^-1|| is then exactly the slot count)."""
-        return cls(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+        best-conditioned choice (||A^-1|| is then exactly the slot count); one
+        instance per process."""
+        return _DEFAULT_PAIR
 
     def raw_matrix(self) -> np.ndarray:
         """System matrix without the 1/C factor: rows (Tr M|1><1|, Tr M|0><0|)."""
@@ -108,19 +114,28 @@ class ObservablePair:
         )
 
 
+_DEFAULT_PAIR = ObservablePair(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+
+
 def assemble_system(pair: ObservablePair, slot_count: int) -> np.ndarray:
-    """The 2x2 matrix mapping (beta_k, p1) to the observable traces."""
+    """The 2x2 matrix mapping (beta_k, p1) to the observable traces; nonsingular,
+    since `ObservablePair` rejects a pair whose raw matrix has |det| < 1e-12."""
     if slot_count < 1:
         raise ValueError("slot count must be positive")
-    a = pair.raw_matrix() / slot_count
-    if abs(np.linalg.det(a)) < 1e-15 / slot_count**2:
-        raise SingularSystemError("singular system matrix; re-choose the observable pair")
-    return a
+    return pair.raw_matrix() / slot_count
+
+
+@lru_cache(maxsize=64)
+def _singular_values(shape: tuple[int, ...], data: bytes) -> tuple[float, ...]:
+    """Singular values, largest first, of the float matrix with this shape and
+    these bytes; memoized, as every estimate at one slot count has the same A."""
+    return tuple(map(float, np.linalg.svd(np.frombuffer(data).reshape(shape), compute_uv=False)))
 
 
 def inv_norm(a: np.ndarray) -> float:
     """Spectral norm of A^-1, i.e. one over the smallest singular value."""
-    smin = float(np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)[-1])
+    a = np.asarray(a, dtype=float)
+    smin = _singular_values(a.shape, a.tobytes())[-1]
     if smin <= 0.0:
         raise SingularSystemError("matrix is singular")
     return 1.0 / smin
@@ -132,7 +147,8 @@ def solve_system(a: np.ndarray, y) -> tuple[float, float]:
     y = np.asarray(y, dtype=float)
     if abs(np.linalg.det(a)) == 0.0:
         raise SingularSystemError("matrix is singular")
-    cond = np.linalg.cond(a)
+    s = _singular_values(a.shape, a.tobytes())
+    cond = s[0] / s[-1]
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(f"extraction system condition number {cond:.3g} is large", RuntimeWarning)
     x = np.linalg.solve(a, y)
@@ -236,20 +252,15 @@ def pipeline_context(source, k: int, convention: str = "restricted",
     return PipelineContext(complex_, k, op, cfg)
 
 
-def observable_b(m, ctx: PipelineContext, mode: str = "exact", delta: float | None = None,
-                 confidence: float = 0.95, seed=None):
-    """The scalar b = Tr[(|0><0| x I x M) rho] for a flag observable M.
+def _flag_trace(m: np.ndarray, ctx: PipelineContext) -> float:
+    return float((ctx.beta_pe() * m[1, 1].real + ctx.p1_trace() * m[0, 0].real) / ctx.slot_count)
 
-    Exact mode sums the zero-phase weights; sampled mode draws the seeded
-    Hadamard-test statistic whose success probability is (1 + b)/2 for that
-    same b."""
-    m = _check_flag_observable(m)
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and delta is None:
-        raise ValueError("sampled mode needs a per-measurement delta")
-    b = float((ctx.beta_pe() * m[1, 1].real + ctx.p1_trace() * m[0, 0].real) / ctx.slot_count)
-    return b if mode == "exact" else trace_estimate(b, delta, confidence, seed)
+
+def observable_b(m, ctx: PipelineContext) -> float:
+    """The scalar b = Tr[(|0><0| x I x M) rho] for a flag observable M, summed
+    from the zero-phase weights.  Sampled estimation draws the Hadamard-test
+    statistic for this same b: `trace_estimate(observable_b(m, ctx), ...)`."""
+    return _flag_trace(_check_flag_observable(m), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -319,64 +330,67 @@ class BettiEstimate:
         return out
 
 
-def _solve_pair(a: np.ndarray, y) -> ExtractionSystem:
-    x = solve_system(a, y)
-    return ExtractionSystem(a=a, y=(float(y[0]), float(y[1])), x=x,
-                            inv_norm=inv_norm(a), kappa_a=float(np.linalg.cond(a)))
-
-
 def _round_beta(beta_raw: float) -> int:
     return int(np.floor(max(beta_raw, 0.0) + 0.5))
 
 
-def _sample_pair(ctx: PipelineContext, pair: ObservablePair, delta: float,
-                 confidence: float, parent: np.random.SeedSequence) -> tuple[float, float, int]:
-    # split the confidence budget evenly so the joint guarantee holds by union bound
-    conf_each = 1.0 - (1.0 - confidence) / 2.0
-    child1, child2 = parent.spawn(2)
-    est1 = observable_b(pair.m1, ctx, "sampled", delta, conf_each, child1)
-    est2 = observable_b(pair.m2, ctx, "sampled", delta, conf_each, child2)
-    return est1.value, est2.value, est1.samples_used
+def _enter(source, k: int, convention: str, pe: PEConfig | None, mode: str, confidence: float,
+           pair: ObservablePair | None, seed) -> tuple:
+    """The estimators' shared entry: check mode and confidence, build the context, reject
+    an empty level, and supply the default pair and (sampled mode) the seed sequence."""
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if not 0 < confidence < 1:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    ctx = pipeline_context(source, k, convention, pe)
+    if ctx.s_count == 0:
+        raise ValueError("no k-simplices; the estimate is undefined")
+    ss = as_seed_sequence(seed) if mode == "sampled" else None
+    return ctx, pair or ObservablePair.default(), ss
+
+
+def _measure_and_solve(ctx: PipelineContext, pair: ObservablePair, a: np.ndarray,
+                       accuracy: float | None, confidence: float, seed) -> tuple:
+    """Measure both traces, exactly with accuracy None and otherwise as seeded
+    estimates to +/- accuracy, and solve A.x = y; also returns the samples drawn."""
+    if accuracy is None:
+        y, samples = (_flag_trace(pair.m1, ctx), _flag_trace(pair.m2, ctx)), 0
+    else:
+        # split the confidence budget evenly so the joint guarantee holds by union bound
+        conf_each = 1.0 - (1.0 - confidence) / 2.0
+        est1, est2 = (trace_estimate(_flag_trace(m, ctx), accuracy, conf_each, child)
+                      for m, child in zip((pair.m1, pair.m2), seed.spawn(2)))
+        y, samples = (est1.value, est2.value), est1.samples_used
+    x = solve_system(a, y)
+    s = _singular_values(a.shape, a.tobytes())
+    return ExtractionSystem(a=a, y=y, x=x, inv_norm=1.0 / s[-1], kappa_a=s[0] / s[-1]), samples
 
 
 def estimate_betti(source, k: int, eps: float | None = None, *, pair: ObservablePair | None = None,
                    convention: str = "restricted", pe: PEConfig | None = None,
                    mode: str = "exact", confidence: float = 0.95, seed=None,
-                   beta_lower: float = 1.0, refine: bool = False,
-                   max_refinements: int = 4) -> BettiEstimate:
+                   beta_lower: float = 1.0, refine: bool = False) -> BettiEstimate:
     """Full pipeline: complex -> Hodge operator -> mixed state -> two traces ->
     2x2 solve -> Betti estimate.
 
     Sampled mode plans the per-measurement accuracy from eps and beta_lower;
     with refine=True a pilot whose rounded estimate undershoots beta_lower
-    triggers a halve-and-replan loop.  Deterministic per master seed.
+    triggers up to MAX_REFINEMENTS halve-and-replan steps.  Deterministic per master seed.
     """
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    ctx = pipeline_context(source, k, convention, pe)
-    if ctx.s_count == 0:
-        raise ValueError("no k-simplices; the estimate is undefined")
-    pair = pair or ObservablePair.default()
+    ctx, pair, ss = _enter(source, k, convention, pe, mode, confidence, pair, seed)
     a = assemble_system(pair, ctx.slot_count)
 
-    seed_info = None
+    delta = None
     if mode == "exact":
-        y = (observable_b(pair.m1, ctx), observable_b(pair.m2, ctx))
-        system = _solve_pair(a, y)
-        delta = None
-        samples = 0
+        system, samples = _measure_and_solve(ctx, pair, a, None, confidence, None)
     else:
         if eps is None:
             raise ValueError("sampled mode needs a target multiplicative accuracy eps")
-        ss = as_seed_sequence(seed)
-        seed_info = seed_descriptor(ss)
         bound = beta_lower
-        for _ in range(max_refinements + 1):
+        for _ in range(MAX_REFINEMENTS + 1):
             delta = plan_delta(eps, bound, a)
-            y0, y1, samples = _sample_pair(ctx, pair, delta, confidence, ss)
-            system = _solve_pair(a, (y0, y1))
-            rounded = _round_beta(system.x[0])
-            if not refine or rounded >= bound or bound <= 0.5:
+            system, samples = _measure_and_solve(ctx, pair, a, delta, confidence, ss)
+            if not refine or _round_beta(system.x[0]) >= bound or bound <= 0.5:
                 break
             bound /= 2.0
         beta_lower = bound
@@ -411,7 +425,7 @@ def estimate_betti(source, k: int, eps: float | None = None, *, pair: Observable
         beta_oracle=beta_oracle,
         beta_lower_used=beta_lower if mode == "sampled" else None,
         resource=resource,
-        seed=seed_info,
+        seed=seed_descriptor(ss) if ss is not None else None,
     )
 
 
@@ -469,27 +483,12 @@ def estimate_normalized_betti(source, k: int, delta: float, *,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    ctx = pipeline_context(source, k, convention, pe)
-    if ctx.s_count == 0:
-        raise ValueError("no k-simplices; the normalized estimate is undefined")
-    pair = pair or ObservablePair.default()
-    a_scaled = pair.raw_matrix()  # the system in the (beta/C, p1/C) variables
+    ctx, pair, ss = _enter(source, k, convention, pe, mode, confidence, pair, seed)
     eps_measurement = delta * ctx.s_count / ctx.slot_count
-
-    seed_info = None
-    if mode == "exact":
-        y = np.array([observable_b(pair.m1, ctx), observable_b(pair.m2, ctx)])
-        samples = 0
-    elif mode == "sampled":
-        ss = as_seed_sequence(seed)
-        seed_info = seed_descriptor(ss)
-        y0, y1, samples = _sample_pair(ctx, pair, eps_measurement, confidence, ss)
-        y = np.array([y0, y1])
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    x0, _ = solve_system(a_scaled, y)
-    raw = x0 * ctx.slot_count / ctx.s_count
+    accuracy = eps_measurement if mode == "sampled" else None
+    # raw_matrix() is the system in the (beta/C, p1/C) variables
+    system, samples = _measure_and_solve(ctx, pair, pair.raw_matrix(), accuracy, confidence, ss)
+    raw = system.x[0] * ctx.slot_count / ctx.s_count
     value = min(max(raw, 0.0), 1.0)
     oracle = betti_exact(ctx.complex, k) / ctx.s_count
 
@@ -508,7 +507,7 @@ def estimate_normalized_betti(source, k: int, delta: float, *,
         s_count=ctx.s_count,
         slot_count=ctx.slot_count,
         oracle_value=oracle,
-        seed=seed_info,
+        seed=seed_descriptor(ss) if ss is not None else None,
     )
 
 

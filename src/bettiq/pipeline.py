@@ -452,13 +452,12 @@ def block_encode_state_mixture(states: np.ndarray, description: str = "") -> Blo
     target = (states.T @ states.conj()) / m
 
     def apply_fn(x: np.ndarray) -> np.ndarray:
-        t = x.reshape(m, d, d, -1)
-        t = np.einsum("ac,cdem->adem", v_anc, t)  # mixture-index rotation
-        t = np.einsum("abd,adem->abem", w_blocks, t)  # per-index preparation
-        t = t.transpose(0, 2, 1, 3)  # swap purified system against the input register
-        t = np.einsum("adb,adem->abem", w_blocks.conj(), t)  # undo preparation
-        t = np.einsum("ca,cdem->adem", v_anc.conj(), t)
-        return t.reshape(m * d * d, -1)
+        t = (v_anc @ x.reshape(m, -1)).reshape(m, d, -1)  # mixture-index rotation
+        t = np.matmul(w_blocks, t).reshape(m, d, d, -1)  # per-index preparation
+        # swap the purified system against the input register
+        t = np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(m, d, -1)
+        t = np.matmul(w_blocks.conj().transpose(0, 2, 1), t)  # undo preparation
+        return (v_anc.conj().T @ t.reshape(m, -1)).reshape(m * d * d, -1)
 
     return BlockEncoding(
         ancilla_dim=m * d,
@@ -561,7 +560,7 @@ def seed_descriptor(seed) -> dict:
 
 @dataclass(frozen=True)
 class TraceEstimate:
-    """Additive-error estimate of Tr(A rho) from seeded Bernoulli draws."""
+    """Additive-error estimate of Tr(A rho) from a seeded count of +1 outcomes."""
 
     value: float
     additive_err: float
@@ -580,8 +579,9 @@ def trace_estimate(truth: float, delta: float, confidence: float = 0.95,
     """Estimate a trace Tr(A rho) whose exact value is `truth` to +/- delta at
     the given confidence.
 
-    Draws the exact Hadamard-test statistic: N Bernoulli outcomes with success
-    probability (1 + truth)/2, N sized so the +/-1-valued average meets the
+    Draws the exact Hadamard-test statistic: the number of successes among N
+    outcomes with success probability (1 + truth)/2, as one Binomial(N, p)
+    draw in O(1) memory, N sized so the +/-1-valued average meets the
     additive-error contract.  Deterministic per seed (counter-based Philox)."""
     if abs(truth) > 1.0 + 1e-9:
         raise ValueError(f"trace {truth:.6g} lies outside [-1, 1]: observable norm exceeds 1")
@@ -589,7 +589,7 @@ def trace_estimate(truth: float, delta: float, confidence: float = 0.95,
     n_samples = hoeffding_sample_count(delta, confidence)
     ss = as_seed_sequence(seed)
     rng = np.random.Generator(np.random.Philox(ss))
-    hits = int((rng.random(n_samples) < p_success).sum())
+    hits = int(rng.binomial(n_samples, p_success))
     value = 2.0 * hits / n_samples - 1.0
     return TraceEstimate(value=value, additive_err=delta, confidence=confidence,
                          samples_used=n_samples, seed=seed_descriptor(ss))

@@ -9,6 +9,7 @@ import itertools
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from bettiq import VertexGraph
 
@@ -44,6 +45,15 @@ def octahedron_graph() -> VertexGraph:
     for i in range(3):
         adj[i, i + 3] = adj[i + 3, i] = False
     return VertexGraph(6, adj)
+
+
+@st.composite
+def small_graphs(draw, max_n: int = 8):
+    """Graphs on 3 to `max_n` vertices, drawn from booleans only, so the examples
+    do not depend on the literals hypothesis harvests from local source files."""
+    n = 3 + sum(draw(st.booleans()) for _ in range(max_n - 3))
+    pairs = itertools.combinations(range(n), 2)
+    return VertexGraph.from_edges(n, [p for p in pairs if draw(st.booleans())])
 
 
 def random_graph(n: int, p: float, seed: int) -> VertexGraph:

@@ -161,6 +161,14 @@ class TestEstimate:
         assert run(["estimate", "--instance", str(c4_file), "--k", "1",
                     "--trials", trials]) == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--normalized", "--delta", "0.1", "--mode", "sampled", "--confidence", "0"],
+        ["--normalized", "--delta", "0.1", "--mode", "sampled", "--confidence", "-0.5"],
+        ["--confidence", "5"],
+    ])
+    def test_confidence_outside_unit_interval_exits_2(self, c4_file, args):
+        assert run(["estimate", "--instance", str(c4_file), "--k", "1"] + args) == 2
+
     def test_bad_pe_string_exits_2(self, c4_file):
         assert run(["estimate", "--instance", str(c4_file), "--k", "1",
                     "--pe", "magic"]) == 2

@@ -1,9 +1,4 @@
-"""Each demo script runs to completion in a fresh interpreter.
-
-Demo 06 is left out: it spends about a minute verifying block encodings,
-which is the cost of the encoding-verification layer itself; it joins this
-list once that layer is made cheap.
-"""
+"""Each demo script runs to completion in a fresh interpreter."""
 
 import os
 import subprocess
@@ -19,6 +14,7 @@ DEMOS = [
     "03_estimate_with_budget.py",
     "04_complement_comparison.py",
     "05_resource_model.py",
+    "06_block_encodings.py",
 ]
 
 

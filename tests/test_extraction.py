@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from bettiq import (
     ObservablePair,
@@ -7,11 +8,14 @@ from bettiq import (
     PipelineContext,
     SingularSystemError,
     TraceEstimate,
+    VertexGraph,
     assemble_system,
+    betti_exact,
     build_clique_complex,
     complement_report,
     estimate_betti,
     estimate_normalized_betti,
+    extraction,
     hoeffding_sample_count,
     inv_norm,
     observable_b,
@@ -20,6 +24,7 @@ from bettiq import (
     plan_delta,
     resource_estimate,
     solve_system,
+    trace_estimate,
 )
 from helpers import (
     complete_graph,
@@ -28,6 +33,7 @@ from helpers import (
     octahedron_graph,
     path_graph,
     random_graph,
+    small_graphs,
 )
 
 FLAG_ONE = np.diag([0.0, 1.0])
@@ -58,7 +64,7 @@ class TestObservableB:
 
     def test_sampled_returns_trace_estimate(self):
         ctx = c4_context()
-        est = observable_b(FLAG_ONE, ctx, mode="sampled", delta=0.05, confidence=0.95, seed=5)
+        est = trace_estimate(observable_b(FLAG_ONE, ctx), 0.05, 0.95, seed=5)
         assert isinstance(est, TraceEstimate)
         assert abs(est.value - 1 / 6) <= 0.05
 
@@ -90,6 +96,24 @@ class TestAssembleSolve:
     def test_equal_pair_rejected(self):
         with pytest.raises(ValueError):
             ObservablePair(FLAG_ONE, FLAG_ONE)
+
+    def test_default_pair_checked_once_and_frozen(self, monkeypatch):
+        calls = []
+        check = extraction._check_flag_observable
+        monkeypatch.setattr(extraction, "_check_flag_observable",
+                            lambda m: calls.append(m) or check(m))
+        estimate_betti(cycle_graph(4), 1)  # warm-up
+        calls.clear()
+        estimate_betti(cycle_graph(4), 1)
+        estimate_betti(cycle_graph(4), 1, 0.25, mode="sampled", seed=1)
+        assert len(calls) == 0
+        pair = ObservablePair.default()
+        assert pair is ObservablePair.default()
+        with pytest.raises(ValueError):
+            pair.m1[0, 0] = 1.0
+        m = np.diag([0.5, 1.0]).astype(complex)
+        assert not ObservablePair(m, FLAG_ZERO).m1.flags.writeable
+        assert m.flags.writeable  # the pair froze a copy, not the caller's array
 
     def test_solve_c4_ground_truth(self):
         beta, p1 = solve_system(np.eye(2) / 6, (1 / 6, 2 / 6))
@@ -211,6 +235,15 @@ class TestEstimateBetti:
         with pytest.raises(ValueError):
             estimate_betti(cycle_graph(4), 1, mode="sampled")
 
+    def test_confidence_outside_unit_interval_rejected(self):
+        for confidence in (0.0, 1.0, -0.5, 5.0):
+            for mode, eps in (("exact", None), ("sampled", 0.25)):
+                with pytest.raises(ValueError, match="confidence"):
+                    estimate_betti(cycle_graph(4), 1, eps, mode=mode, confidence=confidence)
+                with pytest.raises(ValueError, match="confidence"):
+                    estimate_normalized_betti(cycle_graph(4), 1, 0.1, mode=mode,
+                                              confidence=confidence)
+
     def test_pair_invariance_exact(self):
         pairs = [
             ObservablePair.default(),
@@ -271,6 +304,27 @@ class TestEstimateNormalized:
         assert est.slot_count == 364
         assert np.isfinite(est.value)
         assert est.samples_per_observable >= hoeffding_sample_count(est.eps_measurement, 0.975)
+
+
+class TestExtractionProperties:
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(graph=small_graphs(max_n=9))
+    def test_estimators_agree_with_the_oracle(self, graph):
+        perm = np.random.default_rng(graph.n).permutation(graph.n)
+        relabelled = VertexGraph(graph.n, graph.adjacency[np.ix_(perm, perm)])
+        c = build_clique_complex(graph, min(3, graph.n - 1))
+        for k in range(c.max_dim):  # k in {0, 1, 2} wherever the complex reaches k + 1
+            s_count = c.simplex_count(k)
+            if s_count == 0:
+                continue
+            beta = betti_exact(c, k)
+            assert estimate_betti(c, k, convention="dual").beta_rounded == beta
+            est = estimate_betti(c, k)
+            assert est.beta_rounded == beta
+            assert est.p1_estimate == pytest.approx(est.slot_count - s_count, abs=1e-9)
+            norm = estimate_normalized_betti(c, k, 0.1)
+            assert norm.value == pytest.approx(beta / s_count, abs=1e-10)
+            assert estimate_betti(relabelled, k).beta_rounded == est.beta_rounded
 
 
 class TestComplementReport:

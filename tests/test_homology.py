@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from bettiq import (
     HodgeOperator,
     PEConfig,
-    VertexGraph,
     betti_exact,
     boundary_matrix,
     build_clique_complex,
@@ -28,6 +25,7 @@ from helpers import (
     fraction_rank,
     octahedron_graph,
     random_graph,
+    small_graphs,
     two_disjoint_cycles,
     two_disjoint_edges,
 )
@@ -258,15 +256,6 @@ class TestSpectralSummary:
         summary = spectral_summary(op)
         nonzero = int((summary.eigenvalues >= summary.threshold).sum())
         assert summary.kernel_dim + nonzero == op.dim
-
-
-@st.composite
-def small_graphs(draw):
-    """Graphs on 3 to 8 vertices, drawn from booleans only, so the examples do
-    not depend on the literals hypothesis harvests from local source files."""
-    n = 3 + sum(draw(st.booleans()) for _ in range(5))
-    pairs = itertools.combinations(range(n), 2)
-    return VertexGraph.from_edges(n, [p for p in pairs if draw(st.booleans())])
 
 
 class TestKernelDecision:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -394,6 +396,17 @@ class TestTraceEstimate:
         with pytest.raises(ValueError):
             TraceEstimate(value=0.0, additive_err=0.05, confidence=0.95,
                           samples_used=1000, seed={"entropy": 0, "spawn_key": []})
+
+    def test_draw_holds_no_per_sample_array(self):
+        # N ~ 1.84 M outcomes: one float64 per outcome would take ~15 MB
+        tracemalloc.start()
+        try:
+            est = trace_estimate(0.3, 0.002, 0.95, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.samples_used > 1_800_000
+        assert peak < 1 << 20
 
     def test_identity_observable_is_exact(self):
         c = c4_complex()
