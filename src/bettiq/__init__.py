@@ -11,17 +11,14 @@ from .complexes import (
     CliqueComplex,
     InstanceSpec,
     PointCloud,
-    SimplexWord,
     VertexGraph,
     build_clique_complex,
     complement_complex,
     dump_instance,
-    enumerate_slots,
     generate_instance,
     induced_graph,
     instance_to_dict,
     load_instance,
-    membership,
     slot_rank,
     slot_words,
 )
@@ -34,7 +31,6 @@ from .homology import (
     euler_check,
     hodge_laplacian,
     integer_rank,
-    kernel_projector,
     spectral_summary,
 )
 from .pipeline import (
@@ -42,23 +38,18 @@ from .pipeline import (
     BlockEncodingError,
     DensityOperator,
     PEConfig,
-    TaggedState,
     TraceEstimate,
     block_encode_density,
     block_encode_hermitian,
     block_encode_projector,
     block_encode_state_mixture,
-    copy_register,
     grover_prep_cost,
     hoeffding_sample_count,
-    partial_trace,
-    phase_estimation_unitary,
     phase_zero_probability,
-    prepare_phi,
     reduced_density,
     tensor_block_encoding,
     trace_estimate,
-    zero_phase_weight,
+    zero_phase_columns,
     zero_phase_weights,
 )
 from .extraction import (

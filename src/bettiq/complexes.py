@@ -17,20 +17,16 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "SimplexWord",
     "PointCloud",
     "VertexGraph",
     "CliqueComplex",
     "InstanceSpec",
-    "word_from_vertices",
     "vertices_of_word",
     "slot_rank",
     "slot_words",
-    "enumerate_slots",
     "build_clique_complex",
     "induced_graph",
     "complement_complex",
-    "membership",
     "generate_instance",
     "load_instance",
     "dump_instance",
@@ -38,16 +34,6 @@ __all__ = [
 ]
 
 GENERATOR_MODELS = ("erdos-renyi", "cycle", "complete", "octahedron", "annulus-cloud")
-
-
-def word_from_vertices(vertices) -> int:
-    word = 0
-    for v in vertices:
-        bit = 1 << int(v)
-        if word & bit:
-            raise ValueError(f"repeated vertex {v}")
-        word |= bit
-    return word
 
 
 def vertices_of_word(word: int) -> list[int]:
@@ -88,39 +74,6 @@ def slot_words(n: int, k: int) -> list[int]:
         r = w + c
         w = (((r ^ w) >> 2) // c) | r
     return out
-
-
-@dataclass(frozen=True, order=True)
-class SimplexWord:
-    """A k-simplex on n vertices, encoded as an n-bit word of weight k+1."""
-
-    bits: int
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << self.n):
-            raise ValueError(f"word {self.bits:#b} does not fit in {self.n} bits")
-        if self.bits.bit_count() != self.k + 1:
-            raise ValueError(
-                f"word {self.bits:#b} has weight {self.bits.bit_count()}, expected k+1={self.k + 1}"
-            )
-
-    @classmethod
-    def from_vertices(cls, vertices, n: int) -> "SimplexWord":
-        word = word_from_vertices(vertices)
-        return cls(word, n, word.bit_count() - 1)
-
-    def vertices(self) -> list[int]:
-        return vertices_of_word(self.bits)
-
-    def slot_index(self) -> int:
-        return slot_rank(self.bits)
-
-
-def enumerate_slots(n: int, k: int) -> list[SimplexWord]:
-    """Every potential k-simplex on n vertices, in ascending word order."""
-    return [SimplexWord(w, n, k) for w in slot_words(n, k)]
 
 
 @dataclass(frozen=True)
@@ -272,13 +225,6 @@ def build_clique_complex(source, max_dim: int) -> CliqueComplex:
         levels.append(tuple(word for word, _ in next_frontier))
         frontier = next_frontier
     return CliqueComplex(n=n, max_dim=max_dim, simplices=tuple(levels), graph=graph)
-
-
-def membership(complex_: CliqueComplex, s: SimplexWord) -> int:
-    """1 if the simplex belongs to the complex, else 0 (binary search)."""
-    if s.n != complex_.n:
-        raise ValueError(f"simplex on {s.n} vertices, complex on {complex_.n}")
-    return int(complex_.contains_word(s.k, s.bits))
 
 
 def complement_complex(g: VertexGraph, max_dim: int) -> CliqueComplex:

@@ -20,6 +20,7 @@ import numpy as np
 from .complexes import CliqueComplex, PointCloud, VertexGraph, build_clique_complex
 from .homology import (
     HodgeOperator,
+    _needed_dim,
     betti_exact,
     complement_complex,
     hodge_laplacian,
@@ -179,11 +180,12 @@ def plan_delta(eps: float, beta_lower: float, a: np.ndarray) -> float:
 
 def _as_complex(source, k: int) -> CliqueComplex:
     if isinstance(source, CliqueComplex):
-        if source.max_dim < k + 1:
-            raise ValueError(f"complex must be built to dimension {k + 1}")
+        need = _needed_dim(source.n, k)
+        if source.max_dim < need:
+            raise ValueError(f"complex must be built to dimension {need}")
         return source
     if isinstance(source, (VertexGraph, PointCloud)):
-        return build_clique_complex(source, k + 1)
+        return build_clique_complex(source, _needed_dim(source.n, k))
     raise ValueError(f"cannot run the pipeline on {type(source).__name__}")
 
 
@@ -528,7 +530,8 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
     else:
         raise ValueError("the complement comparison needs a graph instance")
     cfg = pe or PEConfig.ideal()
-    complex_ = build_clique_complex(graph, k + 1)
+    top = _needed_dim(graph.n, k)
+    complex_ = build_clique_complex(graph, top)
     c_total = comb(graph.n, k + 1)
     s_count = complex_.simplex_count(k)
     comp_slots = c_total - s_count
@@ -538,7 +541,7 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
     p1_restricted = ctx_restricted.p1_trace()
     p1_dual = ctx_dual.p1_trace()
 
-    comp_complex = complement_complex(graph, k + 1)
+    comp_complex = complement_complex(graph, top)
     beta_comp = betti_exact(comp_complex, k)
 
     # kernel dimension of the dual operator's off-complex block, by diagonalization

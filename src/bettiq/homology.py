@@ -30,7 +30,6 @@ __all__ = [
     "integer_rank",
     "hodge_laplacian",
     "betti_exact",
-    "kernel_projector",
     "spectral_summary",
     "euler_check",
     "DEFAULT_ZERO_TOL",
@@ -144,7 +143,6 @@ class HodgeOperator:
     k: int
     matrix: np.ndarray
     convention: str
-    support_size: int
     n: int
     complex_slot_indices: tuple[int, ...]
     complement_complex_slot_indices: tuple[int, ...] = ()
@@ -162,19 +160,39 @@ class HodgeOperator:
         return self._eig
 
 
-def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
+def _needed_dim(n: int, k: int) -> int:
+    """Top level that dimension k's Laplacian and Betti number read: k+1, except
+    at k = n-1, where level n is empty on every graph and is never built."""
+    return min(k + 1, n - 1)
+
+
+def _check_built(complex_: CliqueComplex, k: int, what: str) -> None:
+    need = _needed_dim(complex_.n, k)
+    if need > complex_.max_dim:
+        raise ValueError(f"{what} needs dimension {need} built (max_dim={complex_.max_dim})")
+
+
+def _boundary_pair(complex_: CliqueComplex, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """d_k and d_{k+1}; at the top dimension k = n-1, d_n is the zero map
+    out of the empty level n."""
     low = boundary_matrix(complex_, k).matrix
-    up = boundary_matrix(complex_, k + 1).matrix
-    block = low.T @ low + up @ up.T
-    return block.astype(float)
+    if k + 1 == complex_.n:
+        return low, np.zeros((low.shape[1], 0), dtype=np.int64)
+    return low, boundary_matrix(complex_, k + 1).matrix
+
+
+def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
+    # float64 products run through BLAS; every entry is a small integer, so the
+    # result equals the integer product exactly
+    low, up = (d.astype(float) for d in _boundary_pair(complex_, k))
+    return low.T @ low + up @ up.T
 
 
 def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restricted") -> HodgeOperator:
     """Embed d_k^T d_k + d_{k+1} d_{k+1}^T into the full slot space."""
     if convention not in ("restricted", "dual"):
         raise ValueError(f"unknown convention {convention!r}")
-    if k + 1 > complex_.max_dim:
-        raise ValueError(f"need simplices at dimension {k + 1}; complex built to {complex_.max_dim}")
+    _check_built(complex_, k, f"the dimension-{k} Laplacian")
     n = complex_.n
     slots = comb(n, k + 1)
     full = np.zeros((slots, slots))
@@ -184,19 +202,17 @@ def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restrict
 
     comp_idx: tuple[int, ...] = ()
     if convention == "dual" and k >= 1:
-        comp = complement_complex(complex_.graph, k + 1)
+        comp = complement_complex(complex_.graph, _needed_dim(n, k))
         comp_idx = tuple(slot_rank(w) for w in comp.words(k))
         if set(comp_idx) & set(idx):
             raise AssertionError("complement-complex simplices collide with the complex")
         if comp_idx:
             full[np.ix_(comp_idx, comp_idx)] = _laplacian_block(comp, k)
 
-    support = len(idx) if convention == "restricted" else slots
     return HodgeOperator(
         k=k,
         matrix=full,
         convention=convention,
-        support_size=support,
         n=n,
         complex_slot_indices=idx,
         complement_complex_slot_indices=comp_idx,
@@ -205,23 +221,14 @@ def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restrict
 
 def betti_exact(complex_: CliqueComplex, k: int) -> int:
     """k-th Betti number by exact integer ranks: |S_k| - rank d_k - rank d_{k+1}."""
-    if k + 1 > complex_.max_dim:
-        raise ValueError(
-            f"betti_exact({k}) needs dimension {k + 1} built (max_dim={complex_.max_dim})"
-        )
+    _check_built(complex_, k, f"betti_exact({k})")
     s_k = complex_.simplex_count(k)
-    r_low = integer_rank(boundary_matrix(complex_, k).matrix)
-    r_up = integer_rank(boundary_matrix(complex_, k + 1).matrix)
+    low, up = _boundary_pair(complex_, k)
+    r_low = integer_rank(low)
+    r_up = integer_rank(up)
     beta = s_k - r_low - r_up
     assert beta >= 0, "rank computation produced a negative Betti number"
     return beta
-
-
-def kernel_projector(op: HodgeOperator) -> np.ndarray:
-    """Orthogonal projector onto the near-zero eigenspace."""
-    _, evecs = op.eig()
-    kernel = evecs[:, : spectral_summary(op).kernel_dim]
-    return kernel @ kernel.T
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,17 @@
 """Desk-scale simulation of the measurement pipeline.
 
 Everything a hardware run would produce is reproduced exactly from small
-dense matrices: the flag-tagged uniform state over simplex slots, a
-phase-estimation unitary for the Hodge operator (either a finite t-bit
-register or an idealized kernel-flag bit), the reduced mixed state over
+dense matrices: phase estimation for the Hodge operator (either a finite
+t-bit register or an idealized kernel-flag bit), the reduced mixed state over
 (phase, slot, flag), block encodings with verifiable unitarity and block
 equality, and additive-error trace estimation realized as seeded Bernoulli
 sampling of the Hadamard-test statistic.
 
-The mixed state is kept in its analytic form (a uniform mixture of one pure
-state per slot); materializing the full register would change nothing but
-memory use.
+Phase estimation always starts from the phase register's |0>, so only the C
+columns of its unitary with that input are built, straight from the
+operator's eigenpairs.  The mixed state is kept in its analytic form (a
+uniform mixture of one pure state per slot); materializing the full register
+would change nothing but memory use.
 """
 
 from __future__ import annotations
@@ -21,23 +22,18 @@ from math import ceil, comb, log, sqrt
 
 import numpy as np
 
-from .complexes import CliqueComplex, SimplexWord, slot_rank, slot_words
+from .complexes import CliqueComplex
 from .homology import HodgeOperator, spectral_summary
 
 __all__ = [
     "PEConfig",
-    "TaggedState",
     "DensityOperator",
     "BlockEncoding",
     "BlockEncodingError",
     "TraceEstimate",
-    "prepare_phi",
-    "copy_register",
-    "partial_trace",
     "phase_zero_probability",
-    "phase_estimation_unitary",
+    "zero_phase_columns",
     "zero_phase_weights",
-    "zero_phase_weight",
     "reduced_density",
     "block_encode_state_mixture",
     "block_encode_density",
@@ -137,104 +133,30 @@ def phase_zero_probability(phi, t: int):
     return float(out) if out.ndim == 0 else out
 
 
-def phase_estimation_unitary(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
-    """Explicit phase-estimation unitary on (phase register) x (slot space).
+def zero_phase_columns(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
+    """The phase-estimation unitary's columns for input |0>_phase |s>, as a
+    (P*C, C) array with rows ordered (phase, slot).
 
-    bits mode composes (inverse QFT x I) . controlled-powers . (H^t x I) in the
-    operator's eigenbasis; ideal mode writes the kernel indicator to one bit.
-    """
+    Column s is sum_j r[:, j] x v_j v_j[s] over the eigenpairs (lambda_j, v_j).
+    The phase amplitudes r[:, j] are the kernel indicator and its complement in
+    ideal mode, and QFT^dagger e^{i m phi_j} / sqrt(P) for a t-bit register (the
+    Hadamard layer maps |0> to the uniform state)."""
     res = cfg.resolve(op)
     _, evecs = op.eig()
-    dim = op.dim
     if res.mode == "ideal":
-        kernel = evecs[:, : res.kernel_dim]
-        proj = kernel @ kernel.T
-        rest = np.eye(dim) - proj
-        return np.block([[proj, rest], [rest, proj]]).astype(complex)
-
-    big = res.phase_dim
-    m = np.arange(big)
-    expo = np.exp(1j * np.outer(m, res.phases))  # (P, J): controlled powers in eigenbasis
-    qft_dag = np.exp(-2j * np.pi * np.outer(m, m) / big) / sqrt(big)
-    had = _hadamard_power(res.t)
-    # R_j = QFT^dagger . diag(e^{i m phi_j}) . H^{x t}, assembled per eigenvalue
-    r_all = np.einsum("am,mj,ml->jal", qft_dag, expo, had)
-    u = np.einsum("jal,cj,dj->acld", r_all, evecs.astype(complex), evecs.conj().astype(complex))
-    return u.reshape(big * dim, big * dim)
-
-
-def _hadamard_power(t: int) -> np.ndarray:
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / sqrt(2.0)
-    out = np.array([[1.0]])
-    for _ in range(t):
-        out = np.kron(out, h)
-    return out
+        kernel = np.arange(res.phases.size) < res.kernel_dim
+        r = np.stack([kernel, ~kernel]).astype(float)
+    else:
+        big = res.phase_dim
+        m = np.arange(big)
+        qft_dag = np.exp(-2j * np.pi * np.outer(m, m) / big) / sqrt(big)
+        r = qft_dag @ np.exp(1j * np.outer(m, res.phases)) / sqrt(big)
+    cols = (r[:, None, :] * evecs) @ evecs.T  # [a, c, s] = sum_j r[a, j] v_j[c] v_j[s]
+    return cols.reshape(-1, op.dim)
 
 
 # ---------------------------------------------------------------------------
-# tagged states and the reduced mixed state
-
-
-@dataclass(frozen=True)
-class TaggedState:
-    """Uniform superposition over all slots with the membership flag on an
-    ancilla qubit; after copying, the slot word is mirrored to a third register."""
-
-    amplitudes: np.ndarray
-    n: int
-    k: int
-    copied: bool
-
-    def __post_init__(self):
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm {norm} is not 1")
-
-    @property
-    def slot_dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def vector(self) -> np.ndarray:
-        return self.amplitudes.reshape(-1)
-
-
-def prepare_phi(complex_: CliqueComplex, k: int) -> TaggedState:
-    """The flag-tagged uniform state: amplitude 1/sqrt(C) on (s, member(s))."""
-    n = complex_.n
-    words = slot_words(n, k)
-    c_total = len(words)
-    if c_total == 0:
-        raise ValueError("empty slot space")
-    amp = np.zeros((c_total, 2))
-    root = 1.0 / sqrt(c_total)
-    for i, w in enumerate(words):
-        amp[i, int(complex_.contains_word(k, w))] = root
-    return TaggedState(amp, n, k, copied=False)
-
-
-def copy_register(state: TaggedState) -> TaggedState:
-    """Mirror the slot register onto a fresh register of the same size."""
-    if state.copied:
-        raise ValueError("state already carries a copy register")
-    c_total = state.slot_dim
-    amp = np.zeros((c_total, 2, c_total))
-    idx = np.arange(c_total)
-    amp[idx, :, idx] = state.amplitudes
-    return TaggedState(amp, state.n, state.k, copied=True)
-
-
-def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
-    """Trace out every subsystem not listed in `keep` (dims in tensor order)."""
-    dims = tuple(int(d) for d in dims)
-    keep = sorted(keep)
-    arr = np.asarray(rho).reshape(dims + dims)
-    current = list(range(len(dims)))
-    for sys in reversed([i for i in range(len(dims)) if i not in keep]):
-        ax = current.index(sys)
-        arr = np.trace(arr, axis1=ax, axis2=ax + len(current))
-        current.pop(ax)
-    kept = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return arr.reshape(kept, kept)
+# the reduced mixed state
 
 
 @dataclass(eq=False)
@@ -267,10 +189,6 @@ class DensityOperator:
         fv = self.full_vectors()
         return (fv.T @ fv.conj()) / self.slot_dim
 
-    def trace(self) -> float:
-        fv = self.full_vectors()
-        return float((np.abs(fv) ** 2).sum() / self.slot_dim)
-
     def expectation(self, observable: np.ndarray) -> float:
         """Tr(observable . rho), evaluated on the mixture."""
         fv = self.full_vectors()
@@ -280,23 +198,14 @@ class DensityOperator:
             raise ValueError(f"expectation has imaginary part {total.imag:.3g}")
         return float(total.real)
 
-    def validate(self, atol_trace: float = 1e-10, atol_psd: float = 1e-10) -> dict:
-        mat = self.matrix()
-        herm = float(np.abs(mat - mat.conj().T).max())
-        tr = self.trace()
-        min_eig = float(np.linalg.eigvalsh(mat).min())
-        ok = herm <= 1e-12 and abs(tr - 1.0) <= atol_trace and min_eig >= -atol_psd
-        return {"hermiticity": herm, "trace": tr, "min_eigenvalue": min_eig, "ok": ok}
-
 
 def reduced_density(complex_: CliqueComplex, k: int, op: HodgeOperator, cfg: PEConfig) -> DensityOperator:
     """The mixed state left on (phase, slot, flag) after discarding the copy register."""
     if op.k != k or op.n != complex_.n:
         raise ValueError("operator does not match the requested complex/dimension")
-    u_pe = phase_estimation_unitary(op, cfg)
+    vectors = zero_phase_columns(op, cfg)
     c_total = op.dim
-    phase_dim = u_pe.shape[0] // c_total
-    vectors = u_pe[:, :c_total]  # columns: input phase register |0>, slot |s>
+    phase_dim = vectors.shape[0] // c_total
     flags = np.zeros(c_total, dtype=np.int64)
     flags[list(op.complex_slot_indices)] = 1
     return DensityOperator(phase_dim=phase_dim, slot_dim=c_total, vectors=vectors, flags=flags)
@@ -316,15 +225,6 @@ def zero_phase_weights(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
     else:
         weights = phase_zero_probability(res.phases, res.t)
     return (evecs * evecs) @ weights
-
-
-def zero_phase_weight(op: HodgeOperator, cfg: PEConfig, s) -> float:
-    word = s.bits if isinstance(s, SimplexWord) else int(s)
-    if word.bit_count() != op.k + 1:
-        raise ValueError(f"word {word:#b} is not a dimension-{op.k} slot")
-    if word >= (1 << op.n):
-        raise ValueError(f"word {word:#b} does not fit in {op.n} bits")
-    return float(zero_phase_weights(op, cfg)[slot_rank(word)])
 
 
 # ---------------------------------------------------------------------------

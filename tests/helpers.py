@@ -2,16 +2,28 @@
 
 The oracles here deliberately avoid the library's own code paths: cliques are
 found by exhaustive subset enumeration, ranks by Gaussian elimination over
-exact fractions.
+exact fractions.  The small-size pipeline oracles below build what the
+library only ever reads in part: the whole phase-estimation unitary, the
+flag-tagged state with its copy register, and the explicit density matrix.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from math import sqrt
 
 import numpy as np
 from hypothesis import strategies as st
 
-from bettiq import VertexGraph
+from bettiq import (
+    CliqueComplex,
+    HodgeOperator,
+    PEConfig,
+    VertexGraph,
+    spectral_summary,
+    zero_phase_weights,
+)
+from bettiq.complexes import slot_rank, slot_words, vertices_of_word
 
 
 def cycle_graph(n: int) -> VertexGraph:
@@ -103,3 +115,189 @@ def betti_by_fraction_ranks(complex_, k: int) -> int:
     low = boundary_matrix(complex_, k).matrix
     up = boundary_matrix(complex_, k + 1).matrix
     return complex_.simplex_count(k) - fraction_rank(low) - fraction_rank(up)
+
+
+# ---------------------------------------------------------------------------
+# simplex words
+
+
+def word_from_vertices(vertices) -> int:
+    word = 0
+    for v in vertices:
+        bit = 1 << int(v)
+        if word & bit:
+            raise ValueError(f"repeated vertex {v}")
+        word |= bit
+    return word
+
+
+@dataclass(frozen=True, order=True)
+class SimplexWord:
+    """A k-simplex on n vertices, encoded as an n-bit word of weight k+1."""
+
+    bits: int
+    n: int
+    k: int
+
+    def __post_init__(self):
+        if not 0 <= self.bits < (1 << self.n):
+            raise ValueError(f"word {self.bits:#b} does not fit in {self.n} bits")
+        if self.bits.bit_count() != self.k + 1:
+            raise ValueError(
+                f"word {self.bits:#b} has weight {self.bits.bit_count()}, expected k+1={self.k + 1}"
+            )
+
+    @classmethod
+    def from_vertices(cls, vertices, n: int) -> "SimplexWord":
+        word = word_from_vertices(vertices)
+        return cls(word, n, word.bit_count() - 1)
+
+    def vertices(self) -> list[int]:
+        return vertices_of_word(self.bits)
+
+    def slot_index(self) -> int:
+        return slot_rank(self.bits)
+
+
+def enumerate_slots(n: int, k: int) -> list[SimplexWord]:
+    """Every potential k-simplex on n vertices, in ascending word order."""
+    return [SimplexWord(w, n, k) for w in slot_words(n, k)]
+
+
+def membership(complex_: CliqueComplex, s: SimplexWord) -> int:
+    """1 if the simplex belongs to the complex, else 0 (binary search)."""
+    if s.n != complex_.n:
+        raise ValueError(f"simplex on {s.n} vertices, complex on {complex_.n}")
+    return int(complex_.contains_word(s.k, s.bits))
+
+
+# ---------------------------------------------------------------------------
+# spectral and phase-estimation oracles
+
+
+def kernel_projector(op: HodgeOperator) -> np.ndarray:
+    """Orthogonal projector onto the near-zero eigenspace."""
+    _, evecs = op.eig()
+    kernel = evecs[:, : spectral_summary(op).kernel_dim]
+    return kernel @ kernel.T
+
+
+def phase_estimation_unitary(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
+    """Explicit phase-estimation unitary on (phase register) x (slot space).
+
+    bits mode composes (inverse QFT x I) . controlled-powers . (H^t x I) in the
+    operator's eigenbasis; ideal mode writes the kernel indicator to one bit.
+    """
+    res = cfg.resolve(op)
+    _, evecs = op.eig()
+    dim = op.dim
+    if res.mode == "ideal":
+        kernel = evecs[:, : res.kernel_dim]
+        proj = kernel @ kernel.T
+        rest = np.eye(dim) - proj
+        return np.block([[proj, rest], [rest, proj]]).astype(complex)
+
+    big = res.phase_dim
+    m = np.arange(big)
+    expo = np.exp(1j * np.outer(m, res.phases))  # (P, J): controlled powers in eigenbasis
+    qft_dag = np.exp(-2j * np.pi * np.outer(m, m) / big) / sqrt(big)
+    had = _hadamard_power(res.t)
+    # R_j = QFT^dagger . diag(e^{i m phi_j}) . H^{x t}, assembled per eigenvalue
+    r_all = np.einsum("am,mj,ml->jal", qft_dag, expo, had)
+    u = np.einsum("jal,cj,dj->acld", r_all, evecs.astype(complex), evecs.conj().astype(complex))
+    return u.reshape(big * dim, big * dim)
+
+
+def _hadamard_power(t: int) -> np.ndarray:
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / sqrt(2.0)
+    out = np.array([[1.0]])
+    for _ in range(t):
+        out = np.kron(out, h)
+    return out
+
+
+def zero_phase_weight(op: HodgeOperator, cfg: PEConfig, s) -> float:
+    """One slot's zero-phase weight, addressed by its word."""
+    word = s.bits if isinstance(s, SimplexWord) else int(s)
+    if word.bit_count() != op.k + 1:
+        raise ValueError(f"word {word:#b} is not a dimension-{op.k} slot")
+    if word >= (1 << op.n):
+        raise ValueError(f"word {word:#b} does not fit in {op.n} bits")
+    return float(zero_phase_weights(op, cfg)[slot_rank(word)])
+
+
+# ---------------------------------------------------------------------------
+# tagged states and the explicit density matrix
+
+
+@dataclass(frozen=True)
+class TaggedState:
+    """Uniform superposition over all slots with the membership flag on an
+    ancilla qubit; after copying, the slot word is mirrored to a third register."""
+
+    amplitudes: np.ndarray
+    n: int
+    k: int
+    copied: bool
+
+    def __post_init__(self):
+        norm = np.linalg.norm(self.amplitudes)
+        if abs(norm - 1.0) > 1e-12:
+            raise ValueError(f"state norm {norm} is not 1")
+
+    @property
+    def slot_dim(self) -> int:
+        return self.amplitudes.shape[0]
+
+    def vector(self) -> np.ndarray:
+        return self.amplitudes.reshape(-1)
+
+
+def prepare_phi(complex_: CliqueComplex, k: int) -> TaggedState:
+    """The flag-tagged uniform state: amplitude 1/sqrt(C) on (s, member(s))."""
+    n = complex_.n
+    words = slot_words(n, k)
+    c_total = len(words)
+    if c_total == 0:
+        raise ValueError("empty slot space")
+    amp = np.zeros((c_total, 2))
+    root = 1.0 / sqrt(c_total)
+    for i, w in enumerate(words):
+        amp[i, int(complex_.contains_word(k, w))] = root
+    return TaggedState(amp, n, k, copied=False)
+
+
+def copy_register(state: TaggedState) -> TaggedState:
+    """Mirror the slot register onto a fresh register of the same size."""
+    if state.copied:
+        raise ValueError("state already carries a copy register")
+    c_total = state.slot_dim
+    amp = np.zeros((c_total, 2, c_total))
+    idx = np.arange(c_total)
+    amp[idx, :, idx] = state.amplitudes
+    return TaggedState(amp, state.n, state.k, copied=True)
+
+
+def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
+    """Trace out every subsystem not listed in `keep` (dims in tensor order)."""
+    dims = tuple(int(d) for d in dims)
+    keep = sorted(keep)
+    arr = np.asarray(rho).reshape(dims + dims)
+    current = list(range(len(dims)))
+    for sys in reversed([i for i in range(len(dims)) if i not in keep]):
+        ax = current.index(sys)
+        arr = np.trace(arr, axis1=ax, axis2=ax + len(current))
+        current.pop(ax)
+    kept = int(np.prod([dims[i] for i in keep])) if keep else 1
+    return arr.reshape(kept, kept)
+
+
+def validate_density(rho, atol_trace: float = 1e-10, atol_psd: float = 1e-10) -> dict:
+    """Hermiticity, unit trace and positivity of a DensityOperator's explicit matrix."""
+    mat = rho.matrix()
+    herm = float(np.abs(mat - mat.conj().T).max())
+    fv = rho.full_vectors()
+    tr = float((np.abs(fv) ** 2).sum() / rho.slot_dim)
+    min_eig = float(np.linalg.eigvalsh(mat).min())
+    ok = herm <= 1e-12 and abs(tr - 1.0) <= atol_trace and min_eig >= -atol_psd
+    return {"hermiticity": herm, "trace": tr, "min_eigenvalue": min_eig, "ok": ok}

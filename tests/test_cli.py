@@ -219,6 +219,24 @@ class TestResources:
         assert not out.exists()
 
 
+class TestTopDimension:
+    @pytest.mark.parametrize("command", ["exact", "estimate", "complement"])
+    def test_k_equals_n_minus_1(self, command, tmp_path):
+        path = tmp_path / "k4.json"
+        assert run(["generate", "--model", "complete", "--n", "4", "--out", str(path)]) == 0
+        out = tmp_path / "out.json"
+        assert run([command, "--instance", str(path), "--k", "3", "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["slot_count"] == 1
+        if command == "exact":
+            assert res["beta"] == 0 and res["euler_ok"]
+            assert res["euler"]["bettis"] == [1, 0, 0, 0]
+        elif command == "estimate":
+            assert res["beta_rounded"] == res["beta_oracle"] == 0
+        else:
+            assert res["betti_complement_exact"] == 0
+
+
 class TestComplement:
     def test_c4_table(self, c4_file, tmp_path):
         out = tmp_path / "comp.json"

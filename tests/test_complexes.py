@@ -7,24 +7,24 @@ from bettiq import (
     CliqueComplex,
     InstanceSpec,
     PointCloud,
-    SimplexWord,
     VertexGraph,
     build_clique_complex,
     complement_complex,
     dump_instance,
-    enumerate_slots,
     generate_instance,
     induced_graph,
     load_instance,
-    membership,
     slot_rank,
     slot_words,
 )
 from helpers import (
+    SimplexWord,
     brute_force_cliques,
     complete_graph,
     cycle_graph,
     empty_graph,
+    enumerate_slots,
+    membership,
     octahedron_graph,
     random_graph,
 )

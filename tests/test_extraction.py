@@ -312,8 +312,8 @@ class TestExtractionProperties:
     def test_estimators_agree_with_the_oracle(self, graph):
         perm = np.random.default_rng(graph.n).permutation(graph.n)
         relabelled = VertexGraph(graph.n, graph.adjacency[np.ix_(perm, perm)])
-        c = build_clique_complex(graph, min(3, graph.n - 1))
-        for k in range(c.max_dim):  # k in {0, 1, 2} wherever the complex reaches k + 1
+        c = build_clique_complex(graph, graph.n - 1)
+        for k in range(graph.n):  # every dimension, the top one k = n-1 included
             s_count = c.simplex_count(k)
             if s_count == 0:
                 continue
@@ -325,6 +325,33 @@ class TestExtractionProperties:
             norm = estimate_normalized_betti(c, k, 0.1)
             assert norm.value == pytest.approx(beta / s_count, abs=1e-10)
             assert estimate_betti(relabelled, k).beta_rounded == est.beta_rounded
+
+
+class TestTopDimension:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("convention", ["restricted", "dual"])
+    def test_full_simplex_has_no_top_homology(self, n, convention):
+        # k = n-1: d_n is the zero map out of the empty level n
+        k = n - 1
+        est = estimate_betti(complete_graph(n), k, convention=convention)
+        assert est.beta_rounded == est.beta_oracle == 0
+        assert est.slot_count == 1
+        assert est.p1_estimate == pytest.approx(0.0, abs=1e-12)
+        norm = estimate_normalized_betti(complete_graph(n), k, 0.1, convention=convention)
+        assert norm.value == norm.oracle_value == 0.0
+        assert norm.slot_count == 1
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_complement_report(self, n):
+        rep = complement_report(complete_graph(n), n - 1)
+        assert rep["slot_count"] == rep["s_count"] == 1
+        assert rep["p1_restricted"] == rep["p1_dual"] == 0.0
+        assert rep["betti_complement_exact"] == 0
+        assert rep["dual_matches_block_kernel"]
+
+    def test_top_level_of_a_hollow_complex_is_empty(self):
+        with pytest.raises(ValueError, match="no k-simplices"):
+            estimate_betti(cycle_graph(4), 3)
 
 
 class TestComplementReport:

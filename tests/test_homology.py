@@ -12,7 +12,6 @@ from bettiq import (
     euler_check,
     hodge_laplacian,
     integer_rank,
-    kernel_projector,
     slot_rank,
     spectral_summary,
     zero_phase_weights,
@@ -23,6 +22,7 @@ from helpers import (
     cycle_graph,
     empty_graph,
     fraction_rank,
+    kernel_projector,
     octahedron_graph,
     random_graph,
     small_graphs,
@@ -33,8 +33,7 @@ from helpers import (
 
 def manual_operator(matrix, k=0, n=2, convention="restricted"):
     matrix = np.asarray(matrix, dtype=float)
-    return HodgeOperator(k=k, matrix=matrix, convention=convention,
-                         support_size=matrix.shape[0], n=n,
+    return HodgeOperator(k=k, matrix=matrix, convention=convention, n=n,
                          complex_slot_indices=tuple(range(matrix.shape[0])))
 
 
@@ -113,7 +112,7 @@ class TestHodge:
         c = build_clique_complex(empty_graph(4), 2)
         op = hodge_laplacian(c, 1, "restricted")
         assert not op.matrix.any()
-        assert op.support_size == 0
+        assert op.complex_slot_indices == ()
 
     def test_needs_one_dimension_above(self):
         c = build_clique_complex(cycle_graph(4), 1)
@@ -177,6 +176,19 @@ class TestBettiExact:
         c = build_clique_complex(cycle_graph(4), 1)
         with pytest.raises(ValueError):
             betti_exact(c, 1)
+
+    @pytest.mark.parametrize("graph", [complete_graph(3), complete_graph(4), empty_graph(3)])
+    def test_top_dimension(self, graph):
+        # k = n-1 reads no level above itself: level n is empty on every graph
+        k = graph.n - 1
+        c = build_clique_complex(graph, k)
+        assert betti_exact(c, k) == 0
+        op = hodge_laplacian(c, k, "restricted")
+        assert op.dim == 1
+        assert spectral_summary(op).kernel_dim == 1 - c.simplex_count(k)
+        # the one slot holds the full simplex of the graph or of its complement,
+        # whose top Laplacian is d_k^T d_k = n
+        assert hodge_laplacian(c, k, "dual").matrix.tolist() == [[float(graph.n)]]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_fraction_oracle_and_kernel_dim(self, seed):

@@ -14,25 +14,34 @@ from bettiq import (
     block_encode_state_mixture,
     build_clique_complex,
     complement_report,
-    copy_register,
     estimate_betti,
     grover_prep_cost,
     hodge_laplacian,
     hoeffding_sample_count,
-    partial_trace,
-    phase_estimation_unitary,
     phase_zero_probability,
     pipeline_context,
-    prepare_phi,
     reduced_density,
     slot_rank,
     slot_words,
     tensor_block_encoding,
     trace_estimate,
-    zero_phase_weight,
+    zero_phase_columns,
     zero_phase_weights,
 )
-from helpers import complete_graph, cycle_graph, empty_graph, octahedron_graph, path_graph
+from helpers import (
+    complete_graph,
+    copy_register,
+    cycle_graph,
+    empty_graph,
+    octahedron_graph,
+    partial_trace,
+    path_graph,
+    phase_estimation_unitary,
+    prepare_phi,
+    random_graph,
+    validate_density,
+    zero_phase_weight,
+)
 
 IDEAL = PEConfig.ideal()
 
@@ -134,7 +143,7 @@ class TestZeroPhaseWeights:
 
     def test_eigenphase_pi_one_bit_reads_zero_never(self):
         op = HodgeOperator(k=0, matrix=np.diag([0.0, 2.0]), convention="restricted",
-                           support_size=2, n=2, complex_slot_indices=(0, 1))
+                           n=2, complex_slot_indices=(0, 1))
         cfg = PEConfig.bits(t=1, tau=np.pi / 2)
         assert zero_phase_weight(op, cfg, 0b10) == pytest.approx(0.0, abs=1e-15)
         assert zero_phase_weight(op, cfg, 0b01) == 1.0
@@ -168,6 +177,43 @@ class TestZeroPhaseWeights:
             zero_phase_weights(op, PEConfig.bits(t=2, tau=10.0))
 
 
+PE_CONFIGS = [IDEAL, PEConfig.bits(t=1), PEConfig.bits(t=2), PEConfig.bits(t=3), PEConfig.bits()]
+PE_INSTANCES = [
+    pytest.param(cycle_graph(4), 1, id="C4 k=1"),
+    pytest.param(complete_graph(3), 1, id="K3 k=1"),
+    pytest.param(octahedron_graph(), 2, id="octahedron k=2"),
+    pytest.param(random_graph(7, 0.4, seed=3), 1, id="ER(7,0.4,3) k=1"),
+    pytest.param(random_graph(8, 0.5, seed=2), 2, id="ER(8,0.5,2) k=2"),
+]
+
+
+class TestZeroPhaseColumns:
+    @pytest.mark.parametrize("convention", ["restricted", "dual"])
+    @pytest.mark.parametrize("graph,k", PE_INSTANCES)
+    def test_equal_the_unitary_oracle_columns(self, graph, k, convention):
+        op = hodge_laplacian(build_clique_complex(graph, k + 1), k, convention)
+        for cfg in PE_CONFIGS:
+            cols = zero_phase_columns(op, cfg)
+            oracle = phase_estimation_unitary(op, cfg)[:, : op.dim]
+            assert cols.shape == oracle.shape
+            assert np.abs(cols - oracle).max() < 1e-12, cfg
+
+    def test_reduced_density_holds_only_the_read_columns(self):
+        # C = 120, P = 32: the whole unitary would be 3,840^2 complex entries (~236 MB)
+        c = build_clique_complex(random_graph(10, 0.5, seed=1), 3)
+        op = hodge_laplacian(c, 2)
+        op.eig()
+        tracemalloc.start()
+        try:
+            rho = reduced_density(c, 2, op, PEConfig.bits(t=5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (rho.phase_dim, rho.slot_dim) == (32, 120)
+        assert rho.vectors.shape == (32 * 120, 120)
+        assert peak < 32 << 20
+
+
 class TestPhaseEstimationUnitary:
     @pytest.mark.parametrize("cfg", [IDEAL, PEConfig.bits(t=1), PEConfig.bits(t=3)])
     def test_unitarity(self, cfg):
@@ -192,7 +238,7 @@ class TestReducedDensity:
         op = hodge_laplacian(c, 1)
         for cfg in (IDEAL, PEConfig.bits(t=2)):
             rho = reduced_density(c, 1, op, cfg)
-            report = rho.validate()
+            report = validate_density(rho)
             assert report["ok"], report
 
     def test_flagged_zero_phase_expectation(self):
