@@ -23,7 +23,6 @@ from .complexes import (
     slot_words,
 )
 from .homology import (
-    BoundaryMatrix,
     HodgeOperator,
     SpectralSummary,
     betti_exact,

@@ -220,7 +220,7 @@ class PipelineContext:
     def member_mask(self) -> np.ndarray:
         if self._member is None:
             self._member = np.zeros(self.slot_count, dtype=bool)
-            self._member[list(self.op.complex_slot_indices)] = True
+            self._member[list(self.op.block_slots[0])] = True
         return self._member
 
     def beta_pe(self) -> float:
@@ -521,7 +521,7 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
     homology.  Under the restricted convention p1 is identically C - |S_k|;
     under the dual convention it equals the kernel dimension of the
     off-complex block (complement homology plus one per slot lying in neither
-    complex).
+    complex), which is reported from integer ranks, independent of p1.
     """
     if isinstance(source, CliqueComplex):
         graph = source.graph
@@ -544,15 +544,10 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
     comp_complex = complement_complex(graph, top)
     beta_comp = betti_exact(comp_complex, k)
 
-    # kernel dimension of the dual operator's off-complex block, by diagonalization
-    mask = ~ctx_dual.member_mask()
-    sub = ctx_dual.op.matrix[np.ix_(np.nonzero(mask)[0], np.nonzero(mask)[0])]
-    if sub.size:
-        evals = np.linalg.eigvalsh(sub)
-        kernel_dim_block = int((evals < spectral_summary(ctx_dual.op).threshold).sum())
-    else:
-        kernel_dim_block = 0
+    # the dual operator's off-complex kernel by the Hodge theorem: complement
+    # homology plus one zero row per slot in neither complex (none at k = 0)
     neither = comp_slots - comp_complex.simplex_count(k) if k >= 1 else 0
+    kernel_dim_block = beta_comp + neither if k >= 1 else 0
 
     return {
         "n": graph.n,

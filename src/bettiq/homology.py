@@ -1,7 +1,8 @@
 """Boundary operators, combinatorial Hodge Laplacians, and exact Betti numbers.
 
-The Laplacian at dimension k lives on the full slot space of binom(n, k+1)
-potential simplices.  Two conventions fill the slots outside the complex:
+The Laplacian at dimension k acts on the full slot space of binom(n, k+1)
+potential simplices, but it is block-diagonal and is held as its blocks.  Two
+conventions fill the slots outside the complex:
 
 * ``restricted`` - off-complex slots are zero rows/columns, so every one of
   them is a kernel state;
@@ -23,7 +24,6 @@ import numpy as np
 from .complexes import CliqueComplex, complement_complex, slot_rank, vertices_of_word
 
 __all__ = [
-    "BoundaryMatrix",
     "HodgeOperator",
     "SpectralSummary",
     "boundary_matrix",
@@ -45,25 +45,16 @@ DEFAULT_ZERO_TOL = 1e-8
 _BAREISS_INT64_LIMIT = 2_000_000_000
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Signed incidence matrix from k-simplices (columns) to their faces (rows)."""
-
-    k: int
-    matrix: np.ndarray
-    row_words: tuple[int, ...]
-    col_words: tuple[int, ...]
-
-
-def boundary_matrix(complex_: CliqueComplex, k: int) -> BoundaryMatrix:
-    """Boundary operator at dimension k; the face dropping the i-th smallest
-    vertex carries sign (-1)^i.  k=0 yields the empty-row zero map."""
+def boundary_matrix(complex_: CliqueComplex, k: int) -> np.ndarray:
+    """Signed int64 incidence matrix from the k-simplices (columns, in
+    `complex_.words(k)` order) to their faces (rows, in `complex_.words(k-1)`
+    order); the face dropping the i-th smallest vertex carries sign (-1)^i.
+    k=0 yields the empty-row zero map."""
     if not 0 <= k <= complex_.max_dim:
         raise ValueError(f"k={k} out of range (max_dim={complex_.max_dim})")
     cols = complex_.words(k)
     if k == 0:
-        mat = np.zeros((0, len(cols)), dtype=np.int64)
-        return BoundaryMatrix(0, mat, (), cols)
+        return np.zeros((0, len(cols)), dtype=np.int64)
     rows = complex_.words(k - 1)
     row_index = {w: i for i, w in enumerate(rows)}
     mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
@@ -73,7 +64,7 @@ def boundary_matrix(complex_: CliqueComplex, k: int) -> BoundaryMatrix:
             face = word & ~(1 << v)
             mat[row_index[face], j] = sign
             sign = -sign
-    return BoundaryMatrix(k, mat, rows, cols)
+    return mat
 
 
 def _rank_pyint(rows: list[list[int]]) -> int:
@@ -138,25 +129,26 @@ def integer_rank(matrix) -> int:
 
 @dataclass(eq=False)
 class HodgeOperator:
-    """Symmetric PSD operator on the full slot space at dimension k."""
+    """Symmetric PSD operator on the binom(n, k+1) slots at dimension k, held
+    as its diagonal blocks: blocks[i] acts on the slots block_slots[i].  The
+    complex's block comes first, then (dual, k >= 1) the complement complex's;
+    a slot in no block is a zero row."""
 
     k: int
-    matrix: np.ndarray
-    convention: str
     n: int
-    complex_slot_indices: tuple[int, ...]
-    complement_complex_slot_indices: tuple[int, ...] = ()
+    convention: str
+    blocks: tuple[np.ndarray, ...]
+    block_slots: tuple[tuple[int, ...], ...]
     _eig: tuple | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return comb(self.n, self.k + 1)
 
     def eig(self):
-        """Cached eigendecomposition (ascending eigenvalues)."""
+        """Cached eigendecomposition of each block (ascending eigenvalues)."""
         if self._eig is None:
-            evals, evecs = np.linalg.eigh(self.matrix)
-            self._eig = (evals, evecs)
+            self._eig = tuple(np.linalg.eigh(block) for block in self.blocks)
         return self._eig
 
 
@@ -175,10 +167,10 @@ def _check_built(complex_: CliqueComplex, k: int, what: str) -> None:
 def _boundary_pair(complex_: CliqueComplex, k: int) -> tuple[np.ndarray, np.ndarray]:
     """d_k and d_{k+1}; at the top dimension k = n-1, d_n is the zero map
     out of the empty level n."""
-    low = boundary_matrix(complex_, k).matrix
+    low = boundary_matrix(complex_, k)
     if k + 1 == complex_.n:
         return low, np.zeros((low.shape[1], 0), dtype=np.int64)
-    return low, boundary_matrix(complex_, k + 1).matrix
+    return low, boundary_matrix(complex_, k + 1)
 
 
 def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
@@ -189,34 +181,22 @@ def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
 
 
 def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restricted") -> HodgeOperator:
-    """Embed d_k^T d_k + d_{k+1} d_{k+1}^T into the full slot space."""
+    """d_k^T d_k + d_{k+1} d_{k+1}^T on the slot space, as its blocks: the
+    complex's own and, under `dual` at k >= 1, the complement complex's."""
     if convention not in ("restricted", "dual"):
         raise ValueError(f"unknown convention {convention!r}")
     _check_built(complex_, k, f"the dimension-{k} Laplacian")
-    n = complex_.n
-    slots = comb(n, k + 1)
-    full = np.zeros((slots, slots))
-    idx = tuple(slot_rank(w) for w in complex_.words(k))
-    if idx:
-        full[np.ix_(idx, idx)] = _laplacian_block(complex_, k)
-
-    comp_idx: tuple[int, ...] = ()
+    blocks = [_laplacian_block(complex_, k)]
+    slots = [tuple(slot_rank(w) for w in complex_.words(k))]
     if convention == "dual" and k >= 1:
-        comp = complement_complex(complex_.graph, _needed_dim(n, k))
-        comp_idx = tuple(slot_rank(w) for w in comp.words(k))
-        if set(comp_idx) & set(idx):
+        comp = complement_complex(complex_.graph, _needed_dim(complex_.n, k))
+        comp_slots = tuple(slot_rank(w) for w in comp.words(k))
+        if set(comp_slots) & set(slots[0]):
             raise AssertionError("complement-complex simplices collide with the complex")
-        if comp_idx:
-            full[np.ix_(comp_idx, comp_idx)] = _laplacian_block(comp, k)
-
-    return HodgeOperator(
-        k=k,
-        matrix=full,
-        convention=convention,
-        n=n,
-        complex_slot_indices=idx,
-        complement_complex_slot_indices=comp_idx,
-    )
+        blocks.append(_laplacian_block(comp, k))
+        slots.append(comp_slots)
+    return HodgeOperator(k=k, n=complex_.n, convention=convention,
+                         blocks=tuple(blocks), block_slots=tuple(slots))
 
 
 def betti_exact(complex_: CliqueComplex, k: int) -> int:
@@ -233,13 +213,16 @@ def betti_exact(complex_: CliqueComplex, k: int) -> int:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Spectrum digest; kappa = lambda_max / lambda_min_nonzero over the
+    """Spectrum digest over all slots (ascending `eigenvalues`, one zero per
+    slot in no block); kappa = lambda_max / lambda_min_nonzero over the
     nonzero spectrum (an interpretation - the source ratio is not pinned to a
     norm), None when the spectrum is all zero.  `threshold` is the zero cut
-    kernel_dim was counted at."""
+    kernel_dim was counted at; block_kernel_dims[i] is the kernel of block i,
+    the first that many of its eigenpairs."""
 
     eigenvalues: np.ndarray
     kernel_dim: int
+    block_kernel_dims: tuple[int, ...]
     threshold: float
     lambda_min_nonzero: float | None
     lambda_max: float
@@ -248,16 +231,18 @@ class SpectralSummary:
 
 def spectral_summary(op: HodgeOperator) -> SpectralSummary:
     """The pipeline's one kernel decision: eigenvalues below
-    DEFAULT_ZERO_TOL * max(lambda_max, 1) count as zero.  eigh sorts them
-    ascending, so the kernel is a prefix of the spectrum."""
-    evals, _ = op.eig()
-    lam_max = float(evals[-1]) if evals.size else 0.0
+    DEFAULT_ZERO_TOL * max(lambda_max, 1) count as zero.  eigh sorts each
+    block's eigenvalues ascending, so a block's kernel is a prefix of them."""
+    block_evals = [evals for evals, _ in op.eig()]
+    uncovered = op.dim - sum(e.size for e in block_evals)
+    evals = np.sort(np.concatenate([np.zeros(uncovered), *block_evals]))
+    lam_max = float(evals[-1])
     thresh = DEFAULT_ZERO_TOL * max(lam_max, 1.0)
-    kernel_dim = int((evals < thresh).sum())
-    if kernel_dim == evals.size:
-        return SpectralSummary(evals, kernel_dim, thresh, None, lam_max, None)
-    lam_min = float(evals[kernel_dim])
-    return SpectralSummary(evals, kernel_dim, thresh, lam_min, lam_max, lam_max / lam_min)
+    block_kernel_dims = tuple(int((e < thresh).sum()) for e in block_evals)
+    kernel_dim = uncovered + sum(block_kernel_dims)
+    lam_min = float(evals[kernel_dim]) if kernel_dim < evals.size else None
+    kappa = None if lam_min is None else lam_max / lam_min
+    return SpectralSummary(evals, kernel_dim, block_kernel_dims, thresh, lam_min, lam_max, kappa)
 
 
 def euler_check(complex_: CliqueComplex) -> tuple[bool, dict]:
@@ -269,7 +254,7 @@ def euler_check(complex_: CliqueComplex) -> tuple[bool, dict]:
     counts = complex_.counts
     ranks = [0] * (complex_.max_dim + 2)
     for k in range(1, complex_.max_dim + 1):
-        ranks[k] = integer_rank(boundary_matrix(complex_, k).matrix)
+        ranks[k] = integer_rank(boundary_matrix(complex_, k))
     bettis = [counts[k] - ranks[k] - ranks[k + 1] for k in range(complex_.max_dim + 1)]
     chi_counts = sum((-1) ** k * c for k, c in enumerate(counts))
     chi_betti = sum((-1) ** k * b for k, b in enumerate(bettis))

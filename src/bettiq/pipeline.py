@@ -53,6 +53,10 @@ DENSE_DIM_CAP = 4608
 # Bytes of zero-ancilla input columns pushed through a factored encoding at once.
 BLOCK_CHUNK_BYTES = 1 << 26
 
+# A log2(kappa) this close to an integer is that integer, so the automatic
+# register size does not follow the last-bit rounding of eigh.
+_LOG2_KAPPA_SNAP = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # phase estimation configuration
@@ -63,8 +67,8 @@ class _ResolvedPE:
     mode: str
     t: int
     phase_dim: int
-    kernel_dim: int
-    phases: np.ndarray  # tau * lambda per eigenvalue, the kernel pinned to phase 0
+    kernel_dims: tuple[int, ...]  # per operator block, as spectral_summary splits it
+    phases: tuple[np.ndarray, ...]  # tau * lambda per block eigenvalue, the kernel pinned to 0
 
 
 @dataclass(frozen=True)
@@ -73,13 +77,12 @@ class PEConfig:
 
     mode "ideal": a single flag bit marks kernel vs non-kernel components
     exactly.  mode "bits": a t-bit register with the standard readout
-    statistics; tau rescales eigenvalues into [0, 2*pi) eigenphases.
-    Unset t and tau are resolved against the operator's spectrum.
+    statistics on the eigenphases tau * lambda, tau = pi / lambda_max.  An
+    unset t is resolved against the operator's spectrum.
     """
 
     mode: str = "ideal"
     t: int | None = None
-    tau: float | None = None
 
     def __post_init__(self):
         if self.mode not in ("ideal", "bits"):
@@ -92,31 +95,26 @@ class PEConfig:
         return cls(mode="ideal")
 
     @classmethod
-    def bits(cls, t: int | None = None, tau: float | None = None) -> "PEConfig":
-        return cls(mode="bits", t=t, tau=tau)
+    def bits(cls, t: int | None = None) -> "PEConfig":
+        return cls(mode="bits", t=t)
 
     def resolve(self, op: HodgeOperator) -> _ResolvedPE:
         summary = spectral_summary(op)
-        lam_max = summary.lambda_max
-        if self.tau is not None:
-            tau = float(self.tau)
-        elif summary.lambda_min_nonzero is None:
-            tau = 1.0
-        else:
-            tau = np.pi / lam_max
-        if tau * lam_max >= 2 * np.pi:
-            raise ValueError(f"tau*lambda_max = {tau * lam_max:.6g} must stay below 2*pi")
-        phases = tau * summary.eigenvalues
-        phases[: summary.kernel_dim] = 0.0
+        tau = 1.0 if summary.kappa is None else np.pi / summary.lambda_max
+        phases = []
+        for (evals, _), kernel_dim in zip(op.eig(), summary.block_kernel_dims):
+            block = tau * evals
+            block[:kernel_dim] = 0.0
+            phases.append(block)
         if self.mode == "ideal":
-            return _ResolvedPE("ideal", 1, 2, summary.kernel_dim, phases)
+            return _ResolvedPE("ideal", 1, 2, summary.block_kernel_dims, tuple(phases))
         if self.t is not None:
             t = self.t
         elif summary.kappa is None:
             t = 1
         else:
-            t = ceil(np.log2(summary.kappa)) + 2
-        return _ResolvedPE("bits", t, 2**t, summary.kernel_dim, phases)
+            t = ceil(np.log2(summary.kappa) - _LOG2_KAPPA_SNAP) + 2
+        return _ResolvedPE("bits", t, 2**t, summary.block_kernel_dims, tuple(phases))
 
 
 def phase_zero_probability(phi, t: int):
@@ -137,22 +135,28 @@ def zero_phase_columns(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
     """The phase-estimation unitary's columns for input |0>_phase |s>, as a
     (P*C, C) array with rows ordered (phase, slot).
 
-    Column s is sum_j r[:, j] x v_j v_j[s] over the eigenpairs (lambda_j, v_j).
-    The phase amplitudes r[:, j] are the kernel indicator and its complement in
-    ideal mode, and QFT^dagger e^{i m phi_j} / sqrt(P) for a t-bit register (the
-    Hadamard layer maps |0> to the uniform state)."""
+    Column s is sum_j r[:, j] x v_j v_j[s] over the eigenpairs (lambda_j, v_j)
+    of the slot's block, and |0>_phase |s> for a slot in no block (a kernel
+    state).  The phase amplitudes r[:, j] are the kernel indicator and its
+    complement in ideal mode, and QFT^dagger e^{i m phi_j} / sqrt(P) for a
+    t-bit register (the Hadamard layer maps |0> to the uniform state)."""
     res = cfg.resolve(op)
-    _, evecs = op.eig()
-    if res.mode == "ideal":
-        kernel = np.arange(res.phases.size) < res.kernel_dim
-        r = np.stack([kernel, ~kernel]).astype(float)
-    else:
-        big = res.phase_dim
-        m = np.arange(big)
-        qft_dag = np.exp(-2j * np.pi * np.outer(m, m) / big) / sqrt(big)
-        r = qft_dag @ np.exp(1j * np.outer(m, res.phases)) / sqrt(big)
-    cols = (r[:, None, :] * evecs) @ evecs.T  # [a, c, s] = sum_j r[a, j] v_j[c] v_j[s]
-    return cols.reshape(-1, op.dim)
+    big, c_total = res.phase_dim, op.dim
+    m = np.arange(big)
+    qft_dag = np.exp(-2j * np.pi * np.outer(m, m) / big) / sqrt(big)
+    cols = np.zeros((big, c_total, c_total), dtype=float if res.mode == "ideal" else complex)
+    cols[0, np.arange(c_total), np.arange(c_total)] = 1.0
+    for slots, (_, evecs), kernel_dim, phases in zip(op.block_slots, op.eig(),
+                                                     res.kernel_dims, res.phases):
+        if res.mode == "ideal":
+            kernel = np.arange(phases.size) < kernel_dim
+            r = np.stack([kernel, ~kernel]).astype(float)
+        else:
+            r = qft_dag @ np.exp(1j * np.outer(m, phases)) / sqrt(big)
+        idx = np.array(slots, dtype=np.intp)
+        # [a, c, s] = sum_j r[a, j] v_j[c] v_j[s]
+        cols[:, idx[:, None], idx] = (r[:, None, :] * evecs) @ evecs.T
+    return cols.reshape(-1, c_total)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +211,7 @@ def reduced_density(complex_: CliqueComplex, k: int, op: HodgeOperator, cfg: PEC
     c_total = op.dim
     phase_dim = vectors.shape[0] // c_total
     flags = np.zeros(c_total, dtype=np.int64)
-    flags[list(op.complex_slot_indices)] = 1
+    flags[list(op.block_slots[0])] = 1
     return DensityOperator(phase_dim=phase_dim, slot_dim=c_total, vectors=vectors, flags=flags)
 
 
@@ -216,15 +220,18 @@ def reduced_density(complex_: CliqueComplex, k: int, op: HodgeOperator, cfg: PEC
 
 
 def zero_phase_weights(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
-    """Per-slot probability of the all-zeros phase outcome on input |s>."""
+    """Per-slot probability of the all-zeros phase outcome on input |s>; a slot
+    in no operator block is a kernel state and reads it with certainty."""
     res = cfg.resolve(op)
-    _, evecs = op.eig()
-    if res.mode == "ideal":
-        weights = np.zeros(res.phases.size)
-        weights[: res.kernel_dim] = 1.0
-    else:
-        weights = phase_zero_probability(res.phases, res.t)
-    return (evecs * evecs) @ weights
+    weights = np.ones(op.dim)
+    for slots, (_, evecs), kernel_dim, phases in zip(op.block_slots, op.eig(),
+                                                     res.kernel_dims, res.phases):
+        if res.mode == "ideal":
+            block = (np.arange(phases.size) < kernel_dim).astype(float)
+        else:
+            block = phase_zero_probability(phases, res.t)
+        weights[list(slots)] = (evecs * evecs) @ block
+    return weights
 
 
 # ---------------------------------------------------------------------------

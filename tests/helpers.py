@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's own code paths: cliques are
 found by exhaustive subset enumeration, ranks by Gaussian elimination over
 exact fractions.  The small-size pipeline oracles below build what the
-library only ever reads in part: the whole phase-estimation unitary, the
-flag-tagged state with its copy register, and the explicit density matrix.
+library only ever reads in part: the dense C x C Hodge operator, the whole
+phase-estimation unitary, the flag-tagged state with its copy register, and
+the explicit density matrix.
 """
 
 import itertools
@@ -20,6 +21,7 @@ from bettiq import (
     HodgeOperator,
     PEConfig,
     VertexGraph,
+    phase_zero_probability,
     spectral_summary,
     zero_phase_weights,
 )
@@ -112,8 +114,8 @@ def betti_by_fraction_ranks(complex_, k: int) -> int:
     """Betti number from the boundary matrices via the Fraction-rank oracle."""
     from bettiq import boundary_matrix
 
-    low = boundary_matrix(complex_, k).matrix
-    up = boundary_matrix(complex_, k + 1).matrix
+    low = boundary_matrix(complex_, k)
+    up = boundary_matrix(complex_, k + 1)
     return complex_.simplex_count(k) - fraction_rank(low) - fraction_rank(up)
 
 
@@ -175,31 +177,57 @@ def membership(complex_: CliqueComplex, s: SimplexWord) -> int:
 # spectral and phase-estimation oracles
 
 
+def dense_operator(op: HodgeOperator) -> np.ndarray:
+    """The operator as a dense C x C matrix: its blocks embedded at their slots."""
+    full = np.zeros((op.dim, op.dim))
+    for block, slots in zip(op.blocks, op.block_slots):
+        if slots:
+            full[np.ix_(slots, slots)] = block
+    return full
+
+
+def dense_spectrum(op: HodgeOperator):
+    """Eigenpairs of the dense operator, its kernel mask at the library's
+    threshold, and the eigenphases pi * lambda / lambda_max (kernel at 0)."""
+    summary = spectral_summary(op)
+    evals, evecs = np.linalg.eigh(dense_operator(op))
+    kernel = evals < summary.threshold
+    tau = 1.0 if summary.kappa is None else np.pi / summary.lambda_max
+    return evals, evecs, kernel, np.where(kernel, 0.0, tau * evals)
+
+
 def kernel_projector(op: HodgeOperator) -> np.ndarray:
     """Orthogonal projector onto the near-zero eigenspace."""
-    _, evecs = op.eig()
-    kernel = evecs[:, : spectral_summary(op).kernel_dim]
-    return kernel @ kernel.T
+    _, evecs, kernel, _ = dense_spectrum(op)
+    return evecs[:, kernel] @ evecs[:, kernel].T
+
+
+def dense_zero_phase_weights(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
+    """Per-slot zero-phase weights from the dense operator's eigenpairs."""
+    res = cfg.resolve(op)
+    _, evecs, kernel, phases = dense_spectrum(op)
+    weights = kernel.astype(float) if res.mode == "ideal" else phase_zero_probability(phases, res.t)
+    return (evecs * evecs) @ weights
 
 
 def phase_estimation_unitary(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
     """Explicit phase-estimation unitary on (phase register) x (slot space).
 
     bits mode composes (inverse QFT x I) . controlled-powers . (H^t x I) in the
-    operator's eigenbasis; ideal mode writes the kernel indicator to one bit.
+    dense operator's eigenbasis; ideal mode writes the kernel indicator to one
+    bit.
     """
     res = cfg.resolve(op)
-    _, evecs = op.eig()
+    _, evecs, kernel, phases = dense_spectrum(op)
     dim = op.dim
     if res.mode == "ideal":
-        kernel = evecs[:, : res.kernel_dim]
-        proj = kernel @ kernel.T
+        proj = evecs[:, kernel] @ evecs[:, kernel].T
         rest = np.eye(dim) - proj
         return np.block([[proj, rest], [rest, proj]]).astype(complex)
 
     big = res.phase_dim
     m = np.arange(big)
-    expo = np.exp(1j * np.outer(m, res.phases))  # (P, J): controlled powers in eigenbasis
+    expo = np.exp(1j * np.outer(m, phases))  # (P, J): controlled powers in eigenbasis
     qft_dag = np.exp(-2j * np.pi * np.outer(m, m) / big) / sqrt(big)
     had = _hadamard_power(res.t)
     # R_j = QFT^dagger . diag(e^{i m phi_j}) . H^{x t}, assembled per eigenvalue

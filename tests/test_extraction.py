@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,6 +273,20 @@ class TestEstimateBetti:
         est = estimate_betti(cycle_graph(4), 1)
         recon = est.system.a @ np.array(est.system.x)
         assert np.allclose(recon, est.system.y, atol=1e-12)
+
+    @pytest.mark.parametrize("convention", ["restricted", "dual"])
+    def test_memory_stays_below_the_slot_square(self, convention):
+        # C = binom(28, 3) = 3,276: a dense C x C float64 operator alone is 82 MiB
+        graph = random_graph(28, 0.4, seed=1)
+        tracemalloc.start()
+        try:
+            est = estimate_betti(graph, 2, convention=convention)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.slot_count == 3276
+        assert est.beta_rounded == est.beta_oracle
+        assert peak < 32 << 20
 
 
 class TestEstimateNormalized:

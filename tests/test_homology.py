@@ -20,6 +20,8 @@ from helpers import (
     betti_by_fraction_ranks,
     complete_graph,
     cycle_graph,
+    dense_operator,
+    dense_zero_phase_weights,
     empty_graph,
     fraction_rank,
     kernel_projector,
@@ -31,24 +33,26 @@ from helpers import (
 )
 
 
-def manual_operator(matrix, k=0, n=2, convention="restricted"):
+def manual_operator(matrix):
+    """A vertex-level (k=0) operator whose one block covers every slot."""
     matrix = np.asarray(matrix, dtype=float)
-    return HodgeOperator(k=k, matrix=matrix, convention=convention, n=n,
-                         complex_slot_indices=tuple(range(matrix.shape[0])))
+    dim = matrix.shape[0]
+    return HodgeOperator(k=0, n=dim, convention="restricted", blocks=(matrix,),
+                         block_slots=(tuple(range(dim)),))
 
 
 class TestBoundary:
     def test_sign_rule_k3_edge01(self):
         c = build_clique_complex(complete_graph(3), 2)
         b = boundary_matrix(c, 1)
-        j = b.col_words.index(0b011)  # edge {0,1}
-        assert b.matrix[b.row_words.index(0b010), j] == 1  # drop vertex 0 -> face {1}, sign +
-        assert b.matrix[b.row_words.index(0b001), j] == -1  # drop vertex 1 -> face {0}, sign -
+        j = c.words(1).index(0b011)  # edge {0,1}
+        assert b[c.words(0).index(0b010), j] == 1  # drop vertex 0 -> face {1}, sign +
+        assert b[c.words(0).index(0b001), j] == -1  # drop vertex 1 -> face {0}, sign -
 
     def test_column_support(self):
         c = build_clique_complex(octahedron_graph(), 3)
         for k in (1, 2):
-            b = boundary_matrix(c, k).matrix
+            b = boundary_matrix(c, k)
             assert (np.abs(b).sum(axis=0) == k + 1).all()
 
     @pytest.mark.parametrize("graph,max_dim", [
@@ -60,17 +64,17 @@ class TestBoundary:
     def test_dd_is_zero(self, graph, max_dim):
         c = build_clique_complex(graph, max_dim)
         for k in range(1, max_dim):
-            low = boundary_matrix(c, k).matrix
-            up = boundary_matrix(c, k + 1).matrix
+            low = boundary_matrix(c, k)
+            up = boundary_matrix(c, k + 1)
             assert not (low @ up).any()
 
     def test_k0_is_empty_rows(self):
         c = build_clique_complex(cycle_graph(4), 1)
-        assert boundary_matrix(c, 0).matrix.shape == (0, 4)
+        assert boundary_matrix(c, 0).shape == (0, 4)
 
     def test_c4_rank(self):
         c = build_clique_complex(cycle_graph(4), 1)
-        assert integer_rank(boundary_matrix(c, 1).matrix) == 3
+        assert integer_rank(boundary_matrix(c, 1)) == 3
 
 
 class TestIntegerRank:
@@ -96,23 +100,24 @@ class TestHodge:
     def test_c4_restricted_block_spectrum(self):
         c = build_clique_complex(cycle_graph(4), 2)
         op = hodge_laplacian(c, 1, "restricted")
-        idx = list(op.complex_slot_indices)
-        block = op.matrix[np.ix_(idx, idx)]
+        full = dense_operator(op)
+        idx = list(op.block_slots[0])
+        block = full[np.ix_(idx, idx)]
         assert np.allclose(np.sort(np.linalg.eigvalsh(block)), [0, 2, 2, 4], atol=1e-9)
         comp = [i for i in range(op.dim) if i not in idx]
-        assert not op.matrix[comp, :].any()
-        assert not op.matrix[:, comp].any()
+        assert not full[comp, :].any()
+        assert not full[:, comp].any()
 
     def test_k3_vertex_laplacian(self):
         c = build_clique_complex(complete_graph(3), 1)
         op = hodge_laplacian(c, 0)
-        assert np.allclose(np.sort(np.linalg.eigvalsh(op.matrix)), [0, 3, 3], atol=1e-9)
+        assert np.allclose(np.sort(np.linalg.eigvalsh(dense_operator(op))), [0, 3, 3], atol=1e-9)
 
     def test_empty_level_is_zero_matrix(self):
         c = build_clique_complex(empty_graph(4), 2)
         op = hodge_laplacian(c, 1, "restricted")
-        assert not op.matrix.any()
-        assert op.complex_slot_indices == ()
+        assert not dense_operator(op).any()
+        assert op.block_slots[0] == ()
 
     def test_needs_one_dimension_above(self):
         c = build_clique_complex(cycle_graph(4), 1)
@@ -130,25 +135,26 @@ class TestHodge:
         for k in (0, 1, 2):
             for convention in ("restricted", "dual"):
                 op = hodge_laplacian(c, k, convention)
-                assert np.linalg.eigvalsh(op.matrix).min() >= -1e-10
+                assert np.linalg.eigvalsh(dense_operator(op)).min() >= -1e-10
 
     def test_dual_blocks(self):
         c = build_clique_complex(cycle_graph(4), 2)
         op = hodge_laplacian(c, 1, "dual")
+        full = dense_operator(op)
         comp = complement_complex(cycle_graph(4), 2)
         comp_idx = [slot_rank(w) for w in comp.words(1)]
         # off-diagonal coupling between complex and complement blocks must vanish
-        for i in op.complex_slot_indices:
+        for i in op.block_slots[0]:
             for j in comp_idx:
-                assert op.matrix[i, j] == 0
+                assert full[i, j] == 0
         # complement block = edge Laplacian of two disjoint edges = 2 I
-        sub = op.matrix[np.ix_(comp_idx, comp_idx)]
+        sub = full[np.ix_(comp_idx, comp_idx)]
         assert np.allclose(sub, 2 * np.eye(2))
 
     def test_dual_equals_restricted_at_k0(self):
         c = build_clique_complex(random_graph(6, 0.5, seed=5), 1)
-        a = hodge_laplacian(c, 0, "restricted").matrix
-        b = hodge_laplacian(c, 0, "dual").matrix
+        a = dense_operator(hodge_laplacian(c, 0, "restricted"))
+        b = dense_operator(hodge_laplacian(c, 0, "dual"))
         assert np.array_equal(a, b)
 
 
@@ -188,7 +194,7 @@ class TestBettiExact:
         assert spectral_summary(op).kernel_dim == 1 - c.simplex_count(k)
         # the one slot holds the full simplex of the graph or of its complement,
         # whose top Laplacian is d_k^T d_k = n
-        assert hodge_laplacian(c, k, "dual").matrix.tolist() == [[float(graph.n)]]
+        assert dense_operator(hodge_laplacian(c, k, "dual")).tolist() == [[float(graph.n)]]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_fraction_oracle_and_kernel_dim(self, seed):
@@ -198,9 +204,9 @@ class TestBettiExact:
             beta = betti_exact(c, k)
             assert beta == betti_by_fraction_ranks(c, k)
             op = hodge_laplacian(c, k, "restricted")
-            idx = list(op.complex_slot_indices)
+            idx = list(op.block_slots[0])
             if idx:
-                block = op.matrix[np.ix_(idx, idx)]
+                block = dense_operator(op)[np.ix_(idx, idx)]
                 evals = np.linalg.eigvalsh(block)
                 assert beta == int((evals < spectral_summary(op).threshold).sum())
             else:
@@ -213,9 +219,9 @@ class TestBettiExact:
         for k in (1, 2):
             op = hodge_laplacian(c, k, "dual")
             comp = complement_complex(g, k + 1)
-            comp_idx = list(op.complement_complex_slot_indices)
+            comp_idx = list(op.block_slots[1])
             if comp_idx:
-                sub = op.matrix[np.ix_(comp_idx, comp_idx)]
+                sub = dense_operator(op)[np.ix_(comp_idx, comp_idx)]
                 evals = np.linalg.eigvalsh(sub)
                 kernel = int((evals < spectral_summary(op).threshold).sum())
             else:
@@ -228,7 +234,7 @@ class TestKernelProjector:
         c = build_clique_complex(cycle_graph(4), 2)
         op = hodge_laplacian(c, 1)
         proj = kernel_projector(op)
-        idx = list(op.complex_slot_indices)
+        idx = list(op.block_slots[0])
         comp = [i for i in range(op.dim) if i not in idx]
         assert abs(np.trace(proj[np.ix_(idx, idx)]) - 1.0) < 1e-10
         assert abs(np.trace(proj[np.ix_(comp, comp)]) - 2.0) < 1e-10
@@ -281,6 +287,34 @@ class TestKernelDecision:
         assert kernel_dim == betti_exact(c, k) + op.dim - c.simplex_count(k)
         assert np.trace(kernel_projector(op)) == pytest.approx(kernel_dim, abs=1e-9)
         assert zero_phase_weights(op, PEConfig.ideal()).sum() == pytest.approx(kernel_dim, abs=1e-9)
+
+
+class TestBlockOperator:
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(graph=small_graphs(max_n=9))
+    def test_blocks_agree_with_the_dense_operator_and_the_oracle(self, graph):
+        c = build_clique_complex(graph, graph.n - 1)
+        comp = complement_complex(graph, graph.n - 1)
+        assert euler_check(c)[0]
+        for k in range(graph.n):
+            s_count = c.simplex_count(k)
+            if s_count == 0:
+                continue
+            beta = betti_exact(c, k)
+            ops = {conv: hodge_laplacian(c, k, conv) for conv in ("restricted", "dual")}
+            for op in ops.values():
+                for cfg in (PEConfig.ideal(), PEConfig.bits(t=1), PEConfig.bits(t=2),
+                            PEConfig.bits(t=3)):
+                    diff = zero_phase_weights(op, cfg) - dense_zero_phase_weights(op, cfg)
+                    assert np.abs(diff).max() < 1e-12, (k, op.convention, cfg)
+            c_total = ops["restricted"].dim
+            assert spectral_summary(ops["restricted"]).kernel_dim == beta + c_total - s_count
+            if k == 0:
+                assert np.array_equal(dense_operator(ops["dual"]), dense_operator(ops["restricted"]))
+            else:
+                neither = c_total - s_count - comp.simplex_count(k)
+                assert (spectral_summary(ops["dual"]).kernel_dim
+                        == beta + betti_exact(comp, k) + neither)
 
 
 class TestEuler:

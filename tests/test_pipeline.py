@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from bettiq import (
     HodgeOperator,
     PEConfig,
     TraceEstimate,
+    VertexGraph,
     block_encode_density,
     block_encode_hermitian,
     block_encode_projector,
@@ -142,9 +144,9 @@ class TestZeroPhaseWeights:
             assert zero_phase_weight(op, cfg, diag_word) == 1.0
 
     def test_eigenphase_pi_one_bit_reads_zero_never(self):
-        op = HodgeOperator(k=0, matrix=np.diag([0.0, 2.0]), convention="restricted",
-                           n=2, complex_slot_indices=(0, 1))
-        cfg = PEConfig.bits(t=1, tau=np.pi / 2)
+        op = HodgeOperator(k=0, n=2, convention="restricted", blocks=(np.diag([0.0, 2.0]),),
+                           block_slots=((0, 1),))
+        cfg = PEConfig.bits(t=1)  # the automatic tau = pi / lambda_max sends 2 to phase pi
         assert zero_phase_weight(op, cfg, 0b10) == pytest.approx(0.0, abs=1e-15)
         assert zero_phase_weight(op, cfg, 0b01) == 1.0
 
@@ -171,10 +173,15 @@ class TestZeroPhaseWeights:
             direct = float((np.abs(col[:c_total]) ** 2).sum())  # phase register reads 0
             assert direct == pytest.approx(weights[s], abs=1e-12)
 
-    def test_tau_too_large_rejected(self):
-        op = hodge_laplacian(c4_complex(), 1)
-        with pytest.raises(ValueError):
-            zero_phase_weights(op, PEConfig.bits(t=2, tau=10.0))
+    def test_auto_t_ignores_eigh_rounding_of_kappa(self):
+        # kappa = 4 exactly at k=1; eigh reads it as 4 or 4 + 4e-15 by vertex labelling
+        edges = [(0, 1), (1, 3), (1, 4), (2, 5), (3, 4)]
+        resolved = set()
+        for perm in itertools.permutations(range(6)):
+            g = VertexGraph.from_edges(6, [(perm[u], perm[v]) for u, v in edges])
+            op = hodge_laplacian(build_clique_complex(g, 2), 1)
+            resolved.add(PEConfig.bits().resolve(op).t)
+        assert resolved == {4}
 
 
 PE_CONFIGS = [IDEAL, PEConfig.bits(t=1), PEConfig.bits(t=2), PEConfig.bits(t=3), PEConfig.bits()]
