@@ -21,7 +21,6 @@ __all__ = [
     "VertexGraph",
     "CliqueComplex",
     "InstanceSpec",
-    "vertices_of_word",
     "slot_rank",
     "slot_words",
     "build_clique_complex",
@@ -34,17 +33,6 @@ __all__ = [
 ]
 
 GENERATOR_MODELS = ("erdos-renyi", "cycle", "complete", "octahedron", "annulus-cloud")
-
-
-def vertices_of_word(word: int) -> list[int]:
-    out = []
-    v = 0
-    while word:
-        if word & 1:
-            out.append(v)
-        word >>= 1
-        v += 1
-    return out
 
 
 def slot_rank(word: int) -> int:

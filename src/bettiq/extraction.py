@@ -66,6 +66,10 @@ __all__ = [
 CONDITION_WARN_THRESHOLD = 1e8
 MAX_REFINEMENTS = 4  # halvings of beta_lower a refining sampled estimate may take
 
+# A raw estimate this close to a half-integer is that half-integer, so the
+# rounded Betti number does not follow the last-bit rounding of the solve.
+_HALF_INTEGER_SNAP = 1e-9
+
 
 class SingularSystemError(RuntimeError):
     """The 2x2 extraction system cannot be solved reliably."""
@@ -333,7 +337,11 @@ class BettiEstimate:
 
 
 def _round_beta(beta_raw: float) -> int:
-    return int(np.floor(max(beta_raw, 0.0) + 0.5))
+    x = max(beta_raw, 0.0)
+    half = np.floor(x) + 0.5
+    if abs(x - half) < _HALF_INTEGER_SNAP:
+        x = half
+    return int(np.floor(x + 0.5))
 
 
 def _enter(source, k: int, convention: str, pe: PEConfig | None, mode: str, confidence: float,

@@ -10,18 +10,19 @@ conventions fill the slots outside the complex:
   carry that complex's own Laplacian block (slots in neither complex stay
   zero).  At k=0 there are no off-complex slots and both conventions agree.
 
-Betti numbers are computed by exact integer rank (fraction-free elimination),
+Betti numbers are computed by exact rank over the rationals (sparse column
+reduction on Python ints, the columns read straight from the simplex words),
 independent of any floating-point spectral path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
-from .complexes import CliqueComplex, complement_complex, slot_rank, vertices_of_word
+from .complexes import CliqueComplex, complement_complex, slot_rank
 
 __all__ = [
     "HodgeOperator",
@@ -40,91 +41,90 @@ __all__ = [
 # floating error.
 DEFAULT_ZERO_TOL = 1e-8
 
-# Bareiss intermediate entries are minors of the input; fall back to Python
-# ints before int64 products can overflow.
-_BAREISS_INT64_LIMIT = 2_000_000_000
+
+def _boundary_faces(word: int) -> dict[int, int]:
+    """{face: sign} over the faces of a simplex word: the face dropping the
+    i-th smallest vertex carries sign (-1)^i."""
+    faces = {}
+    sign = 1
+    rest = word
+    while rest:
+        low = rest & -rest
+        faces[word ^ low] = sign
+        sign = -sign
+        rest ^= low
+    return faces
 
 
 def boundary_matrix(complex_: CliqueComplex, k: int) -> np.ndarray:
     """Signed int64 incidence matrix from the k-simplices (columns, in
     `complex_.words(k)` order) to their faces (rows, in `complex_.words(k-1)`
-    order); the face dropping the i-th smallest vertex carries sign (-1)^i.
-    k=0 yields the empty-row zero map."""
+    order), signed as in `_boundary_faces`.  k=0 yields the empty-row zero map."""
     if not 0 <= k <= complex_.max_dim:
         raise ValueError(f"k={k} out of range (max_dim={complex_.max_dim})")
     cols = complex_.words(k)
     if k == 0:
         return np.zeros((0, len(cols)), dtype=np.int64)
-    rows = complex_.words(k - 1)
-    row_index = {w: i for i, w in enumerate(rows)}
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    row_index = {w: i for i, w in enumerate(complex_.words(k - 1))}
+    mat = np.zeros((len(row_index), len(cols)), dtype=np.int64)
     for j, word in enumerate(cols):
-        sign = 1
-        for v in vertices_of_word(word):
-            face = word & ~(1 << v)
+        for face, sign in _boundary_faces(word).items():
             mat[row_index[face], j] = sign
-            sign = -sign
     return mat
 
 
-def _rank_pyint(rows: list[list[int]]) -> int:
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    rank = 0
-    prev = 1
-    for c in range(n):
-        pivot_row = next((i for i in range(rank, m) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        piv = rows[rank][c]
-        for i in range(rank + 1, m):
-            fac = rows[i][c]
-            if fac == 0 and prev == 1:
-                continue
-            ri, rr = rows[i], rows[rank]
-            rows[i] = [(piv * ri[j] - fac * rr[j]) // prev for j in range(n)]
-        prev = piv
-        rank += 1
-        if rank == m:
-            break
-    return rank
+def _reduce(columns) -> dict:
+    """Column reduction over Q of sparse integer columns ({row: nonzero int}),
+    returning {pivot row: reduced column}, one per unit of rank.  A column is
+    reduced on its largest row, against the earlier column p whose largest row
+    it is, by c <- (a/g) c - (b/g) p (a = p[row], b = c[row], g = gcd(a, b)) and
+    divided by the gcd of its entries, until it is zero or that row is new."""
+    pivots: dict = {}
+    for col in columns:
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = col
+                break
+            a, b = piv[low], col[low]
+            g = gcd(a, b) if a > 0 else -gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                col = {r: a * v for r, v in col.items()}
+            for r, v in piv.items():
+                x = col.get(r, 0) - b * v
+                if x:
+                    col[r] = x
+                else:
+                    del col[r]
+            g = gcd(*col.values())
+            if g > 1:
+                col = {r: v // g for r, v in col.items()}
+    return pivots
 
 
 def integer_rank(matrix) -> int:
-    """Exact rank of an integer matrix over the rationals.
-
-    Fraction-free (Bareiss) elimination on int64, with an automatic pure
-    Python big-int fallback if intermediate minors grow too large.
-    """
-    a = np.array(matrix, dtype=np.int64, copy=True)
+    """Exact rank over the rationals of a 2-d matrix of integer-valued entries
+    (Python ints of any size or a numpy integer array), by sparse column
+    reduction; a non-integral entry raises ValueError."""
+    a = np.asarray(matrix, dtype=object)  # ints beyond int64 are not cast to float
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
-    m, n = a.shape
-    if m == 0 or n == 0:
-        return 0
-    rank = 0
-    prev = np.int64(1)
-    for c in range(n):
-        col = a[rank:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        pr = rank + int(nz[0])
-        if pr != rank:
-            a[[rank, pr]] = a[[pr, rank]]
-        piv = a[rank, c]
-        if rank + 1 < m:
-            block = a[rank + 1 :]
-            if max(abs(int(piv)), int(np.abs(block).max(initial=0)),
-                   int(np.abs(a[rank]).max())) > _BAREISS_INT64_LIMIT:
-                return _rank_pyint([[int(x) for x in row] for row in matrix])
-            a[rank + 1 :] = (piv * block - np.outer(block[:, c], a[rank])) // prev
-        prev = piv
-        rank += 1
-        if rank == m:
-            break
-    return rank
+    if any(x % 1 for x in a.flat):
+        raise ValueError("matrix has a non-integral entry")
+    return len(_reduce({i: int(x) for i, x in enumerate(col) if x} for col in a.T))
+
+
+def _boundary_pivots(complex_: CliqueComplex, k: int, cleared=()) -> dict:
+    """The reduction of d_k, its columns read straight from the k-simplex words
+    in ascending order; d_0 and d_n (out of the empty level n) are zero maps.
+    A k-simplex in `cleared`, the pivot rows of d_{k+1}, is skipped: the
+    reduced d_{k+1} column with that pivot is a cycle whose largest simplex it
+    is, so its own column reduces to zero (the clearing of twist reduction)."""
+    if k == 0 or k == complex_.n:
+        return {}
+    return _reduce(_boundary_faces(w) for w in complex_.words(k) if w not in cleared)
 
 
 @dataclass(eq=False)
@@ -140,6 +140,7 @@ class HodgeOperator:
     blocks: tuple[np.ndarray, ...]
     block_slots: tuple[tuple[int, ...], ...]
     _eig: tuple | None = field(default=None, repr=False)
+    _summary: SpectralSummary | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -164,19 +165,13 @@ def _check_built(complex_: CliqueComplex, k: int, what: str) -> None:
         raise ValueError(f"{what} needs dimension {need} built (max_dim={complex_.max_dim})")
 
 
-def _boundary_pair(complex_: CliqueComplex, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """d_k and d_{k+1}; at the top dimension k = n-1, d_n is the zero map
-    out of the empty level n."""
-    low = boundary_matrix(complex_, k)
-    if k + 1 == complex_.n:
-        return low, np.zeros((low.shape[1], 0), dtype=np.int64)
-    return low, boundary_matrix(complex_, k + 1)
-
-
 def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
     # float64 products run through BLAS; every entry is a small integer, so the
-    # result equals the integer product exactly
-    low, up = (d.astype(float) for d in _boundary_pair(complex_, k))
+    # result equals the integer product exactly.  At the top dimension k = n-1,
+    # d_n is the zero map out of the empty level n.
+    low = boundary_matrix(complex_, k).astype(float)
+    up = (boundary_matrix(complex_, k + 1).astype(float) if k + 1 < complex_.n
+          else np.zeros((low.shape[1], 0)))
     return low.T @ low + up @ up.T
 
 
@@ -200,13 +195,10 @@ def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restrict
 
 
 def betti_exact(complex_: CliqueComplex, k: int) -> int:
-    """k-th Betti number by exact integer ranks: |S_k| - rank d_k - rank d_{k+1}."""
+    """k-th Betti number by exact ranks over Q: |S_k| - rank d_k - rank d_{k+1}."""
     _check_built(complex_, k, f"betti_exact({k})")
-    s_k = complex_.simplex_count(k)
-    low, up = _boundary_pair(complex_, k)
-    r_low = integer_rank(low)
-    r_up = integer_rank(up)
-    beta = s_k - r_low - r_up
+    up = _boundary_pivots(complex_, k + 1)
+    beta = complex_.simplex_count(k) - len(_boundary_pivots(complex_, k, up)) - len(up)
     assert beta >= 0, "rank computation produced a negative Betti number"
     return beta
 
@@ -232,7 +224,11 @@ class SpectralSummary:
 def spectral_summary(op: HodgeOperator) -> SpectralSummary:
     """The pipeline's one kernel decision: eigenvalues below
     DEFAULT_ZERO_TOL * max(lambda_max, 1) count as zero.  eigh sorts each
-    block's eigenvalues ascending, so a block's kernel is a prefix of them."""
+    block's eigenvalues ascending, so a block's kernel is a prefix of them.
+    Computed once per operator and cached on it; the shared `eigenvalues`
+    array is read-only."""
+    if op._summary is not None:
+        return op._summary
     block_evals = [evals for evals, _ in op.eig()]
     uncovered = op.dim - sum(e.size for e in block_evals)
     evals = np.sort(np.concatenate([np.zeros(uncovered), *block_evals]))
@@ -242,7 +238,9 @@ def spectral_summary(op: HodgeOperator) -> SpectralSummary:
     kernel_dim = uncovered + sum(block_kernel_dims)
     lam_min = float(evals[kernel_dim]) if kernel_dim < evals.size else None
     kappa = None if lam_min is None else lam_max / lam_min
-    return SpectralSummary(evals, kernel_dim, block_kernel_dims, thresh, lam_min, lam_max, kappa)
+    evals.flags.writeable = False
+    op._summary = SpectralSummary(evals, kernel_dim, block_kernel_dims, thresh, lam_min, lam_max, kappa)
+    return op._summary
 
 
 def euler_check(complex_: CliqueComplex) -> tuple[bool, dict]:
@@ -253,8 +251,10 @@ def euler_check(complex_: CliqueComplex) -> tuple[bool, dict]:
     """
     counts = complex_.counts
     ranks = [0] * (complex_.max_dim + 2)
-    for k in range(1, complex_.max_dim + 1):
-        ranks[k] = integer_rank(boundary_matrix(complex_, k))
+    pivots: dict = {}
+    for k in range(complex_.max_dim, 0, -1):
+        pivots = _boundary_pivots(complex_, k, pivots)
+        ranks[k] = len(pivots)
     bettis = [counts[k] - ranks[k] - ranks[k + 1] for k in range(complex_.max_dim + 1)]
     chi_counts = sum((-1) ** k * c for k, c in enumerate(counts))
     chi_betti = sum((-1) ** k * b for k, b in enumerate(bettis))

@@ -2,10 +2,10 @@
 
 The oracles here deliberately avoid the library's own code paths: cliques are
 found by exhaustive subset enumeration, ranks by Gaussian elimination over
-exact fractions.  The small-size pipeline oracles below build what the
-library only ever reads in part: the dense C x C Hodge operator, the whole
-phase-estimation unitary, the flag-tagged state with its copy register, and
-the explicit density matrix.
+exact fractions or by dense fraction-free (Bareiss) elimination.  The
+small-size pipeline oracles below build what the library only ever reads in
+part: the dense C x C Hodge operator, the whole phase-estimation unitary, the
+flag-tagged state with its copy register, and the explicit density matrix.
 """
 
 import itertools
@@ -25,7 +25,7 @@ from bettiq import (
     spectral_summary,
     zero_phase_weights,
 )
-from bettiq.complexes import slot_rank, slot_words, vertices_of_word
+from bettiq.complexes import slot_rank, slot_words
 
 
 def cycle_graph(n: int) -> VertexGraph:
@@ -88,8 +88,7 @@ def brute_force_cliques(graph: VertexGraph, size: int) -> set[frozenset]:
 
 def fraction_rank(matrix) -> int:
     """Rank over the rationals by Gauss-Jordan elimination on Fractions."""
-    arr = np.asarray(matrix)
-    rows = [[Fraction(int(x)) for x in row] for row in arr]
+    rows = [[Fraction(int(x)) for x in row] for row in np.asarray(matrix, dtype=object)]
     m = len(rows)
     n = len(rows[0]) if m else 0
     rank = 0
@@ -110,13 +109,37 @@ def fraction_rank(matrix) -> int:
     return rank
 
 
-def betti_by_fraction_ranks(complex_, k: int) -> int:
-    """Betti number from the boundary matrices via the Fraction-rank oracle."""
+def bareiss_rank(matrix) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination on
+    Python ints, whose intermediate entries are minors of the input."""
+    rows = [[int(x) for x in row] for row in np.asarray(matrix, dtype=object)]
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    rank = 0
+    prev = 1
+    for c in range(n):
+        pivot = next((r for r in range(rank, m) if rows[r][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        piv = rows[rank][c]
+        for r in range(rank + 1, m):
+            f = rows[r][c]
+            rows[r] = [(piv * a - f * b) // prev for a, b in zip(rows[r], rows[rank])]
+        prev = piv
+        rank += 1
+        if rank == m:
+            break
+    return rank
+
+
+def betti_by_ranks(complex_, k: int, rank=fraction_rank) -> int:
+    """Betti number from the dense boundary matrices under a rank oracle; at the
+    top dimension k = n-1, d_n is the zero map out of the empty level n."""
     from bettiq import boundary_matrix
 
-    low = boundary_matrix(complex_, k)
-    up = boundary_matrix(complex_, k + 1)
-    return complex_.simplex_count(k) - fraction_rank(low) - fraction_rank(up)
+    up = rank(boundary_matrix(complex_, k + 1)) if k + 1 < complex_.n else 0
+    return complex_.simplex_count(k) - rank(boundary_matrix(complex_, k)) - up
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +178,7 @@ class SimplexWord:
         return cls(word, n, word.bit_count() - 1)
 
     def vertices(self) -> list[int]:
-        return vertices_of_word(self.bits)
+        return [v for v in range(self.n) if self.bits >> v & 1]
 
     def slot_index(self) -> int:
         return slot_rank(self.bits)

@@ -18,10 +18,12 @@ from bettiq import (
     estimate_betti,
     estimate_normalized_betti,
     extraction,
+    homology,
     hoeffding_sample_count,
     inv_norm,
     observable_b,
     perturbation_bound,
+    pipeline,
     pipeline_context,
     plan_delta,
     resource_estimate,
@@ -273,6 +275,27 @@ class TestEstimateBetti:
         est = estimate_betti(cycle_graph(4), 1)
         recon = est.system.a @ np.array(est.system.x)
         assert np.allclose(recon, est.system.y, atol=1e-12)
+
+    def test_one_spectral_summary_per_estimate(self, monkeypatch):
+        computed = []
+        summarize = homology.spectral_summary
+
+        def counting(op):
+            computed.append(op._summary is None)
+            return summarize(op)
+
+        for module in (pipeline, extraction):
+            monkeypatch.setattr(module, "spectral_summary", counting)
+        estimate_betti(random_graph(7, 0.5, seed=3), 1, pe=PEConfig.bits())
+        assert sum(computed) == 1 and len(computed) > 1
+
+    def test_half_integer_ties_round_up(self):
+        # census graph 32112 at k=1 under PEConfig.bits(t=2) has raw beta 1.5, and the
+        # solve may land on either side of it in the last bit
+        assert extraction._round_beta(1.5) == 2
+        assert extraction._round_beta(np.nextafter(1.5, 0)) == 2
+        assert extraction._round_beta(np.nextafter(1.5, 2)) == 2
+        assert extraction._round_beta(1.5 - 1e-6) == 1
 
     @pytest.mark.parametrize("convention", ["restricted", "dual"])
     def test_memory_stays_below_the_slot_square(self, convention):

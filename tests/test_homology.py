@@ -17,7 +17,8 @@ from bettiq import (
     zero_phase_weights,
 )
 from helpers import (
-    betti_by_fraction_ranks,
+    bareiss_rank,
+    betti_by_ranks,
     complete_graph,
     cycle_graph,
     dense_operator,
@@ -39,6 +40,19 @@ def manual_operator(matrix):
     dim = matrix.shape[0]
     return HodgeOperator(k=0, n=dim, convention="restricted", blocks=(matrix,),
                          block_slots=(tuple(range(dim)),))
+
+
+@st.composite
+def integer_matrices(draw):
+    """Up to 8 x 8, mixing small entries with entries far beyond int64; a last
+    row combined from the first two keeps some of them below full rank."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    if m >= 3 and draw(st.booleans()):
+        a, b = draw(entry), draw(entry)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows
 
 
 class TestBoundary:
@@ -85,15 +99,37 @@ class TestIntegerRank:
         assert integer_rank(mat) == fraction_rank(mat)
 
     def test_big_entries_use_fallback(self):
-        # entries above the int64 guard must still give the exact answer
+        # entries whose products overflow int64 must still give the exact answer
         big = 3_000_000_000
-        mat = np.array([[big, big], [big, big + 1]], dtype=np.int64)
-        assert integer_rank(mat) == 2
-        assert integer_rank(np.array([[big, big], [big, big]], dtype=np.int64)) == 1
+        for rank in (integer_rank, bareiss_rank):
+            mat = np.array([[big, big], [big, big + 1]], dtype=np.int64)
+            assert rank(mat) == 2
+            assert rank(np.array([[big, big], [big, big]], dtype=np.int64)) == 1
 
     def test_zero_and_empty(self):
         assert integer_rank(np.zeros((3, 4), dtype=int)) == 0
         assert integer_rank(np.zeros((0, 5), dtype=int)) == 0
+
+    def test_entries_beyond_int64(self):
+        assert integer_rank([[10**20, 1], [1, 1]]) == 2
+        assert integer_rank([[2**63, 2**63 + 1], [1, 1]]) == 2
+
+    def test_non_integral_entry_rejected(self):
+        with pytest.raises(ValueError):
+            integer_rank([[0.5, 1], [1, 2]])
+        with pytest.raises(ValueError):
+            integer_rank(np.array([[1.0, np.inf]]))
+        assert integer_rank(np.array([[2.0, 4.0], [1.0, 2.0]])) == 1
+
+    @pytest.mark.parametrize("matrix", [[1, 2, 3], np.zeros((2, 2, 2), dtype=int)])
+    def test_not_two_dimensional_rejected(self, matrix):
+        with pytest.raises(ValueError):
+            integer_rank(matrix)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(matrix=integer_matrices())
+    def test_matches_fraction_oracle_beyond_int64(self, matrix):
+        assert integer_rank(matrix) == fraction_rank(matrix)
 
 
 class TestHodge:
@@ -202,7 +238,7 @@ class TestBettiExact:
         c = build_clique_complex(g, 3)
         for k in (0, 1, 2):
             beta = betti_exact(c, k)
-            assert beta == betti_by_fraction_ranks(c, k)
+            assert beta == betti_by_ranks(c, k)
             op = hodge_laplacian(c, k, "restricted")
             idx = list(op.block_slots[0])
             if idx:
@@ -227,6 +263,20 @@ class TestBettiExact:
             else:
                 kernel = 0
             assert kernel == betti_exact(comp, k)
+
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(graph=small_graphs(max_n=9))
+    def test_matches_bareiss_on_complex_and_complement(self, graph):
+        for c in (build_clique_complex(graph, graph.n - 1),
+                  complement_complex(graph, graph.n - 1)):
+            for k in range(graph.n):
+                if c.simplex_count(k):
+                    assert betti_exact(c, k) == betti_by_ranks(c, k, bareiss_rank), k
+
+    def test_er60_pinned(self):
+        # agrees with dense int64 Bareiss elimination, which takes ~30 s on this instance
+        c = build_clique_complex(random_graph(60, 0.4, seed=1), 3)
+        assert betti_exact(c, 2) == 93
 
 
 class TestKernelProjector:
@@ -267,6 +317,13 @@ class TestSpectralSummary:
         assert summary.kappa is None
         assert summary.lambda_min_nonzero is None
         assert summary.kernel_dim == 4
+
+    def test_cached_once_and_read_only(self):
+        op = hodge_laplacian(build_clique_complex(cycle_graph(4), 2), 1)
+        summary = spectral_summary(op)
+        assert spectral_summary(op) is summary
+        with pytest.raises(ValueError):
+            summary.eigenvalues[0] = 1.0
 
     def test_counts_add_up(self):
         c = build_clique_complex(random_graph(6, 0.5, seed=8), 2)
