@@ -26,7 +26,6 @@ from .homology import (
     HodgeOperator,
     SpectralSummary,
     betti_exact,
-    boundary_matrix,
     euler_check,
     hodge_laplacian,
     integer_rank,

@@ -3,7 +3,7 @@
 Subcommands: generate | exact | estimate | resources | complement.
 JSON in, JSON/CSV out; every emitted report echoes its full configuration and
 master seed so any stochastic field can be reproduced bit-identically.
-Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
+Exit codes: 0 success, 2 invalid configuration, 3 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -378,8 +378,10 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return 2
-    except (SingularSystemError, BlockEncodingError, np.linalg.LinAlgError, ArithmeticError) as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
+    except (SingularSystemError, BlockEncodingError, np.linalg.LinAlgError, ArithmeticError,
+            MemoryError) as exc:
+        what = "out of memory" if isinstance(exc, MemoryError) else "numerical failure"
+        print(f"error: {what}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -128,13 +128,8 @@ class VertexGraph:
 
     def adjacency_masks(self) -> list[int]:
         """Neighbourhood of each vertex as a bit mask."""
-        masks = []
-        for v in range(self.n):
-            m = 0
-            for u in np.nonzero(self.adjacency[v])[0]:
-                m |= 1 << int(u)
-            masks.append(m)
-        return masks
+        rows = np.packbits(self.adjacency, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 @dataclass(frozen=True)

@@ -204,8 +204,7 @@ class PipelineContext:
     cfg: PEConfig
 
     def __post_init__(self):
-        self._weights = None
-        self._member = None
+        self._sums = None
         self._rho = None
 
     @property
@@ -216,28 +215,25 @@ class PipelineContext:
     def s_count(self) -> int:
         return self.complex.simplex_count(self.k)
 
-    def weights(self) -> np.ndarray:
-        if self._weights is None:
-            self._weights = zero_phase_weights(self.op, self.cfg)
-        return self._weights
-
-    def member_mask(self) -> np.ndarray:
-        if self._member is None:
-            self._member = np.zeros(self.slot_count, dtype=bool)
-            self._member[list(self.op.block_slots[0])] = True
-        return self._member
+    def _block_sums(self) -> tuple[float, ...]:
+        """Zero-outcome probability summed over each block's eigenvalues."""
+        if self._sums is None:
+            self._sums = tuple(float(w.sum()) for w in zero_phase_weights(self.op, self.cfg))
+        return self._sums
 
     def beta_pe(self) -> float:
         """Zero-outcome weight summed over the complex's simplices (the Betti
         number under ideal phase estimation)."""
-        return float(self.weights()[self.member_mask()].sum())
+        return self._block_sums()[0]
 
     def p1_trace(self) -> float:
-        return float(self.weights()[~self.member_mask()].sum())
+        """Zero-outcome weight over the other slots (1 per slot in no block)."""
+        covered = sum(len(slots) for slots in self.op.block_slots)
+        return float(self.slot_count - covered + sum(self._block_sums()[1:]))
 
     def rho(self) -> DensityOperator:
         """The reduced mixed state, for block-encoding verification only: the
-        estimators read the zero-phase weights and never build it."""
+        estimators read the block sums and never build it."""
         if self._rho is None:
             self._rho = reduced_density(self.complex, self.k, self.op, self.cfg)
         return self._rho
@@ -264,7 +260,7 @@ def _flag_trace(m: np.ndarray, ctx: PipelineContext) -> float:
 
 def observable_b(m, ctx: PipelineContext) -> float:
     """The scalar b = Tr[(|0><0| x I x M) rho] for a flag observable M, summed
-    from the zero-phase weights.  Sampled estimation draws the Hadamard-test
+    from the zero-phase block sums.  Sampled estimation draws the Hadamard-test
     statistic for this same b: `trace_estimate(observable_b(m, ctx), ...)`."""
     return _flag_trace(_check_flag_observable(m), ctx)
 

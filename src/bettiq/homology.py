@@ -27,7 +27,6 @@ from .complexes import CliqueComplex, complement_complex, slot_rank
 __all__ = [
     "HodgeOperator",
     "SpectralSummary",
-    "boundary_matrix",
     "integer_rank",
     "hodge_laplacian",
     "betti_exact",
@@ -54,23 +53,6 @@ def _boundary_faces(word: int) -> dict[int, int]:
         sign = -sign
         rest ^= low
     return faces
-
-
-def boundary_matrix(complex_: CliqueComplex, k: int) -> np.ndarray:
-    """Signed int64 incidence matrix from the k-simplices (columns, in
-    `complex_.words(k)` order) to their faces (rows, in `complex_.words(k-1)`
-    order), signed as in `_boundary_faces`.  k=0 yields the empty-row zero map."""
-    if not 0 <= k <= complex_.max_dim:
-        raise ValueError(f"k={k} out of range (max_dim={complex_.max_dim})")
-    cols = complex_.words(k)
-    if k == 0:
-        return np.zeros((0, len(cols)), dtype=np.int64)
-    row_index = {w: i for i, w in enumerate(complex_.words(k - 1))}
-    mat = np.zeros((len(row_index), len(cols)), dtype=np.int64)
-    for j, word in enumerate(cols):
-        for face, sign in _boundary_faces(word).items():
-            mat[row_index[face], j] = sign
-    return mat
 
 
 def _reduce(columns) -> dict:
@@ -146,11 +128,20 @@ class HodgeOperator:
     def dim(self) -> int:
         return comb(self.n, self.k + 1)
 
-    def eig(self):
-        """Cached eigendecomposition of each block (ascending eigenvalues)."""
+    def eig(self) -> tuple[np.ndarray, ...]:
+        """Each block's eigenvalues, ascending (cached)."""
         if self._eig is None:
-            self._eig = tuple(np.linalg.eigh(block) for block in self.blocks)
+            self._eig = tuple(np.linalg.eigvalsh(block) for block in self.blocks)
         return self._eig
+
+    def eigpairs(self) -> tuple:
+        """Each block's eigendecomposition (ascending eigenvalues), uncached; its
+        eigenvalues become eig()'s cache if eig() has not run, so that a block
+        is decomposed once on the path that needs its eigenvectors."""
+        pairs = tuple(np.linalg.eigh(block) for block in self.blocks)
+        if self._eig is None:
+            self._eig = tuple(evals for evals, _ in pairs)
+        return pairs
 
 
 def _needed_dim(n: int, k: int) -> int:
@@ -166,13 +157,29 @@ def _check_built(complex_: CliqueComplex, k: int, what: str) -> None:
 
 
 def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
-    # float64 products run through BLAS; every entry is a small integer, so the
-    # result equals the integer product exactly.  At the top dimension k = n-1,
-    # d_n is the zero map out of the empty level n.
-    low = boundary_matrix(complex_, k).astype(float)
-    up = (boundary_matrix(complex_, k + 1).astype(float) if k + 1 < complex_.n
-          else np.zeros((low.shape[1], 0)))
-    return low.T @ low + up @ up.T
+    """d_k^T d_k + d_{k+1} d_{k+1}^T from the words: a diagonal entry is k+1 (0 at
+    k = 0) plus the simplex's coface count; sigma = f+u and tau = f+v sharing
+    the face f (the empty face, sign +1, at k = 0) meet with s(sigma, f)
+    s(tau, f) ([k >= 1] - [u ~ v]), down through f and up through f+u+v."""
+    words = complex_.words(k)
+    masks = complex_.graph.adjacency_masks()
+    down = int(k >= 1)
+    block = np.zeros((len(words), len(words)))
+    stars: dict[int, list] = {}  # face f -> [(simplex index, s(sigma, f), vertex u)]
+    diagonal = []
+    for i, word in enumerate(words):
+        common = -1  # vertices adjacent to every vertex of the simplex
+        for face, sign in _boundary_faces(word).items():
+            u = (word ^ face).bit_length() - 1
+            common &= masks[u]
+            stars.setdefault(face, []).append((i, sign, u))
+        diagonal.append((k + 1) * down + common.bit_count())
+    block.flat[::len(words) + 1] = diagonal
+    entries = [(i, j, x) for star in stars.values() for a, (i, si, u) in enumerate(star)
+               for j, sj, v in star[a + 1:] if (x := si * sj * (down - (masks[u] >> v & 1)))]
+    rows, cols, vals = np.array(entries, dtype=np.intp).reshape(-1, 3).T
+    block[rows, cols] = block[cols, rows] = vals
+    return block
 
 
 def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restricted") -> HodgeOperator:
@@ -210,7 +217,7 @@ class SpectralSummary:
     nonzero spectrum (an interpretation - the source ratio is not pinned to a
     norm), None when the spectrum is all zero.  `threshold` is the zero cut
     kernel_dim was counted at; block_kernel_dims[i] is the kernel of block i,
-    the first that many of its eigenpairs."""
+    the first that many of its eigenvalues."""
 
     eigenvalues: np.ndarray
     kernel_dim: int
@@ -223,13 +230,13 @@ class SpectralSummary:
 
 def spectral_summary(op: HodgeOperator) -> SpectralSummary:
     """The pipeline's one kernel decision: eigenvalues below
-    DEFAULT_ZERO_TOL * max(lambda_max, 1) count as zero.  eigh sorts each
-    block's eigenvalues ascending, so a block's kernel is a prefix of them.
+    DEFAULT_ZERO_TOL * max(lambda_max, 1) count as zero.  Each block's
+    eigenvalues come ascending, so a block's kernel is a prefix of them.
     Computed once per operator and cached on it; the shared `eigenvalues`
     array is read-only."""
     if op._summary is not None:
         return op._summary
-    block_evals = [evals for evals, _ in op.eig()]
+    block_evals = op.eig()
     uncovered = op.dim - sum(e.size for e in block_evals)
     evals = np.sort(np.concatenate([np.zeros(uncovered), *block_evals]))
     lam_max = float(evals[-1])

@@ -9,9 +9,9 @@ sampling of the Hadamard-test statistic.
 
 Phase estimation always starts from the phase register's |0>, so only the C
 columns of its unitary with that input are built, straight from the
-operator's eigenpairs.  The mixed state is kept in its analytic form (a
-uniform mixture of one pure state per slot); materializing the full register
-would change nothing but memory use.
+operator's eigenpairs (the estimators read eigenvalue sums alone).  The mixed
+state is kept in its analytic form (a uniform mixture of one pure state per
+slot); materializing the full register would change nothing but memory use.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ DENSE_DIM_CAP = 4608
 BLOCK_CHUNK_BYTES = 1 << 26
 
 # A log2(kappa) this close to an integer is that integer, so the automatic
-# register size does not follow the last-bit rounding of eigh.
+# register size does not follow the last-bit rounding of the eigensolver.
 _LOG2_KAPPA_SNAP = 1e-9
 
 
@@ -102,7 +102,7 @@ class PEConfig:
         summary = spectral_summary(op)
         tau = 1.0 if summary.kappa is None else np.pi / summary.lambda_max
         phases = []
-        for (evals, _), kernel_dim in zip(op.eig(), summary.block_kernel_dims):
+        for evals, kernel_dim in zip(op.eig(), summary.block_kernel_dims):
             block = tau * evals
             block[:kernel_dim] = 0.0
             phases.append(block)
@@ -140,13 +140,14 @@ def zero_phase_columns(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
     state).  The phase amplitudes r[:, j] are the kernel indicator and its
     complement in ideal mode, and QFT^dagger e^{i m phi_j} / sqrt(P) for a
     t-bit register (the Hadamard layer maps |0> to the uniform state)."""
+    pairs = op.eigpairs()  # before resolve, so each block is decomposed once
     res = cfg.resolve(op)
     big, c_total = res.phase_dim, op.dim
     m = np.arange(big)
     qft_dag = np.exp(-2j * np.pi * np.outer(m, m) / big) / sqrt(big)
     cols = np.zeros((big, c_total, c_total), dtype=float if res.mode == "ideal" else complex)
     cols[0, np.arange(c_total), np.arange(c_total)] = 1.0
-    for slots, (_, evecs), kernel_dim, phases in zip(op.block_slots, op.eig(),
+    for slots, (_, evecs), kernel_dim, phases in zip(op.block_slots, pairs,
                                                      res.kernel_dims, res.phases):
         if res.mode == "ideal":
             kernel = np.arange(phases.size) < kernel_dim
@@ -219,19 +220,15 @@ def reduced_density(complex_: CliqueComplex, k: int, op: HodgeOperator, cfg: PEC
 # zero-phase statistics
 
 
-def zero_phase_weights(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
-    """Per-slot probability of the all-zeros phase outcome on input |s>; a slot
-    in no operator block is a kernel state and reads it with certainty."""
+def zero_phase_weights(op: HodgeOperator, cfg: PEConfig) -> tuple[np.ndarray, ...]:
+    """Per block, the all-zeros phase outcome's probability on each eigenvector
+    (the kernel indicator in ideal mode); they are orthonormal, so these sum to
+    the outcome over the block's slots.  A slot in no block reads it surely."""
     res = cfg.resolve(op)
-    weights = np.ones(op.dim)
-    for slots, (_, evecs), kernel_dim, phases in zip(op.block_slots, op.eig(),
-                                                     res.kernel_dims, res.phases):
-        if res.mode == "ideal":
-            block = (np.arange(phases.size) < kernel_dim).astype(float)
-        else:
-            block = phase_zero_probability(phases, res.t)
-        weights[list(slots)] = (evecs * evecs) @ block
-    return weights
+    if res.mode == "ideal":
+        return tuple((np.arange(phases.size) < kernel_dim).astype(float)
+                     for kernel_dim, phases in zip(res.kernel_dims, res.phases))
+    return tuple(phase_zero_probability(phases, res.t) for phases in res.phases)
 
 
 # ---------------------------------------------------------------------------

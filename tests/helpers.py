@@ -2,10 +2,11 @@
 
 The oracles here deliberately avoid the library's own code paths: cliques are
 found by exhaustive subset enumeration, ranks by Gaussian elimination over
-exact fractions or by dense fraction-free (Bareiss) elimination.  The
-small-size pipeline oracles below build what the library only ever reads in
-part: the dense C x C Hodge operator, the whole phase-estimation unitary, the
-flag-tagged state with its copy register, and the explicit density matrix.
+exact fractions or by dense fraction-free (Bareiss) elimination, on dense
+boundary matrices.  The small-size pipeline oracles below build what the
+library only ever reads in part: the dense C x C Hodge operator, the per-slot
+zero-phase weights, the whole phase-estimation unitary, the flag-tagged state
+with its copy register, and the explicit density matrix.
 """
 
 import itertools
@@ -23,7 +24,6 @@ from bettiq import (
     VertexGraph,
     phase_zero_probability,
     spectral_summary,
-    zero_phase_weights,
 )
 from bettiq.complexes import slot_rank, slot_words
 
@@ -133,11 +133,37 @@ def bareiss_rank(matrix) -> int:
     return rank
 
 
+def boundary_matrix(complex_: CliqueComplex, k: int) -> np.ndarray:
+    """Signed int64 incidence matrix from the k-simplices (columns, in
+    `complex_.words(k)` order) to their faces (rows, in `complex_.words(k-1)`
+    order); the face dropping the i-th smallest vertex carries sign (-1)^i.
+    k=0 yields the empty-row zero map."""
+    if not 0 <= k <= complex_.max_dim:
+        raise ValueError(f"k={k} out of range (max_dim={complex_.max_dim})")
+    cols = complex_.words(k)
+    if k == 0:
+        return np.zeros((0, len(cols)), dtype=np.int64)
+    row_index = {w: i for i, w in enumerate(complex_.words(k - 1))}
+    mat = np.zeros((len(row_index), len(cols)), dtype=np.int64)
+    for j, word in enumerate(cols):
+        vertices = [v for v in range(complex_.n) if word >> v & 1]
+        for i, v in enumerate(vertices):
+            mat[row_index[word ^ (1 << v)], j] = (-1) ** i
+    return mat
+
+
+def laplacian_by_products(complex_, k: int) -> np.ndarray:
+    """d_k^T d_k + d_{k+1} d_{k+1}^T from the dense boundary matrices, in float64
+    (every entry a small integer, so exact); d_n out of the empty level n is zero."""
+    low = boundary_matrix(complex_, k).astype(float)
+    up = (boundary_matrix(complex_, k + 1).astype(float) if k + 1 < complex_.n
+          else np.zeros((low.shape[1], 0)))
+    return low.T @ low + up @ up.T
+
+
 def betti_by_ranks(complex_, k: int, rank=fraction_rank) -> int:
     """Betti number from the dense boundary matrices under a rank oracle; at the
     top dimension k = n-1, d_n is the zero map out of the empty level n."""
-    from bettiq import boundary_matrix
-
     up = rank(boundary_matrix(complex_, k + 1)) if k + 1 < complex_.n else 0
     return complex_.simplex_count(k) - rank(boundary_matrix(complex_, k)) - up
 
@@ -233,6 +259,22 @@ def dense_zero_phase_weights(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
     return (evecs * evecs) @ weights
 
 
+def slot_zero_phase_weights(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
+    """Per-slot probability of the all-zeros phase outcome on input |s>, from
+    each block's eigenpairs: (evecs * evecs) @ f(lambda); a slot in no block is
+    a kernel state and reads it with certainty."""
+    res = cfg.resolve(op)
+    weights = np.ones(op.dim)
+    for slots, (_, evecs), kernel_dim, phases in zip(op.block_slots, op.eigpairs(),
+                                                     res.kernel_dims, res.phases):
+        if res.mode == "ideal":
+            block = (np.arange(phases.size) < kernel_dim).astype(float)
+        else:
+            block = phase_zero_probability(phases, res.t)
+        weights[list(slots)] = (evecs * evecs) @ block
+    return weights
+
+
 def phase_estimation_unitary(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
     """Explicit phase-estimation unitary on (phase register) x (slot space).
 
@@ -274,7 +316,7 @@ def zero_phase_weight(op: HodgeOperator, cfg: PEConfig, s) -> float:
         raise ValueError(f"word {word:#b} is not a dimension-{op.k} slot")
     if word >= (1 << op.n):
         raise ValueError(f"word {word:#b} does not fit in {op.n} bits")
-    return float(zero_phase_weights(op, cfg)[slot_rank(word)])
+    return float(slot_zero_phase_weights(op, cfg)[slot_rank(word)])
 
 
 # ---------------------------------------------------------------------------

@@ -180,6 +180,14 @@ class TestEstimate:
         monkeypatch.setattr(cli, "estimate_betti", boom)
         assert run(["estimate", "--instance", str(c4_file), "--k", "1"]) == 3
 
+    def test_out_of_memory_exits_3(self, c4_file, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise MemoryError("forced")
+
+        monkeypatch.setattr(cli, "estimate_betti", boom)
+        assert run(["estimate", "--instance", str(c4_file), "--k", "1"]) == 3
+        assert "error: out of memory: forced" in capsys.readouterr().err
+
 
 class TestResources:
     def test_reference_row(self, tmp_path, capsys):

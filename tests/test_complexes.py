@@ -209,6 +209,13 @@ class TestGraphValidation:
         with pytest.raises(ValueError):
             VertexGraph.from_edges(3, [(1, 1)])
 
+    @pytest.mark.parametrize("n", [1, 8, 9, 65])
+    def test_adjacency_masks_hold_the_neighbours(self, n):
+        g = random_graph(n, 0.5, seed=n)
+        for v, mask in enumerate(g.adjacency_masks()):
+            assert 0 <= mask < 1 << n
+            assert {u for u in range(n) if mask >> u & 1} == set(np.nonzero(g.adjacency[v])[0])
+
 
 class TestGenerate:
     def test_cycle(self):

@@ -37,6 +37,7 @@ from helpers import (
     octahedron_graph,
     path_graph,
     random_graph,
+    slot_zero_phase_weights,
     small_graphs,
 )
 
@@ -310,6 +311,71 @@ class TestEstimateBetti:
         assert est.slot_count == 3276
         assert est.beta_rounded == est.beta_oracle
         assert peak < 32 << 20
+
+
+    def test_dual_memory_stays_below_the_block_squares(self):
+        # the complement block (737 simplices) is 4.1 MiB: no eigenvectors, no per-slot weights
+        graph = random_graph(28, 0.4, seed=1)
+        tracemalloc.start()
+        try:
+            est = estimate_betti(graph, 2, convention="dual")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.beta_rounded == est.beta_oracle
+        assert peak < 8 << 20
+
+
+class TestSpectralSums:
+    @pytest.mark.parametrize("convention", ["restricted", "dual"])
+    @pytest.mark.parametrize("graph,k", [
+        (cycle_graph(4), 1),
+        (octahedron_graph(), 1),
+        (octahedron_graph(), 2),
+        (random_graph(7, 0.4, seed=3), 1),
+        (random_graph(8, 0.5, seed=2), 2),
+        (path_graph(5), 0),
+    ])
+    def test_traces_equal_the_per_slot_sums(self, graph, k, convention):
+        for cfg in (PEConfig.ideal(), PEConfig.bits(t=1), PEConfig.bits(t=2),
+                    PEConfig.bits(t=3), PEConfig.bits()):
+            ctx = pipeline_context(graph, k, convention, cfg)
+            weights = slot_zero_phase_weights(ctx.op, cfg)
+            member = np.zeros(ctx.slot_count, dtype=bool)
+            member[list(ctx.op.block_slots[0])] = True
+            assert abs(ctx.beta_pe() - weights[member].sum()) < 1e-12, cfg
+            assert abs(ctx.p1_trace() - weights[~member].sum()) < 1e-12, cfg
+
+    @pytest.mark.parametrize("convention", ["restricted", "dual"])
+    def test_estimators_never_take_eigenvectors(self, convention, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigenvectors requested")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        graph = random_graph(8, 0.5, seed=2)
+        est = estimate_betti(graph, 2, convention=convention, pe=PEConfig.bits())
+        assert est.beta_rounded == est.beta_oracle
+        estimate_normalized_betti(graph, 2, 0.05, convention=convention)
+        estimate_betti(graph, 1, 0.25, convention=convention, mode="sampled", seed=3)
+        assert complement_report(graph, 2)["dual_matches_block_kernel"]
+
+    @pytest.mark.parametrize("convention", ["restricted", "dual"])
+    def test_reduced_density_decomposes_each_block_once(self, convention, monkeypatch):
+        seen = []
+
+        def counting(solver):
+            def run(block, *args, **kwargs):
+                seen.append(id(block))
+                return solver(block, *args, **kwargs)
+            return run
+
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+        c = build_clique_complex(octahedron_graph(), 2)
+        op = homology.hodge_laplacian(c, 1, convention)
+        pipeline.reduced_density(c, 1, op, PEConfig.bits(t=2))
+        assert sorted(seen) == sorted(id(block) for block in op.blocks)
+        assert len(op.blocks) == (2 if convention == "dual" else 1)
 
 
 class TestEstimateNormalized:

@@ -6,7 +6,6 @@ from bettiq import (
     HodgeOperator,
     PEConfig,
     betti_exact,
-    boundary_matrix,
     build_clique_complex,
     complement_complex,
     euler_check,
@@ -14,11 +13,12 @@ from bettiq import (
     integer_rank,
     slot_rank,
     spectral_summary,
-    zero_phase_weights,
 )
+from bettiq.homology import _laplacian_block
 from helpers import (
     bareiss_rank,
     betti_by_ranks,
+    boundary_matrix,
     complete_graph,
     cycle_graph,
     dense_operator,
@@ -26,8 +26,10 @@ from helpers import (
     empty_graph,
     fraction_rank,
     kernel_projector,
+    laplacian_by_products,
     octahedron_graph,
     random_graph,
+    slot_zero_phase_weights,
     small_graphs,
     two_disjoint_cycles,
     two_disjoint_edges,
@@ -343,7 +345,26 @@ class TestKernelDecision:
         kernel_dim = spectral_summary(op).kernel_dim
         assert kernel_dim == betti_exact(c, k) + op.dim - c.simplex_count(k)
         assert np.trace(kernel_projector(op)) == pytest.approx(kernel_dim, abs=1e-9)
-        assert zero_phase_weights(op, PEConfig.ideal()).sum() == pytest.approx(kernel_dim, abs=1e-9)
+        assert slot_zero_phase_weights(op, PEConfig.ideal()).sum() == pytest.approx(kernel_dim, abs=1e-9)
+
+
+class TestBlockAssembly:
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(graph=small_graphs(max_n=9))
+    def test_equals_the_boundary_products(self, graph):
+        complexes = (build_clique_complex(graph, graph.n - 1),
+                     complement_complex(graph, graph.n - 1))
+        for c in complexes:
+            for k in range(graph.n):
+                if c.simplex_count(k) == 0:
+                    continue
+                assert np.array_equal(_laplacian_block(c, k), laplacian_by_products(c, k)), k
+
+    def test_er28_complement_block(self):
+        comp = complement_complex(random_graph(28, 0.4, seed=1), 3)
+        block = _laplacian_block(comp, 2)
+        assert block.shape == (737, 737)
+        assert np.array_equal(block, laplacian_by_products(comp, 2))
 
 
 class TestBlockOperator:
@@ -362,7 +383,7 @@ class TestBlockOperator:
             for op in ops.values():
                 for cfg in (PEConfig.ideal(), PEConfig.bits(t=1), PEConfig.bits(t=2),
                             PEConfig.bits(t=3)):
-                    diff = zero_phase_weights(op, cfg) - dense_zero_phase_weights(op, cfg)
+                    diff = slot_zero_phase_weights(op, cfg) - dense_zero_phase_weights(op, cfg)
                     assert np.abs(diff).max() < 1e-12, (k, op.convention, cfg)
             c_total = ops["restricted"].dim
             assert spectral_summary(ops["restricted"]).kernel_dim == beta + c_total - s_count

@@ -28,7 +28,6 @@ from bettiq import (
     tensor_block_encoding,
     trace_estimate,
     zero_phase_columns,
-    zero_phase_weights,
 )
 from helpers import (
     complete_graph,
@@ -41,6 +40,7 @@ from helpers import (
     phase_estimation_unitary,
     prepare_phi,
     random_graph,
+    slot_zero_phase_weights,
     validate_density,
     zero_phase_weight,
 )
@@ -166,7 +166,7 @@ class TestZeroPhaseWeights:
         op = hodge_laplacian(c, 1)
         cfg = PEConfig.bits(t=3)
         u_pe = phase_estimation_unitary(op, cfg)
-        weights = zero_phase_weights(op, cfg)
+        weights = slot_zero_phase_weights(op, cfg)
         c_total = op.dim
         for s in range(c_total):
             col = u_pe[:, s]  # input (phase=0, slot=s)
@@ -254,7 +254,7 @@ class TestReducedDensity:
         rho = reduced_density(c, 1, op, IDEAL)
         value = rho.expectation(flag_one_observable(rho))
         assert value == pytest.approx(1 / 6, abs=1e-10)
-        weights = zero_phase_weights(op, IDEAL)
+        weights = slot_zero_phase_weights(op, IDEAL)
         member = [slot_rank(w) for w in c.words(1)]
         assert value == pytest.approx(weights[member].sum() / 6, abs=1e-12)
 
