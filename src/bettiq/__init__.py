@@ -47,7 +47,6 @@ from .pipeline import (
     reduced_density,
     tensor_block_encoding,
     trace_estimate,
-    zero_phase_columns,
     zero_phase_weights,
 )
 from .extraction import (

@@ -9,7 +9,6 @@ words, ordered by numeric value.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import comb
 from pathlib import Path
@@ -144,6 +143,7 @@ class CliqueComplex:
     max_dim: int
     simplices: tuple[tuple[int, ...], ...]
     graph: VertexGraph
+    masks: tuple[int, ...]  # each vertex's neighbourhood as a bit mask
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -159,12 +159,6 @@ class CliqueComplex:
     def words(self, k: int) -> tuple[int, ...]:
         self._check_dim(k)
         return self.simplices[k]
-
-    def contains_word(self, k: int, word: int) -> bool:
-        self._check_dim(k)
-        level = self.simplices[k]
-        i = bisect_left(level, word)
-        return i < len(level) and level[i] == word
 
     def _check_dim(self, k: int):
         if not 0 <= k <= self.max_dim:
@@ -191,7 +185,7 @@ def build_clique_complex(source, max_dim: int) -> CliqueComplex:
     if max_dim > n - 1:
         raise ValueError(f"max_dim={max_dim} exceeds n-1={n - 1}")
 
-    masks = graph.adjacency_masks()
+    masks = tuple(graph.adjacency_masks())
     levels: list[tuple[int, ...]] = [tuple(1 << v for v in range(n))]
     # frontier holds (word, candidate mask of common neighbours above the top vertex)
     frontier = [(1 << v, masks[v] & ~((1 << (v + 1)) - 1)) for v in range(n)]
@@ -207,7 +201,7 @@ def build_clique_complex(source, max_dim: int) -> CliqueComplex:
         next_frontier.sort(key=lambda item: item[0])
         levels.append(tuple(word for word, _ in next_frontier))
         frontier = next_frontier
-    return CliqueComplex(n=n, max_dim=max_dim, simplices=tuple(levels), graph=graph)
+    return CliqueComplex(n=n, max_dim=max_dim, simplices=tuple(levels), graph=graph, masks=masks)
 
 
 def complement_complex(g: VertexGraph, max_dim: int) -> CliqueComplex:

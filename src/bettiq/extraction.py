@@ -64,7 +64,6 @@ __all__ = [
 ]
 
 CONDITION_WARN_THRESHOLD = 1e8
-MAX_REFINEMENTS = 4  # halvings of beta_lower a refining sampled estimate may take
 
 # A raw estimate this close to a half-integer is that half-integer, so the
 # rounded Betti number does not follow the last-bit rounding of the solve.
@@ -239,10 +238,11 @@ class PipelineContext:
         return self._rho
 
     def observable_encoding(self, m: np.ndarray):
-        """Block encoding of |0><0|_phase x I_slot x M via the tensor construction."""
-        rho = self.rho()
+        """Block encoding of |0><0|_phase x I_slot x M by the tensor construction:
+        it reads the register sizes, not the state."""
+        phase_dim = self.cfg.resolve(self.op).phase_dim
         return tensor_block_encoding(
-            [block_encode_projector(rho.phase_dim, rho.slot_dim), block_encode_hermitian(m)]
+            [block_encode_projector(phase_dim, self.slot_count), block_encode_hermitian(m)]
         )
 
 
@@ -301,7 +301,6 @@ class BettiEstimate:
     system: ExtractionSystem
     kappa_laplacian: float | None
     beta_oracle: int | None
-    beta_lower_used: float | None
     resource: "ResourceReport | None"
     seed: dict | None
 
@@ -375,31 +374,22 @@ def _measure_and_solve(ctx: PipelineContext, pair: ObservablePair, a: np.ndarray
 def estimate_betti(source, k: int, eps: float | None = None, *, pair: ObservablePair | None = None,
                    convention: str = "restricted", pe: PEConfig | None = None,
                    mode: str = "exact", confidence: float = 0.95, seed=None,
-                   beta_lower: float = 1.0, refine: bool = False) -> BettiEstimate:
+                   beta_lower: float = 1.0) -> BettiEstimate:
     """Full pipeline: complex -> Hodge operator -> mixed state -> two traces ->
     2x2 solve -> Betti estimate.
 
-    Sampled mode plans the per-measurement accuracy from eps and beta_lower;
-    with refine=True a pilot whose rounded estimate undershoots beta_lower
-    triggers up to MAX_REFINEMENTS halve-and-replan steps.  Deterministic per master seed.
+    Sampled mode plans the per-measurement accuracy from eps and beta_lower.
+    Deterministic per master seed.
     """
     ctx, pair, ss = _enter(source, k, convention, pe, mode, confidence, pair, seed)
     a = assemble_system(pair, ctx.slot_count)
 
     delta = None
-    if mode == "exact":
-        system, samples = _measure_and_solve(ctx, pair, a, None, confidence, None)
-    else:
+    if mode == "sampled":
         if eps is None:
             raise ValueError("sampled mode needs a target multiplicative accuracy eps")
-        bound = beta_lower
-        for _ in range(MAX_REFINEMENTS + 1):
-            delta = plan_delta(eps, bound, a)
-            system, samples = _measure_and_solve(ctx, pair, a, delta, confidence, ss)
-            if not refine or _round_beta(system.x[0]) >= bound or bound <= 0.5:
-                break
-            bound /= 2.0
-        beta_lower = bound
+        delta = plan_delta(eps, beta_lower, a)
+    system, samples = _measure_and_solve(ctx, pair, a, delta, confidence, ss)
 
     beta_raw, p1 = system.x
     beta_rounded = _round_beta(beta_raw)
@@ -429,7 +419,6 @@ def estimate_betti(source, k: int, eps: float | None = None, *, pair: Observable
         system=system,
         kappa_laplacian=summary.kappa,
         beta_oracle=beta_oracle,
-        beta_lower_used=beta_lower if mode == "sampled" else None,
         resource=resource,
         seed=seed_descriptor(ss) if ss is not None else None,
     )
@@ -540,10 +529,12 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
     s_count = complex_.simplex_count(k)
     comp_slots = c_total - s_count
 
-    ctx_restricted = PipelineContext(complex_, k, hodge_laplacian(complex_, k, "restricted"), cfg)
-    ctx_dual = PipelineContext(complex_, k, hodge_laplacian(complex_, k, "dual"), cfg)
-    p1_restricted = ctx_restricted.p1_trace()
-    p1_dual = ctx_dual.p1_trace()
+    # one build: the restricted operator is the dual one's first block
+    dual = hodge_laplacian(complex_, k, "dual")
+    restricted = HodgeOperator(k, graph.n, "restricted", dual.blocks[:1], dual.block_slots[:1],
+                               _eig=dual.eig()[:1])
+    p1_restricted = PipelineContext(complex_, k, restricted, cfg).p1_trace()
+    p1_dual = PipelineContext(complex_, k, dual, cfg).p1_trace()
 
     comp_complex = complement_complex(graph, top)
     beta_comp = betti_exact(comp_complex, k)

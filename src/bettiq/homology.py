@@ -135,9 +135,9 @@ class HodgeOperator:
         return self._eig
 
     def eigpairs(self) -> tuple:
-        """Each block's eigendecomposition (ascending eigenvalues), uncached; its
-        eigenvalues become eig()'s cache if eig() has not run, so that a block
-        is decomposed once on the path that needs its eigenvectors."""
+        """Each block's eigendecomposition (ascending eigenvalues), uncached, for
+        the one path that needs eigenvectors, `reduced_density`; its eigenvalues
+        become eig()'s cache if eig() has not run, so a block is decomposed once."""
         pairs = tuple(np.linalg.eigh(block) for block in self.blocks)
         if self._eig is None:
             self._eig = tuple(evals for evals, _ in pairs)
@@ -162,7 +162,7 @@ def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
     the face f (the empty face, sign +1, at k = 0) meet with s(sigma, f)
     s(tau, f) ([k >= 1] - [u ~ v]), down through f and up through f+u+v."""
     words = complex_.words(k)
-    masks = complex_.graph.adjacency_masks()
+    masks = complex_.masks
     down = int(k >= 1)
     block = np.zeros((len(words), len(words)))
     stars: dict[int, list] = {}  # face f -> [(simplex index, s(sigma, f), vertex u)]

@@ -16,7 +16,7 @@ slot); materializing the full register would change nothing but memory use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from math import ceil, comb, log, sqrt
 
@@ -32,7 +32,6 @@ __all__ = [
     "BlockEncodingError",
     "TraceEstimate",
     "phase_zero_probability",
-    "zero_phase_columns",
     "zero_phase_weights",
     "reduced_density",
     "block_encode_state_mixture",
@@ -53,9 +52,9 @@ DENSE_DIM_CAP = 4608
 # Bytes of zero-ancilla input columns pushed through a factored encoding at once.
 BLOCK_CHUNK_BYTES = 1 << 26
 
-# A log2(kappa) this close to an integer is that integer, so the automatic
-# register size does not follow the last-bit rounding of the eigensolver.
-_LOG2_KAPPA_SNAP = 1e-9
+# A log2 of the automatic register bound this close to an integer is that
+# integer, so the register size does not follow the eigensolver's last bit.
+_LOG2_SNAP = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +77,8 @@ class PEConfig:
     mode "ideal": a single flag bit marks kernel vs non-kernel components
     exactly.  mode "bits": a t-bit register with the standard readout
     statistics on the eigenphases tau * lambda, tau = pi / lambda_max.  An
-    unset t is resolved against the operator's spectrum.
+    unset t is the smallest with 2^t >= 2 sqrt(|S_k|) / sin(pi / (2 kappa)),
+    which holds the zero outcome's leakage, a bias on beta, to at most 1/4.
     """
 
     mode: str = "ideal"
@@ -113,7 +113,10 @@ class PEConfig:
         elif summary.kappa is None:
             t = 1
         else:
-            t = ceil(np.log2(summary.kappa) - _LOG2_KAPPA_SNAP) + 2
+            # each nonzero eigenphase phi lies in [pi/kappa, pi] and leaks at most
+            # 1/(P^2 sin^2(phi/2)) into the zero outcome; |S_k| of them add up
+            bound = 2.0 * sqrt(max(len(op.block_slots[0]), 1)) / np.sin(np.pi / (2.0 * summary.kappa))
+            t = max(1, ceil(np.log2(bound) - _LOG2_SNAP))
         return _ResolvedPE("bits", t, 2**t, summary.block_kernel_dims, tuple(phases))
 
 
@@ -131,35 +134,6 @@ def phase_zero_probability(phi, t: int):
     return float(out) if out.ndim == 0 else out
 
 
-def zero_phase_columns(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
-    """The phase-estimation unitary's columns for input |0>_phase |s>, as a
-    (P*C, C) array with rows ordered (phase, slot).
-
-    Column s is sum_j r[:, j] x v_j v_j[s] over the eigenpairs (lambda_j, v_j)
-    of the slot's block, and |0>_phase |s> for a slot in no block (a kernel
-    state).  The phase amplitudes r[:, j] are the kernel indicator and its
-    complement in ideal mode, and QFT^dagger e^{i m phi_j} / sqrt(P) for a
-    t-bit register (the Hadamard layer maps |0> to the uniform state)."""
-    pairs = op.eigpairs()  # before resolve, so each block is decomposed once
-    res = cfg.resolve(op)
-    big, c_total = res.phase_dim, op.dim
-    m = np.arange(big)
-    qft_dag = np.exp(-2j * np.pi * np.outer(m, m) / big) / sqrt(big)
-    cols = np.zeros((big, c_total, c_total), dtype=float if res.mode == "ideal" else complex)
-    cols[0, np.arange(c_total), np.arange(c_total)] = 1.0
-    for slots, (_, evecs), kernel_dim, phases in zip(op.block_slots, pairs,
-                                                     res.kernel_dims, res.phases):
-        if res.mode == "ideal":
-            kernel = np.arange(phases.size) < kernel_dim
-            r = np.stack([kernel, ~kernel]).astype(float)
-        else:
-            r = qft_dag @ np.exp(1j * np.outer(m, phases)) / sqrt(big)
-        idx = np.array(slots, dtype=np.intp)
-        # [a, c, s] = sum_j r[a, j] v_j[c] v_j[s]
-        cols[:, idx[:, None], idx] = (r[:, None, :] * evecs) @ evecs.T
-    return cols.reshape(-1, c_total)
-
-
 # ---------------------------------------------------------------------------
 # the reduced mixed state
 
@@ -171,33 +145,19 @@ class DensityOperator:
 
     phase_dim: int
     slot_dim: int
-    vectors: np.ndarray  # (phase_dim*slot_dim, slot_dim); column s = U_PE |0>|s>
-    flags: np.ndarray  # (slot_dim,) membership bits
-    _full: np.ndarray | None = field(default=None, repr=False)
+    vectors: np.ndarray  # (slot_dim, phase_dim*slot_dim*2); row s = U_PE |0>|s> x |flag(s)>
 
     @property
     def dim(self) -> int:
         return self.phase_dim * self.slot_dim * 2
 
-    def full_vectors(self) -> np.ndarray:
-        """Rows: the mixture's pure states on phase x slot x flag."""
-        if self._full is None:
-            c_total = self.slot_dim
-            base = self.vectors.T  # (C, P*C)
-            fv = np.zeros((c_total, self.dim), dtype=complex)
-            cols = 2 * np.arange(self.phase_dim * c_total)[None, :] + self.flags[:, None]
-            fv[np.arange(c_total)[:, None], cols] = base
-            self._full = fv
-        return self._full
-
     def matrix(self) -> np.ndarray:
-        fv = self.full_vectors()
-        return (fv.T @ fv.conj()) / self.slot_dim
+        return (self.vectors.T @ self.vectors.conj()) / self.slot_dim
 
     def expectation(self, observable: np.ndarray) -> float:
         """Tr(observable . rho), evaluated on the mixture."""
-        fv = self.full_vectors()
-        vals = np.einsum("sd,de,se->s", fv.conj(), np.asarray(observable, dtype=complex), fv)
+        v = self.vectors
+        vals = np.einsum("sd,de,se->s", v.conj(), np.asarray(observable, dtype=complex), v)
         total = vals.sum() / self.slot_dim
         if abs(total.imag) > 1e-10:
             raise ValueError(f"expectation has imaginary part {total.imag:.3g}")
@@ -205,15 +165,36 @@ class DensityOperator:
 
 
 def reduced_density(complex_: CliqueComplex, k: int, op: HodgeOperator, cfg: PEConfig) -> DensityOperator:
-    """The mixed state left on (phase, slot, flag) after discarding the copy register."""
+    """The mixed state left on (phase, slot, flag) after discarding the copy
+    register, as its C pure states: row s is sum_j r[:, j] x v_j v_j[s] x |flag>
+    over the eigenpairs (lambda_j, v_j) of the slot's block, flag 1 on the
+    complex's block and 0 on any other, and |0>|s>|0> for a slot in no block (a
+    kernel state).  The phase amplitudes r[:, j] are the kernel indicator and
+    its complement in ideal mode, and QFT^dagger e^{i m phi_j} / sqrt(P) for a
+    t-bit register (the Hadamard layer maps |0> to the uniform state)."""
     if op.k != k or op.n != complex_.n:
         raise ValueError("operator does not match the requested complex/dimension")
-    vectors = zero_phase_columns(op, cfg)
-    c_total = op.dim
-    phase_dim = vectors.shape[0] // c_total
-    flags = np.zeros(c_total, dtype=np.int64)
-    flags[list(op.block_slots[0])] = 1
-    return DensityOperator(phase_dim=phase_dim, slot_dim=c_total, vectors=vectors, flags=flags)
+    pairs = op.eigpairs()  # before resolve, so each block is decomposed once
+    res = cfg.resolve(op)
+    big, c_total = res.phase_dim, op.dim
+    m = np.arange(big)
+    qft_dag = np.exp(-2j * np.pi * np.outer(m, m) / big) / sqrt(big)
+    states = np.zeros((c_total, big, c_total, 2), dtype=complex)
+    free = np.ones(c_total, dtype=bool)  # slots in no block
+    for i, (slots, (_, evecs), kernel_dim, phases) in enumerate(
+            zip(op.block_slots, pairs, res.kernel_dims, res.phases)):
+        if res.mode == "ideal":
+            kernel = np.arange(phases.size) < kernel_dim
+            r = np.stack([kernel, ~kernel]).astype(float)
+        else:
+            r = qft_dag @ np.exp(1j * np.outer(m, phases)) / sqrt(big)
+        idx = np.array(slots, dtype=np.intp)
+        free[idx] = False
+        # [a, c, s] = sum_j r[a, j] v_j[c] v_j[s], written at [s, a, c, flag]
+        states[idx[:, None, None], m[:, None], idx, int(i == 0)] = (
+            (r[:, None, :] * evecs) @ evecs.T).transpose(2, 0, 1)
+    states[free, 0, free, 0] = 1.0
+    return DensityOperator(big, c_total, vectors=states.reshape(c_total, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -279,13 +260,6 @@ class BlockEncoding:
     @property
     def dim(self) -> int:
         return self.ancilla_dim * self.system_dim
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        mat = x if x.ndim == 2 else x.reshape(-1, 1)
-        if mat.shape[0] != self.dim:
-            raise ValueError(f"expected leading dimension {self.dim}")
-        out = self.dense @ mat if self.dense is not None else self.apply_fn(mat)
-        return out if x.ndim == 2 else out.reshape(-1)
 
     def encoded_block(self) -> np.ndarray:
         """(<0|_anc x I) U (|0>_anc x I), computed through the construction."""
@@ -376,7 +350,7 @@ def block_encode_state_mixture(states: np.ndarray, description: str = "") -> Blo
 def block_encode_density(rho: DensityOperator) -> BlockEncoding:
     """Exact block encoding of the pipeline's mixed state from its purification."""
     return block_encode_state_mixture(
-        rho.full_vectors(),
+        rho.vectors,
         description=f"pipeline density (P={rho.phase_dim}, C={rho.slot_dim})",
     )
 

@@ -6,10 +6,12 @@ exact fractions or by dense fraction-free (Bareiss) elimination, on dense
 boundary matrices.  The small-size pipeline oracles below build what the
 library only ever reads in part: the dense C x C Hodge operator, the per-slot
 zero-phase weights, the whole phase-estimation unitary, the flag-tagged state
-with its copy register, and the explicit density matrix.
+with its copy register, the explicit density matrix, and a block encoding's
+whole unitary applied to any input.
 """
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -18,6 +20,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from bettiq import (
+    BlockEncoding,
     CliqueComplex,
     HodgeOperator,
     PEConfig,
@@ -219,7 +222,14 @@ def membership(complex_: CliqueComplex, s: SimplexWord) -> int:
     """1 if the simplex belongs to the complex, else 0 (binary search)."""
     if s.n != complex_.n:
         raise ValueError(f"simplex on {s.n} vertices, complex on {complex_.n}")
-    return int(complex_.contains_word(s.k, s.bits))
+    return int(contains_word(complex_, s.k, s.bits))
+
+
+def contains_word(complex_: CliqueComplex, k: int, word: int) -> bool:
+    """Whether the word is one of the complex's k-simplices (binary search)."""
+    level = complex_.words(k)
+    i = bisect_left(level, word)
+    return i < len(level) and level[i] == word
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +366,7 @@ def prepare_phi(complex_: CliqueComplex, k: int) -> TaggedState:
     amp = np.zeros((c_total, 2))
     root = 1.0 / sqrt(c_total)
     for i, w in enumerate(words):
-        amp[i, int(complex_.contains_word(k, w))] = root
+        amp[i, int(contains_word(complex_, k, w))] = root
     return TaggedState(amp, n, k, copied=False)
 
 
@@ -389,8 +399,18 @@ def validate_density(rho, atol_trace: float = 1e-10, atol_psd: float = 1e-10) ->
     """Hermiticity, unit trace and positivity of a DensityOperator's explicit matrix."""
     mat = rho.matrix()
     herm = float(np.abs(mat - mat.conj().T).max())
-    fv = rho.full_vectors()
+    fv = rho.vectors
     tr = float((np.abs(fv) ** 2).sum() / rho.slot_dim)
     min_eig = float(np.linalg.eigvalsh(mat).min())
     ok = herm <= 1e-12 and abs(tr - 1.0) <= atol_trace and min_eig >= -atol_psd
     return {"hermiticity": herm, "trace": tr, "min_eigenvalue": min_eig, "ok": ok}
+
+
+def apply_encoding(enc: BlockEncoding, x: np.ndarray) -> np.ndarray:
+    """The encoding's whole unitary applied to a vector or to columns, through
+    its dense matrix or its factor-by-factor circuit."""
+    mat = x if x.ndim == 2 else x.reshape(-1, 1)
+    if mat.shape[0] != enc.dim:
+        raise ValueError(f"expected leading dimension {enc.dim}")
+    out = enc.dense @ mat if enc.dense is not None else enc.apply_fn(mat)
+    return out if x.ndim == 2 else out.reshape(-1)

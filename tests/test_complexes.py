@@ -12,6 +12,7 @@ from bettiq import (
     complement_complex,
     dump_instance,
     generate_instance,
+    hodge_laplacian,
     induced_graph,
     load_instance,
     slot_rank,
@@ -21,6 +22,7 @@ from helpers import (
     SimplexWord,
     brute_force_cliques,
     complete_graph,
+    contains_word,
     cycle_graph,
     empty_graph,
     enumerate_slots,
@@ -115,7 +117,7 @@ class TestBuild:
         for k in range(1, 4):
             for w in c.words(k):
                 for v in SimplexWord(w, 8, k).vertices():
-                    assert c.contains_word(k - 1, w & ~(1 << v))
+                    assert contains_word(c, k - 1, w & ~(1 << v))
 
     def test_count_bounds_and_density(self):
         c = build_clique_complex(complete_graph(5), 3)
@@ -215,6 +217,18 @@ class TestGraphValidation:
         for v, mask in enumerate(g.adjacency_masks()):
             assert 0 <= mask < 1 << n
             assert {u for u in range(n) if mask >> u & 1} == set(np.nonzero(g.adjacency[v])[0])
+
+    def test_complex_keeps_its_masks_for_the_laplacian(self, monkeypatch):
+        g = random_graph(9, 0.5, seed=4)
+        c = build_clique_complex(g, 3)
+        assert c.masks == tuple(g.adjacency_masks())
+
+        def refuse(self):
+            raise AssertionError("adjacency masks recomputed")
+
+        monkeypatch.setattr(VertexGraph, "adjacency_masks", refuse)
+        for k in range(3):
+            hodge_laplacian(c, k)
 
 
 class TestGenerate:

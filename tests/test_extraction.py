@@ -77,6 +77,23 @@ class TestObservableB:
         with pytest.raises(ValueError):
             observable_b(np.diag([2.0, 0.0]), c4_context())
 
+    @pytest.mark.parametrize("convention", ["restricted", "dual"])
+    def test_observable_encoding_takes_no_eigenvectors(self, convention, monkeypatch):
+        ctx = pipeline_context(octahedron_graph(), 1, convention, PEConfig.bits(t=2))
+        eigh = np.linalg.eigh
+
+        def refuse_blocks(a, *args, **kwargs):
+            # the flag observable's own dilation may decompose it; the operator's blocks not
+            if any(a is block for block in ctx.op.blocks):
+                raise AssertionError("operator eigenvectors requested")
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse_blocks)
+        for m in (FLAG_ONE, FLAG_ZERO):
+            enc = ctx.observable_encoding(m)
+            assert enc.verify()["ok"]
+            assert enc.system_dim == 4 * ctx.slot_count * 2  # phase x slot x flag
+
     def test_sampled_estimators_build_no_state_or_encoding(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("estimation built a verification artifact")
@@ -225,13 +242,6 @@ class TestEstimateBetti:
         assert a.beta_estimate == b.beta_estimate
         assert a.system.y == b.system.y
 
-    def test_refine_halves_lower_bound(self):
-        # K4 has beta_1 = 0: a pilot at beta_lower=4 must trigger halving
-        est = estimate_betti(complete_graph(4), 1, 0.5, mode="sampled", seed=3,
-                             beta_lower=4.0, refine=True)
-        assert est.beta_lower_used < 4.0
-        assert est.beta_rounded == 0
-
     def test_empty_level_rejected(self):
         with pytest.raises(ValueError):
             estimate_betti(empty_graph(4), 1)
@@ -289,6 +299,12 @@ class TestEstimateBetti:
             monkeypatch.setattr(module, "spectral_summary", counting)
         estimate_betti(random_graph(7, 0.5, seed=3), 1, pe=PEConfig.bits())
         assert sum(computed) == 1 and len(computed) > 1
+
+    def test_auto_t_bounds_the_leakage_on_a_dense_graph(self):
+        # |S_2| = 2,418 and kappa = 3.7: sizing the register from kappa alone
+        # (t = 4) leaks a raw beta of ~7 into a Betti number of 0
+        est = estimate_betti(random_graph(30, 0.85, seed=4), 2, pe=PEConfig.bits())
+        assert est.beta_rounded == est.beta_oracle == 0
 
     def test_half_integer_ties_round_up(self):
         # census graph 32112 at k=1 under PEConfig.bits(t=2) has raw beta 1.5, and the
@@ -482,6 +498,15 @@ class TestComplementReport:
         assert rep["betti_complement_exact"] == 0
         assert rep["p1_dual"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_empty_complex_block_under_automatic_bits(self):
+        # the complex's block is empty, so the register is sized as for one
+        # simplex; the complement K4's edge block has kappa = 1, so t = 1
+        rep = complement_report(empty_graph(4), 1, pe=PEConfig.bits())
+        assert rep["p1_restricted"] == pytest.approx(6.0, abs=1e-9)
+        assert rep["p1_dual"] == pytest.approx(0.0, abs=1e-9)
+        op = pipeline_context(empty_graph(4), 1, "dual").op
+        assert PEConfig.bits().resolve(op).t == 1
+
     def test_octahedron_k2_counts_neither_slots(self):
         rep = complement_report(octahedron_graph(), 2)
         # complement = perfect matching: no triangles; all 12 off-complex slots
@@ -495,6 +520,23 @@ class TestComplementReport:
 
         with pytest.raises(ValueError):
             complement_report(PointCloud(np.zeros((3, 2)), 1.0), 1)
+
+    def test_builds_and_decomposes_each_block_once(self, monkeypatch):
+        graph = random_graph(12, 0.4, seed=1)
+        expected = (pipeline_context(graph, 2, "restricted").p1_trace(),
+                    pipeline_context(graph, 2, "dual").p1_trace())
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        rep = complement_report(graph, 2)
+        assert sizes == [10, 61]
+        assert (rep["p1_restricted"], rep["p1_dual"]) == expected
+        assert rep["dual_matches_block_kernel"]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_graphs_consistent(self, seed):

@@ -27,10 +27,11 @@ from bettiq import (
     slot_words,
     tensor_block_encoding,
     trace_estimate,
-    zero_phase_columns,
 )
 from helpers import (
+    apply_encoding,
     complete_graph,
+    contains_word,
     copy_register,
     cycle_graph,
     empty_graph,
@@ -195,15 +196,23 @@ PE_INSTANCES = [
 
 
 class TestZeroPhaseColumns:
+    """The phase-estimation columns U_PE |0>|s>, read from the rows of the
+    reduced state, which tag each with its slot's membership flag."""
+
     @pytest.mark.parametrize("convention", ["restricted", "dual"])
     @pytest.mark.parametrize("graph,k", PE_INSTANCES)
     def test_equal_the_unitary_oracle_columns(self, graph, k, convention):
-        op = hodge_laplacian(build_clique_complex(graph, k + 1), k, convention)
+        c = build_clique_complex(graph, k + 1)
+        op = hodge_laplacian(c, k, convention)
+        slots = np.arange(op.dim)
+        flag = np.zeros(op.dim, dtype=np.intp)
+        flag[[slot_rank(w) for w in c.words(k)]] = 1
         for cfg in PE_CONFIGS:
-            cols = zero_phase_columns(op, cfg)
+            rows = reduced_density(c, k, op, cfg).vectors.reshape(op.dim, -1, 2)
             oracle = phase_estimation_unitary(op, cfg)[:, : op.dim]
-            assert cols.shape == oracle.shape
-            assert np.abs(cols - oracle).max() < 1e-12, cfg
+            assert rows.shape[1] == oracle.shape[0]
+            assert np.abs(rows[slots, :, flag] - oracle.T).max() < 1e-12, cfg
+            assert not rows[slots, :, 1 - flag].any(), cfg
 
     def test_reduced_density_holds_only_the_read_columns(self):
         # C = 120, P = 32: the whole unitary would be 3,840^2 complex entries (~236 MB)
@@ -217,7 +226,7 @@ class TestZeroPhaseColumns:
         finally:
             tracemalloc.stop()
         assert (rho.phase_dim, rho.slot_dim) == (32, 120)
-        assert rho.vectors.shape == (32 * 120, 120)
+        assert rho.vectors.shape == (120, 32 * 120 * 2)
         assert peak < 32 << 20
 
 
@@ -271,7 +280,7 @@ class TestReducedDensity:
         full = np.zeros(p_dim * c_total * 2 * c_total, dtype=complex)
         for s, word in enumerate(slot_words(c.n, k)):
             flag = np.zeros(2)
-            flag[int(c.contains_word(k, word))] = 1.0
+            flag[int(contains_word(c, k, word))] = 1.0
             copy = np.zeros(c_total)
             copy[s] = 1.0
             full += np.kron(np.kron(u_pe[:, s], flag), copy) / np.sqrt(c_total)
@@ -414,7 +423,7 @@ class TestBlockEncodeMixture:
         cols = np.zeros((enc.dim, d), dtype=complex)
         cols[np.arange(d), np.arange(d)] = 1.0
         structured_block = enc.apply_fn(cols)[:d]
-        full = enc.apply(np.eye(enc.dim))  # the whole circuit, dim 432, as the reference
+        full = apply_encoding(enc, np.eye(enc.dim))  # the whole circuit, dim 432, as the reference
         assert np.abs(full.conj().T @ full - np.eye(enc.dim)).max() < 1e-10
         assert np.abs(structured_block - full[:d, :d]).max() < 1e-12
 
@@ -429,7 +438,7 @@ class TestBlockEncodeMixture:
         assert enc.unitarity_deviation() < 1e-12
         # isometry spot check on a random vector
         x = rng.normal(size=enc.dim) + 1j * rng.normal(size=enc.dim)
-        assert np.linalg.norm(enc.apply(x)) == pytest.approx(np.linalg.norm(x), rel=1e-12)
+        assert np.linalg.norm(apply_encoding(enc, x)) == pytest.approx(np.linalg.norm(x), rel=1e-12)
 
 
 class TestTraceEstimate:
