@@ -11,14 +11,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
+from contextlib import nullcontext
 from math import comb
 
 import numpy as np
 
 from . import __version__
 from .complexes import (
+    GENERATOR_MODELS,
     InstanceSpec,
     dump_instance,
     generate_instance,
@@ -27,6 +30,7 @@ from .complexes import (
 )
 from .extraction import (
     ObservablePair,
+    ResourceReport,
     SingularSystemError,
     complement_report,
     estimate_betti,
@@ -48,28 +52,9 @@ TRIAL_CSV_COLUMNS = [
     "delta",
 ]
 
-RESOURCE_CSV_COLUMNS = [
-    "n",
-    "k",
-    "kappa",
-    "beta",
-    "s_count",
-    "slot_count",
-    "eps",
-    "delta",
-    "this_method_cost",
-    "prior_quantum_cost",
-    "classical_cost",
-    "depth_this_method",
-    "depth_prior_quantum",
-    "normalized_this_method_cost",
-    "normalized_prior_cost",
-    "grover_preparation_cost",
-    "planned_measurement_delta",
-    "sample_cost",
-    "valid",
-    "error",
-]
+_PE_HELP = "'ideal', 'bits' (register sized automatically) or 'bits:<t>'"
+
+RESOURCE_CSV_COLUMNS = [*ResourceReport.__dataclass_fields__, "valid", "error"]
 
 
 def _parse_pe(text: str) -> PEConfig:
@@ -79,7 +64,7 @@ def _parse_pe(text: str) -> PEConfig:
         return PEConfig.bits(t=int(text.split(":", 1)[1]))
     if text == "bits":
         return PEConfig.bits()
-    raise ValueError(f"--pe must be 'ideal' or 'bits:<t>', got {text!r}")
+    raise ValueError(f"--pe must be 'ideal', 'bits' or 'bits:<t>', got {text!r}")
 
 
 def _parse_pair(text: str) -> ObservablePair:
@@ -112,25 +97,27 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()  # numpy scalars become the Python int/float/bool they hold
     raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
-def _emit_csv(rows: list[dict], columns: list[str], path: str) -> None:
-    with open(path, "w", newline="") as fh:
+def _emit_report(config: dict, results, start: float, out: str | None) -> None:
+    """Write the report envelope every analysis command emits; its timing runs
+    from `start` to this call, after the results are computed."""
+    _emit_json({
+        "config": config,
+        "results": results,
+        "timing_seconds": time.perf_counter() - start,
+        "versions": {"bettiq": __version__, "numpy": np.__version__},
+    }, out)
+
+
+def _emit_csv(rows: list[dict], columns: list[str], out: str | None) -> None:
+    with open(out, "w", newline="") if out else nullcontext(sys.stdout) as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-
-
-def _versions() -> dict:
-    return {"bettiq": __version__, "numpy": np.__version__}
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +125,8 @@ def _versions() -> dict:
 
 
 def _cmd_generate(args) -> int:
-    params = {}
-    for name in ("n", "p", "inner", "outer", "length_scale"):
-        value = getattr(args, name.replace("-", "_"))
-        if value is not None:
-            params[name] = value
+    params = {name: getattr(args, name) for name in ("n", "p", "inner", "outer", "length_scale")
+              if getattr(args, name) is not None}
     spec = InstanceSpec(args.model, params, args.seed)
     instance = generate_instance(spec)
     if args.out:
@@ -161,22 +145,18 @@ def _cmd_exact(args) -> int:
     beta = betti_exact(ctx.complex, args.k)
     summary = spectral_summary(ctx.op)
     euler_ok, euler_rep = euler_check(ctx.complex)
-    payload = {
-        "config": {"command": "exact", "instance": str(args.instance), "k": args.k,
-                   "convention": args.convention},
-        "results": {
-            "beta": beta,
-            "s_count": ctx.s_count,
-            "slot_count": ctx.slot_count,
-            "kappa_laplacian": summary.kappa,
-            "kernel_dim": summary.kernel_dim,
-            "euler_ok": euler_ok,
-            "euler": euler_rep,
-        },
-        "timing_seconds": time.perf_counter() - start,
-        "versions": _versions(),
+    config = {"command": "exact", "instance": str(args.instance), "k": args.k,
+              "convention": args.convention}
+    results = {
+        "beta": beta,
+        "s_count": ctx.s_count,
+        "slot_count": ctx.slot_count,
+        "kappa_laplacian": summary.kappa,
+        "kernel_dim": summary.kernel_dim,
+        "euler_ok": euler_ok,
+        "euler": euler_rep,
     }
-    _emit_json(payload, args.out)
+    _emit_report(config, results, start, args.out)
     return 0
 
 
@@ -233,30 +213,17 @@ def _cmd_estimate(args) -> int:
     start = time.perf_counter()
     instance_desc = instance_to_dict(instance)
     if args.trials == 1:
-        result = run_one(master)
-        payload = {
-            "config": config,
-            "results": result.to_dict(instance=instance_desc),
-            "timing_seconds": time.perf_counter() - start,
-            "versions": _versions(),
-        }
-        _emit_json(payload, args.out)
+        _emit_report(config, run_one(master).to_dict(instance=instance_desc), start, args.out)
         return 0
 
     children = [np.random.SeedSequence(entropy=master.entropy, spawn_key=(i,))
                 for i in range(args.trials)]
     results = [run_one(child) for child in children]
-    rows = [_trial_row(i, res, children[i].entropy) for i, res in enumerate(results)]
-    payload = {
-        "config": config,
-        "results": {"trials": [res.to_dict(instance=instance_desc) for res in results]},
-        "timing_seconds": time.perf_counter() - start,
-        "versions": _versions(),
-    }
-    _emit_json(payload, args.out)
+    _emit_report(config, {"trials": [res.to_dict(instance=instance_desc) for res in results]},
+                 start, args.out)
     if args.out:
-        stem = args.out.rsplit(".", 1)[0]
-        _emit_csv(rows, TRIAL_CSV_COLUMNS, f"{stem}.trials.csv")
+        rows = [_trial_row(i, res, children[i].entropy) for i, res in enumerate(results)]
+        _emit_csv(rows, TRIAL_CSV_COLUMNS, f"{os.path.splitext(args.out)[0]}.trials.csv")
     return 0
 
 
@@ -277,13 +244,7 @@ def _cmd_resources(args) -> int:
             except ValueError as exc:
                 row.update({"valid": False, "error": str(exc)})
             rows.append(row)
-    if args.out:
-        _emit_csv(rows, RESOURCE_CSV_COLUMNS, args.out)
-    else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=RESOURCE_CSV_COLUMNS, extrasaction="ignore")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    _emit_csv(rows, RESOURCE_CSV_COLUMNS, args.out)
     return 0
 
 
@@ -292,14 +253,8 @@ def _cmd_complement(args) -> int:
     pe = _parse_pe(args.pe)
     start = time.perf_counter()
     report = complement_report(instance, args.k, pe=pe)
-    payload = {
-        "config": {"command": "complement", "instance": str(args.instance), "k": args.k,
-                   "pe": args.pe},
-        "results": report,
-        "timing_seconds": time.perf_counter() - start,
-        "versions": _versions(),
-    }
-    _emit_json(payload, args.out)
+    config = {"command": "complement", "instance": str(args.instance), "k": args.k, "pe": args.pe}
+    _emit_report(config, report, start, args.out)
     return 0
 
 
@@ -314,8 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a seeded instance file")
-    gen.add_argument("--model", required=True,
-                     choices=["cycle", "complete", "erdos-renyi", "octahedron", "annulus-cloud"])
+    gen.add_argument("--model", required=True, choices=GENERATOR_MODELS)
     gen.add_argument("--n", type=int)
     gen.add_argument("--p", type=float, help="edge probability (erdos-renyi)")
     gen.add_argument("--inner", type=float, help="inner radius (annulus-cloud)")
@@ -340,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--normalized", action="store_true")
     est.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     est.add_argument("--convention", choices=["restricted", "dual"], default="restricted")
-    est.add_argument("--pe", default="ideal", help="'ideal' or 'bits:<t>'")
+    est.add_argument("--pe", default="ideal", help=_PE_HELP)
     est.add_argument("--pair", default="default", help="'default' or 'custom:<json file>'")
     est.add_argument("--confidence", type=float, default=0.95)
     est.add_argument("--seed", type=int)
@@ -364,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp = sub.add_parser("complement", help="three-way complement comparison")
     comp.add_argument("--instance", required=True)
     comp.add_argument("--k", type=int, required=True)
-    comp.add_argument("--pe", default="ideal")
+    comp.add_argument("--pe", default="ideal", help=_PE_HELP)
     comp.add_argument("--out")
     comp.set_defaults(func=_cmd_complement)
     return parser

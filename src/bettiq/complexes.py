@@ -9,6 +9,7 @@ words, ordered by numeric value.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from math import comb
 from pathlib import Path
@@ -32,6 +33,13 @@ __all__ = [
 ]
 
 GENERATOR_MODELS = ("erdos-renyi", "cycle", "complete", "octahedron", "annulus-cloud")
+
+
+def _integer(x, what: str) -> int:
+    """x as an int when its value is an integer (3 or 3.0); 4.9 or "3" raise ValueError."""
+    if isinstance(x, numbers.Integral) or isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
 def slot_rank(word: int) -> int:
@@ -106,9 +114,10 @@ class VertexGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "VertexGraph":
+        n = _integer(n, "vertex count n")
         adj = np.zeros((n, n), dtype=bool)
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = _integer(u, "vertex id"), _integer(v, "vertex id")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -230,16 +239,16 @@ def generate_instance(spec: InstanceSpec):
     """Materialize a VertexGraph or PointCloud from a generator spec."""
     model, params = spec.model, dict(spec.params)
     if model == "cycle":
-        n = int(params["n"])
+        n = _integer(params["n"], "n")
         if n < 3:
             raise ValueError("cycle needs n >= 3")
         return VertexGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
     if model == "complete":
-        n = int(params["n"])
+        n = _integer(params["n"], "n")
         adj = ~np.eye(n, dtype=bool)
         return VertexGraph(n, adj)
     if model == "erdos-renyi":
-        n, p = int(params["n"]), float(params["p"])
+        n, p = _integer(params["n"], "n"), float(params["p"])
         if not 0 <= p <= 1:
             raise ValueError("edge probability must be in [0, 1]")
         rng = np.random.default_rng(spec.seed)
@@ -248,7 +257,7 @@ def generate_instance(spec: InstanceSpec):
     if model == "octahedron":
         return _octahedron_graph()
     if model == "annulus-cloud":
-        n = int(params["n"])
+        n = _integer(params["n"], "n")
         inner = float(params.get("inner", 1.0))
         outer = float(params.get("outer", 1.5))
         length_scale = float(params["length_scale"])
@@ -286,7 +295,7 @@ def load_instance(source):
     else:
         data = source
     if "edges" in data:
-        return VertexGraph.from_edges(int(data["n"]), data["edges"])
+        return VertexGraph.from_edges(data["n"], data["edges"])
     if "points" in data:
         return PointCloud(np.asarray(data["points"], dtype=float), float(data["length_scale"]))
     if "model" in data:

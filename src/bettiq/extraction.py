@@ -522,21 +522,14 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
         graph = source
     else:
         raise ValueError("the complement comparison needs a graph instance")
-    cfg = pe or PEConfig.ideal()
-    top = _needed_dim(graph.n, k)
-    complex_ = build_clique_complex(graph, top)
-    c_total = comb(graph.n, k + 1)
-    s_count = complex_.simplex_count(k)
+    ctx = pipeline_context(graph, k, "dual", pe)
+    c_total, s_count = ctx.slot_count, ctx.s_count
     comp_slots = c_total - s_count
+    # the restricted operator is the dual one's first block alone: every other slot is a zero row
+    p1_restricted = float(comp_slots)
+    p1_dual = ctx.p1_trace()
 
-    # one build: the restricted operator is the dual one's first block
-    dual = hodge_laplacian(complex_, k, "dual")
-    restricted = HodgeOperator(k, graph.n, "restricted", dual.blocks[:1], dual.block_slots[:1],
-                               _eig=dual.eig()[:1])
-    p1_restricted = PipelineContext(complex_, k, restricted, cfg).p1_trace()
-    p1_dual = PipelineContext(complex_, k, dual, cfg).p1_trace()
-
-    comp_complex = complement_complex(graph, top)
+    comp_complex = complement_complex(graph, ctx.complex.max_dim)
     beta_comp = betti_exact(comp_complex, k)
 
     # the dual operator's off-complex kernel by the Hodge theorem: complement

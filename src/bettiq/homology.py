@@ -121,8 +121,8 @@ class HodgeOperator:
     convention: str
     blocks: tuple[np.ndarray, ...]
     block_slots: tuple[tuple[int, ...], ...]
-    _eig: tuple | None = field(default=None, repr=False)
-    _summary: SpectralSummary | None = field(default=None, repr=False)
+    _eig: tuple | None = field(default=None, init=False, repr=False)
+    _summary: SpectralSummary | None = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -191,7 +191,7 @@ def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restrict
     blocks = [_laplacian_block(complex_, k)]
     slots = [tuple(slot_rank(w) for w in complex_.words(k))]
     if convention == "dual" and k >= 1:
-        comp = complement_complex(complex_.graph, _needed_dim(complex_.n, k))
+        comp = complement_complex(complex_.graph, k)  # its block reads only the k-simplices
         comp_slots = tuple(slot_rank(w) for w in comp.words(k))
         if set(comp_slots) & set(slots[0]):
             raise AssertionError("complement-complex simplices collide with the complex")
@@ -212,14 +212,13 @@ def betti_exact(complex_: CliqueComplex, k: int) -> int:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Spectrum digest over all slots (ascending `eigenvalues`, one zero per
-    slot in no block); kappa = lambda_max / lambda_min_nonzero over the
-    nonzero spectrum (an interpretation - the source ratio is not pinned to a
-    norm), None when the spectrum is all zero.  `threshold` is the zero cut
+    """Spectrum digest over all slots (a slot in no block is one zero
+    eigenvalue); kappa = lambda_max / lambda_min_nonzero over the nonzero
+    spectrum (an interpretation - the source ratio is not pinned to a norm),
+    None when the spectrum is all zero.  `threshold` is the zero cut
     kernel_dim was counted at; block_kernel_dims[i] is the kernel of block i,
     the first that many of its eigenvalues."""
 
-    eigenvalues: np.ndarray
     kernel_dim: int
     block_kernel_dims: tuple[int, ...]
     threshold: float
@@ -231,22 +230,21 @@ class SpectralSummary:
 def spectral_summary(op: HodgeOperator) -> SpectralSummary:
     """The pipeline's one kernel decision: eigenvalues below
     DEFAULT_ZERO_TOL * max(lambda_max, 1) count as zero.  Each block's
-    eigenvalues come ascending, so a block's kernel is a prefix of them.
-    Computed once per operator and cached on it; the shared `eigenvalues`
-    array is read-only."""
+    eigenvalues come ascending, so a block's kernel is a prefix of them and
+    its first eigenvalue above the cut is its smallest nonzero one.  Computed
+    once per operator and cached on it."""
     if op._summary is not None:
         return op._summary
     block_evals = op.eig()
     uncovered = op.dim - sum(e.size for e in block_evals)
-    evals = np.sort(np.concatenate([np.zeros(uncovered), *block_evals]))
-    lam_max = float(evals[-1])
+    lam_max = max([float(e[-1]) for e in block_evals if e.size] + ([0.0] if uncovered else []))
     thresh = DEFAULT_ZERO_TOL * max(lam_max, 1.0)
     block_kernel_dims = tuple(int((e < thresh).sum()) for e in block_evals)
     kernel_dim = uncovered + sum(block_kernel_dims)
-    lam_min = float(evals[kernel_dim]) if kernel_dim < evals.size else None
+    lam_min = min((float(e[d]) for e, d in zip(block_evals, block_kernel_dims) if d < e.size),
+                  default=None)
     kappa = None if lam_min is None else lam_max / lam_min
-    evals.flags.writeable = False
-    op._summary = SpectralSummary(evals, kernel_dim, block_kernel_dims, thresh, lam_min, lam_max, kappa)
+    op._summary = SpectralSummary(kernel_dim, block_kernel_dims, thresh, lam_min, lam_max, kappa)
     return op._summary
 
 

@@ -1,10 +1,15 @@
 import json
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bettiq
 from bettiq import SingularSystemError, cli, extraction, hoeffding_sample_count
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(args):
@@ -81,6 +86,12 @@ class TestExact:
     def test_missing_file_exits_2(self):
         assert run(["exact", "--instance", "nope.json", "--k", "1"]) == 2
 
+    def test_non_integral_vertex_id_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "frac.json"
+        path.write_text(json.dumps({"n": 4, "edges": [[0, 1.5], [2, 3]]}))
+        assert run(["exact", "--instance", str(path), "--k", "0"]) == 2
+        assert "vertex id must be an integer" in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_exact_mode(self, c4_file, tmp_path):
@@ -129,6 +140,14 @@ class TestEstimate:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == ",".join(cli.TRIAL_CSV_COLUMNS)
         assert len(lines) == 4
+
+    def test_trials_csv_stays_beside_the_report_in_a_dotted_directory(self, c4_file, tmp_path):
+        (tmp_path / "run.1").mkdir()
+        out = tmp_path / "run.1" / "out"
+        assert run(["estimate", "--instance", str(c4_file), "--k", "1", "--trials", "2",
+                    "--out", str(out)]) == 0
+        assert (tmp_path / "run.1" / "out.trials.csv").exists()
+        assert not (tmp_path / "run.trials.csv").exists()
 
     def test_pe_bits_flag(self, c4_file, tmp_path):
         out = tmp_path / "bits.json"
@@ -220,6 +239,14 @@ class TestResources:
         assert row["valid"] == "False"
         assert "beta" in row["error"]
 
+    def test_header_is_the_report_fields(self, capsys):
+        assert run(["resources", "--n", "4", "--k", "1", "--kappa", "2", "--beta", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "n,k,kappa,beta,s_count,slot_count,eps,delta,this_method_cost,prior_quantum_cost,"
+            "classical_cost,depth_this_method,depth_prior_quantum,normalized_this_method_cost,"
+            "normalized_prior_cost,grover_preparation_cost,planned_measurement_delta,sample_cost,"
+            "valid,error")
+
     def test_empty_range_exits_2(self, tmp_path):
         out = tmp_path / "empty.csv"
         assert run(["resources", "--n", "5..3", "--k", "1", "--kappa", "2",
@@ -264,3 +291,36 @@ class TestComplement:
         res = json.loads(out.read_text())["results"]
         assert res["complement_slot_count"] == 0
         assert res["p1_restricted"] == 0.0
+
+
+class TestReportEnvelope:
+    @pytest.mark.parametrize("args", [
+        ["exact"],
+        ["estimate"],
+        ["estimate", "--mode", "sampled", "--eps", "0.25", "--trials", "2"],
+        ["complement", "--pe", "bits:2"],
+    ])
+    def test_every_report_has_the_same_envelope(self, args, c4_file, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(args + ["--instance", str(c4_file), "--k", "1", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert set(report) == {"config", "results", "timing_seconds", "versions"}
+        assert report["versions"] == {"bettiq": bettiq.__version__, "numpy": np.__version__}
+        assert report["config"]["command"] == args[0]
+
+
+def readme_cli_lines():
+    """The `bettiq ...` lines of README's command-line quick start."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("bettiq ")]
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_lines()
+    assert [argv[1] for argv in lines] == [
+        "generate", "exact", "estimate", "estimate", "estimate", "resources", "complement"]
+    for argv in lines:
+        assert run(argv[1:]) == 0, argv
+    assert (tmp_path / "multi.trials.csv").exists()

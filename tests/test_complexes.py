@@ -285,6 +285,21 @@ class TestInstanceIO:
         g = load_instance(path)
         assert isinstance(g, VertexGraph) and len(g.edges()) == 4
 
+    @pytest.mark.parametrize("data", [
+        {"n": 4.9, "edges": [[0, 1], [2, 3]]},
+        {"n": 4, "edges": [[0, 1.5], [2, 3]]},
+        {"n": 4, "edges": [[0, 1], [2.7, 3]]},
+        {"n": "4", "edges": [[0, 1]]},
+        {"n": 4, "edges": [[0, None]]},
+    ])
+    def test_non_integral_vertex_ids_rejected(self, data):
+        with pytest.raises(ValueError, match="must be an integer"):
+            load_instance(data)
+
+    def test_integral_floats_accepted(self):
+        g = load_instance({"n": 4.0, "edges": [[0.0, 1], [2, 3.0]]})
+        assert g.n == 4 and g.edges() == [(0, 1), (2, 3)]
+
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             load_instance({"foo": 1})
