@@ -6,10 +6,11 @@ weights; the block encodings that a hardware run would use for it are built
 here only to be verified.  Every construction is checked against its
 contract: U is unitary and its all-zeros-ancilla block equals the target.
 The mixed-state encoding goes through a purification, a register swap, and the
-inverse preparation; at every size it is applied factor by factor, as matrix
-products, never materialized, and its factors and encoded block are still
-verified.  The whole script takes a few seconds and runs in the test suite
-(tests/test_demos.py).
+inverse preparation; it is kept as its factors and never materialized.  Its
+factors are checked for unitarity, and its encoded block is contracted from
+both ends of the circuit (the factors act on the ancilla alone) and checked
+against the density matrix.  The whole script takes a few seconds and runs in
+the test suite (tests/test_demos.py).
 """
 
 import numpy as np
@@ -48,7 +49,7 @@ show("tensor product (ancillas regrouped)", tens)
 dens = block_encode_density(rho)
 show("mixed state via purification + swap", dens)
 
-print("\nthe same factor-by-factor mixed-state construction on a larger instance:")
+print("\nthe same factored mixed-state construction on a larger instance:")
 ctx_big = pipeline_context(
     generate_instance(InstanceSpec("erdos-renyi", {"n": 8, "p": 0.3}, seed=5)), 1)
 dens_big = block_encode_density(ctx_big.rho())

@@ -115,8 +115,14 @@ class VertexGraph:
     @classmethod
     def from_edges(cls, n: int, edges) -> "VertexGraph":
         n = _integer(n, "vertex count n")
+        try:
+            pairs = [tuple(edge) for edge in edges]
+        except TypeError:
+            pairs = None
+        if pairs is None or any(len(pair) != 2 for pair in pairs):
+            raise ValueError(f"edges must be a list of vertex pairs, got {edges!r}")
         adj = np.zeros((n, n), dtype=bool)
-        for u, v in edges:
+        for u, v in pairs:
             u, v = _integer(u, "vertex id"), _integer(v, "vertex id")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
@@ -294,6 +300,8 @@ def load_instance(source):
             data = json.load(fh)
     else:
         data = source
+    if not isinstance(data, dict):
+        raise ValueError(f"instance JSON must be an object, got {type(data).__name__}")
     if "edges" in data:
         return VertexGraph.from_edges(data["n"], data["edges"])
     if "points" in data:

@@ -518,18 +518,20 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
     """
     if isinstance(source, CliqueComplex):
         graph = source.graph
+        if source.max_dim < _needed_dim(graph.n, k):
+            source = graph  # under-built: the pipeline builds it from the graph
     elif isinstance(source, VertexGraph):
         graph = source
     else:
         raise ValueError("the complement comparison needs a graph instance")
-    ctx = pipeline_context(graph, k, "dual", pe)
+    ctx = pipeline_context(source, k, "dual", pe)
     c_total, s_count = ctx.slot_count, ctx.s_count
     comp_slots = c_total - s_count
     # the restricted operator is the dual one's first block alone: every other slot is a zero row
     p1_restricted = float(comp_slots)
     p1_dual = ctx.p1_trace()
 
-    comp_complex = complement_complex(graph, ctx.complex.max_dim)
+    comp_complex = complement_complex(graph, _needed_dim(graph.n, k))
     beta_comp = betti_exact(comp_complex, k)
 
     # the dual operator's off-complex kernel by the Hodge theorem: complement

@@ -12,6 +12,9 @@ columns of its unitary with that input are built, straight from the
 operator's eigenpairs (the estimators read eigenvalue sums alone).  The mixed
 state is kept in its analytic form (a uniform mixture of one pure state per
 slot); materializing the full register would change nothing but memory use.
+Its block encoding keeps the purification's factors, and its encoded block is
+read by contracting the circuit from both ends: the factors act on the ancilla
+alone, so only their |0> columns ever meet the zero-ancilla block.
 """
 
 from __future__ import annotations
@@ -48,9 +51,6 @@ __all__ = [
 
 # Largest dimension of a tensor-product encoding held as an explicit matrix.
 DENSE_DIM_CAP = 4608
-
-# Bytes of zero-ancilla input columns pushed through a factored encoding at once.
-BLOCK_CHUNK_BYTES = 1 << 26
 
 # A log2 of the automatic register bound this close to an integer is that
 # integer, so the register size does not follow the eigensolver's last bit.
@@ -223,6 +223,8 @@ class BlockEncodingError(RuntimeError):
 def householder_unitary(target) -> np.ndarray:
     """Unitary sending e_0 to the given unit vector (reflection times a phase)."""
     v = np.asarray(target, dtype=complex).reshape(-1)
+    if not np.isfinite(v).all():
+        raise ValueError("target has a non-finite entry")
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"target norm {norm} is not 1")
@@ -244,17 +246,17 @@ class BlockEncoding:
     """Unitary whose all-zeros-ancilla block equals `target` (subnormalization 1).
 
     One-ancilla constructions and their tensor products hold the matrix
-    explicitly (`dense`).  The mixed-state encoding keeps its verified factor
-    composition and applies it factor by factor at every size; its block is
-    still extracted by honestly applying every factor.
+    explicitly (`dense`).  The mixed-state encoding holds its purification's
+    factors (`factors`: the mixture-index rotation and the stacked per-index
+    state preparations) and is never materialized; its block is contracted
+    from the factors' |0> columns, as every factor acts on the ancilla alone.
     """
 
     ancilla_dim: int
     system_dim: int
     target: np.ndarray
     dense: np.ndarray | None = None
-    apply_fn: object = None
-    factor_unitarity: float = 0.0
+    factors: tuple[np.ndarray, np.ndarray] | None = None
     description: str = ""
 
     @property
@@ -262,26 +264,26 @@ class BlockEncoding:
         return self.ancilla_dim * self.system_dim
 
     def encoded_block(self) -> np.ndarray:
-        """(<0|_anc x I) U (|0>_anc x I), computed through the construction."""
-        d = self.system_dim
+        """(<0|_anc x I) U (|0>_anc x I), computed through the construction.
+
+        For the mixture U = V^dagger W^dagger S W V, where V and W act on the
+        ancilla only, U (|0>_anc x I) passes through r = W V |0>_anc, an (m, d)
+        array; the swap S carries |0>_anc|c> to sum_{i,a} r[i, a] |i, c>|a>,
+        and the zero-ancilla output <0|_anc<s| V^dagger W^dagger reads r back,
+        so block[s, c] = sum_i r[i, s] conj(r[i, c])."""
         if self.dense is not None:
-            return self.dense[:d, :d]
-        per_col = self.dim * 16
-        chunk = max(1, min(d, BLOCK_CHUNK_BYTES // per_col))
-        block = np.empty((d, d), dtype=complex)
-        for start in range(0, d, chunk):
-            stop = min(start + chunk, d)
-            cols = np.zeros((self.dim, stop - start), dtype=complex)
-            cols[np.arange(start, stop), np.arange(stop - start)] = 1.0
-            block[:, start:stop] = self.apply_fn(cols)[:d]
-        return block
+            return self.dense[:self.system_dim, :self.system_dim]
+        v_anc, w_blocks = self.factors
+        r = v_anc[:, 0, None] * w_blocks[:, :, 0]
+        return r.T @ r.conj()
 
     def unitarity_deviation(self) -> float:
-        """max|U^dagger U - I|; for factored constructions, the worst deviation
-        over the (dense) factors - the permutation factors are exact."""
+        """max|U^dagger U - I|; for the mixture, the worst deviation over its
+        dense factors (NaN if any is NaN) - the swap is an exact permutation."""
         if self.dense is not None:
             return _max_unitarity_dev(self.dense)
-        return self.factor_unitarity
+        v_anc, w_blocks = self.factors
+        return float(np.max([_max_unitarity_dev(f) for f in (v_anc, *w_blocks)]))
 
     def block_deviation(self) -> float:
         return float(np.abs(self.encoded_block() - self.target).max())
@@ -316,33 +318,18 @@ def block_encode_state_mixture(states: np.ndarray, description: str = "") -> Blo
     Uses the purification route: prepare sum_s |s>|psi_s>/sqrt(m) with a
     mixture-index rotation and per-index state preparations, then swap the
     system against a fresh register and undo the preparation.  The circuit is
-    applied factor by factor at every size and never materialized; its
-    unitarity is that of the dense factors, since the swap is a permutation.
+    kept as its factors and never materialized; its unitarity is that of the
+    dense factors, since the swap is a permutation.
     """
     states = np.asarray(states, dtype=complex)
     m, d = states.shape
     v_anc = householder_unitary(np.full(m, 1.0 / sqrt(m)))
     w_blocks = np.stack([householder_unitary(states[s]) for s in range(m)])
-    factor_dev = max(
-        _max_unitarity_dev(v_anc),
-        max(_max_unitarity_dev(w_blocks[s]) for s in range(m)),
-    )
-    target = (states.T @ states.conj()) / m
-
-    def apply_fn(x: np.ndarray) -> np.ndarray:
-        t = (v_anc @ x.reshape(m, -1)).reshape(m, d, -1)  # mixture-index rotation
-        t = np.matmul(w_blocks, t).reshape(m, d, d, -1)  # per-index preparation
-        # swap the purified system against the input register
-        t = np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(m, d, -1)
-        t = np.matmul(w_blocks.conj().transpose(0, 2, 1), t)  # undo preparation
-        return (v_anc.conj().T @ t.reshape(m, -1)).reshape(m * d * d, -1)
-
     return BlockEncoding(
         ancilla_dim=m * d,
         system_dim=d,
-        target=target,
-        apply_fn=apply_fn,
-        factor_unitarity=factor_dev,
+        target=(states.T @ states.conj()) / m,
+        factors=(v_anc, w_blocks),
         description=description or f"density encoding ({m} states, dim {d})",
     )
 

@@ -408,9 +408,21 @@ def validate_density(rho, atol_trace: float = 1e-10, atol_psd: float = 1e-10) ->
 
 def apply_encoding(enc: BlockEncoding, x: np.ndarray) -> np.ndarray:
     """The encoding's whole unitary applied to a vector or to columns, through
-    its dense matrix or its factor-by-factor circuit."""
+    its dense matrix or, for the mixture, its circuit V^dagger W^dagger S W V
+    factor by factor: the mixture-index rotation V, the per-index preparations
+    W, the swap S of the purified system against the input register, and the
+    inverse preparation."""
     mat = x if x.ndim == 2 else x.reshape(-1, 1)
     if mat.shape[0] != enc.dim:
         raise ValueError(f"expected leading dimension {enc.dim}")
-    out = enc.dense @ mat if enc.dense is not None else enc.apply_fn(mat)
+    if enc.dense is not None:
+        out = enc.dense @ mat
+    else:
+        v_anc, w_blocks = enc.factors
+        m, d = v_anc.shape[0], enc.system_dim
+        t = (v_anc @ mat.reshape(m, -1)).reshape(m, d, -1)
+        t = np.matmul(w_blocks, t).reshape(m, d, d, -1)
+        t = np.ascontiguousarray(t.transpose(0, 2, 1, 3)).reshape(m, d, -1)
+        t = np.matmul(w_blocks.conj().transpose(0, 2, 1), t)
+        out = (v_anc.conj().T @ t.reshape(m, -1)).reshape(m * d * d, -1)
     return out if x.ndim == 2 else out.reshape(-1)

@@ -92,6 +92,16 @@ class TestExact:
         assert run(["exact", "--instance", str(path), "--k", "0"]) == 2
         assert "vertex id must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [5, [[0, 1]], {"n": 4, "edges": 5}, {"n": 4, "edges": [5]},
+                                     {"n": 4, "edges": [[0, 1, 2]]}, {"n": 4, "edges": [[0]]}],
+                             ids=["number", "list", "edges-number", "edge-number", "edge-triple",
+                                  "edge-single"])
+    def test_wrong_shaped_instance_exits_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps(doc))
+        assert run(["exact", "--instance", str(path), "--k", "0"]) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+
 
 class TestEstimate:
     def test_exact_mode(self, c4_file, tmp_path):

@@ -538,6 +538,24 @@ class TestComplementReport:
         assert (rep["p1_restricted"], rep["p1_dual"]) == expected
         assert rep["dual_matches_block_kernel"]
 
+    def test_reads_a_built_complex_without_rebuilding(self, monkeypatch):
+        graph = random_graph(12, 0.4, seed=1)
+        expected = complement_report(graph, 2)
+        built = build_clique_complex(graph, 3)
+        levels = []
+        build = extraction.build_clique_complex
+
+        def counting(source, max_dim):
+            levels.append(max_dim)
+            return build(source, max_dim)
+
+        monkeypatch.setattr(extraction, "build_clique_complex", counting)
+        assert complement_report(built, 2) == expected
+        assert levels == []
+        # an under-built complex is rebuilt from its graph to the level it needs
+        assert complement_report(build_clique_complex(graph, 2), 2) == expected
+        assert levels == [3]
+
     @pytest.mark.parametrize("seed", range(3))
     def test_random_graphs_consistent(self, seed):
         rep = complement_report(random_graph(7, 0.5, seed=seed), 1)

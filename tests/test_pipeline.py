@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bettiq import (
+    BlockEncoding,
     BlockEncodingError,
     HodgeOperator,
     PEConfig,
@@ -28,6 +29,7 @@ from bettiq import (
     tensor_block_encoding,
     trace_estimate,
 )
+from bettiq.pipeline import householder_unitary
 from helpers import (
     apply_encoding,
     complete_graph,
@@ -409,7 +411,7 @@ class TestBlockEncodeMixture:
         op = hodge_laplacian(c, 1)
         rho = reduced_density(c, 1, op, PEConfig.bits(t=1))
         enc = block_encode_density(rho)
-        assert enc.dense is None  # the mixture is applied factor by factor at every size
+        assert enc.dense is None  # the mixture is kept as its factors at every size
         report = enc.verify()
         assert report["unitarity_deviation"] <= 1e-10
         assert report["block_deviation"] <= 1e-9
@@ -422,7 +424,7 @@ class TestBlockEncodeMixture:
         d = enc.system_dim
         cols = np.zeros((enc.dim, d), dtype=complex)
         cols[np.arange(d), np.arange(d)] = 1.0
-        structured_block = enc.apply_fn(cols)[:d]
+        structured_block = apply_encoding(enc, cols)[:d]
         full = apply_encoding(enc, np.eye(enc.dim))  # the whole circuit, dim 432, as the reference
         assert np.abs(full.conj().T @ full - np.eye(enc.dim)).max() < 1e-10
         assert np.abs(structured_block - full[:d, :d]).max() < 1e-12
@@ -439,6 +441,55 @@ class TestBlockEncodeMixture:
         # isometry spot check on a random vector
         x = rng.normal(size=enc.dim) + 1j * rng.normal(size=enc.dim)
         assert np.linalg.norm(apply_encoding(enc, x)) == pytest.approx(np.linalg.norm(x), rel=1e-12)
+
+    @pytest.mark.parametrize("m,d", [(1, 2), (3, 7), (7, 3), (4, 40)])
+    def test_contracted_block_matches_whole_circuit(self, m, d):
+        rng = np.random.default_rng(10 * m + d)
+        raw = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
+        enc = block_encode_state_mixture(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+        cols = np.zeros((enc.dim, d), dtype=complex)
+        cols[np.arange(d), np.arange(d)] = 1.0
+        assert np.abs(enc.encoded_block() - apply_encoding(enc, cols)[:d]).max() < 1e-12
+
+    def test_contracted_block_matches_whole_circuit_on_pipeline_state(self):
+        ctx = pipeline_context(random_graph(7, 0.4, 3), 1, pe=PEConfig.bits(t=2))
+        enc = block_encode_density(ctx.rho())
+        d = enc.system_dim
+        block = enc.encoded_block()
+        # the circuit costs m d^3 per column (dim 592,704): a stride over phases, slots and flags
+        for c in range(0, d, 13):
+            col = np.zeros(enc.dim, dtype=complex)
+            col[c] = 1.0
+            assert np.abs(block[:, c] - apply_encoding(enc, col)[:d]).max() < 1e-12
+
+    def test_contracted_block_memory(self):
+        enc = block_encode_density(pipeline_context(octahedron_graph(), 2).rho())
+        assert (enc.ancilla_dim, enc.system_dim) == (1600, 80)
+        tracemalloc.start()
+        try:
+            block = enc.encoded_block()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        assert np.abs(block - enc.target).max() < 1e-9
+
+    def test_non_finite_state_rejected(self):
+        with pytest.raises(ValueError):
+            householder_unitary([np.nan, 0.0])
+        with pytest.raises(ValueError):
+            block_encode_state_mixture(np.array([[1.0, 0.0], [np.nan, 0.0]]))
+
+    def test_nan_factor_fails_unitarity(self):
+        good = block_encode_state_mixture(np.eye(3))
+        v_anc, w_blocks = good.factors
+        w_blocks = w_blocks.copy()
+        w_blocks[1, 2, 0] = np.nan  # one entry of a middle factor
+        enc = BlockEncoding(good.ancilla_dim, good.system_dim, good.target,
+                            factors=(v_anc, w_blocks))
+        assert np.isnan(enc.unitarity_deviation())
+        with pytest.raises(BlockEncodingError):
+            enc.verify()
 
 
 class TestTraceEstimate:
