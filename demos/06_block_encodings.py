@@ -5,11 +5,13 @@ The estimators draw the Hadamard-test statistic straight from the zero-phase
 weights; the block encodings that a hardware run would use for it are built
 here only to be verified.  Every construction is checked against its
 contract: U is unitary and its all-zeros-ancilla block equals the target.
-The mixed-state encoding goes through a purification, a register swap, and the
-inverse preparation; it is kept as its factors and never materialized.  Its
-factors are checked for unitarity, and its encoded block is contracted from
-both ends of the circuit (the factors act on the ancilla alone) and checked
-against the density matrix.  The whole script takes a few seconds and runs in
+Every encoding is held as the factors of its circuit and never multiplied
+out.  The tensor product keeps its factors' matrices, and its block and
+unitarity come from theirs.  The mixed-state encoding goes through a
+purification, a register swap, and the inverse preparation; each preparation
+is held as one reflection (a phase and a vector), its unitarity is read from
+those, and its encoded block is contracted from both ends of the circuit (the
+factors act on the ancilla alone) and checked against the density matrix.  The whole script takes a few seconds and runs in
 the test suite (tests/test_demos.py).
 """
 
@@ -28,8 +30,9 @@ from bettiq.complexes import InstanceSpec, generate_instance
 
 def show(label, enc):
     rep = enc.verify()
-    form = "dense" if enc.dense is not None else "structured"
-    print(f"{label:42s} dim={enc.dim:7d} ({form:10s}) "
+    form = ("dense" if enc.dense is not None else
+            f"{len(enc.factors)} factors" if enc.factors else "reflections")
+    print(f"{label:42s} dim={enc.dim:7d} ({form:11s}) "
           f"unitarity={rep['unitarity_deviation']:.2e} block={rep['block_deviation']:.2e}")
 
 

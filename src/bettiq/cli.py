@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from contextlib import nullcontext
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -324,9 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: parsing leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:

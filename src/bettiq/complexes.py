@@ -46,13 +46,11 @@ def slot_rank(word: int) -> int:
     """Index of `word` among all equal-weight words in ascending numeric order."""
     rank = 0
     i = 0
-    v = 0
-    while word:
-        if word & 1:
-            rank += comb(v, i + 1)
-            i += 1
-        word >>= 1
-        v += 1
+    while word:  # the i-th smallest vertex v (i from 1) adds binom(v, i)
+        low = word & -word
+        word ^= low
+        i += 1
+        rank += comb(low.bit_length() - 1, i)
     return rank
 
 

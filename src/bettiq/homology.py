@@ -136,12 +136,10 @@ class HodgeOperator:
 
     def eigpairs(self) -> tuple:
         """Each block's eigendecomposition (ascending eigenvalues), uncached, for
-        the one path that needs eigenvectors, `reduced_density`; its eigenvalues
-        become eig()'s cache if eig() has not run, so a block is decomposed once."""
-        pairs = tuple(np.linalg.eigh(block) for block in self.blocks)
-        if self._eig is None:
-            self._eig = tuple(evals for evals, _ in pairs)
-        return pairs
+        the one path that needs eigenvectors, `reduced_density`.  It leaves
+        eig()'s cache alone, so the estimators' eigenvalues never depend on
+        whether it ran first."""
+        return tuple(np.linalg.eigh(block) for block in self.blocks)
 
 
 def _needed_dim(n: int, k: int) -> int:
@@ -160,24 +158,33 @@ def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
     """d_k^T d_k + d_{k+1} d_{k+1}^T from the words: a diagonal entry is k+1 (0 at
     k = 0) plus the simplex's coface count; sigma = f+u and tau = f+v sharing
     the face f (the empty face, sign +1, at k = 0) meet with s(sigma, f)
-    s(tau, f) ([k >= 1] - [u ~ v]), down through f and up through f+u+v."""
+    s(tau, f) ([k >= 1] - [u ~ v]), down through f and up through f+u+v.  Each
+    entry is emitted as the later simplex joins the face's star."""
     words = complex_.words(k)
     masks = complex_.masks
     down = int(k >= 1)
     block = np.zeros((len(words), len(words)))
     stars: dict[int, list] = {}  # face f -> [(simplex index, s(sigma, f), vertex u)]
-    diagonal = []
+    diagonal, rows, cols, vals = [], [], [], []
     for i, word in enumerate(words):
         common = -1  # vertices adjacent to every vertex of the simplex
-        for face, sign in _boundary_faces(word).items():
-            u = (word ^ face).bit_length() - 1
+        sign, rest = 1, word
+        while rest:  # the faces, dropping the vertex u = each set bit in turn
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
             common &= masks[u]
-            stars.setdefault(face, []).append((i, sign, u))
+            star = stars.setdefault(word ^ low, [])
+            for j, sj, v in star:
+                if x := sign * sj * (down - (masks[u] >> v & 1)):
+                    rows.append(j)
+                    cols.append(i)
+                    vals.append(x)
+            star.append((i, sign, u))
+            sign = -sign
         diagonal.append((k + 1) * down + common.bit_count())
     block.flat[::len(words) + 1] = diagonal
-    entries = [(i, j, x) for star in stars.values() for a, (i, si, u) in enumerate(star)
-               for j, sj, v in star[a + 1:] if (x := si * sj * (down - (masks[u] >> v & 1)))]
-    rows, cols, vals = np.array(entries, dtype=np.intp).reshape(-1, 3).T
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
     block[rows, cols] = block[cols, rows] = vals
     return block
 

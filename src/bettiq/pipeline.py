@@ -1,27 +1,23 @@
 """Desk-scale simulation of the measurement pipeline.
 
 Everything a hardware run would produce is reproduced exactly from small
-dense matrices: phase estimation for the Hodge operator (either a finite
-t-bit register or an idealized kernel-flag bit), the reduced mixed state over
-(phase, slot, flag), block encodings with verifiable unitarity and block
-equality, and additive-error trace estimation realized as seeded Bernoulli
-sampling of the Hadamard-test statistic.
+dense matrices: phase estimation for the Hodge operator (a t-bit register or
+an idealized kernel-flag bit), the reduced mixed state over (phase, slot,
+flag), block encodings with verifiable unitarity and block equality, and
+additive-error trace estimation as seeded sampling of the Hadamard-test
+statistic.
 
-Phase estimation always starts from the phase register's |0>, so only the C
-columns of its unitary with that input are built, straight from the
-operator's eigenpairs (the estimators read eigenvalue sums alone).  The mixed
-state is kept in its analytic form (a uniform mixture of one pure state per
-slot); materializing the full register would change nothing but memory use.
-Its block encoding keeps the purification's factors, and its encoded block is
-read by contracting the circuit from both ends: the factors act on the ancilla
-alone, so only their |0> columns ever meet the zero-ancilla block.
+Phase estimation starts from the phase register's |0>, so only those C
+columns of its unitary are built, from the operator's eigenpairs.  The mixed
+state is kept as a uniform mixture of one pure state per slot.  Every block
+encoding is held as its circuit's factors (one-ancilla matrices, reflections).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
-from math import ceil, comb, log, sqrt
+from math import ceil, comb, log, prod, sqrt
 
 import numpy as np
 
@@ -49,7 +45,7 @@ __all__ = [
     "seed_descriptor",
 ]
 
-# Largest dimension of a tensor-product encoding held as an explicit matrix.
+# Largest dimension of a tensor-product encoding (held as its factors).
 DENSE_DIM_CAP = 4608
 
 # A log2 of the automatic register bound this close to an integer is that
@@ -101,13 +97,10 @@ class PEConfig:
     def resolve(self, op: HodgeOperator) -> _ResolvedPE:
         summary = spectral_summary(op)
         tau = 1.0 if summary.kappa is None else np.pi / summary.lambda_max
-        phases = []
-        for evals, kernel_dim in zip(op.eig(), summary.block_kernel_dims):
-            block = tau * evals
-            block[:kernel_dim] = 0.0
-            phases.append(block)
+        phases = tuple(np.where(np.arange(evals.size) < kernel_dim, 0.0, tau * evals)
+                       for evals, kernel_dim in zip(op.eig(), summary.block_kernel_dims))
         if self.mode == "ideal":
-            return _ResolvedPE("ideal", 1, 2, summary.block_kernel_dims, tuple(phases))
+            return _ResolvedPE("ideal", 1, 2, summary.block_kernel_dims, phases)
         if self.t is not None:
             t = self.t
         elif summary.kappa is None:
@@ -117,7 +110,7 @@ class PEConfig:
             # 1/(P^2 sin^2(phi/2)) into the zero outcome; |S_k| of them add up
             bound = 2.0 * sqrt(max(len(op.block_slots[0]), 1)) / np.sin(np.pi / (2.0 * summary.kappa))
             t = max(1, ceil(np.log2(bound) - _LOG2_SNAP))
-        return _ResolvedPE("bits", t, 2**t, summary.block_kernel_dims, tuple(phases))
+        return _ResolvedPE("bits", t, 2**t, summary.block_kernel_dims, phases)
 
 
 def phase_zero_probability(phi, t: int):
@@ -174,8 +167,11 @@ def reduced_density(complex_: CliqueComplex, k: int, op: HodgeOperator, cfg: PEC
     t-bit register (the Hadamard layer maps |0> to the uniform state)."""
     if op.k != k or op.n != complex_.n:
         raise ValueError("operator does not match the requested complex/dimension")
-    pairs = op.eigpairs()  # before resolve, so each block is decomposed once
-    res = cfg.resolve(op)
+    pairs = op.eigpairs()
+    # resolved on a fresh twin holding eigh's eigenvalues, whatever has run on `op`
+    twin = replace(op)
+    twin._eig = tuple(evals for evals, _ in pairs)
+    res = cfg.resolve(twin)
     big, c_total = res.phase_dim, op.dim
     m = np.arange(big)
     qft_dag = np.exp(-2j * np.pi * np.outer(m, m) / big) / sqrt(big)
@@ -220,126 +216,135 @@ class BlockEncodingError(RuntimeError):
     """A block-encoding construction failed its verification contract."""
 
 
-def householder_unitary(target) -> np.ndarray:
-    """Unitary sending e_0 to the given unit vector (reflection times a phase)."""
+def _reflection(target) -> tuple[complex, np.ndarray]:
+    """(phi, w) with phi (I - 2 w w^dagger) e_0 the given unit vector: a
+    Householder reflection times a phase (w = 0 when it is phi I)."""
     v = np.asarray(target, dtype=complex).reshape(-1)
-    if not np.isfinite(v).all():
-        raise ValueError("target has a non-finite entry")
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:  # NaN or inf fails too
         raise ValueError(f"target norm {norm} is not 1")
     v = v / norm
     v0 = v[0]
     phase = v0 / abs(v0) if abs(v0) > 1e-14 else 1.0
-    aligned = v / phase
-    w = aligned.copy()
+    w = v / phase
     w[0] -= 1.0
     wn = np.linalg.norm(w)
-    if wn < 1e-14:
-        return phase * np.eye(v.size, dtype=complex)
-    w /= wn
-    return phase * (np.eye(v.size, dtype=complex) - 2.0 * np.outer(w, w.conj()))
+    return phase, (w / wn if wn >= 1e-14 else np.zeros_like(w))
+
+
+def _first_columns(phases: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Row i: column 0 of phi_i (I - 2 w_i w_i^dagger), phi_i (e_0 - 2 w_i conj(w_i[0]))."""
+    e0 = np.eye(1, vecs.shape[1], dtype=complex)[0]
+    return phases[:, None] * (e0 - 2.0 * (vecs * vecs[:, :1].conj()))
+
+
+def _reflection_deviations(phases: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """max|R^dagger R - I| per reflection R = phi (I - 2 w w^dagger), in O(d):
+    R^dagger R - I = (|phi|^2 - 1) I + c w w^dagger, c = 4 |phi|^2 (|w|^2 - 1),
+    peaks on the diagonal or at the two largest |w_i|."""
+    mod = np.abs(vecs)
+    phi2 = np.abs(phases) ** 2
+    c = 4.0 * phi2 * ((mod * mod).sum(axis=1) - 1.0)
+    dev = np.abs((phi2 - 1.0)[:, None] + c[:, None] * mod * mod).max(axis=1)
+    if vecs.shape[1] > 1:
+        dev = np.maximum(dev, np.abs(c) * np.partition(mod, -2, axis=1)[:, -2:].prod(axis=1))
+    return dev
+
+
+def _product_deviation(unitaries) -> float:
+    """max|U^dagger U - I| for U the kron of the unitaries, from their Gram matrices
+    G_i: off the diagonal it peaks at max_i off_i prod_{j != i} full_j (the largest
+    moduli of G_i off its diagonal and overall); the diagonal is their diagonals' kron."""
+    grams = [u.conj().T @ u for u in unitaries]
+    full = [np.abs(g).max() for g in grams]
+    off = [np.abs(g - np.diag(np.diag(g))).max() for g in grams]
+    worst = [o * np.prod(full[:i] + full[i + 1:]) for i, o in enumerate(off)]
+    diag = reduce(np.kron, [np.diag(g) for g in grams])
+    return float(np.max([*worst, np.abs(diag - 1.0).max()]))
 
 
 @dataclass(eq=False)
 class BlockEncoding:
-    """Unitary whose all-zeros-ancilla block equals `target` (subnormalization 1).
-
-    One-ancilla constructions and their tensor products hold the matrix
-    explicitly (`dense`).  The mixed-state encoding holds its purification's
-    factors (`factors`: the mixture-index rotation and the stacked per-index
-    state preparations) and is never materialized; its block is contracted
-    from the factors' |0> columns, as every factor acts on the ancilla alone.
+    """Unitary whose all-zeros-ancilla block equals `target` (subnormalization 1),
+    held as the factors of its circuit and never multiplied out.  A one-ancilla
+    construction is its own one factor (`dense`).  A tensor product holds its
+    factors' matrices and system dimensions; regrouping its ancillas in front
+    permutes rows and columns alike, so its block and Gram matrix are the
+    krons of theirs.  The mixture holds its reflections R = phi (I - 2 w w^dagger):
+    the mixture-index rotation's (phase, vector), then the state preparations'
+    (phases, vectors), one row each.
     """
 
     ancilla_dim: int
     system_dim: int
     target: np.ndarray
     dense: np.ndarray | None = None
-    factors: tuple[np.ndarray, np.ndarray] | None = None
+    factors: tuple[np.ndarray, ...] = ()
+    factor_system_dims: tuple[int, ...] = ()
+    reflections: tuple[np.ndarray, ...] = ()
     description: str = ""
+
+    def __post_init__(self):
+        if self.dense is not None:
+            self.factors, self.factor_system_dims = (self.dense,), (self.system_dim,)
 
     @property
     def dim(self) -> int:
         return self.ancilla_dim * self.system_dim
 
     def encoded_block(self) -> np.ndarray:
-        """(<0|_anc x I) U (|0>_anc x I), computed through the construction.
-
-        For the mixture U = V^dagger W^dagger S W V, where V and W act on the
-        ancilla only, U (|0>_anc x I) passes through r = W V |0>_anc, an (m, d)
-        array; the swap S carries |0>_anc|c> to sum_{i,a} r[i, a] |i, c>|a>,
-        and the zero-ancilla output <0|_anc<s| V^dagger W^dagger reads r back,
-        so block[s, c] = sum_i r[i, s] conj(r[i, c])."""
-        if self.dense is not None:
-            return self.dense[:self.system_dim, :self.system_dim]
-        v_anc, w_blocks = self.factors
-        r = v_anc[:, 0, None] * w_blocks[:, :, 0]
-        return r.T @ r.conj()
+        """(<0|_anc x I) U (|0>_anc x I), computed through the construction.  For
+        the mixture U = V^dagger W^dagger S W V (V and W on the ancilla only), the
+        input side is r = W V |0>_anc, an (m, d) array; the swap S and the
+        zero-ancilla output read it back: block[s, c] = sum_i r[i, s] conj(r[i, c])."""
+        if self.reflections:
+            v_phase, v_vec, w_phases, w_vecs = self.reflections
+            r = _first_columns(v_phase, v_vec)[0][:, None] * _first_columns(w_phases, w_vecs)
+            return r.T @ r.conj()
+        return reduce(np.kron, [u[:d, :d] for u, d in zip(self.factors, self.factor_system_dims)])
 
     def unitarity_deviation(self) -> float:
-        """max|U^dagger U - I|; for the mixture, the worst deviation over its
-        dense factors (NaN if any is NaN) - the swap is an exact permutation."""
-        if self.dense is not None:
-            return _max_unitarity_dev(self.dense)
-        v_anc, w_blocks = self.factors
-        return float(np.max([_max_unitarity_dev(f) for f in (v_anc, *w_blocks)]))
+        """max|U^dagger U - I|, NaN if any factor has a NaN; for the mixture,
+        the worst over its reflections - the swap is an exact permutation."""
+        if self.reflections:
+            pairs = (self.reflections[:2], self.reflections[2:])
+            return float(np.max([_reflection_deviations(*pair).max() for pair in pairs]))
+        return _product_deviation(self.factors)
 
     def block_deviation(self) -> float:
         return float(np.abs(self.encoded_block() - self.target).max())
 
     def verify(self, unitarity_tol: float = 1e-10, block_tol: float = 1e-9) -> dict:
-        u_dev = self.unitarity_deviation()
-        b_dev = self.block_deviation()
-        report = {
-            "unitarity_deviation": u_dev,
-            "block_deviation": b_dev,
-            "ancilla_dim": self.ancilla_dim,
-            "system_dim": self.system_dim,
-            "ok": u_dev <= unitarity_tol and b_dev <= block_tol,
-        }
-        if not report["ok"]:
+        u_dev, b_dev = self.unitarity_deviation(), self.block_deviation()
+        if not (u_dev <= unitarity_tol and b_dev <= block_tol):
             raise BlockEncodingError(
                 f"verification failed for {self.description or 'block encoding'}: "
                 f"unitarity {u_dev:.3e} (tol {unitarity_tol:.1e}), "
                 f"block {b_dev:.3e} (tol {block_tol:.1e})"
             )
-        return report
-
-
-def _max_unitarity_dev(mat: np.ndarray) -> float:
-    gram = mat.conj().T @ mat
-    return float(np.abs(gram - np.eye(mat.shape[0])).max())
+        return {"unitarity_deviation": u_dev, "block_deviation": b_dev,
+                "ancilla_dim": self.ancilla_dim, "system_dim": self.system_dim, "ok": True}
 
 
 def block_encode_state_mixture(states: np.ndarray, description: str = "") -> BlockEncoding:
-    """Block-encode the uniform mixture of the given pure states (rows).
-
-    Uses the purification route: prepare sum_s |s>|psi_s>/sqrt(m) with a
-    mixture-index rotation and per-index state preparations, then swap the
-    system against a fresh register and undo the preparation.  The circuit is
-    kept as its factors and never materialized; its unitarity is that of the
-    dense factors, since the swap is a permutation.
-    """
+    """Block-encode the uniform mixture of the given pure states (rows) by the
+    purification route: prepare sum_s |s>|psi_s>/sqrt(m) with a mixture-index
+    rotation and per-index state preparations, each one reflection, swap the
+    system against a fresh register and undo the preparation."""
     states = np.asarray(states, dtype=complex)
     m, d = states.shape
-    v_anc = householder_unitary(np.full(m, 1.0 / sqrt(m)))
-    w_blocks = np.stack([householder_unitary(states[s]) for s in range(m)])
-    return BlockEncoding(
-        ancilla_dim=m * d,
-        system_dim=d,
-        target=(states.T @ states.conj()) / m,
-        factors=(v_anc, w_blocks),
-        description=description or f"density encoding ({m} states, dim {d})",
-    )
+    pairs = [_reflection(t) for t in (np.full(m, 1.0 / sqrt(m)), *states)]
+    phases = np.array([phase for phase, _ in pairs], dtype=complex)
+    return BlockEncoding(m * d, d, (states.T @ states.conj()) / m,
+                         reflections=(phases[:1], pairs[0][1][None], phases[1:],
+                                      np.stack([w for _, w in pairs[1:]])),
+                         description=description or f"density encoding ({m} states, dim {d})")
 
 
 def block_encode_density(rho: DensityOperator) -> BlockEncoding:
     """Exact block encoding of the pipeline's mixed state from its purification."""
     return block_encode_state_mixture(
-        rho.vectors,
-        description=f"pipeline density (P={rho.phase_dim}, C={rho.slot_dim})",
-    )
+        rho.vectors, description=f"pipeline density (P={rho.phase_dim}, C={rho.slot_dim})")
 
 
 def block_encode_projector(phase_dim: int, slot_dim: int) -> BlockEncoding:
@@ -347,8 +352,7 @@ def block_encode_projector(phase_dim: int, slot_dim: int) -> BlockEncoding:
     if phase_dim < 1 or slot_dim < 1:
         raise ValueError("dimensions must be >= 1")
     d = phase_dim * slot_dim
-    proj = np.zeros((d, d))
-    proj[:slot_dim, :slot_dim] = np.eye(slot_dim)
+    proj = np.diag((np.arange(d) < slot_dim).astype(float))
     rest = np.eye(d) - proj
     dense = np.block([[proj, rest], [rest, proj]]).astype(complex)
     return BlockEncoding(2, d, proj.astype(complex), dense=dense,
@@ -372,29 +376,22 @@ def block_encode_hermitian(mat: np.ndarray) -> BlockEncoding:
 
 
 def tensor_block_encoding(encodings) -> BlockEncoding:
-    """Block encoding of the tensor product of targets: tensor the unitaries and
-    permute all ancilla registers in front of all system registers."""
+    """Block encoding of the tensor product of targets: the unitaries tensored
+    with all ancilla registers permuted in front of all system registers, held
+    as the inputs' factors (a tensor input contributes its own)."""
     encodings = list(encodings)
     if not encodings:
         raise ValueError("need at least one encoding")
-    total = 1
     for e in encodings:
-        if e.dense is None:
+        if not e.factors:
             raise BlockEncodingError(f"tensor input {e.description or '?'} is not held densely")
-        total *= e.dim
+    total = prod(e.dim for e in encodings)
     if total > DENSE_DIM_CAP:
         raise BlockEncodingError(f"tensor construction of dimension {total} exceeds the dense cap")
-    u_kron = reduce(np.kron, [e.dense for e in encodings])
-    interleaved = []
-    for e in encodings:
-        interleaved.extend([e.ancilla_dim, e.system_dim])
-    order = list(range(0, 2 * len(encodings), 2)) + list(range(1, 2 * len(encodings), 2))
-    idx = np.arange(total).reshape(interleaved).transpose(order).reshape(-1)
-    dense = u_kron[np.ix_(idx, idx)]
-    target = reduce(np.kron, [e.target for e in encodings])
-    ancilla_dim = int(np.prod([e.ancilla_dim for e in encodings]))
-    system_dim = int(np.prod([e.system_dim for e in encodings]))
-    return BlockEncoding(ancilla_dim, system_dim, target, dense=dense,
+    return BlockEncoding(prod(e.ancilla_dim for e in encodings), prod(e.system_dim for e in encodings),
+                         reduce(np.kron, [e.target for e in encodings]),
+                         factors=tuple(u for e in encodings for u in e.factors),
+                         factor_system_dims=tuple(d for e in encodings for d in e.factor_system_dims),
                          description="tensor of " + ", ".join(e.description or "?" for e in encodings))
 
 

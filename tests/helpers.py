@@ -6,14 +6,16 @@ exact fractions or by dense fraction-free (Bareiss) elimination, on dense
 boundary matrices.  The small-size pipeline oracles below build what the
 library only ever reads in part: the dense C x C Hodge operator, the per-slot
 zero-phase weights, the whole phase-estimation unitary, the flag-tagged state
-with its copy register, the explicit density matrix, and a block encoding's
-whole unitary applied to any input.
+with its copy register, the explicit density matrix, dense state-preparation
+reflections and tensor-product unitaries, and a block encoding's whole unitary
+applied to any input.
 """
 
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import sqrt
 
 import numpy as np
@@ -406,19 +408,62 @@ def validate_density(rho, atol_trace: float = 1e-10, atol_psd: float = 1e-10) ->
     return {"hermiticity": herm, "trace": tr, "min_eigenvalue": min_eig, "ok": ok}
 
 
+def householder_unitary(target) -> np.ndarray:
+    """Dense unitary sending e_0 to the given unit vector (reflection times a phase)."""
+    v = np.asarray(target, dtype=complex).reshape(-1)
+    if not np.isfinite(v).all():
+        raise ValueError("target has a non-finite entry")
+    norm = np.linalg.norm(v)
+    if abs(norm - 1.0) > 1e-10:
+        raise ValueError(f"target norm {norm} is not 1")
+    v = v / norm
+    v0 = v[0]
+    phase = v0 / abs(v0) if abs(v0) > 1e-14 else 1.0
+    w = v / phase
+    w[0] -= 1.0
+    wn = np.linalg.norm(w)
+    if wn < 1e-14:
+        return phase * np.eye(v.size, dtype=complex)
+    return reflection_matrix(phase, w / wn)
+
+
+def reflection_matrix(phase, w) -> np.ndarray:
+    """phase (I - 2 w w^dagger) as a dense matrix."""
+    return phase * (np.eye(w.size, dtype=complex) - 2.0 * np.outer(w, w.conj()))
+
+
+def tensor_unitary(unitaries, system_dims) -> np.ndarray:
+    """The whole unitary of a tensor-product encoding: the kron of the factors'
+    matrices with every ancilla register permuted in front of every system
+    register."""
+    u_kron = reduce(np.kron, unitaries)
+    interleaved = []
+    for u, d in zip(unitaries, system_dims):
+        interleaved.extend([u.shape[0] // d, d])
+    n = len(unitaries)
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    idx = np.arange(u_kron.shape[0]).reshape(interleaved).transpose(order).reshape(-1)
+    return u_kron[np.ix_(idx, idx)]
+
+
 def apply_encoding(enc: BlockEncoding, x: np.ndarray) -> np.ndarray:
-    """The encoding's whole unitary applied to a vector or to columns, through
-    its dense matrix or, for the mixture, its circuit V^dagger W^dagger S W V
-    factor by factor: the mixture-index rotation V, the per-index preparations
-    W, the swap S of the purified system against the input register, and the
-    inverse preparation."""
+    """The encoding's whole unitary applied to a vector or to columns: its dense
+    matrix, the tensor product's permuted kron, or, for the mixture, its
+    circuit V^dagger W^dagger S W V factor by factor, each reflection built
+    densely from its phase and vector: the mixture-index rotation V, the
+    per-index preparations W, the swap S of the purified system against the
+    input register, and the inverse preparation."""
     mat = x if x.ndim == 2 else x.reshape(-1, 1)
     if mat.shape[0] != enc.dim:
         raise ValueError(f"expected leading dimension {enc.dim}")
     if enc.dense is not None:
         out = enc.dense @ mat
+    elif enc.factors:
+        out = tensor_unitary(enc.factors, enc.factor_system_dims) @ mat
     else:
-        v_anc, w_blocks = enc.factors
+        v_phase, v_vec, w_phases, w_vecs = enc.reflections
+        v_anc = reflection_matrix(v_phase[0], v_vec[0])
+        w_blocks = np.stack([reflection_matrix(p, w) for p, w in zip(w_phases, w_vecs)])
         m, d = v_anc.shape[0], enc.system_dim
         t = (v_anc @ mat.reshape(m, -1)).reshape(m, d, -1)
         t = np.matmul(w_blocks, t).reshape(m, d, d, -1)

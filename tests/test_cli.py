@@ -30,6 +30,44 @@ def octa_file(tmp_path):
     return path
 
 
+class TestParser:
+    ARGVS = [
+        ["exact", "--instance", "x.json", "--k", "1", "--convention", "dual"],
+        ["estimate", "--instance", "x.json", "--k", "1", "--mode", "sampled", "--eps", "0.2",
+         "--seed", "3", "--normalized"],
+        ["exact", "--instance", "x.json", "--k", "0"],
+        ["resources", "--n", "6", "--k", "1", "--kappa", "4", "--beta", "1"],
+        ["estimate", "--instance", "x.json", "--k", "2"],
+        ["generate", "--model", "cycle", "--n", "4"],
+    ]
+
+    def test_built_once_and_parses_like_a_fresh_parser(self):
+        assert cli._parser() is cli._parser()
+        for argv in self.ARGVS * 2:
+            assert vars(cli._parser().parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    def test_consecutive_mains_with_different_subcommands(self, c4_file, tmp_path):
+        dual, est, plain = tmp_path / "dual.json", tmp_path / "est.json", tmp_path / "plain.json"
+        k1 = ["--instance", str(c4_file), "--k", "1"]
+        assert run(["exact", *k1, "--convention", "dual", "--out", str(dual)]) == 0
+        assert run(["estimate", *k1, "--mode", "sampled", "--eps", "0.5", "--seed", "1",
+                    "--out", str(est)]) == 0
+        assert run(["exact", *k1, "--out", str(plain)]) == 0
+        assert json.loads(dual.read_text())["config"]["convention"] == "dual"
+        assert json.loads(plain.read_text())["config"]["convention"] == "restricted"
+        assert json.loads(est.read_text())["config"]["mode"] == "sampled"
+        assert json.loads(plain.read_text())["results"] == json.loads(
+            (self._fresh(["exact", *k1], tmp_path / "fresh.json")).read_text())["results"]
+        with pytest.raises(SystemExit):  # a missing required option still stops the parse
+            run(["exact", "--instance", str(c4_file)])
+
+    @staticmethod
+    def _fresh(argv, out):
+        args = cli.build_parser().parse_args([*argv, "--out", str(out)])
+        assert args.func(args) == 0
+        return out
+
+
 class TestGenerate:
     def test_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"

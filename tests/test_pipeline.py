@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bettiq import extraction
 from bettiq import (
     BlockEncoding,
     BlockEncodingError,
@@ -29,7 +30,6 @@ from bettiq import (
     tensor_block_encoding,
     trace_estimate,
 )
-from bettiq.pipeline import householder_unitary
 from helpers import (
     apply_encoding,
     complete_graph,
@@ -37,13 +37,16 @@ from helpers import (
     copy_register,
     cycle_graph,
     empty_graph,
+    householder_unitary,
     octahedron_graph,
     partial_trace,
     path_graph,
     phase_estimation_unitary,
     prepare_phi,
     random_graph,
+    reflection_matrix,
     slot_zero_phase_weights,
+    tensor_unitary,
     validate_density,
     zero_phase_weight,
 )
@@ -232,6 +235,24 @@ class TestZeroPhaseColumns:
         assert peak < 32 << 20
 
 
+    @pytest.mark.parametrize("convention,cfg", [("dual", PEConfig.bits(t=6)),
+                                                ("restricted", PEConfig.bits()),
+                                                ("dual", IDEAL)])
+    def test_rows_do_not_depend_on_call_order(self, monkeypatch, convention, cfg):
+        c = build_clique_complex(random_graph(7, 0.4, 3), 2)
+        fresh = reduced_density(c, 1, hodge_laplacian(c, 1, convention), cfg).vectors
+        fresh_estimate = estimate_betti(c, 1, convention=convention, pe=cfg).beta_estimate
+        op = hodge_laplacian(c, 1, convention)
+        monkeypatch.setattr(extraction, "hodge_laplacian", lambda *args: op)
+        assert estimate_betti(c, 1, convention=convention, pe=cfg).beta_estimate == fresh_estimate
+        assert op._eig is not None  # the estimate decomposed this operator first
+        assert np.array_equal(reduced_density(c, 1, op, cfg).vectors, fresh)
+        # and the other way round: rows first leave the estimate unchanged
+        op = hodge_laplacian(c, 1, convention)
+        assert np.array_equal(reduced_density(c, 1, op, cfg).vectors, fresh)
+        assert estimate_betti(c, 1, convention=convention, pe=cfg).beta_estimate == fresh_estimate
+
+
 class TestPhaseEstimationUnitary:
     @pytest.mark.parametrize("cfg", [IDEAL, PEConfig.bits(t=1), PEConfig.bits(t=3)])
     def test_unitarity(self, cfg):
@@ -395,6 +416,77 @@ class TestTensorBlockEncoding:
         with pytest.raises(BlockEncodingError):
             tensor_block_encoding([mixture, block_encode_hermitian(np.eye(2))])
 
+    @staticmethod
+    def _random_hermitian(rng, d):
+        raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = (raw + raw.conj().T) / 2
+        return block_encode_hermitian(m / (1.2 * np.abs(np.linalg.eigvalsh(m)).max()))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_dense_oracle(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        encs = [block_encode_projector(2, 3 + seed), self._random_hermitian(rng, 2),
+                self._random_hermitian(rng, 3)]
+        enc = tensor_block_encoding(encs)
+        assert enc.dense is None
+        u = tensor_unitary([e.dense for e in encs], [e.system_dim for e in encs])
+        assert u.shape == (enc.dim, enc.dim)
+        assert np.array_equal(enc.encoded_block(), u[:enc.system_dim, :enc.system_dim])
+        dense_dev = np.abs(u.conj().T @ u - np.eye(enc.dim)).max()
+        assert abs(enc.unitarity_deviation() - dense_dev) < 1e-15
+        x = rng.normal(size=enc.dim)
+        assert np.abs(apply_encoding(enc, x) - u @ x).max() < 1e-15
+
+    def test_nested_equals_flat(self):
+        rng = np.random.default_rng(9)
+        a, b, c = block_encode_projector(2, 2), self._random_hermitian(rng, 2), self._random_hermitian(rng, 2)
+        flat = tensor_block_encoding([a, b, c])
+        nested = tensor_block_encoding([tensor_block_encoding([a, b]), c])
+        assert (nested.ancilla_dim, nested.system_dim) == (flat.ancilla_dim, flat.system_dim)
+        assert len(nested.factors) == 3 and nested.factor_system_dims == flat.factor_system_dims
+        assert np.array_equal(nested.encoded_block(), flat.encoded_block())
+        assert nested.unitarity_deviation() == flat.unitarity_deviation()
+        assert np.array_equal(nested.target, flat.target)
+        right = tensor_block_encoding([a, tensor_block_encoding([b, c])])
+        assert np.abs(right.encoded_block() - flat.encoded_block()).max() < 1e-15
+        assert abs(right.unitarity_deviation() - flat.unitarity_deviation()) < 1e-15
+
+    def test_dense_cap_counts_the_whole_product(self):
+        ident = block_encode_hermitian(np.eye(24))  # dim 48
+        with pytest.raises(BlockEncodingError, match="exceeds the dense cap"):
+            tensor_block_encoding([ident, ident, ident])  # 48^3 > 4608, never formed
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unitarity_is_the_dense_gram_deviation(self, seed):
+        # factors far from unitary; seed 3: G_1 has unit diagonal and off-diagonal
+        # 0.8, G_2 = diag(1.5, 1), so the worst entry is 0.8 * 1.5, off the diagonal
+        rng = np.random.default_rng(300 + seed)
+        if seed == 3:
+            dims = [(1, 2), (2, 1), (2, 1)]
+            factors = (np.array([[1.0, 0.8], [0.0, 0.6]]), np.diag([np.sqrt(1.5), 1.0]), np.eye(2))
+        else:
+            dims = [(2, 1 + seed), (2, 2), (3, 1)]
+            factors = tuple(rng.normal(size=(a * s, a * s)) * (0.3 if i == seed else 1.0)
+                            + np.eye(a * s) for i, (a, s) in enumerate(dims))
+        anc, sys_dim = int(np.prod([a for a, _ in dims])), int(np.prod([s for _, s in dims]))
+        enc = BlockEncoding(anc, sys_dim, np.zeros((sys_dim, sys_dim)),
+                            factors=factors, factor_system_dims=tuple(s for _, s in dims))
+        u = tensor_unitary(factors, enc.factor_system_dims)
+        expected = np.abs(u.conj().T @ u - np.eye(enc.dim)).max()
+        assert enc.unitarity_deviation() == pytest.approx(expected, rel=1e-12)
+
+    def test_nan_factor_gives_nan_deviation(self):
+        proj, flag = block_encode_projector(2, 3), block_encode_hermitian(np.diag([0.0, 1.0]))
+        enc = tensor_block_encoding([proj, flag])
+        bad = enc.factors[1].copy()
+        bad[3, 1] = np.nan
+        broken = BlockEncoding(enc.ancilla_dim, enc.system_dim, enc.target,
+                               factors=(enc.factors[0], bad),
+                               factor_system_dims=enc.factor_system_dims)
+        assert np.isnan(broken.unitarity_deviation())
+        with pytest.raises(BlockEncodingError):
+            broken.verify()
+
 
 class TestBlockEncodeMixture:
     def test_pure_zero_state(self):
@@ -482,14 +574,76 @@ class TestBlockEncodeMixture:
 
     def test_nan_factor_fails_unitarity(self):
         good = block_encode_state_mixture(np.eye(3))
-        v_anc, w_blocks = good.factors
-        w_blocks = w_blocks.copy()
-        w_blocks[1, 2, 0] = np.nan  # one entry of a middle factor
+        v_phase, v_vec, w_phases, w_vecs = good.reflections
+        w_vecs = w_vecs.copy()
+        w_vecs[1, 2] = np.nan  # one entry of a middle factor
         enc = BlockEncoding(good.ancilla_dim, good.system_dim, good.target,
-                            factors=(v_anc, w_blocks))
+                            reflections=(v_phase, v_vec, w_phases, w_vecs))
         assert np.isnan(enc.unitarity_deviation())
         with pytest.raises(BlockEncodingError):
             enc.verify()
+
+    @pytest.mark.parametrize("which", ["nan in w", "|phi| != 1", "|w| != 1"])
+    def test_broken_reflection_fails_verify(self, which):
+        rng = np.random.default_rng(3)
+        raw = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+        good = block_encode_state_mixture(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+        assert good.verify()["ok"]
+        v_phase, v_vec, w_phases, w_vecs = (a.copy() for a in good.reflections)
+        if which == "nan in w":
+            w_vecs[2, 3] = np.nan
+        elif which == "|phi| != 1":
+            w_phases[0] *= 1.0 + 1e-6
+        else:
+            w_vecs[3] *= 1.0 + 1e-6
+        enc = BlockEncoding(good.ancilla_dim, good.system_dim, good.target,
+                            reflections=(v_phase, v_vec, w_phases, w_vecs))
+        dense = [reflection_matrix(p, w) for p, w in zip(w_phases, w_vecs)]
+        expected = max(np.abs(u.conj().T @ u - np.eye(6)).max() for u in dense)
+        if which == "nan in w":
+            assert np.isnan(enc.unitarity_deviation())
+        else:  # the unitarity check fails on its own, not only the block
+            assert enc.unitarity_deviation() > 1e-10
+            assert enc.unitarity_deviation() == pytest.approx(expected, rel=1e-9)
+        with pytest.raises(BlockEncodingError):
+            enc.verify()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reflection_deviation_is_the_dense_gram_deviation(self, seed):
+        # arbitrary (phi, w), not only reflections; seed 0 cancels the diagonal
+        # of R^dagger R - I for w = (a, a), leaving only its off-diagonal entries
+        rng = np.random.default_rng(seed)
+        if seed == 0:
+            a = 0.6
+            phases = np.array([np.sqrt(1.0 / (1.0 + 4 * a * a * (2 * a * a - 1)))], dtype=complex)
+            vecs = np.array([[a, a]], dtype=complex)
+        else:
+            phases = rng.normal(size=3) + 1j * rng.normal(size=3)
+            vecs = rng.normal(size=(3, 2 + seed)) + 1j * rng.normal(size=(3, 2 + seed))
+        d = vecs.shape[1]
+        enc = BlockEncoding(len(phases) * d, d, np.zeros((d, d)),
+                            reflections=(np.ones(1, dtype=complex), np.zeros((1, len(phases))),
+                                         phases, vecs))
+        expected = max(np.abs(u.conj().T @ u - np.eye(d)).max()
+                       for u in (reflection_matrix(p, w) for p, w in zip(phases, vecs)))
+        assert expected > 0.1
+        assert enc.unitarity_deviation() == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("m,d", [(1, 1), (1, 2), (3, 7), (5, 40)])
+    def test_reflections_match_dense_oracle(self, m, d):
+        rng = np.random.default_rng(7 * m + d)
+        raw = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
+        states = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        states[0] = np.eye(d)[-1]  # zero first entry: the phase defaults to 1
+        enc = block_encode_state_mixture(states)
+        v_phase, v_vec, w_phases, w_vecs = enc.reflections
+        dense = [reflection_matrix(p, w) for p, w in zip(w_phases, w_vecs)]
+        for s in range(m):
+            assert np.array_equal(dense[s], householder_unitary(states[s]))
+        assert np.array_equal(reflection_matrix(v_phase[0], v_vec[0]),
+                              householder_unitary(np.full(m, 1.0 / np.sqrt(m))))
+        worst = max(np.abs(u.conj().T @ u - np.eye(d)).max() for u in dense)
+        assert abs(enc.unitarity_deviation() - worst) < 1e-15
 
 
 class TestTraceEstimate:
