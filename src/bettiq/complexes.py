@@ -141,7 +141,8 @@ class VertexGraph:
     def adjacency_masks(self) -> list[int]:
         """Neighbourhood of each vertex as a bit mask."""
         rows = np.packbits(self.adjacency, axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in rows]
+        buf, width = rows.tobytes(), rows.shape[1]
+        return [int.from_bytes(buf[i * width:(i + 1) * width], "little") for i in range(self.n)]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, sqrt
+from math import comb, floor, hypot, sqrt
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .pipeline import (
     DensityOperator,
     PEConfig,
     TraceEstimate,
+    _check_accuracy,
     as_seed_sequence,
     block_encode_hermitian,
     block_encode_projector,
@@ -79,9 +80,12 @@ def _check_flag_observable(mat) -> np.ndarray:
     m = np.array(mat, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError("flag observables are 2x2")
-    if np.abs(m - m.conj().T).max() > 1e-12:
+    if not np.isfinite(m).all():
+        raise ValueError(f"flag observable has non-finite entries {m[~np.isfinite(m)].tolist()}")
+    # each check is written so that NaN fails it
+    if not np.abs(m - m.conj().T).max() <= 1e-12:
         raise ValueError("flag observable must be Hermitian")
-    if np.abs(np.linalg.eigvalsh(m)).max() > 1.0 + 1e-12:
+    if not np.abs(np.linalg.eigvalsh(m)).max() <= 1.0 + 1e-12:
         raise ValueError("flag observable must have operator norm <= 1")
     m.setflags(write=False)
     return m
@@ -98,7 +102,7 @@ class ObservablePair:
     def __post_init__(self):
         object.__setattr__(self, "m1", _check_flag_observable(self.m1))
         object.__setattr__(self, "m2", _check_flag_observable(self.m2))
-        if abs(np.linalg.det(self.raw_matrix())) < 1e-12:
+        if not abs(np.linalg.det(self.raw_matrix())) >= 1e-12:
             raise ValueError("observable pair induces a singular system; choose distinct diagonals")
 
     @classmethod
@@ -110,12 +114,7 @@ class ObservablePair:
 
     def raw_matrix(self) -> np.ndarray:
         """System matrix without the 1/C factor: rows (Tr M|1><1|, Tr M|0><0|)."""
-        return np.array(
-            [
-                [self.m1[1, 1].real, self.m1[0, 0].real],
-                [self.m2[1, 1].real, self.m2[0, 0].real],
-            ]
-        )
+        return np.array([[m[1, 1].real, m[0, 0].real] for m in (self.m1, self.m2)])
 
 
 _DEFAULT_PAIR = ObservablePair(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
@@ -146,17 +145,18 @@ def inv_norm(a: np.ndarray) -> float:
 
 
 def solve_system(a: np.ndarray, y) -> tuple[float, float]:
-    """Exact 2x2 solve of A.(beta, p1) = Y; warns when badly conditioned."""
-    a = np.asarray(a, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if abs(np.linalg.det(a)) == 0.0:
+    """Exact 2x2 solve of A.(beta, p1) = Y by Cramer's rule on Python floats, forward stable
+    at this size; warns when the closed-form condition number smax^2 / |det| is large."""
+    (a11, a12), (a21, a22) = np.asarray(a, dtype=float).tolist()
+    y1, y2 = map(float, y)
+    det = a11 * a22 - a12 * a21
+    if det == 0.0:
         raise SingularSystemError("matrix is singular")
-    s = _singular_values(a.shape, a.tobytes())
-    cond = s[0] / s[-1]
+    smax = (hypot(a11 + a22, a21 - a12) + hypot(a11 - a22, a21 + a12)) / 2.0
+    cond = smax / (abs(det) / smax)  # the smallest singular value is |det| / smax
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(f"extraction system condition number {cond:.3g} is large", RuntimeWarning)
-    x = np.linalg.solve(a, y)
-    return float(x[0]), float(x[1])
+    return (a22 * y1 - a12 * y2) / det, (a11 * y2 - a21 * y1) / det
 
 
 def perturbation_bound(a: np.ndarray, delta_y_norm: float) -> float:
@@ -170,10 +170,8 @@ def perturbation_bound(a: np.ndarray, delta_y_norm: float) -> float:
 def plan_delta(eps: float, beta_lower: float, a: np.ndarray) -> float:
     """Per-measurement additive accuracy achieving multiplicative accuracy eps,
     assuming the true Betti number is at least beta_lower."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if beta_lower <= 0:
-        raise ValueError("beta_lower must be positive")
+    _check_accuracy(eps, "eps")
+    _check_accuracy(beta_lower, "beta_lower")
     return eps * beta_lower / (sqrt(2.0) * inv_norm(a))
 
 
@@ -215,9 +213,14 @@ class PipelineContext:
         return self.complex.simplex_count(self.k)
 
     def _block_sums(self) -> tuple[float, ...]:
-        """Zero-outcome probability summed over each block's eigenvalues."""
+        """Zero-outcome probability summed over each block's eigenvalues: in ideal
+        mode the kernel projector's trace, the block's kernel count (`spectral_summary`'s
+        block_kernel_dims); for a t-bit register, the summed `zero_phase_weights`."""
         if self._sums is None:
-            self._sums = tuple(float(w.sum()) for w in zero_phase_weights(self.op, self.cfg))
+            if self.cfg.mode == "ideal":
+                self._sums = tuple(map(float, spectral_summary(self.op).block_kernel_dims))
+            else:
+                self._sums = tuple(float(w.sum()) for w in zero_phase_weights(self.op, self.cfg))
         return self._sums
 
     def beta_pe(self) -> float:
@@ -239,8 +242,9 @@ class PipelineContext:
 
     def observable_encoding(self, m: np.ndarray):
         """Block encoding of |0><0|_phase x I_slot x M by the tensor construction:
-        it reads the register sizes, not the state."""
-        phase_dim = self.cfg.resolve(self.op).phase_dim
+        it reads the register sizes, not the state (nor, but for automatic t, the spectrum)."""
+        cfg = self.cfg
+        phase_dim = 2 if cfg.mode == "ideal" else 2**cfg.t if cfg.t else cfg.resolve(self.op).phase_dim
         return tensor_block_encoding(
             [block_encode_projector(phase_dim, self.slot_count), block_encode_hermitian(m)]
         )
@@ -305,7 +309,7 @@ class BettiEstimate:
     seed: dict | None
 
     def to_dict(self, instance=None) -> dict:
-        out = {
+        return {
             "instance": instance,
             "k": self.k,
             "convention": self.convention,
@@ -328,15 +332,12 @@ class BettiEstimate:
             "resource_report": self.resource.to_dict() if self.resource else None,
             "seed": self.seed,
         }
-        return out
 
 
 def _round_beta(beta_raw: float) -> int:
     x = max(beta_raw, 0.0)
-    half = np.floor(x) + 0.5
-    if abs(x - half) < _HALF_INTEGER_SNAP:
-        x = half
-    return int(np.floor(x + 0.5))
+    half = floor(x) + 0.5
+    return floor((half if abs(x - half) < _HALF_INTEGER_SNAP else x) + 0.5)
 
 
 def _enter(source, k: int, convention: str, pe: PEConfig | None, mode: str, confidence: float,
@@ -381,6 +382,8 @@ def estimate_betti(source, k: int, eps: float | None = None, *, pair: Observable
     Sampled mode plans the per-measurement accuracy from eps and beta_lower.
     Deterministic per master seed.
     """
+    if eps is not None:
+        _check_accuracy(eps, "eps")
     ctx, pair, ss = _enter(source, k, convention, pe, mode, confidence, pair, seed)
     a = assemble_system(pair, ctx.slot_count)
 
@@ -476,8 +479,7 @@ def estimate_normalized_betti(source, k: int, delta: float, *,
     trace is measured to eps = delta * |S_k| / C, the solution is scaled by
     C/|S_k|, and the result is clamped to [0, 1].
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_accuracy(delta, "delta")
     ctx, pair, ss = _enter(source, k, convention, pe, mode, confidence, pair, seed)
     eps_measurement = delta * ctx.s_count / ctx.slot_count
     accuracy = eps_measurement if mode == "sampled" else None
@@ -605,10 +607,10 @@ def resource_estimate(n: int, k: int, kappa: float, beta: float, s_count: int,
         raise ValueError("bad (n, k)")
     if kappa <= 0 or s_count < 1:
         raise ValueError("kappa and |S_k| must be positive")
-    if eps is not None and eps <= 0:
-        raise ValueError("eps must be positive")
-    if delta is not None and delta <= 0:
-        raise ValueError("delta must be positive")
+    if eps is not None:
+        _check_accuracy(eps, "eps")
+    if delta is not None:
+        _check_accuracy(delta, "delta")
     if eps is not None and beta <= 0:
         raise ValueError("multiplicative accuracy is undefined at beta = 0")
     c_total = comb(n, k + 1)

@@ -246,7 +246,7 @@ def spectral_summary(op: HodgeOperator) -> SpectralSummary:
     uncovered = op.dim - sum(e.size for e in block_evals)
     lam_max = max([float(e[-1]) for e in block_evals if e.size] + ([0.0] if uncovered else []))
     thresh = DEFAULT_ZERO_TOL * max(lam_max, 1.0)
-    block_kernel_dims = tuple(int((e < thresh).sum()) for e in block_evals)
+    block_kernel_dims = tuple(int(e.searchsorted(thresh)) for e in block_evals)  # count below the cut
     kernel_dim = uncovered + sum(block_kernel_dims)
     lam_min = min((float(e[d]) for e, d in zip(block_evals, block_kernel_dims) if d < e.size),
                   default=None)

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from math import ceil, comb, log, prod, sqrt
+from math import ceil, comb, inf, isfinite, log, prod, sqrt
 
 import numpy as np
 
-from .complexes import CliqueComplex
+from .complexes import CliqueComplex, _integer
 from .homology import HodgeOperator, spectral_summary
 
 __all__ = [
@@ -47,6 +47,9 @@ __all__ = [
 
 # Largest dimension of a tensor-product encoding (held as its factors).
 DENSE_DIM_CAP = 4608
+
+# Largest sample count one Generator.binomial draw takes (its n is an int64).
+_MAX_SAMPLES = int(np.iinfo(np.int64).max)
 
 # A log2 of the automatic register bound this close to an integer is that
 # integer, so the register size does not follow the eigensolver's last bit.
@@ -83,8 +86,10 @@ class PEConfig:
     def __post_init__(self):
         if self.mode not in ("ideal", "bits"):
             raise ValueError(f"unknown phase-estimation mode {self.mode!r}")
-        if self.t is not None and self.t < 1:
-            raise ValueError("phase register needs t >= 1 bits")
+        if self.t is not None:
+            object.__setattr__(self, "t", _integer(self.t, "phase register size t"))
+            if self.t < 1:
+                raise ValueError("phase register needs t >= 1 bits")
 
     @classmethod
     def ideal(cls) -> "PEConfig":
@@ -399,14 +404,28 @@ def tensor_block_encoding(encodings) -> BlockEncoding:
 # trace estimation by seeded sampling
 
 
+def _check_accuracy(value: float, name: str) -> None:
+    """Reject an accuracy parameter that is not a positive finite number (NaN too)."""
+    if not (value > 0 and isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def hoeffding_sample_count(delta: float, confidence: float, outcome_range: float = 2.0) -> int:
     """Samples guaranteeing |mean - truth| <= delta with the given confidence
     for outcomes spanning `outcome_range` (2 for the +/-1 Hadamard statistic)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_accuracy(delta, "delta")
     if not 0 < confidence < 1:
         raise ValueError("confidence must lie in (0, 1)")
-    return ceil(outcome_range**2 * log(2.0 / (1.0 - confidence)) / (2.0 * delta**2))
+    try:
+        count = outcome_range**2 * log(2.0 / (1.0 - confidence)) / (2.0 * delta**2)
+    except ZeroDivisionError:  # delta**2 underflows to 0
+        count = inf
+    except OverflowError:  # delta**2 overflows: one sample meets so loose an accuracy
+        count = 1.0
+    if not count <= _MAX_SAMPLES:  # inf and NaN fail too
+        raise ValueError(f"delta {delta:.3g} needs {count:.3g} samples per measurement, more than "
+                         f"the {_MAX_SAMPLES} one binomial draw takes")
+    return ceil(count)
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:

@@ -81,6 +81,13 @@ def random_graph(n: int, p: float, seed: int) -> VertexGraph:
     return VertexGraph(n, upper | upper.T)
 
 
+def census_graph(index: int, n: int = 6) -> VertexGraph:
+    """The labeled n-vertex graph whose edge set is the bit pattern `index` over
+    the vertex pairs in lexicographic order."""
+    pairs = itertools.combinations(range(n), 2)
+    return VertexGraph.from_edges(n, [p for bit, p in enumerate(pairs) if index >> bit & 1])
+
+
 def brute_force_cliques(graph: VertexGraph, size: int) -> set[frozenset]:
     """All vertex subsets of the given size whose pairs are all adjacent."""
     adj = graph.adjacency

@@ -215,6 +215,26 @@ class TestEstimate:
         assert res["beta_estimate"] == pytest.approx(1.0, abs=1e-9)
         assert res["p1"] == pytest.approx(2.0, abs=1e-9)
 
+    def test_non_finite_custom_pair_exits_2(self, c4_file, tmp_path, capsys):
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_text('{"m1": [[NaN, 0], [0, 1]], "m2": [[1, 0], [0, 0]]}')
+        assert run(["estimate", "--instance", str(c4_file), "--k", "1",
+                    "--pair", f"custom:{pair_file}"]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,name", [
+        (["--eps", "inf", "--mode", "sampled"], "eps"),
+        (["--eps", "nan"], "eps"),
+        (["--eps", "nan", "--mode", "sampled"], "eps"),
+        (["--eps", "1e-10", "--mode", "sampled"], "delta"),
+        (["--eps", "1e-160", "--mode", "sampled"], "delta"),
+        (["--normalized", "--delta", "inf", "--mode", "sampled"], "delta"),
+        (["--normalized", "--delta", "nan"], "delta"),
+    ])
+    def test_unusable_accuracy_exits_2(self, c4_file, capsys, args, name):
+        assert run(["estimate", "--instance", str(c4_file), "--k", "1", "--seed", "1"] + args) == 2
+        assert f"error: invalid configuration: {name}" in capsys.readouterr().err
+
     def test_sampled_without_eps_exits_2(self, c4_file):
         assert run(["estimate", "--instance", str(c4_file), "--k", "1",
                     "--mode", "sampled"]) == 2

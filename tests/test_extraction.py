@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from bettiq import (
     VertexGraph,
     assemble_system,
     betti_exact,
+    block_encode_hermitian,
+    block_encode_projector,
     build_clique_complex,
     complement_report,
     estimate_betti,
@@ -28,9 +31,11 @@ from bettiq import (
     plan_delta,
     resource_estimate,
     solve_system,
+    tensor_block_encoding,
     trace_estimate,
 )
 from helpers import (
+    census_graph,
     complete_graph,
     cycle_graph,
     empty_graph,
@@ -94,6 +99,20 @@ class TestObservableB:
             assert enc.verify()["ok"]
             assert enc.system_dim == 4 * ctx.slot_count * 2  # phase x slot x flag
 
+    @pytest.mark.parametrize("cfg", [PEConfig.ideal(), PEConfig.bits(t=2)])
+    def test_observable_encoding_of_a_fixed_register_needs_no_spectrum(self, cfg):
+        ctx = pipeline_context(octahedron_graph(), 1, "dual", cfg)
+        ref = pipeline_context(octahedron_graph(), 1, "dual", cfg)
+        phase_dim = cfg.resolve(ref.op).phase_dim
+        for m in (FLAG_ONE, FLAG_ZERO):
+            enc = ctx.observable_encoding(m)
+            want = tensor_block_encoding([block_encode_projector(phase_dim, ref.slot_count),
+                                          block_encode_hermitian(m)])
+            assert np.array_equal(enc.target, want.target)
+            assert all(np.array_equal(u, v) for u, v in zip(enc.factors, want.factors, strict=True))
+            assert enc.factor_system_dims == want.factor_system_dims
+        assert ctx.op._eig is None
+
     def test_sampled_estimators_build_no_state_or_encoding(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("estimation built a verification artifact")
@@ -114,6 +133,17 @@ class TestAssembleSolve:
     def test_identity_and_flag_pair(self):
         a = assemble_system(ObservablePair(np.eye(2), FLAG_ONE), 6)
         assert np.allclose(a, np.array([[1.0, 1.0], [1.0, 0.0]]) / 6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observable_rejected(self, bad):
+        # NaN passes every comparison written with `>`: it must not reach the solve
+        m = np.diag([bad, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            ObservablePair(m, FLAG_ZERO)
+        with pytest.raises(ValueError, match="non-finite"):
+            ObservablePair(FLAG_ONE, m.T)
+        with pytest.raises(ValueError, match="non-finite"):
+            observable_b(m, c4_context())
 
     def test_equal_pair_rejected(self):
         with pytest.raises(ValueError):
@@ -158,6 +188,39 @@ class TestAssembleSolve:
         a = np.array([[1.0, 0.0], [0.0, 1e-12]])
         with pytest.warns(RuntimeWarning):
             solve_system(a, (1.0, 1.0))
+
+    @staticmethod
+    def _system(rng, kappa):
+        """A random 2x2 matrix with condition number kappa and a random scale."""
+        u, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        v, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        return 10.0 ** rng.uniform(-3, 3) * u @ np.diag([1.0, 1.0 / kappa]) @ v.T
+
+    def test_closed_form_matches_lapack(self):
+        # Cramer's rule is forward stable for 2x2 systems: both solutions lie
+        # within a few kappa * eps of the true one
+        rng = np.random.default_rng(2024)
+        eps = np.finfo(float).eps
+        for kappa in np.logspace(0, 8, 33):
+            for _ in range(30):
+                a = self._system(rng, kappa)
+                y = rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)  # kappa = 1e8 is the threshold
+                    x = np.array(solve_system(a, y))
+                ref = np.linalg.solve(a, y)
+                assert np.linalg.norm(x - ref) <= 10 * kappa * eps * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("kappa,warns", [(1e6, False), (9.9e7, False), (1.01e8, True),
+                                             (1e12, True)])
+    def test_warning_follows_the_condition_number(self, kappa, warns):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            a = self._system(rng, kappa)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                solve_system(a, (1.0, 1.0))
+            assert bool(caught) == warns
 
 
 class TestInvNorm:
@@ -213,6 +276,20 @@ class TestPlanDelta:
             plan_delta(0.25, 0.0, a)
         with pytest.raises(ValueError):
             plan_delta(-0.1, 1.0, a)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_inputs_rejected(self, bad):
+        a = np.eye(2) / 6
+        with pytest.raises(ValueError, match="eps"):
+            plan_delta(bad, 1.0, a)
+        with pytest.raises(ValueError, match="beta_lower"):
+            plan_delta(0.25, bad, a)
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-160])
+    def test_unplannable_accuracy_rejected(self, eps):
+        # the planned delta needs more samples than one binomial draw takes
+        with pytest.raises(ValueError, match="delta"):
+            estimate_betti(cycle_graph(5), 1, eps, mode="sampled", seed=1)
 
 
 class TestEstimateBetti:
@@ -363,6 +440,46 @@ class TestSpectralSums:
             assert abs(ctx.p1_trace() - weights[~member].sum()) < 1e-12, cfg
 
     @pytest.mark.parametrize("convention", ["restricted", "dual"])
+    def test_ideal_traces_are_the_kernel_counts(self, convention):
+        # every 64th labeled 6-vertex graph at k in {0, 1}, and random graphs at k = 2
+        cases = [(census_graph(i), k) for i in range(1, 2 ** 15, 64) for k in (0, 1)]
+        cases += [(random_graph(n, 0.5, seed=n), 2) for n in (7, 9, 11)]
+        for graph, k in cases:
+            ctx = pipeline_context(graph, k, convention)
+            sums = [w.sum() for w in pipeline.zero_phase_weights(ctx.op, ctx.cfg)]
+            covered = sum(len(slots) for slots in ctx.op.block_slots)
+            assert ctx.beta_pe() == sums[0]
+            assert ctx.p1_trace() == ctx.slot_count - covered + sum(sums[1:])
+            weights = slot_zero_phase_weights(ctx.op, ctx.cfg)
+            member = np.zeros(ctx.slot_count, dtype=bool)
+            member[list(ctx.op.block_slots[0])] = True
+            assert abs(ctx.beta_pe() - weights[member].sum()) < 1e-12
+            assert abs(ctx.p1_trace() - weights[~member].sum()) < 1e-12
+
+    def test_ideal_estimates_neither_resolve_nor_weigh(self, monkeypatch):
+        calls = []
+
+        def counting(name, fn):
+            def run(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(extraction, "zero_phase_weights",
+                            counting("zero_phase_weights", pipeline.zero_phase_weights))
+        monkeypatch.setattr(PEConfig, "resolve", counting("resolve", PEConfig.resolve))
+        graph = random_graph(8, 0.5, seed=2)
+        for convention in ("restricted", "dual"):
+            assert estimate_betti(graph, 1, convention=convention).beta_rounded == \
+                betti_exact(build_clique_complex(graph, 2), 1)
+            estimate_betti(graph, 2, 0.5, convention=convention, mode="sampled", seed=1)
+            estimate_normalized_betti(graph, 1, 0.1, convention=convention)
+            complement_report(graph, 2)
+        assert calls == []
+        estimate_betti(graph, 1, pe=PEConfig.bits(t=2))
+        assert calls == ["zero_phase_weights", "resolve"]
+
+    @pytest.mark.parametrize("convention", ["restricted", "dual"])
     def test_estimators_never_take_eigenvectors(self, convention, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("eigenvectors requested")
@@ -417,6 +534,12 @@ class TestEstimateNormalized:
     def test_bad_delta_rejected(self):
         with pytest.raises(ValueError):
             estimate_normalized_betti(cycle_graph(4), 1, 0.0)
+
+    @pytest.mark.parametrize("delta", [np.inf, np.nan])
+    def test_non_finite_delta_rejected(self, delta):
+        for mode in ("exact", "sampled"):
+            with pytest.raises(ValueError, match="delta"):
+                estimate_normalized_betti(cycle_graph(4), 1, delta, mode=mode, seed=1)
 
     def test_sampled_beyond_dense_encoding_cap(self):
         # C = binom(14, 3) = 364: a dense observable encoding would exceed 4,608

@@ -190,6 +190,20 @@ class TestZeroPhaseWeights:
         assert resolved == {4}
 
 
+class TestPEConfig:
+    @pytest.mark.parametrize("t", [2.5, float("nan"), float("inf"), "3"])
+    def test_non_integral_register_size_rejected(self, t):
+        # t = 2.5 would run with P = 2^2.5 and read C5 k=1 as 1.03
+        with pytest.raises(ValueError, match="phase register size t"):
+            PEConfig.bits(t=t)
+
+    @pytest.mark.parametrize("t", [3.0, np.int64(3), np.uint8(3)])
+    def test_integral_register_size_stored_as_int(self, t):
+        cfg = PEConfig.bits(t=t)
+        assert cfg.t == 3 and type(cfg.t) is int
+        assert cfg == PEConfig.bits(t=3)
+
+
 PE_CONFIGS = [IDEAL, PEConfig.bits(t=1), PEConfig.bits(t=2), PEConfig.bits(t=3), PEConfig.bits()]
 PE_INSTANCES = [
     pytest.param(cycle_graph(4), 1, id="C4 k=1"),
@@ -652,6 +666,27 @@ class TestTraceEstimate:
         assert hoeffding_sample_count(0.5, 0.95) == 30
         assert hoeffding_sample_count(0.01, 0.95) == 73778
         assert hoeffding_sample_count(0.01, 0.95, outcome_range=1.0) == 18445
+
+    @pytest.mark.parametrize("delta", [float("inf"), float("nan"), 0.0, -0.1])
+    def test_non_finite_or_nonpositive_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            hoeffding_sample_count(delta, 0.95)
+
+    @pytest.mark.parametrize("delta", [1e-10, 1e-160, 1e-170])
+    def test_count_beyond_one_binomial_draw_rejected(self, delta):
+        # 7.4e20 samples, more than int64; delta**2 subnormal; delta**2 underflows to 0
+        with pytest.raises(ValueError, match="delta"):
+            hoeffding_sample_count(delta, 0.95)
+
+    def test_loosest_accuracy_takes_one_sample(self):
+        # delta**2 overflows a float; any one +/-1 outcome lies within 2 of the truth
+        assert hoeffding_sample_count(1e300, 0.95) == hoeffding_sample_count(1e3, 0.95) == 1
+
+    def test_largest_drawable_count_accepted(self):
+        # the count is an int64, the largest n one Generator.binomial draw takes
+        count = hoeffding_sample_count(1e-9, 0.95)
+        assert count <= np.iinfo(np.int64).max
+        np.random.default_rng(0).binomial(count, 0.5)
 
     def test_invariant_floor_enforced(self):
         with pytest.raises(ValueError):
