@@ -161,20 +161,6 @@ def _cmd_exact(args) -> int:
     return 0
 
 
-def _trial_row(i: int, result, seed_entropy) -> dict:
-    d = result.to_dict()
-    return {
-        "trial": i,
-        "seed_entropy": seed_entropy,
-        "beta_estimate": d.get("beta_estimate"),
-        "beta_rounded": d.get("beta_rounded"),
-        "p1": d.get("p1"),
-        "normalized_betti": d.get("normalized_betti"),
-        "samples": d.get("samples"),
-        "delta": d.get("delta") if d.get("delta") is not None else d.get("eps_measurement"),
-    }
-
-
 def _cmd_estimate(args) -> int:
     if args.normalized and args.delta is None:
         raise ValueError("--normalized needs --delta (additive accuracy)")
@@ -223,7 +209,8 @@ def _cmd_estimate(args) -> int:
     _emit_report(config, {"trials": [res.to_dict(instance=instance_desc) for res in results]},
                  start, args.out)
     if args.out:
-        rows = [_trial_row(i, res, children[i].entropy) for i, res in enumerate(results)]
+        rows = [{**res.to_dict(), "trial": i, "seed_entropy": child.entropy}
+                for i, (res, child) in enumerate(zip(results, children))]
         _emit_csv(rows, TRIAL_CSV_COLUMNS, f"{os.path.splitext(args.out)[0]}.trials.csv")
     return 0
 

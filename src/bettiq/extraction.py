@@ -243,10 +243,9 @@ class PipelineContext:
     def observable_encoding(self, m: np.ndarray):
         """Block encoding of |0><0|_phase x I_slot x M by the tensor construction:
         it reads the register sizes, not the state (nor, but for automatic t, the spectrum)."""
-        cfg = self.cfg
-        phase_dim = 2 if cfg.mode == "ideal" else 2**cfg.t if cfg.t else cfg.resolve(self.op).phase_dim
         return tensor_block_encoding(
-            [block_encode_projector(phase_dim, self.slot_count), block_encode_hermitian(m)]
+            [block_encode_projector(2 ** self.cfg.resolve(self.op), self.slot_count),
+             block_encode_hermitian(m)]
         )
 
 

@@ -134,13 +134,6 @@ class HodgeOperator:
             self._eig = tuple(np.linalg.eigvalsh(block) for block in self.blocks)
         return self._eig
 
-    def eigpairs(self) -> tuple:
-        """Each block's eigendecomposition (ascending eigenvalues), uncached, for
-        the one path that needs eigenvectors, `reduced_density`.  It leaves
-        eig()'s cache alone, so the estimators' eigenvalues never depend on
-        whether it ran first."""
-        return tuple(np.linalg.eigh(block) for block in self.blocks)
-
 
 def _needed_dim(n: int, k: int) -> int:
     """Top level that dimension k's Laplacian and Betti number read: k+1, except

@@ -48,6 +48,9 @@ __all__ = [
 # Largest dimension of a tensor-product encoding (held as its factors).
 DENSE_DIM_CAP = 4608
 
+# Range of the +/-1-valued Hadamard-test statistic that trace estimation samples.
+_OUTCOME_RANGE = 2.0
+
 # Largest sample count one Generator.binomial draw takes (its n is an int64).
 _MAX_SAMPLES = int(np.iinfo(np.int64).max)
 
@@ -61,23 +64,16 @@ _LOG2_SNAP = 1e-9
 
 
 @dataclass(frozen=True)
-class _ResolvedPE:
-    mode: str
-    t: int
-    phase_dim: int
-    kernel_dims: tuple[int, ...]  # per operator block, as spectral_summary splits it
-    phases: tuple[np.ndarray, ...]  # tau * lambda per block eigenvalue, the kernel pinned to 0
-
-
-@dataclass(frozen=True)
 class PEConfig:
-    """Phase-estimation settings.
+    """Phase-estimation settings, and the one place the phase register's size
+    is decided (`resolve`).
 
     mode "ideal": a single flag bit marks kernel vs non-kernel components
-    exactly.  mode "bits": a t-bit register with the standard readout
-    statistics on the eigenphases tau * lambda, tau = pi / lambda_max.  An
-    unset t is the smallest with 2^t >= 2 sqrt(|S_k|) / sin(pi / (2 kappa)),
-    which holds the zero outcome's leakage, a bias on beta, to at most 1/4.
+    exactly (t = 1, P = 2).  mode "bits": a t-bit register with the standard
+    readout statistics on the eigenphases tau * lambda, tau = pi / lambda_max.
+    An unset t is the smallest with 2^t >= 2 sqrt(m) / sin(pi / (2 kappa)), m
+    the largest block's slot count, which holds the zero outcome's leakage, a
+    bias on each block's sum, to at most 1/4.
     """
 
     mode: str = "ideal"
@@ -87,6 +83,8 @@ class PEConfig:
         if self.mode not in ("ideal", "bits"):
             raise ValueError(f"unknown phase-estimation mode {self.mode!r}")
         if self.t is not None:
+            if self.mode == "ideal":
+                raise ValueError(f"ideal phase estimation has no phase register size t, got {self.t!r}")
             object.__setattr__(self, "t", _integer(self.t, "phase register size t"))
             if self.t < 1:
                 raise ValueError("phase register needs t >= 1 bits")
@@ -99,23 +97,28 @@ class PEConfig:
     def bits(cls, t: int | None = None) -> "PEConfig":
         return cls(mode="bits", t=t)
 
-    def resolve(self, op: HodgeOperator) -> _ResolvedPE:
-        summary = spectral_summary(op)
-        tau = 1.0 if summary.kappa is None else np.pi / summary.lambda_max
-        phases = tuple(np.where(np.arange(evals.size) < kernel_dim, 0.0, tau * evals)
-                       for evals, kernel_dim in zip(op.eig(), summary.block_kernel_dims))
+    def resolve(self, op: HodgeOperator) -> int:
+        """The register's bit count t (P = 2^t): 1 for the ideal flag bit, a
+        fixed t as given; only an automatic t reads the spectrum."""
         if self.mode == "ideal":
-            return _ResolvedPE("ideal", 1, 2, summary.block_kernel_dims, phases)
+            return 1
         if self.t is not None:
-            t = self.t
-        elif summary.kappa is None:
-            t = 1
-        else:
-            # each nonzero eigenphase phi lies in [pi/kappa, pi] and leaks at most
-            # 1/(P^2 sin^2(phi/2)) into the zero outcome; |S_k| of them add up
-            bound = 2.0 * sqrt(max(len(op.block_slots[0]), 1)) / np.sin(np.pi / (2.0 * summary.kappa))
-            t = max(1, ceil(np.log2(bound) - _LOG2_SNAP))
-        return _ResolvedPE("bits", t, 2**t, summary.block_kernel_dims, phases)
+            return self.t
+        summary = spectral_summary(op)
+        if summary.kappa is None:
+            return 1
+        # each nonzero eigenphase phi lies in [pi/kappa, pi] and leaks at most
+        # 1/(P^2 sin^2(phi/2)) into the zero outcome; a block's m of them add up
+        bound = 2.0 * sqrt(max(*map(len, op.block_slots), 1)) / np.sin(np.pi / (2.0 * summary.kappa))
+        return max(1, ceil(np.log2(bound) - _LOG2_SNAP))
+
+
+def _eigenphases(op: HodgeOperator) -> tuple[np.ndarray, ...]:
+    """Per block, the eigenphases tau * lambda of eig()'s eigenvalues, the kernel pinned to 0."""
+    summary = spectral_summary(op)
+    tau = 1.0 if summary.kappa is None else np.pi / summary.lambda_max
+    return tuple(np.where(np.arange(evals.size) < kernel_dim, 0.0, tau * evals)
+                 for evals, kernel_dim in zip(op.eig(), summary.block_kernel_dims))
 
 
 def phase_zero_probability(phi, t: int):
@@ -169,26 +172,26 @@ def reduced_density(complex_: CliqueComplex, k: int, op: HodgeOperator, cfg: PEC
     complex's block and 0 on any other, and |0>|s>|0> for a slot in no block (a
     kernel state).  The phase amplitudes r[:, j] are the kernel indicator and
     its complement in ideal mode, and QFT^dagger e^{i m phi_j} / sqrt(P) for a
-    t-bit register (the Hadamard layer maps |0> to the uniform state)."""
+    t-bit register, P = 2^cfg.resolve (the Hadamard layer maps |0> to the
+    uniform state).  Each block runs `eigh` once; eig()'s cache is left alone,
+    so the estimators' eigenvalues never depend on whether this ran first."""
     if op.k != k or op.n != complex_.n:
         raise ValueError("operator does not match the requested complex/dimension")
-    pairs = op.eigpairs()
-    # resolved on a fresh twin holding eigh's eigenvalues, whatever has run on `op`
+    pairs = [np.linalg.eigh(block) for block in op.blocks]
+    # read on a fresh twin holding eigh's eigenvalues, whatever has run on `op`
     twin = replace(op)
     twin._eig = tuple(evals for evals, _ in pairs)
-    res = cfg.resolve(twin)
-    big, c_total = res.phase_dim, op.dim
+    big, c_total = 2 ** cfg.resolve(twin), op.dim
     m = np.arange(big)
-    qft_dag = np.exp(-2j * np.pi * np.outer(m, m) / big) / sqrt(big)
+    if cfg.mode == "ideal":
+        amplitudes = (np.stack([w, 1.0 - w]) for w in zero_phase_weights(twin, cfg))
+    else:
+        qft_dag = np.exp(-2j * np.pi * np.outer(m, m) / big) / sqrt(big)
+        amplitudes = (qft_dag @ np.exp(1j * np.outer(m, phases)) / sqrt(big)
+                      for phases in _eigenphases(twin))
     states = np.zeros((c_total, big, c_total, 2), dtype=complex)
     free = np.ones(c_total, dtype=bool)  # slots in no block
-    for i, (slots, (_, evecs), kernel_dim, phases) in enumerate(
-            zip(op.block_slots, pairs, res.kernel_dims, res.phases)):
-        if res.mode == "ideal":
-            kernel = np.arange(phases.size) < kernel_dim
-            r = np.stack([kernel, ~kernel]).astype(float)
-        else:
-            r = qft_dag @ np.exp(1j * np.outer(m, phases)) / sqrt(big)
+    for i, (slots, (_, evecs), r) in enumerate(zip(op.block_slots, pairs, amplitudes)):
         idx = np.array(slots, dtype=np.intp)
         free[idx] = False
         # [a, c, s] = sum_j r[a, j] v_j[c] v_j[s], written at [s, a, c, flag]
@@ -203,14 +206,16 @@ def reduced_density(complex_: CliqueComplex, k: int, op: HodgeOperator, cfg: PEC
 
 
 def zero_phase_weights(op: HodgeOperator, cfg: PEConfig) -> tuple[np.ndarray, ...]:
-    """Per block, the all-zeros phase outcome's probability on each eigenvector
-    (the kernel indicator in ideal mode); they are orthonormal, so these sum to
-    the outcome over the block's slots.  A slot in no block reads it surely."""
-    res = cfg.resolve(op)
-    if res.mode == "ideal":
-        return tuple((np.arange(phases.size) < kernel_dim).astype(float)
-                     for kernel_dim, phases in zip(res.kernel_dims, res.phases))
-    return tuple(phase_zero_probability(phases, res.t) for phases in res.phases)
+    """Per block, the all-zeros phase outcome's probability on each eigenvector:
+    the kernel indicator (`spectral_summary`'s split) in ideal mode, the t-bit
+    readout of `cfg.resolve(op)` bits otherwise.  The eigenvectors are
+    orthonormal, so these sum to the outcome over the block's slots.  A slot in
+    no block reads it surely."""
+    if cfg.mode == "ideal":
+        return tuple((np.arange(len(slots)) < kernel_dim).astype(float) for slots, kernel_dim
+                     in zip(op.block_slots, spectral_summary(op).block_kernel_dims))
+    t = cfg.resolve(op)
+    return tuple(phase_zero_probability(phases, t) for phases in _eigenphases(op))
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +415,14 @@ def _check_accuracy(value: float, name: str) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def hoeffding_sample_count(delta: float, confidence: float, outcome_range: float = 2.0) -> int:
+def hoeffding_sample_count(delta: float, confidence: float) -> int:
     """Samples guaranteeing |mean - truth| <= delta with the given confidence
-    for outcomes spanning `outcome_range` (2 for the +/-1 Hadamard statistic)."""
+    for the +/-1 Hadamard statistic, whose outcomes span _OUTCOME_RANGE."""
     _check_accuracy(delta, "delta")
     if not 0 < confidence < 1:
         raise ValueError("confidence must lie in (0, 1)")
     try:
-        count = outcome_range**2 * log(2.0 / (1.0 - confidence)) / (2.0 * delta**2)
+        count = _OUTCOME_RANGE**2 * log(2.0 / (1.0 - confidence)) / (2.0 * delta**2)
     except ZeroDivisionError:  # delta**2 underflows to 0
         count = inf
     except OverflowError:  # delta**2 overflows: one sample meets so loose an accuracy

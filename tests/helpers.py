@@ -272,25 +272,28 @@ def kernel_projector(op: HodgeOperator) -> np.ndarray:
 
 def dense_zero_phase_weights(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
     """Per-slot zero-phase weights from the dense operator's eigenpairs."""
-    res = cfg.resolve(op)
     _, evecs, kernel, phases = dense_spectrum(op)
-    weights = kernel.astype(float) if res.mode == "ideal" else phase_zero_probability(phases, res.t)
-    return (evecs * evecs) @ weights
+    if cfg.mode == "ideal":
+        return (evecs * evecs) @ kernel.astype(float)
+    return (evecs * evecs) @ phase_zero_probability(phases, cfg.resolve(op))
 
 
 def slot_zero_phase_weights(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
     """Per-slot probability of the all-zeros phase outcome on input |s>, from
     each block's eigenpairs: (evecs * evecs) @ f(lambda); a slot in no block is
     a kernel state and reads it with certainty."""
-    res = cfg.resolve(op)
+    summary, t = spectral_summary(op), cfg.resolve(op)
+    tau = 1.0 if summary.kappa is None else np.pi / summary.lambda_max
     weights = np.ones(op.dim)
-    for slots, (_, evecs), kernel_dim, phases in zip(op.block_slots, op.eigpairs(),
-                                                     res.kernel_dims, res.phases):
-        if res.mode == "ideal":
-            block = (np.arange(phases.size) < kernel_dim).astype(float)
+    for slots, block, evals, kernel_dim in zip(op.block_slots, op.blocks, op.eig(),
+                                               summary.block_kernel_dims):
+        kernel = np.arange(evals.size) < kernel_dim
+        if cfg.mode == "ideal":
+            outcome = kernel.astype(float)
         else:
-            block = phase_zero_probability(phases, res.t)
-        weights[list(slots)] = (evecs * evecs) @ block
+            outcome = phase_zero_probability(np.where(kernel, 0.0, tau * evals), t)
+        evecs = np.linalg.eigh(block)[1]
+        weights[list(slots)] = (evecs * evecs) @ outcome
     return weights
 
 
@@ -301,19 +304,19 @@ def phase_estimation_unitary(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
     dense operator's eigenbasis; ideal mode writes the kernel indicator to one
     bit.
     """
-    res = cfg.resolve(op)
     _, evecs, kernel, phases = dense_spectrum(op)
     dim = op.dim
-    if res.mode == "ideal":
+    if cfg.mode == "ideal":
         proj = evecs[:, kernel] @ evecs[:, kernel].T
         rest = np.eye(dim) - proj
         return np.block([[proj, rest], [rest, proj]]).astype(complex)
 
-    big = res.phase_dim
+    t = cfg.resolve(op)
+    big = 2**t
     m = np.arange(big)
     expo = np.exp(1j * np.outer(m, phases))  # (P, J): controlled powers in eigenbasis
     qft_dag = np.exp(-2j * np.pi * np.outer(m, m) / big) / sqrt(big)
-    had = _hadamard_power(res.t)
+    had = _hadamard_power(t)
     # R_j = QFT^dagger . diag(e^{i m phi_j}) . H^{x t}, assembled per eigenvalue
     r_all = np.einsum("am,mj,ml->jal", qft_dag, expo, had)
     u = np.einsum("jal,cj,dj->acld", r_all, evecs.astype(complex), evecs.conj().astype(complex))

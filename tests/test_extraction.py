@@ -103,7 +103,7 @@ class TestObservableB:
     def test_observable_encoding_of_a_fixed_register_needs_no_spectrum(self, cfg):
         ctx = pipeline_context(octahedron_graph(), 1, "dual", cfg)
         ref = pipeline_context(octahedron_graph(), 1, "dual", cfg)
-        phase_dim = cfg.resolve(ref.op).phase_dim
+        phase_dim = 2 ** cfg.resolve(ref.op)
         for m in (FLAG_ONE, FLAG_ZERO):
             enc = ctx.observable_encoding(m)
             want = tensor_block_encoding([block_encode_projector(phase_dim, ref.slot_count),
@@ -112,6 +112,15 @@ class TestObservableB:
             assert all(np.array_equal(u, v) for u, v in zip(enc.factors, want.factors, strict=True))
             assert enc.factor_system_dims == want.factor_system_dims
         assert ctx.op._eig is None
+
+    @pytest.mark.parametrize("convention", ["restricted", "dual"])
+    @pytest.mark.parametrize("cfg", [PEConfig.ideal(), PEConfig.bits(t=2), PEConfig.bits()])
+    def test_state_and_encoding_share_the_resolved_register(self, cfg, convention):
+        ctx = pipeline_context(octahedron_graph(), 1, convention, cfg)
+        t = cfg.resolve(ctx.op)
+        assert ctx.rho().phase_dim == 2 ** t
+        for m in (FLAG_ONE, FLAG_ZERO):
+            assert ctx.observable_encoding(m).system_dim == 2 ** t * ctx.slot_count * 2
 
     def test_sampled_estimators_build_no_state_or_encoding(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -622,13 +631,21 @@ class TestComplementReport:
         assert rep["p1_dual"] == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_complex_block_under_automatic_bits(self):
-        # the complex's block is empty, so the register is sized as for one
-        # simplex; the complement K4's edge block has kappa = 1, so t = 1
+        # the complex's block is empty, so the register is sized for the
+        # complement K4's 6-slot edge block: kappa = 1, 2^t >= 2 sqrt(6), t = 3
         rep = complement_report(empty_graph(4), 1, pe=PEConfig.bits())
         assert rep["p1_restricted"] == pytest.approx(6.0, abs=1e-9)
         assert rep["p1_dual"] == pytest.approx(0.0, abs=1e-9)
         op = pipeline_context(empty_graph(4), 1, "dual").op
-        assert PEConfig.bits().resolve(op).t == 1
+        assert PEConfig.bits().resolve(op) == 3
+
+    def test_automatic_bits_sized_for_the_largest_block(self):
+        # |S_2| = 0: sized for the complex's block alone, t was 3 and p1_dual
+        # read 65.90 against the complement block's kernel of 65
+        graph = random_graph(10, 0.3, seed=1)
+        rep = complement_report(graph, 2, pe=PEConfig.bits())
+        assert abs(rep["p1_dual"] - rep["kernel_dim_complement_block"]) <= 0.25
+        assert PEConfig.bits().resolve(pipeline_context(graph, 2, "dual").op) == 6
 
     def test_octahedron_k2_counts_neither_slots(self):
         rep = complement_report(octahedron_graph(), 2)

@@ -186,7 +186,7 @@ class TestZeroPhaseWeights:
         for perm in itertools.permutations(range(6)):
             g = VertexGraph.from_edges(6, [(perm[u], perm[v]) for u, v in edges])
             op = hodge_laplacian(build_clique_complex(g, 2), 1)
-            resolved.add(PEConfig.bits().resolve(op).t)
+            resolved.add(PEConfig.bits().resolve(op))
         assert resolved == {4}
 
 
@@ -202,6 +202,20 @@ class TestPEConfig:
         cfg = PEConfig.bits(t=t)
         assert cfg.t == 3 and type(cfg.t) is int
         assert cfg == PEConfig.bits(t=3)
+
+    @pytest.mark.parametrize("t", [1, 3, 3.0])
+    def test_register_size_rejected_in_ideal_mode(self, t):
+        # the flag bit would ignore it: C5 k=1 would read 1.0 as ideal
+        with pytest.raises(ValueError, match="register size t"):
+            PEConfig(mode="ideal", t=t)
+
+    @pytest.mark.parametrize("cfg,t,decomposes", [(IDEAL, 1, False), (PEConfig.bits(t=3), 3, False),
+                                                  (PEConfig.bits(), 3, True)])
+    def test_only_an_automatic_register_size_reads_the_spectrum(self, cfg, t, decomposes):
+        # automatic on C4 k=1: 4 edges, kappa = 2, 2^t >= 2 sqrt(4) / sin(pi / 4) = 5.66
+        op = hodge_laplacian(c4_complex(), 1)
+        assert cfg.resolve(op) == t
+        assert (op._eig is not None) == decomposes
 
 
 PE_CONFIGS = [IDEAL, PEConfig.bits(t=1), PEConfig.bits(t=2), PEConfig.bits(t=3), PEConfig.bits()]
@@ -662,10 +676,9 @@ class TestBlockEncodeMixture:
 
 class TestTraceEstimate:
     def test_sample_count_formula(self):
-        # range-2 outcomes: 4x the [0,1]-outcome count
+        # +/-1 outcomes span 2: 4 ln(2 / 0.05) / (2 delta^2)
         assert hoeffding_sample_count(0.5, 0.95) == 30
         assert hoeffding_sample_count(0.01, 0.95) == 73778
-        assert hoeffding_sample_count(0.01, 0.95, outcome_range=1.0) == 18445
 
     @pytest.mark.parametrize("delta", [float("inf"), float("nan"), 0.0, -0.1])
     def test_non_finite_or_nonpositive_delta_rejected(self, delta):
