@@ -40,5 +40,9 @@ Reading the table:
    complement complex's Betti number PLUS one per slot that lies in neither
    complex (the 'neither' column) - compare octahedron k=2;
  * only when every off-complex slot belongs to the complement complex (always
-   true at k=1) does dual-mode p1 equal the complement's Betti number.
+   true at k=1) does dual-mode p1 equal the complement's Betti number;
+ * under ideal phase estimation (this table) dual p1 is read from the same
+   integer-rank pass as 'beta(comp)' and 'neither', so 'consistent' holds by
+   construction; complement_report(..., pe=PEConfig.bits()) reads p1 from the
+   complement block's spectrum and makes it an independent check.
 """)

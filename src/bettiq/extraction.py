@@ -20,6 +20,7 @@ import numpy as np
 from .complexes import CliqueComplex, PointCloud, VertexGraph, build_clique_complex
 from .homology import (
     HodgeOperator,
+    SpectralSummary,
     _needed_dim,
     betti_exact,
     complement_complex,
@@ -203,6 +204,7 @@ class PipelineContext:
     def __post_init__(self):
         self._sums = None
         self._rho = None
+        self._complement_betti = None
 
     @property
     def slot_count(self) -> int:
@@ -212,13 +214,31 @@ class PipelineContext:
     def s_count(self) -> int:
         return self.complex.simplex_count(self.k)
 
+    def summary(self) -> SpectralSummary:
+        """The spectrum digest the estimate reads and reports: under ideal phase
+        estimation the complex's own block's (the restricted operator's, whose
+        kappa is the paper's), as the complement block's kernel count comes from
+        ranks; for a t-bit register, which reads every eigenvalue, the whole operator's."""
+        return spectral_summary(self.op.restricted() if self.cfg.mode == "ideal" else self.op)
+
+    def complement_betti(self) -> int:
+        """beta_k of the operator's complement complex by integer rank, computed
+        once: the kernel count of its block, by the Hodge theorem."""
+        if self._complement_betti is None:
+            self._complement_betti = betti_exact(self.op.complement, self.k)
+        return self._complement_betti
+
     def _block_sums(self) -> tuple[float, ...]:
         """Zero-outcome probability summed over each block's eigenvalues: in ideal
-        mode the kernel projector's trace, the block's kernel count (`spectral_summary`'s
-        block_kernel_dims); for a t-bit register, the summed `zero_phase_weights`."""
+        mode the kernel projector's trace, the block's kernel count (the complex's
+        from `summary`, the complement's from `complement_betti`, so its block is
+        never assembled); for a t-bit register, the summed `zero_phase_weights`."""
         if self._sums is None:
             if self.cfg.mode == "ideal":
-                self._sums = tuple(map(float, spectral_summary(self.op).block_kernel_dims))
+                kernels = (self.summary().block_kernel_dims[0],)
+                if self.op.complement is not None:
+                    kernels += (self.complement_betti(),)
+                self._sums = tuple(map(float, kernels))
             else:
                 self._sums = tuple(float(w.sum()) for w in zero_phase_weights(self.op, self.cfg))
         return self._sums
@@ -285,7 +305,13 @@ class ExtractionSystem:
 
 @dataclass(frozen=True)
 class BettiEstimate:
-    """Betti-number estimate with its error budget and diagnostics."""
+    """Betti-number estimate with its error budget and diagnostics.
+
+    `kappa_laplacian` (and the resource report's kappa) is that of the
+    spectrum the estimate read (`PipelineContext.summary`): under ideal phase
+    estimation the complex's own block, the paper's kappa, under either
+    convention; under a t-bit register the whole operator, which under `dual`
+    includes the complement block."""
 
     beta_estimate: float
     beta_rounded: int
@@ -395,7 +421,7 @@ def estimate_betti(source, k: int, eps: float | None = None, *, pair: Observable
 
     beta_raw, p1 = system.x
     beta_rounded = _round_beta(beta_raw)
-    summary = spectral_summary(ctx.op)
+    summary = ctx.summary()
     beta_oracle = betti_exact(ctx.complex, k)
 
     resource = None
@@ -515,7 +541,11 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
     homology.  Under the restricted convention p1 is identically C - |S_k|;
     under the dual convention it equals the kernel dimension of the
     off-complex block (complement homology plus one per slot lying in neither
-    complex), which is reported from integer ranks, independent of p1.
+    complex), reported from the one integer-rank pass on the operator's
+    complement complex.  Under ideal phase estimation p1_dual is read from that
+    same pass, so `dual_matches_block_kernel` holds by construction; only under
+    a t-bit register, where p1_dual sums the block's zero-phase weights, is it
+    an independent spectral-vs-rank check.
     """
     if isinstance(source, CliqueComplex):
         graph = source.graph
@@ -532,13 +562,15 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
     p1_restricted = float(comp_slots)
     p1_dual = ctx.p1_trace()
 
-    comp_complex = complement_complex(graph, _needed_dim(graph.n, k))
-    beta_comp = betti_exact(comp_complex, k)
-
-    # the dual operator's off-complex kernel by the Hodge theorem: complement
-    # homology plus one zero row per slot in neither complex (none at k = 0)
-    neither = comp_slots - comp_complex.simplex_count(k) if k >= 1 else 0
-    kernel_dim_block = beta_comp + neither if k >= 1 else 0
+    if k >= 1:
+        # the dual operator's off-complex kernel by the Hodge theorem: complement
+        # homology plus one zero row per slot in neither complex
+        beta_comp = ctx.complement_betti()
+        neither = comp_slots - ctx.op.complement.simplex_count(k)
+        kernel_dim_block = beta_comp + neither
+    else:  # no off-complex slots, so the operator holds no complement complex
+        beta_comp = betti_exact(complement_complex(graph, _needed_dim(graph.n, k)), k)
+        neither = kernel_dim_block = 0
 
     return {
         "n": graph.n,

@@ -17,7 +17,7 @@ independent of any floating-point spectral path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, gcd
 
 import numpy as np
@@ -109,30 +109,55 @@ def _boundary_pivots(complex_: CliqueComplex, k: int, cleared=()) -> dict:
     return _reduce(_boundary_faces(w) for w in complex_.words(k) if w not in cleared)
 
 
-@dataclass(eq=False)
 class HodgeOperator:
     """Symmetric PSD operator on the binom(n, k+1) slots at dimension k, held
     as its diagonal blocks: blocks[i] acts on the slots block_slots[i].  The
     complex's block comes first, then (dual, k >= 1) the complement complex's;
-    a slot in no block is a zero row."""
+    a slot in no block is a zero row.
 
-    k: int
-    n: int
-    convention: str
-    blocks: tuple[np.ndarray, ...]
-    block_slots: tuple[tuple[int, ...], ...]
-    _eig: tuple | None = field(default=None, init=False, repr=False)
-    _summary: SpectralSummary | None = field(default=None, init=False, repr=False)
+    The complement complex (`complement`, built to the level k+1 that its
+    Betti number reads) comes with the operator, but its block is assembled
+    only when `blocks` is first read, by `eig()`, the verification state or a
+    caller: ideal phase estimation needs only that block's kernel count, which
+    is the complement complex's beta_k by the Hodge theorem."""
+
+    def __init__(self, k: int, n: int, convention: str, blocks, block_slots,
+                 complement: CliqueComplex | None = None):
+        self.k, self.n, self.convention = k, n, convention
+        self.block_slots: tuple[tuple[int, ...], ...] = block_slots
+        self.complement = complement
+        self._blocks = tuple(blocks)  # the complement's block joins on the first read of `blocks`
+        self._eig: tuple | None = None
+        self._summary: SpectralSummary | None = None
+        self._restricted: HodgeOperator | None = None
 
     @property
     def dim(self) -> int:
         return comb(self.n, self.k + 1)
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """Each block's matrix, the complement complex's assembled on the first read."""
+        if len(self._blocks) < len(self.block_slots):
+            self._blocks += (_laplacian_block(self.complement, self.k),)
+        return self._blocks
 
     def eig(self) -> tuple[np.ndarray, ...]:
         """Each block's eigenvalues, ascending (cached)."""
         if self._eig is None:
             self._eig = tuple(np.linalg.eigvalsh(block) for block in self.blocks)
         return self._eig
+
+    def restricted(self) -> HodgeOperator:
+        """The complex's block alone, the restricted operator at this k: the
+        operator itself when that is all it holds, otherwise a cached view that
+        shares the block and never assembles the complement's."""
+        if len(self.block_slots) == 1:
+            return self
+        if self._restricted is None:
+            self._restricted = HodgeOperator(self.k, self.n, "restricted",
+                                             self._blocks[:1], self.block_slots[:1])
+        return self._restricted
 
 
 def _needed_dim(n: int, k: int) -> int:
@@ -184,21 +209,20 @@ def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
 
 def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restricted") -> HodgeOperator:
     """d_k^T d_k + d_{k+1} d_{k+1}^T on the slot space, as its blocks: the
-    complex's own and, under `dual` at k >= 1, the complement complex's."""
+    complex's own and, under `dual` at k >= 1, the complement complex's (built
+    here, its block assembled on first read)."""
     if convention not in ("restricted", "dual"):
         raise ValueError(f"unknown convention {convention!r}")
     _check_built(complex_, k, f"the dimension-{k} Laplacian")
-    blocks = [_laplacian_block(complex_, k)]
-    slots = [tuple(slot_rank(w) for w in complex_.words(k))]
+    slots = (tuple(slot_rank(w) for w in complex_.words(k)),)
+    comp = None
     if convention == "dual" and k >= 1:
-        comp = complement_complex(complex_.graph, k)  # its block reads only the k-simplices
+        comp = complement_complex(complex_.graph, _needed_dim(complex_.n, k))
         comp_slots = tuple(slot_rank(w) for w in comp.words(k))
         if set(comp_slots) & set(slots[0]):
             raise AssertionError("complement-complex simplices collide with the complex")
-        blocks.append(_laplacian_block(comp, k))
-        slots.append(comp_slots)
-    return HodgeOperator(k=k, n=complex_.n, convention=convention,
-                         blocks=tuple(blocks), block_slots=tuple(slots))
+        slots += (comp_slots,)
+    return HodgeOperator(k, complex_.n, convention, (_laplacian_block(complex_, k),), slots, comp)
 
 
 def betti_exact(complex_: CliqueComplex, k: int) -> int:

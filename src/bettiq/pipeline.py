@@ -15,7 +15,7 @@ encoding is held as its circuit's factors (one-ancilla matrices, reflections).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from math import ceil, comb, inf, isfinite, log, prod, sqrt
 
@@ -179,7 +179,7 @@ def reduced_density(complex_: CliqueComplex, k: int, op: HodgeOperator, cfg: PEC
         raise ValueError("operator does not match the requested complex/dimension")
     pairs = [np.linalg.eigh(block) for block in op.blocks]
     # read on a fresh twin holding eigh's eigenvalues, whatever has run on `op`
-    twin = replace(op)
+    twin = HodgeOperator(op.k, op.n, op.convention, op.blocks, op.block_slots)
     twin._eig = tuple(evals for evals, _ in pairs)
     big, c_total = 2 ** cfg.resolve(twin), op.dim
     m = np.arange(big)

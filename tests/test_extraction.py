@@ -17,11 +17,14 @@ from bettiq import (
     block_encode_hermitian,
     block_encode_projector,
     build_clique_complex,
+    cli,
     complement_report,
+    dump_instance,
     estimate_betti,
     estimate_normalized_betti,
     extraction,
     homology,
+    hodge_laplacian,
     hoeffding_sample_count,
     inv_norm,
     observable_b,
@@ -31,6 +34,7 @@ from bettiq import (
     plan_delta,
     resource_estimate,
     solve_system,
+    spectral_summary,
     tensor_block_encoding,
     trace_estimate,
 )
@@ -416,7 +420,8 @@ class TestEstimateBetti:
 
 
     def test_dual_memory_stays_below_the_block_squares(self):
-        # the complement block (737 simplices) is 4.1 MiB: no eigenvectors, no per-slot weights
+        # the complement block (737 simplices, 4.1 MiB) is never assembled: its kernel
+        # count comes from integer ranks, and the complex's block (196) is 0.3 MiB
         graph = random_graph(28, 0.4, seed=1)
         tracemalloc.start()
         try:
@@ -425,7 +430,7 @@ class TestEstimateBetti:
         finally:
             tracemalloc.stop()
         assert est.beta_rounded == est.beta_oracle
-        assert peak < 8 << 20
+        assert peak < 2 << 20
 
 
 class TestSpectralSums:
@@ -674,7 +679,7 @@ class TestComplementReport:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         rep = complement_report(graph, 2)
-        assert sizes == [10, 61]
+        assert sizes == [10]  # the complement block's kernel comes from ranks
         assert (rep["p1_restricted"], rep["p1_dual"]) == expected
         assert rep["dual_matches_block_kernel"]
 
@@ -702,6 +707,105 @@ class TestComplementReport:
         assert rep["dual_matches_block_kernel"]
         assert rep["p1_restricted"] == pytest.approx(
             rep["slot_count"] - rep["s_count"], abs=1e-9)
+
+
+class TestIdealDualRankRoute:
+    """Under ideal phase estimation the dual p1 is the complement block's kernel
+    count read from integer ranks; the block itself is built only where its
+    spectrum is read."""
+
+    @staticmethod
+    def cases():
+        # every 64th labeled 6-vertex graph at k in {0, 1}, and random graphs at k = 2
+        cases = [(census_graph(i), k) for i in range(1, 2 ** 15, 64) for k in (0, 1)]
+        cases += [(random_graph(n, p, seed=1), 2) for n in (8, 12, 16, 20, 24, 28)
+                  for p in (0.3, 0.5, 0.7)]
+        return cases
+
+    def test_p1_is_the_kernel_count_of_the_dual_spectrum(self):
+        for graph, k in self.cases():
+            ctx = pipeline_context(graph, k, "dual")
+            full = hodge_laplacian(ctx.complex, k, "dual")
+            kernels = spectral_summary(full).block_kernel_dims
+            uncovered = full.dim - sum(map(len, full.block_slots))
+            assert ctx.p1_trace() == uncovered + sum(kernels[1:]), (graph, k)
+            if k == 0:
+                assert ctx.p1_trace() == 0
+            if ctx.s_count:
+                est = estimate_betti(ctx.complex, k, convention="dual")
+                norm = estimate_normalized_betti(ctx.complex, k, 0.05, convention="dual")
+                assert est.beta_rounded == round(norm.value * ctx.s_count) == kernels[0]
+
+    def test_only_the_complex_block_is_built_and_decomposed(self, monkeypatch, tmp_path):
+        graph = random_graph(12, 0.4, seed=1)  # blocks of 10 and 61 at k = 2
+        built, decomposed = [], []
+
+        def counting(fn, sizes, size):
+            def run(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                sizes.append(size(args, out))
+                return out
+            return run
+
+        monkeypatch.setattr(homology, "_laplacian_block",
+                            counting(homology._laplacian_block, built, lambda args, out: len(out)))
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name), decomposed,
+                                                          lambda args, out: len(args[0])))
+        estimate_betti(graph, 2, convention="dual")
+        estimate_betti(graph, 2, 0.5, convention="dual", mode="sampled", seed=1)
+        estimate_normalized_betti(graph, 2, 0.1, convention="dual")
+        assert complement_report(graph, 2)["dual_matches_block_kernel"]
+        assert built == decomposed == [10] * 4
+
+        path, out = tmp_path / "g.json", tmp_path / "out.json"
+        dump_instance(graph, path)
+        # the paths that read the complement block's spectrum still build it
+        for run in (lambda: estimate_betti(graph, 2, convention="dual", pe=PEConfig.bits()),
+                    lambda: complement_report(graph, 2, pe=PEConfig.bits()),
+                    lambda: pipeline_context(graph, 2, "dual").rho(),
+                    lambda: cli.main(["exact", "--instance", str(path), "--k", "2",
+                                      "--convention", "dual", "--out", str(out)])):
+            built.clear()
+            decomposed.clear()
+            assert run() is not None
+            assert sorted(built) == sorted(set(decomposed)) == [10, 61]
+
+    def test_complement_report_builds_and_ranks_the_complement_once(self, monkeypatch):
+        graph = random_graph(12, 0.4, seed=1)
+        levels, ranked = [], []
+        build, rank = homology.complement_complex, extraction.betti_exact
+
+        def recording(g, max_dim):
+            levels.append(max_dim)
+            return build(g, max_dim)
+
+        def ranking(c, k):
+            ranked.append(c.graph)
+            return rank(c, k)
+
+        monkeypatch.setattr(homology, "complement_complex", recording)
+        monkeypatch.setattr(extraction, "betti_exact", ranking)
+        for pe in (None, PEConfig.bits()):
+            levels.clear()
+            ranked.clear()
+            rep = complement_report(graph, 2, pe=pe)
+            assert levels == [3] and len(ranked) == 1
+            assert rep["kernel_dim_complement_block"] == \
+                rep["betti_complement_exact"] + rep["neither_complex_slot_count"]
+
+    def test_reports_the_complex_block_kappa(self):
+        # ER(14, 0.5, 1) k=2: the complex's block has kappa 18.5, the whole dual operator 32.6
+        graph = random_graph(14, 0.5, seed=1)
+        dual = estimate_betti(graph, 2, 0.25, convention="dual")
+        restricted = estimate_betti(graph, 2, 0.25, convention="restricted")
+        assert dual.beta_rounded == restricted.beta_rounded == 1
+        assert dual.kappa_laplacian == restricted.kappa_laplacian
+        assert dual.resource.kappa == restricted.resource.kappa == dual.kappa_laplacian
+        whole = spectral_summary(hodge_laplacian(build_clique_complex(graph, 3), 2, "dual")).kappa
+        assert whole > 1.5 * dual.kappa_laplacian
+        # a t-bit register reads every block, so it reports the whole operator's
+        assert estimate_betti(graph, 2, convention="dual", pe=PEConfig.bits()).kappa_laplacian == whole
 
 
 class TestResourceEstimate:

@@ -189,8 +189,8 @@ class TestHodge:
         sub = full[np.ix_(comp_idx, comp_idx)]
         assert np.allclose(sub, 2 * np.eye(2))
 
-    def test_dual_builds_the_complement_to_level_k(self, monkeypatch):
-        # the complement block reads only the k-simplex words and the masks
+    def test_dual_builds_the_complement_once_at_level_k_plus_1(self, monkeypatch):
+        # once, to the level its beta_k reads; its block reads only the k-simplex words and the masks
         from bettiq import homology
 
         levels = []
@@ -202,8 +202,8 @@ class TestHodge:
         monkeypatch.setattr(homology, "complement_complex", recording)
         c = build_clique_complex(random_graph(7, 0.5, seed=1), 3)
         for k in (1, 2):
-            hodge_laplacian(c, k, "dual")
-        assert levels == [1, 2]
+            hodge_laplacian(c, k, "dual").eig()
+        assert levels == [2, 3]
 
     def test_dual_equals_restricted_at_k0(self):
         c = build_clique_complex(random_graph(6, 0.5, seed=5), 1)
