@@ -250,7 +250,8 @@ class PipelineContext:
 
     def p1_trace(self) -> float:
         """Zero-outcome weight over the other slots (1 per slot in no block)."""
-        covered = sum(len(slots) for slots in self.op.block_slots)
+        comp = self.op.complement  # counted, as its slots are ranked only on demand
+        covered = self.s_count + (0 if comp is None else comp.simplex_count(self.k))
         return float(self.slot_count - covered + sum(self._block_sums()[1:]))
 
     def rho(self) -> DensityOperator:

@@ -1,4 +1,4 @@
-"""Boundary operators, combinatorial Hodge Laplacians, and exact Betti numbers.
+"""Combinatorial Hodge Laplacians, and exact Betti numbers by coboundary reduction.
 
 The Laplacian at dimension k acts on the full slot space of binom(n, k+1)
 potential simplices, but it is block-diagonal and is held as its blocks.  Two
@@ -10,9 +10,8 @@ conventions fill the slots outside the complex:
   carry that complex's own Laplacian block (slots in neither complex stay
   zero).  At k=0 there are no off-complex slots and both conventions agree.
 
-Betti numbers are computed by exact rank over the rationals (sparse column
-reduction on Python ints, the columns read straight from the simplex words),
-independent of any floating-point spectral path.
+Betti numbers come from exact ranks over the rationals, independent of any
+floating-point spectral path: one coboundary pass with clearing, from the vertices up.
 """
 
 from __future__ import annotations
@@ -41,18 +40,20 @@ __all__ = [
 DEFAULT_ZERO_TOL = 1e-8
 
 
-def _boundary_faces(word: int) -> dict[int, int]:
-    """{face: sign} over the faces of a simplex word: the face dropping the
-    i-th smallest vertex carries sign (-1)^i."""
-    faces = {}
-    sign = 1
-    rest = word
+def _coboundary(word: int, masks) -> dict[int, int]:
+    """{coface: sign} of a simplex word sigma from the adjacency masks: sigma+v for
+    each common neighbour v of its vertices, signed (-1)^(sigma's vertices below v)."""
+    common, rest = -1, word
     while rest:
         low = rest & -rest
-        faces[word ^ low] = sign
-        sign = -sign
+        common &= masks[low.bit_length() - 1]
         rest ^= low
-    return faces
+    cofaces = {}
+    while common:
+        low = common & -common
+        common ^= low
+        cofaces[word | low] = -1 if (word & (low - 1)).bit_count() & 1 else 1
+    return cofaces
 
 
 def _reduce(columns) -> dict:
@@ -98,15 +99,33 @@ def integer_rank(matrix) -> int:
     return len(_reduce({i: int(x) for i, x in enumerate(col) if x} for col in a.T))
 
 
-def _boundary_pivots(complex_: CliqueComplex, k: int, cleared=()) -> dict:
-    """The reduction of d_k, its columns read straight from the k-simplex words
-    in ascending order; d_0 and d_n (out of the empty level n) are zero maps.
-    A k-simplex in `cleared`, the pivot rows of d_{k+1}, is skipped: the
-    reduced d_{k+1} column with that pivot is a cycle whose largest simplex it
-    is, so its own column reduces to zero (the clearing of twist reduction)."""
-    if k == 0 or k == complex_.n:
-        return {}
-    return _reduce(_boundary_faces(w) for w in complex_.words(k) if w not in cleared)
+def _boundary_ranks(complex_: CliqueComplex, top: int) -> list[int]:
+    """[rank d_0, ..., rank d_top, 0] over Q (d_{top+1} taken as zero), reducing the
+    coboundaries delta_j = d_{j+1}^T from the vertices up, j < top.  Level 0 keeps the
+    maximum-word spanning forest (Kruskal, largest edge first): each of its edges is
+    the largest leaving the component it joins, so leads that cut's coboundary.  Level
+    j >= 1 reduces, in ascending order, only the j-simplices tau leading no reduced
+    coboundary delta x of level j-1 (delta delta x = 0 puts delta tau in the span of
+    earlier columns: clearing), so only beta_j columns reduce to zero."""
+    if top < 1:
+        return [0, 0]
+    root, pivots = list(range(complex_.n)), set()  # union-find over the vertices
+    for edge in reversed(complex_.words(1)):
+        u, v = (edge & -edge).bit_length() - 1, edge.bit_length() - 1
+        while root[u] != u:
+            u = root[u]
+        while root[v] != v:
+            v = root[v]
+        if u != v:
+            root[u] = v
+            pivots.add(edge)
+            if len(pivots) == complex_.n - 1:  # one tree spans every vertex
+                break
+    ranks, masks = [0, len(pivots)], complex_.masks
+    for j in range(1, top):
+        pivots = set(_reduce(_coboundary(w, masks) for w in complex_.words(j) if w not in pivots))
+        ranks.append(len(pivots))
+    return ranks + [0]
 
 
 class HodgeOperator:
@@ -115,18 +134,18 @@ class HodgeOperator:
     complex's block comes first, then (dual, k >= 1) the complement complex's;
     a slot in no block is a zero row.
 
-    The complement complex (`complement`, built to the level k+1 that its
-    Betti number reads) comes with the operator, but its block is assembled
-    only when `blocks` is first read, by `eig()`, the verification state or a
-    caller: ideal phase estimation needs only that block's kernel count, which
-    is the complement complex's beta_k by the Hodge theorem."""
+    The complement complex (`complement`, built to level k+1, as its Betti
+    number requires) comes with the operator, but its slots are ranked and
+    its block assembled only on the first read of `block_slots` or `blocks`:
+    ideal phase estimation needs only its simplex count and that block's kernel
+    count, the complement complex's beta_k by the Hodge theorem."""
 
     def __init__(self, k: int, n: int, convention: str, blocks, block_slots,
                  complement: CliqueComplex | None = None):
         self.k, self.n, self.convention = k, n, convention
-        self.block_slots: tuple[tuple[int, ...], ...] = block_slots
         self.complement = complement
-        self._blocks = tuple(blocks)  # the complement's block joins on the first read of `blocks`
+        self._block_slots: tuple[tuple[int, ...], ...] = tuple(block_slots)
+        self._blocks = tuple(blocks)
         self._eig: tuple | None = None
         self._summary: SpectralSummary | None = None
         self._restricted: HodgeOperator | None = None
@@ -134,6 +153,16 @@ class HodgeOperator:
     @property
     def dim(self) -> int:
         return comb(self.n, self.k + 1)
+
+    @property
+    def block_slots(self) -> tuple[tuple[int, ...], ...]:
+        """Each block's slot indices, the complement complex's ranked on the first read."""
+        if self.complement is not None and len(self._block_slots) == 1:
+            comp_slots = tuple(slot_rank(w) for w in self.complement.words(self.k))
+            if set(comp_slots) & set(self._block_slots[0]):
+                raise AssertionError("complement-complex simplices collide with the complex")
+            self._block_slots += (comp_slots,)
+        return self._block_slots
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
@@ -152,16 +181,16 @@ class HodgeOperator:
         """The complex's block alone, the restricted operator at this k: the
         operator itself when that is all it holds, otherwise a cached view that
         shares the block and never assembles the complement's."""
-        if len(self.block_slots) == 1:
+        if self.complement is None and len(self._block_slots) == 1:
             return self
         if self._restricted is None:
             self._restricted = HodgeOperator(self.k, self.n, "restricted",
-                                             self._blocks[:1], self.block_slots[:1])
+                                             self._blocks[:1], self._block_slots[:1])
         return self._restricted
 
 
 def _needed_dim(n: int, k: int) -> int:
-    """Top level that dimension k's Laplacian and Betti number read: k+1, except
+    """Top level built for dimension k's Laplacian and Betti number: k+1, except
     at k = n-1, where level n is empty on every graph and is never built."""
     return min(k + 1, n - 1)
 
@@ -210,7 +239,7 @@ def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
 def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restricted") -> HodgeOperator:
     """d_k^T d_k + d_{k+1} d_{k+1}^T on the slot space, as its blocks: the
     complex's own and, under `dual` at k >= 1, the complement complex's (built
-    here, its block assembled on first read)."""
+    here, its slots and block on first read)."""
     if convention not in ("restricted", "dual"):
         raise ValueError(f"unknown convention {convention!r}")
     _check_built(complex_, k, f"the dimension-{k} Laplacian")
@@ -218,18 +247,14 @@ def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restrict
     comp = None
     if convention == "dual" and k >= 1:
         comp = complement_complex(complex_.graph, _needed_dim(complex_.n, k))
-        comp_slots = tuple(slot_rank(w) for w in comp.words(k))
-        if set(comp_slots) & set(slots[0]):
-            raise AssertionError("complement-complex simplices collide with the complex")
-        slots += (comp_slots,)
     return HodgeOperator(k, complex_.n, convention, (_laplacian_block(complex_, k),), slots, comp)
 
 
 def betti_exact(complex_: CliqueComplex, k: int) -> int:
     """k-th Betti number by exact ranks over Q: |S_k| - rank d_k - rank d_{k+1}."""
     _check_built(complex_, k, f"betti_exact({k})")
-    up = _boundary_pivots(complex_, k + 1)
-    beta = complex_.simplex_count(k) - len(_boundary_pivots(complex_, k, up)) - len(up)
+    ranks = _boundary_ranks(complex_, _needed_dim(complex_.n, k))
+    beta = complex_.simplex_count(k) - ranks[k] - ranks[k + 1]
     assert beta >= 0, "rank computation produced a negative Betti number"
     return beta
 
@@ -279,11 +304,7 @@ def euler_check(complex_: CliqueComplex) -> tuple[bool, dict]:
     max_dim is treated as zero.
     """
     counts = complex_.counts
-    ranks = [0] * (complex_.max_dim + 2)
-    pivots: dict = {}
-    for k in range(complex_.max_dim, 0, -1):
-        pivots = _boundary_pivots(complex_, k, pivots)
-        ranks[k] = len(pivots)
+    ranks = _boundary_ranks(complex_, complex_.max_dim)
     bettis = [counts[k] - ranks[k] - ranks[k + 1] for k in range(complex_.max_dim + 1)]
     chi_counts = sum((-1) ** k * c for k, c in enumerate(counts))
     chi_betti = sum((-1) ** k * b for k, b in enumerate(bettis))

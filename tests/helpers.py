@@ -3,12 +3,14 @@
 The oracles here deliberately avoid the library's own code paths: cliques are
 found by exhaustive subset enumeration, ranks by Gaussian elimination over
 exact fractions or by dense fraction-free (Bareiss) elimination, on dense
-boundary matrices.  The small-size pipeline oracles below build what the
-library only ever reads in part: the dense C x C Hodge operator, the per-slot
-zero-phase weights, the whole phase-estimation unitary, the flag-tagged state
-with its copy register, the explicit density matrix, dense state-preparation
-reflections and tensor-product unitaries, and a block encoding's whole unitary
-applied to any input.
+boundary matrices; Betti numbers also by the library's sparse reduction run
+on the boundary side, from the top level down, where the library runs it on
+coboundaries from the vertices up.  The small-size pipeline oracles below
+build what the library only ever reads in part: the dense C x C Hodge
+operator, the per-slot zero-phase weights, the whole phase-estimation
+unitary, the flag-tagged state with its copy register, the explicit density
+matrix, dense state-preparation reflections and tensor-product unitaries, and
+a block encoding's whole unitary applied to any input.
 """
 
 import itertools
@@ -31,6 +33,7 @@ from bettiq import (
     spectral_summary,
 )
 from bettiq.complexes import slot_rank, slot_words
+from bettiq.homology import _reduce
 
 
 def cycle_graph(n: int) -> VertexGraph:
@@ -86,6 +89,19 @@ def census_graph(index: int, n: int = 6) -> VertexGraph:
     the vertex pairs in lexicographic order."""
     pairs = itertools.combinations(range(n), 2)
     return VertexGraph.from_edges(n, [p for bit, p in enumerate(pairs) if index >> bit & 1])
+
+
+def rp2_subdivision() -> VertexGraph:
+    """The comparability graph of the face poset of the 6-vertex real projective
+    plane, whose flag complex is its barycentric subdivision: 31 vertices (the
+    6 + 15 + 10 faces) and simplex counts (31, 90, 60).  Over Q its Betti
+    numbers are (1, 0, 0), over GF(2) (1, 1, 1)."""
+    triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+                 (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+    faces = sorted({frozenset(face) for t in triangles for size in (1, 2, 3)
+                    for face in itertools.combinations(t, size)}, key=lambda f: (len(f), sorted(f)))
+    return VertexGraph.from_edges(len(faces), [
+        (i, j) for (i, a), (j, b) in itertools.combinations(enumerate(faces), 2) if a < b or b < a])
 
 
 def brute_force_cliques(graph: VertexGraph, size: int) -> set[frozenset]:
@@ -145,6 +161,20 @@ def bareiss_rank(matrix) -> int:
     return rank
 
 
+def gf2_rank(matrix) -> int:
+    """Rank over GF(2), by elimination on each row's bits: a deliberately
+    different field, under which torsion shows up in homology."""
+    rows = [sum(1 << i for i, x in enumerate(row) if x % 2) for row in np.asarray(matrix, dtype=object)]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            lead = 1 << (pivot.bit_length() - 1)
+            rows = [r ^ pivot if r & lead else r for r in rows]
+    return rank
+
+
 def boundary_matrix(complex_: CliqueComplex, k: int) -> np.ndarray:
     """Signed int64 incidence matrix from the k-simplices (columns, in
     `complex_.words(k)` order) to their faces (rows, in `complex_.words(k-1)`
@@ -178,6 +208,48 @@ def betti_by_ranks(complex_, k: int, rank=fraction_rank) -> int:
     top dimension k = n-1, d_n is the zero map out of the empty level n."""
     up = rank(boundary_matrix(complex_, k + 1)) if k + 1 < complex_.n else 0
     return complex_.simplex_count(k) - rank(boundary_matrix(complex_, k)) - up
+
+
+def _boundary_faces(word: int) -> dict[int, int]:
+    """{face: sign} over the faces of a simplex word: the face dropping the
+    i-th smallest vertex carries sign (-1)^i."""
+    faces = {}
+    sign = 1
+    rest = word
+    while rest:
+        low = rest & -rest
+        faces[word ^ low] = sign
+        sign = -sign
+        rest ^= low
+    return faces
+
+
+def boundary_pivots(complex_: CliqueComplex, k: int, cleared=()) -> dict:
+    """The library's sparse reduction of d_k, its columns the faces of the
+    k-simplex words in ascending order; d_0 and d_n are zero maps.  A k-simplex
+    in `cleared`, a pivot row of d_{k+1}, is skipped: its column reduces to zero
+    (clearing from the top down)."""
+    if k == 0 or k == complex_.n:
+        return {}
+    return _reduce(_boundary_faces(w) for w in complex_.words(k) if w not in cleared)
+
+
+def betti_by_boundary_reduction(complex_: CliqueComplex, k: int) -> int:
+    """|S_k| - rank d_k - rank d_{k+1} by boundary-side reduction, d_{k+1}
+    first and its pivots clearing d_k: the oracle the coboundary pass replaced."""
+    up = boundary_pivots(complex_, k + 1)
+    return complex_.simplex_count(k) - len(boundary_pivots(complex_, k, up)) - len(up)
+
+
+def skeleton_bettis_by_boundary_reduction(complex_: CliqueComplex) -> list[int]:
+    """The Betti numbers of the stored skeleton (d above max_dim taken as zero)
+    by boundary-side reduction, each level cleared by the one above it."""
+    ranks = [0] * (complex_.max_dim + 2)
+    pivots: dict = {}
+    for k in range(complex_.max_dim, 0, -1):
+        pivots = boundary_pivots(complex_, k, pivots)
+        ranks[k] = len(pivots)
+    return [c - ranks[k] - ranks[k + 1] for k, c in enumerate(complex_.counts)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from bettiq import (
     block_encode_projector,
     build_clique_complex,
     cli,
+    complement_complex,
     complement_report,
     dump_instance,
     estimate_betti,
@@ -33,6 +34,7 @@ from bettiq import (
     pipeline_context,
     plan_delta,
     resource_estimate,
+    slot_rank,
     solve_system,
     spectral_summary,
     tensor_block_encoding,
@@ -431,6 +433,25 @@ class TestEstimateBetti:
             tracemalloc.stop()
         assert est.beta_rounded == est.beta_oracle
         assert peak < 2 << 20
+
+    def test_ideal_dual_ranks_only_the_complex_slots(self, monkeypatch):
+        # the complement's slots are ranked only when its block or slots are read
+        ranked = []
+
+        def spy(word):
+            ranked.append(word)
+            return slot_rank(word)
+
+        monkeypatch.setattr(homology, "slot_rank", spy)
+        graph = random_graph(12, 0.4, seed=1)
+        c = build_clique_complex(graph, 3)
+        comp = complement_complex(graph, 3)
+        est = estimate_betti(graph, 2, convention="dual")
+        assert sorted(ranked) == sorted(c.words(2))
+        assert est.beta_rounded == est.beta_oracle
+        ranked.clear()
+        estimate_betti(graph, 2, convention="dual", pe=PEConfig.bits(t=2))
+        assert sorted(ranked) == sorted(c.words(2) + comp.words(2))
 
 
 class TestSpectralSums:

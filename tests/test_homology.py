@@ -14,21 +14,26 @@ from bettiq import (
     slot_rank,
     spectral_summary,
 )
-from bettiq.homology import _laplacian_block
+from bettiq.homology import _coboundary, _laplacian_block
 from helpers import (
     bareiss_rank,
+    betti_by_boundary_reduction,
     betti_by_ranks,
     boundary_matrix,
+    census_graph,
     complete_graph,
     cycle_graph,
     dense_operator,
     dense_zero_phase_weights,
     empty_graph,
     fraction_rank,
+    gf2_rank,
     kernel_projector,
     laplacian_by_products,
     octahedron_graph,
     random_graph,
+    rp2_subdivision,
+    skeleton_bettis_by_boundary_reduction,
     slot_zero_phase_weights,
     small_graphs,
     two_disjoint_cycles,
@@ -427,3 +432,68 @@ class TestEuler:
         c = build_clique_complex(random_graph(8, 0.5, seed=seed), 3)
         ok, _ = euler_check(c)
         assert ok
+
+
+CENSUS_INDICES = range(2 ** 15)
+# random_graph(n, p, s) at n = 8..28 step 4: the complex and its complement, built to level 3
+RANK_LADDER = [(n, p, s) for n in range(8, 29, 4) for p in (0.3, 0.5, 0.7) for s in (0, 1)]
+
+
+def ladder_complexes():
+    for n, p, s in RANK_LADDER:
+        g = random_graph(n, p, s)
+        yield (n, p, s, "complex"), build_clique_complex(g, 3)
+        yield (n, p, s, "complement"), complement_complex(g, 3)
+
+
+@pytest.fixture(scope="module")
+def census_complexes():
+    """Every labeled 6-vertex graph's complex, built to level 2."""
+    return [build_clique_complex(census_graph(i), 2) for i in CENSUS_INDICES]
+
+
+class TestCoboundaryPass:
+    """The coboundary reduction against the boundary-side reduction it replaced."""
+
+    @pytest.mark.parametrize("graph", [
+        census_graph(2 ** 15 - 1),
+        census_graph(0b101101110011011),
+        census_graph(0b011010001110110),
+        octahedron_graph(),
+        random_graph(9, 0.6, seed=0),
+        random_graph(10, 0.5, seed=3),
+    ])
+    def test_coboundary_columns_are_the_boundary_transposed(self, graph):
+        c = build_clique_complex(graph, graph.n - 1)
+        for j in range(c.max_dim):
+            rows = {w: i for i, w in enumerate(c.words(j + 1))}
+            cob = np.zeros((len(rows), c.simplex_count(j)), dtype=np.int64)
+            for col, word in enumerate(c.words(j)):
+                for coface, sign in _coboundary(word, c.masks).items():
+                    cob[rows[coface], col] = sign
+            assert np.array_equal(cob, boundary_matrix(c, j + 1).T), j
+        assert all(_coboundary(w, c.masks) == {} for w in c.words(c.max_dim))
+
+    def test_census_matches_boundary_reduction(self, census_complexes):
+        for index, c in zip(CENSUS_INDICES, census_complexes):
+            for k in (0, 1):
+                assert betti_exact(c, k) == betti_by_boundary_reduction(c, k), (index, k)
+
+    def test_census_euler_bettis_match_boundary_reduction(self, census_complexes):
+        for index, c in zip(CENSUS_INDICES, census_complexes):
+            assert euler_check(c)[1]["bettis"] == skeleton_bettis_by_boundary_reduction(c), index
+
+    def test_ladder_matches_boundary_reduction(self):
+        for case, c in ladder_complexes():
+            assert betti_exact(c, 2) == betti_by_boundary_reduction(c, 2), case
+            assert euler_check(c)[1]["bettis"] == skeleton_bettis_by_boundary_reduction(c), case
+
+    def test_no_torsion_leaks_in(self):
+        # the subdivided RP^2 has Z/2 torsion: a mod-2 rank would read (1, 1, 1)
+        c = build_clique_complex(rp2_subdivision(), 3)
+        assert c.counts == (31, 90, 60, 0)
+        assert [betti_by_ranks(c, k, gf2_rank) for k in range(3)] == [1, 1, 1]
+        bettis = [betti_exact(c, k) for k in range(3)]
+        assert bettis == [1, 0, 0]
+        assert bettis == [betti_by_ranks(c, k, bareiss_rank) for k in range(3)]
+        assert euler_check(c)[1]["bettis"] == [1, 0, 0, 0]
