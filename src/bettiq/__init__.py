@@ -20,7 +20,6 @@ from .complexes import (
     instance_to_dict,
     load_instance,
     slot_rank,
-    slot_words,
 )
 from .homology import (
     HodgeOperator,
@@ -62,8 +61,6 @@ from .extraction import (
     estimate_betti,
     estimate_normalized_betti,
     inv_norm,
-    observable_b,
-    perturbation_bound,
     pipeline_context,
     plan_delta,
     resource_estimate,

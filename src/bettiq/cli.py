@@ -24,6 +24,7 @@ from . import __version__
 from .complexes import (
     GENERATOR_MODELS,
     InstanceSpec,
+    build_clique_complex,
     dump_instance,
     generate_instance,
     instance_to_dict,
@@ -140,7 +141,10 @@ def _cmd_generate(args) -> int:
 def _cmd_exact(args) -> int:
     instance = load_instance(args.instance)
     start = time.perf_counter()
-    ctx = pipeline_context(instance, args.k, convention=args.convention)
+    # level k+1 too, for the Euler report, which nothing else reads; a negative k
+    # still builds a valid complex, so that pipeline_context rejects k by name
+    complex_ = build_clique_complex(instance, min(max(args.k, 0) + 1, instance.n - 1))
+    ctx = pipeline_context(complex_, args.k, convention=args.convention)
     if ctx.s_count == 0:
         raise ValueError(f"instance has no simplices at dimension k={args.k}")
     beta = betti_exact(ctx.complex, args.k)

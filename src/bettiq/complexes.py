@@ -22,7 +22,6 @@ __all__ = [
     "CliqueComplex",
     "InstanceSpec",
     "slot_rank",
-    "slot_words",
     "build_clique_complex",
     "induced_graph",
     "complement_complex",
@@ -52,21 +51,6 @@ def slot_rank(word: int) -> int:
         i += 1
         rank += comb(low.bit_length() - 1, i)
     return rank
-
-
-def slot_words(n: int, k: int) -> list[int]:
-    """All n-bit words of Hamming weight k+1, ascending by numeric value."""
-    if not 0 <= k <= n - 1:
-        raise ValueError(f"dimension k={k} out of range for n={n}")
-    w = (1 << (k + 1)) - 1
-    limit = 1 << n
-    out = []
-    while w < limit:
-        out.append(w)
-        c = w & -w
-        r = w + c
-        w = (((r ^ w) >> 2) // c) | r
-    return out
 
 
 @dataclass(frozen=True)

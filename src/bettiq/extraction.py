@@ -21,7 +21,6 @@ from .complexes import CliqueComplex, PointCloud, VertexGraph, build_clique_comp
 from .homology import (
     HodgeOperator,
     SpectralSummary,
-    _needed_dim,
     betti_exact,
     complement_complex,
     hodge_laplacian,
@@ -53,11 +52,9 @@ __all__ = [
     "NormalizedBettiEstimate",
     "ResourceReport",
     "pipeline_context",
-    "observable_b",
     "assemble_system",
     "solve_system",
     "inv_norm",
-    "perturbation_bound",
     "plan_delta",
     "estimate_betti",
     "estimate_normalized_betti",
@@ -160,14 +157,6 @@ def solve_system(a: np.ndarray, y) -> tuple[float, float]:
     return (a22 * y1 - a12 * y2) / det, (a11 * y2 - a21 * y1) / det
 
 
-def perturbation_bound(a: np.ndarray, delta_y_norm: float) -> float:
-    """Bound ||X2 - X1|| <= ||A^-1|| ||Y2 - Y1|| for a right-hand-side-only
-    perturbation (the system matrix is known exactly)."""
-    if delta_y_norm < 0:
-        raise ValueError("perturbation norm must be nonnegative")
-    return inv_norm(a) * delta_y_norm
-
-
 def plan_delta(eps: float, beta_lower: float, a: np.ndarray) -> float:
     """Per-measurement additive accuracy achieving multiplicative accuracy eps,
     assuming the true Betti number is at least beta_lower."""
@@ -181,14 +170,17 @@ def plan_delta(eps: float, beta_lower: float, a: np.ndarray) -> float:
 
 
 def _as_complex(source, k: int) -> CliqueComplex:
-    if isinstance(source, CliqueComplex):
-        need = _needed_dim(source.n, k)
-        if source.max_dim < need:
-            raise ValueError(f"complex must be built to dimension {need}")
-        return source
-    if isinstance(source, (VertexGraph, PointCloud)):
-        return build_clique_complex(source, _needed_dim(source.n, k))
-    raise ValueError(f"cannot run the pipeline on {type(source).__name__}")
+    """The complex the pipeline reads at dimension k: a graph or point cloud's,
+    built to level k, or a complex built at least that far."""
+    if not isinstance(source, (CliqueComplex, VertexGraph, PointCloud)):
+        raise ValueError(f"cannot run the pipeline on {type(source).__name__}")
+    if not 0 <= k <= source.n - 1:
+        raise ValueError(f"dimension k={k} out of range for n={source.n}")
+    if not isinstance(source, CliqueComplex):
+        return build_clique_complex(source, k)
+    if source.max_dim < k:
+        raise ValueError(f"complex must be built to dimension k={k} (max_dim={source.max_dim})")
+    return source
 
 
 @dataclass(eq=False)
@@ -279,14 +271,10 @@ def pipeline_context(source, k: int, convention: str = "restricted",
 
 
 def _flag_trace(m: np.ndarray, ctx: PipelineContext) -> float:
+    """The scalar b = Tr[(|0><0| x I x M) rho] for a checked flag observable M,
+    summed from the zero-phase block sums.  Sampled estimation draws the
+    Hadamard-test statistic for this same b."""
     return float((ctx.beta_pe() * m[1, 1].real + ctx.p1_trace() * m[0, 0].real) / ctx.slot_count)
-
-
-def observable_b(m, ctx: PipelineContext) -> float:
-    """The scalar b = Tr[(|0><0| x I x M) rho] for a flag observable M, summed
-    from the zero-phase block sums.  Sampled estimation draws the Hadamard-test
-    statistic for this same b: `trace_estimate(observable_b(m, ctx), ...)`."""
-    return _flag_trace(_check_flag_observable(m), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +538,7 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
     """
     if isinstance(source, CliqueComplex):
         graph = source.graph
-        if source.max_dim < _needed_dim(graph.n, k):
+        if source.max_dim < k:
             source = graph  # under-built: the pipeline builds it from the graph
     elif isinstance(source, VertexGraph):
         graph = source
@@ -570,7 +558,7 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
         neither = comp_slots - ctx.op.complement.simplex_count(k)
         kernel_dim_block = beta_comp + neither
     else:  # no off-complex slots, so the operator holds no complement complex
-        beta_comp = betti_exact(complement_complex(graph, _needed_dim(graph.n, k)), k)
+        beta_comp = betti_exact(complement_complex(graph, 0), 0)
         neither = kernel_dim_block = 0
 
     return {

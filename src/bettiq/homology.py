@@ -101,27 +101,32 @@ def integer_rank(matrix) -> int:
 
 def _boundary_ranks(complex_: CliqueComplex, top: int) -> list[int]:
     """[rank d_0, ..., rank d_top, 0] over Q (d_{top+1} taken as zero), reducing the
-    coboundaries delta_j = d_{j+1}^T from the vertices up, j < top.  Level 0 keeps the
-    maximum-word spanning forest (Kruskal, largest edge first): each of its edges is
-    the largest leaving the component it joins, so leads that cut's coboundary.  Level
-    j >= 1 reduces, in ascending order, only the j-simplices tau leading no reduced
-    coboundary delta x of level j-1 (delta delta x = 0 puts delta tau in the span of
-    earlier columns: clearing), so only beta_j columns reduce to zero."""
+    coboundaries delta_j = d_{j+1}^T from the vertices up, j < top, so no level
+    from top up is read.  Level 0 keeps the maximum-word spanning forest (Kruskal,
+    largest edge first, the edges read from the adjacency masks): each of its
+    edges is the largest leaving the component it joins, so leads that cut's
+    coboundary.  Level j >= 1 reduces, in ascending order, only the j-simplices tau
+    leading no reduced coboundary delta x of level j-1 (delta delta x = 0 puts
+    delta tau in the span of earlier columns: clearing), so only beta_j columns
+    reduce to zero."""
     if top < 1:
         return [0, 0]
-    root, pivots = list(range(complex_.n)), set()  # union-find over the vertices
-    for edge in reversed(complex_.words(1)):
-        u, v = (edge & -edge).bit_length() - 1, edge.bit_length() - 1
-        while root[u] != u:
-            u = root[u]
-        while root[v] != v:
-            v = root[v]
-        if u != v:
-            root[u] = v
-            pivots.add(edge)
-            if len(pivots) == complex_.n - 1:  # one tree spans every vertex
-                break
-    ranks, masks = [0, len(pivots)], complex_.masks
+    n, masks = complex_.n, complex_.masks
+    root, pivots = list(range(n)), set()  # union-find over the vertices
+    for v in range(n - 1, 0, -1):  # edge u < v, descending by word: by v, then by u
+        lower = masks[v] & ((1 << v) - 1)
+        while lower and len(pivots) < n - 1:  # n-1 edges: one tree spans every vertex
+            u = lower.bit_length() - 1
+            lower ^= 1 << u
+            a, b = u, v  # the roots of their components
+            while root[a] != a:
+                a = root[a]
+            while root[b] != b:
+                b = root[b]
+            if a != b:
+                root[a] = b
+                pivots.add(1 << u | 1 << v)
+    ranks = [0, len(pivots)]
     for j in range(1, top):
         pivots = set(_reduce(_coboundary(w, masks) for w in complex_.words(j) if w not in pivots))
         ranks.append(len(pivots))
@@ -134,11 +139,11 @@ class HodgeOperator:
     complex's block comes first, then (dual, k >= 1) the complement complex's;
     a slot in no block is a zero row.
 
-    The complement complex (`complement`, built to level k+1, as its Betti
-    number requires) comes with the operator, but its slots are ranked and
-    its block assembled only on the first read of `block_slots` or `blocks`:
-    ideal phase estimation needs only its simplex count and that block's kernel
-    count, the complement complex's beta_k by the Hodge theorem."""
+    The complement complex (`complement`, built to level k) comes with the
+    operator, but its slots are ranked and its block assembled only on the
+    first read of `block_slots` or `blocks`: ideal phase estimation needs only
+    its simplex count and that block's kernel count, the complement complex's
+    beta_k by the Hodge theorem."""
 
     def __init__(self, k: int, n: int, convention: str, blocks, block_slots,
                  complement: CliqueComplex | None = None):
@@ -189,18 +194,6 @@ class HodgeOperator:
         return self._restricted
 
 
-def _needed_dim(n: int, k: int) -> int:
-    """Top level built for dimension k's Laplacian and Betti number: k+1, except
-    at k = n-1, where level n is empty on every graph and is never built."""
-    return min(k + 1, n - 1)
-
-
-def _check_built(complex_: CliqueComplex, k: int, what: str) -> None:
-    need = _needed_dim(complex_.n, k)
-    if need > complex_.max_dim:
-        raise ValueError(f"{what} needs dimension {need} built (max_dim={complex_.max_dim})")
-
-
 def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
     """d_k^T d_k + d_{k+1} d_{k+1}^T from the words: a diagonal entry is k+1 (0 at
     k = 0) plus the simplex's coface count; sigma = f+u and tau = f+v sharing
@@ -242,19 +235,18 @@ def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restrict
     here, its slots and block on first read)."""
     if convention not in ("restricted", "dual"):
         raise ValueError(f"unknown convention {convention!r}")
-    _check_built(complex_, k, f"the dimension-{k} Laplacian")
     slots = (tuple(slot_rank(w) for w in complex_.words(k)),)
     comp = None
     if convention == "dual" and k >= 1:
-        comp = complement_complex(complex_.graph, _needed_dim(complex_.n, k))
+        comp = complement_complex(complex_.graph, k)
     return HodgeOperator(k, complex_.n, convention, (_laplacian_block(complex_, k),), slots, comp)
 
 
 def betti_exact(complex_: CliqueComplex, k: int) -> int:
     """k-th Betti number by exact ranks over Q: |S_k| - rank d_k - rank d_{k+1}."""
-    _check_built(complex_, k, f"betti_exact({k})")
-    ranks = _boundary_ranks(complex_, _needed_dim(complex_.n, k))
-    beta = complex_.simplex_count(k) - ranks[k] - ranks[k + 1]
+    count = complex_.simplex_count(k)
+    ranks = _boundary_ranks(complex_, k + 1)
+    beta = count - ranks[k] - ranks[k + 1]
     assert beta >= 0, "rank computation produced a negative Betti number"
     return beta
 

@@ -10,7 +10,9 @@ build what the library only ever reads in part: the dense C x C Hodge
 operator, the per-slot zero-phase weights, the whole phase-estimation
 unitary, the flag-tagged state with its copy register, the explicit density
 matrix, dense state-preparation reflections and tensor-product unitaries, and
-a block encoding's whole unitary applied to any input.
+a block encoding's whole unitary applied to any input.  The slot
+enumeration `slot_words`, the flag trace `observable_b` and the bound
+`perturbation_bound` are kept here too: no library code reads them.
 """
 
 import itertools
@@ -29,10 +31,12 @@ from bettiq import (
     HodgeOperator,
     PEConfig,
     VertexGraph,
+    inv_norm,
     phase_zero_probability,
     spectral_summary,
 )
-from bettiq.complexes import slot_rank, slot_words
+from bettiq.complexes import slot_rank
+from bettiq.extraction import PipelineContext, _check_flag_observable, _flag_trace
 from bettiq.homology import _reduce
 
 
@@ -256,6 +260,21 @@ def skeleton_bettis_by_boundary_reduction(complex_: CliqueComplex) -> list[int]:
 # simplex words
 
 
+def slot_words(n: int, k: int) -> list[int]:
+    """All n-bit words of Hamming weight k+1, ascending by numeric value."""
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"dimension k={k} out of range for n={n}")
+    w = (1 << (k + 1)) - 1
+    limit = 1 << n
+    out = []
+    while w < limit:
+        out.append(w)
+        c = w & -w
+        r = w + c
+        w = (((r ^ w) >> 2) // c) | r
+    return out
+
+
 def word_from_vertices(vertices) -> int:
     word = 0
     for v in vertices:
@@ -411,6 +430,20 @@ def zero_phase_weight(op: HodgeOperator, cfg: PEConfig, s) -> float:
     if word >= (1 << op.n):
         raise ValueError(f"word {word:#b} does not fit in {op.n} bits")
     return float(slot_zero_phase_weights(op, cfg)[slot_rank(word)])
+
+
+def observable_b(m, ctx: PipelineContext) -> float:
+    """The scalar b = Tr[(|0><0| x I x M) rho] for a flag observable M, checked
+    first, summed from the zero-phase block sums: the estimators' `_flag_trace`."""
+    return _flag_trace(_check_flag_observable(m), ctx)
+
+
+def perturbation_bound(a: np.ndarray, delta_y_norm: float) -> float:
+    """Bound ||X2 - X1|| <= ||A^-1|| ||Y2 - Y1|| for a right-hand-side-only
+    perturbation (the system matrix is known exactly)."""
+    if delta_y_norm < 0:
+        raise ValueError("perturbation norm must be nonnegative")
+    return inv_norm(a) * delta_y_norm
 
 
 # ---------------------------------------------------------------------------

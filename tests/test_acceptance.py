@@ -25,7 +25,6 @@ from bettiq import (
     dump_instance,
     hoeffding_sample_count,
     inv_norm,
-    observable_b,
     pipeline_context,
     plan_delta,
     reduced_density,
@@ -38,6 +37,7 @@ from helpers import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    observable_b,
     octahedron_graph,
     path_graph,
     random_graph,

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import bettiq
-from bettiq import SingularSystemError, cli, extraction, hoeffding_sample_count
+from bettiq import SingularSystemError, cli, dump_instance, extraction, hoeffding_sample_count
+from helpers import random_graph
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -115,6 +116,17 @@ class TestExact:
         out = tmp_path / "exact.json"
         assert run(["exact", "--instance", str(c4_file), "--k", "1", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["timing_seconds"] >= 0.3
+
+    def test_euler_report_keeps_the_level_above_k(self, tmp_path):
+        # the estimators build to level k; the Euler report counts level k+1 too
+        path, out = tmp_path / "er.json", tmp_path / "exact.json"
+        dump_instance(random_graph(10, 0.5, seed=1), path)
+        assert run(["exact", "--instance", str(path), "--k", "1", "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["beta"] == 3
+        assert len(res["euler"]["counts"]) == 1 + 2
+        assert res["euler"]["bettis"][1] == res["beta"]
+        assert res["euler_ok"]
 
     def test_empty_level_exits_2(self, tmp_path):
         path = tmp_path / "empty.json"
@@ -338,6 +350,16 @@ class TestTopDimension:
             assert res["beta_rounded"] == res["beta_oracle"] == 0
         else:
             assert res["betti_complement_exact"] == 0
+
+    @pytest.mark.parametrize("command", ["exact", "estimate", "complement"])
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_k_out_of_range_exits_2(self, command, k, tmp_path, capsys):
+        path = tmp_path / "k4.json"
+        assert run(["generate", "--model", "complete", "--n", "4", "--out", str(path)]) == 0
+        out = tmp_path / "out.json"
+        assert run([command, "--instance", str(path), "--k", str(k), "--out", str(out)]) == 2
+        assert f"dimension k={k} out of range for n=4" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestComplement:

@@ -16,7 +16,6 @@ from bettiq import (
     induced_graph,
     load_instance,
     slot_rank,
-    slot_words,
 )
 from helpers import (
     SimplexWord,
@@ -29,6 +28,7 @@ from helpers import (
     membership,
     octahedron_graph,
     random_graph,
+    slot_words,
 )
 
 

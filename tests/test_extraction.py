@@ -28,8 +28,6 @@ from bettiq import (
     hodge_laplacian,
     hoeffding_sample_count,
     inv_norm,
-    observable_b,
-    perturbation_bound,
     pipeline,
     pipeline_context,
     plan_delta,
@@ -45,8 +43,10 @@ from helpers import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    observable_b,
     octahedron_graph,
     path_graph,
+    perturbation_bound,
     random_graph,
     slot_zero_phase_weights,
     small_graphs,
@@ -633,6 +633,33 @@ class TestTopDimension:
             estimate_betti(cycle_graph(4), 3)
 
 
+class TestBuildLevel:
+    """A graph is built to level k; a complex built a level higher, as a caller
+    may still pass, gives the same estimates bit for bit."""
+
+    CASES = ([(census_graph(i), k) for i in range(1, 2 ** 15, 64) for k in (0, 1)]
+             + [(random_graph(n, p, seed=1), 2) for n in (8, 16, 24) for p in (0.3, 0.5, 0.7)])
+
+    def test_a_complex_built_above_k_estimates_as_the_graph(self):
+        for graph, k in self.CASES:
+            over = build_clique_complex(graph, min(k + 1, graph.n - 1))
+            for pe in (None, PEConfig.bits(t=2)):
+                for convention in ("restricted", "dual"):
+                    a, b = (estimate_betti(source, k, convention=convention, pe=pe)
+                            for source in (graph, over))
+                    assert repr((a.beta_estimate, a.p1_estimate, a.kappa_laplacian)) == \
+                        repr((b.beta_estimate, b.p1_estimate, b.kappa_laplacian)), \
+                        (graph.edges(), k, convention, pe)
+                assert complement_report(graph, k, pe) == complement_report(over, k, pe), \
+                    (graph.edges(), k, pe)
+
+    @pytest.mark.parametrize("k", [-1, 4])
+    def test_dimension_out_of_range_is_named(self, k):
+        for source in (complete_graph(4), build_clique_complex(complete_graph(4), 3)):
+            with pytest.raises(ValueError, match=f"dimension k={k} out of range for n=4"):
+                pipeline_context(source, k)
+
+
 class TestComplementReport:
     def test_c4(self):
         rep = complement_report(cycle_graph(4), 1)
@@ -719,8 +746,8 @@ class TestComplementReport:
         assert complement_report(built, 2) == expected
         assert levels == []
         # an under-built complex is rebuilt from its graph to the level it needs
-        assert complement_report(build_clique_complex(graph, 2), 2) == expected
-        assert levels == [3]
+        assert complement_report(build_clique_complex(graph, 1), 2) == expected
+        assert levels == [2]
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_graphs_consistent(self, seed):
@@ -811,7 +838,7 @@ class TestIdealDualRankRoute:
             levels.clear()
             ranked.clear()
             rep = complement_report(graph, 2, pe=pe)
-            assert levels == [3] and len(ranked) == 1
+            assert levels == [2] and len(ranked) == 1
             assert rep["kernel_dim_complement_block"] == \
                 rep["betti_complement_exact"] + rep["neither_complex_slot_count"]
 

@@ -162,10 +162,10 @@ class TestHodge:
         assert not dense_operator(op).any()
         assert op.block_slots[0] == ()
 
-    def test_needs_one_dimension_above(self):
-        c = build_clique_complex(cycle_graph(4), 1)
+    def test_needs_level_k_built(self):
         with pytest.raises(ValueError):
-            hodge_laplacian(c, 1)
+            hodge_laplacian(build_clique_complex(cycle_graph(4), 0), 1)
+        assert len(hodge_laplacian(build_clique_complex(cycle_graph(4), 1), 1).block_slots[0]) == 4
 
     def test_unknown_convention(self):
         c = build_clique_complex(cycle_graph(4), 2)
@@ -194,8 +194,8 @@ class TestHodge:
         sub = full[np.ix_(comp_idx, comp_idx)]
         assert np.allclose(sub, 2 * np.eye(2))
 
-    def test_dual_builds_the_complement_once_at_level_k_plus_1(self, monkeypatch):
-        # once, to the level its beta_k reads; its block reads only the k-simplex words and the masks
+    def test_dual_builds_the_complement_once_at_level_k(self, monkeypatch):
+        # once, to level k: its beta_k and its block read only the words up to k and the masks
         from bettiq import homology
 
         levels = []
@@ -208,7 +208,7 @@ class TestHodge:
         c = build_clique_complex(random_graph(7, 0.5, seed=1), 3)
         for k in (1, 2):
             hodge_laplacian(c, k, "dual").eig()
-        assert levels == [2, 3]
+        assert levels == [1, 2]
 
     def test_dual_equals_restricted_at_k0(self):
         c = build_clique_complex(random_graph(6, 0.5, seed=5), 1)
@@ -237,10 +237,10 @@ class TestBettiExact:
         assert betti_exact(c, 0) == 2
         assert betti_exact(c, 1) == 2
 
-    def test_needs_dimension_above(self):
-        c = build_clique_complex(cycle_graph(4), 1)
+    def test_needs_level_k_built(self):
         with pytest.raises(ValueError):
-            betti_exact(c, 1)
+            betti_exact(build_clique_complex(cycle_graph(4), 0), 1)
+        assert betti_exact(build_clique_complex(cycle_graph(4), 1), 1) == 1
 
     @pytest.mark.parametrize("graph", [complete_graph(3), complete_graph(4), empty_graph(3)])
     def test_top_dimension(self, graph):
@@ -482,6 +482,20 @@ class TestCoboundaryPass:
     def test_census_euler_bettis_match_boundary_reduction(self, census_complexes):
         for index, c in zip(CENSUS_INDICES, census_complexes):
             assert euler_check(c)[1]["bettis"] == skeleton_bettis_by_boundary_reduction(c), index
+
+    def test_census_level_0_reads_the_edges_from_the_masks(self, census_complexes):
+        # a complex built to level 0 holds no edge words; the oracle reads levels 0 and 1
+        for index, c in zip(CENSUS_INDICES, census_complexes):
+            vertices_only = build_clique_complex(c.graph, 0)
+            assert betti_exact(vertices_only, 0) == betti_by_boundary_reduction(c, 0), index
+
+    def test_census_euler_bettis_below_level_2(self, census_complexes):
+        for index, c in zip(CENSUS_INDICES, census_complexes):
+            for max_dim in (0, 1):
+                skeleton = build_clique_complex(c.graph, max_dim)
+                ok, rep = euler_check(skeleton)
+                assert ok and rep["bettis"] == skeleton_bettis_by_boundary_reduction(skeleton), \
+                    (index, max_dim)
 
     def test_ladder_matches_boundary_reduction(self):
         for case, c in ladder_complexes():

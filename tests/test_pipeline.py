@@ -26,7 +26,6 @@ from bettiq import (
     pipeline_context,
     reduced_density,
     slot_rank,
-    slot_words,
     tensor_block_encoding,
     trace_estimate,
 )
@@ -45,6 +44,7 @@ from helpers import (
     prepare_phi,
     random_graph,
     reflection_matrix,
+    slot_words,
     slot_zero_phase_weights,
     tensor_unitary,
     validate_density,
