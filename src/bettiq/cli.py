@@ -24,6 +24,7 @@ from . import __version__
 from .complexes import (
     GENERATOR_MODELS,
     InstanceSpec,
+    _check_dimension,
     build_clique_complex,
     dump_instance,
     generate_instance,
@@ -40,7 +41,7 @@ from .extraction import (
     pipeline_context,
     resource_estimate,
 )
-from .homology import betti_exact, euler_check, spectral_summary
+from .homology import euler_check, spectral_summary
 from .pipeline import BlockEncodingError, PEConfig
 
 TRIAL_CSV_COLUMNS = [
@@ -141,19 +142,19 @@ def _cmd_generate(args) -> int:
 def _cmd_exact(args) -> int:
     instance = load_instance(args.instance)
     start = time.perf_counter()
-    # level k+1 too, for the Euler report, which nothing else reads; a negative k
-    # still builds a valid complex, so that pipeline_context rejects k by name
-    complex_ = build_clique_complex(instance, min(max(args.k, 0) + 1, instance.n - 1))
+    _check_dimension(args.k, instance.n)
+    # level k+1 too, for the Euler report, which nothing else reads
+    complex_ = build_clique_complex(instance, min(args.k + 1, instance.n - 1))
     ctx = pipeline_context(complex_, args.k, convention=args.convention)
     if ctx.s_count == 0:
         raise ValueError(f"instance has no simplices at dimension k={args.k}")
-    beta = betti_exact(ctx.complex, args.k)
     summary = spectral_summary(ctx.op)
+    # one coboundary pass: the Euler report's beta_k is betti_exact's
     euler_ok, euler_rep = euler_check(ctx.complex)
     config = {"command": "exact", "instance": str(args.instance), "k": args.k,
               "convention": args.convention}
     results = {
-        "beta": beta,
+        "beta": euler_rep["bettis"][args.k],
         "s_count": ctx.s_count,
         "slot_count": ctx.slot_count,
         "kappa_laplacian": summary.kappa,
@@ -226,8 +227,7 @@ def _cmd_resources(args) -> int:
             row = {"n": n, "k": k, "kappa": args.kappa, "beta": args.beta,
                    "eps": args.eps, "delta": args.delta, "valid": True, "error": ""}
             try:
-                if not 0 <= k <= n - 1:
-                    raise ValueError(f"k={k} out of range for n={n}")
+                _check_dimension(k, n)  # before comb, which rejects a negative n in its own words
                 s_count = comb(n, k + 1) if args.s_k == "dense" else int(args.s_k)
                 report = resource_estimate(n, k, args.kappa, args.beta, s_count,
                                            eps=args.eps, delta=args.delta,

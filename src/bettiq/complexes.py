@@ -41,6 +41,12 @@ def _integer(x, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
+def _check_dimension(k: int, n: int) -> None:
+    """The one range rule for a dimension on n vertices: 0 <= k <= n-1."""
+    if not 0 <= k <= n - 1:
+        raise ValueError(f"dimension k={k} out of range for n={n}")
+
+
 def slot_rank(word: int) -> int:
     """Index of `word` among all equal-weight words in ascending numeric order."""
     rank = 0
@@ -109,7 +115,7 @@ class VertexGraph:
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+                raise ValueError(f"edge ({u},{v}) names a vertex outside 0..{n - 1}")
             adj[u, v] = adj[v, u] = True
         return cls(n, adj)
 
@@ -178,11 +184,7 @@ def build_clique_complex(source, max_dim: int) -> CliqueComplex:
     if not isinstance(graph, VertexGraph):
         raise ValueError(f"cannot build a complex from {type(source).__name__}")
     n = graph.n
-    if max_dim < 0:
-        raise ValueError("max_dim must be nonnegative")
-    if max_dim > n - 1:
-        raise ValueError(f"max_dim={max_dim} exceeds n-1={n - 1}")
-
+    _check_dimension(max_dim, n)
     masks = tuple(graph.adjacency_masks())
     levels: list[tuple[int, ...]] = [tuple(1 << v for v in range(n))]
     # frontier holds (word, candidate mask of common neighbours above the top vertex)

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, floor, hypot, sqrt
+from math import comb, floor, hypot, inf, sqrt
 
 import numpy as np
 
-from .complexes import CliqueComplex, PointCloud, VertexGraph, build_clique_complex
+from .complexes import CliqueComplex, PointCloud, VertexGraph, _check_dimension, build_clique_complex
 from .homology import (
     HodgeOperator,
     SpectralSummary,
@@ -31,6 +30,7 @@ from .pipeline import (
     PEConfig,
     TraceEstimate,
     _check_accuracy,
+    _check_contraction,
     as_seed_sequence,
     block_encode_hermitian,
     block_encode_projector,
@@ -78,15 +78,18 @@ def _check_flag_observable(mat) -> np.ndarray:
     m = np.array(mat, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError("flag observables are 2x2")
-    if not np.isfinite(m).all():
-        raise ValueError(f"flag observable has non-finite entries {m[~np.isfinite(m)].tolist()}")
-    # each check is written so that NaN fails it
-    if not np.abs(m - m.conj().T).max() <= 1e-12:
-        raise ValueError("flag observable must be Hermitian")
-    if not np.abs(np.linalg.eigvalsh(m)).max() <= 1.0 + 1e-12:
-        raise ValueError("flag observable must have operator norm <= 1")
+    _check_contraction(m, "flag observable")
     m.setflags(write=False)
     return m
+
+
+def _singular_values(a) -> tuple[float, float]:
+    """(smax, smin) of a real 2x2 matrix in closed form: with h1 = hypot(a11+a22,
+    a21-a12) and h2 = hypot(a11-a22, a21+a12), smax = (h1+h2)/2 and smin =
+    |h1-h2|/2 (not |det|/smax, which drifts from LAPACK by an ulp)."""
+    (a11, a12), (a21, a22) = np.asarray(a, dtype=float).tolist()
+    h1, h2 = hypot(a11 + a22, a21 - a12), hypot(a11 - a22, a21 + a12)
+    return (h1 + h2) / 2.0, abs(h1 - h2) / 2.0
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,8 @@ class ObservablePair:
     def __post_init__(self):
         object.__setattr__(self, "m1", _check_flag_observable(self.m1))
         object.__setattr__(self, "m2", _check_flag_observable(self.m2))
-        if not abs(np.linalg.det(self.raw_matrix())) >= 1e-12:
+        smax, smin = _singular_values(self.raw_matrix())
+        if not smax * smin >= 1e-12:  # |det|
             raise ValueError("observable pair induces a singular system; choose distinct diagonals")
 
     @classmethod
@@ -126,32 +130,24 @@ def assemble_system(pair: ObservablePair, slot_count: int) -> np.ndarray:
     return pair.raw_matrix() / slot_count
 
 
-@lru_cache(maxsize=64)
-def _singular_values(shape: tuple[int, ...], data: bytes) -> tuple[float, ...]:
-    """Singular values, largest first, of the float matrix with this shape and
-    these bytes; memoized, as every estimate at one slot count has the same A."""
-    return tuple(map(float, np.linalg.svd(np.frombuffer(data).reshape(shape), compute_uv=False)))
-
-
 def inv_norm(a: np.ndarray) -> float:
-    """Spectral norm of A^-1, i.e. one over the smallest singular value."""
-    a = np.asarray(a, dtype=float)
-    smin = _singular_values(a.shape, a.tobytes())[-1]
-    if smin <= 0.0:
+    """Spectral norm of A^-1, one over the closed-form smallest singular value."""
+    smin = _singular_values(a)[1]
+    if not smin > 0.0:
         raise SingularSystemError("matrix is singular")
     return 1.0 / smin
 
 
 def solve_system(a: np.ndarray, y) -> tuple[float, float]:
     """Exact 2x2 solve of A.(beta, p1) = Y by Cramer's rule on Python floats, forward stable
-    at this size; warns when the closed-form condition number smax^2 / |det| is large."""
+    at this size; warns when the closed-form condition number smax / smin is large."""
     (a11, a12), (a21, a22) = np.asarray(a, dtype=float).tolist()
     y1, y2 = map(float, y)
     det = a11 * a22 - a12 * a21
     if det == 0.0:
         raise SingularSystemError("matrix is singular")
-    smax = (hypot(a11 + a22, a21 - a12) + hypot(a11 - a22, a21 + a12)) / 2.0
-    cond = smax / (abs(det) / smax)  # the smallest singular value is |det| / smax
+    smax, smin = _singular_values(a)
+    cond = smax / smin if smin > 0.0 else inf
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(f"extraction system condition number {cond:.3g} is large", RuntimeWarning)
     return (a22 * y1 - a12 * y2) / det, (a11 * y2 - a21 * y1) / det
@@ -174,8 +170,7 @@ def _as_complex(source, k: int) -> CliqueComplex:
     built to level k, or a complex built at least that far."""
     if not isinstance(source, (CliqueComplex, VertexGraph, PointCloud)):
         raise ValueError(f"cannot run the pipeline on {type(source).__name__}")
-    if not 0 <= k <= source.n - 1:
-        raise ValueError(f"dimension k={k} out of range for n={source.n}")
+    _check_dimension(k, source.n)
     if not isinstance(source, CliqueComplex):
         return build_clique_complex(source, k)
     if source.max_dim < k:
@@ -250,7 +245,7 @@ class PipelineContext:
         """The reduced mixed state, for block-encoding verification only: the
         estimators read the block sums and never build it."""
         if self._rho is None:
-            self._rho = reduced_density(self.complex, self.k, self.op, self.cfg)
+            self._rho = reduced_density(self.op, self.cfg)
         return self._rho
 
     def observable_encoding(self, m: np.ndarray):
@@ -293,7 +288,47 @@ class ExtractionSystem:
 
 
 @dataclass(frozen=True)
-class BettiEstimate:
+class _EstimateRun:
+    """The run record both estimates carry: what was asked, on which instance
+    and dimension, and the samples and seed the measurement used."""
+
+    samples_per_observable: int
+    confidence: float
+    mode: str
+    convention: str
+    pe_mode: str
+    n: int
+    k: int
+    s_count: int
+    slot_count: int
+    seed: dict | None
+
+    def _run_dict(self, instance) -> dict:
+        return {
+            "instance": instance,
+            "k": self.k,
+            "convention": self.convention,
+            "mode": self.mode,
+            "pe": self.pe_mode,
+            "samples": self.samples_per_observable,
+            "confidence": self.confidence,
+            "n": self.n,
+            "s_count": self.s_count,
+            "slot_count": self.slot_count,
+            "seed": self.seed,
+        }
+
+
+def _run_fields(ctx: PipelineContext, mode: str, confidence: float, samples: int, ss) -> dict:
+    """The `_EstimateRun` fields of a run on this context."""
+    return dict(samples_per_observable=samples, confidence=confidence, mode=mode,
+                convention=ctx.op.convention, pe_mode=ctx.cfg.mode, n=ctx.complex.n, k=ctx.k,
+                s_count=ctx.s_count, slot_count=ctx.slot_count,
+                seed=seed_descriptor(ss) if ss is not None else None)
+
+
+@dataclass(frozen=True)
+class BettiEstimate(_EstimateRun):
     """Betti-number estimate with its error budget and diagnostics.
 
     `kappa_laplacian` (and the resource report's kappa) is that of the
@@ -307,44 +342,24 @@ class BettiEstimate:
     p1_estimate: float
     eps: float | None
     delta: float | None
-    samples_per_observable: int
-    confidence: float
-    mode: str
-    convention: str
-    pe_mode: str
-    n: int
-    k: int
-    s_count: int
-    slot_count: int
     system: ExtractionSystem
     kappa_laplacian: float | None
     beta_oracle: int | None
     resource: "ResourceReport | None"
-    seed: dict | None
 
     def to_dict(self, instance=None) -> dict:
         return {
-            "instance": instance,
-            "k": self.k,
-            "convention": self.convention,
-            "mode": self.mode,
-            "pe": self.pe_mode,
+            **self._run_dict(instance),
             "epsilon": self.eps,
             "delta": self.delta,
             "beta_estimate": self.beta_estimate,
             "beta_rounded": self.beta_rounded,
             "p1": self.p1_estimate,
-            "samples": self.samples_per_observable,
-            "confidence": self.confidence,
             "inv_norm": self.system.inv_norm,
             "kappa_system": self.system.kappa_a,
             "kappa_laplacian": self.kappa_laplacian,
             "beta_oracle": self.beta_oracle,
-            "n": self.n,
-            "s_count": self.s_count,
-            "slot_count": self.slot_count,
             "resource_report": self.resource.to_dict() if self.resource else None,
-            "seed": self.seed,
         }
 
 
@@ -382,8 +397,8 @@ def _measure_and_solve(ctx: PipelineContext, pair: ObservablePair, a: np.ndarray
                       for m, child in zip((pair.m1, pair.m2), seed.spawn(2)))
         y, samples = (est1.value, est2.value), est1.samples_used
     x = solve_system(a, y)
-    s = _singular_values(a.shape, a.tobytes())
-    return ExtractionSystem(a=a, y=y, x=x, inv_norm=1.0 / s[-1], kappa_a=s[0] / s[-1]), samples
+    smax, smin = _singular_values(a)
+    return ExtractionSystem(a=a, y=y, x=x, inv_norm=1.0 / smin, kappa_a=smax / smin), samples
 
 
 def estimate_betti(source, k: int, eps: float | None = None, *, pair: ObservablePair | None = None,
@@ -419,66 +434,37 @@ def estimate_betti(source, k: int, eps: float | None = None, *, pair: Observable
                                      ctx.s_count, eps=eps, confidence=confidence)
 
     return BettiEstimate(
+        **_run_fields(ctx, mode, confidence, samples, ss),
         beta_estimate=beta_raw,
         beta_rounded=beta_rounded,
         p1_estimate=p1,
         eps=eps,
         delta=delta,
-        samples_per_observable=samples,
-        confidence=confidence,
-        mode=mode,
-        convention=convention,
-        pe_mode=ctx.cfg.mode,
-        n=ctx.complex.n,
-        k=k,
-        s_count=ctx.s_count,
-        slot_count=ctx.slot_count,
         system=system,
         kappa_laplacian=summary.kappa,
         beta_oracle=beta_oracle,
         resource=resource,
-        seed=seed_descriptor(ss) if ss is not None else None,
     )
 
 
 @dataclass(frozen=True)
-class NormalizedBettiEstimate:
+class NormalizedBettiEstimate(_EstimateRun):
     """Estimate of beta_k / |S_k| with an additive accuracy target."""
 
     value: float
     raw_value: float
     delta: float
     eps_measurement: float
-    samples_per_observable: int
-    confidence: float
-    mode: str
-    convention: str
-    pe_mode: str
-    n: int
-    k: int
-    s_count: int
-    slot_count: int
     oracle_value: float | None
-    seed: dict | None
 
     def to_dict(self, instance=None) -> dict:
         return {
-            "instance": instance,
-            "k": self.k,
-            "convention": self.convention,
-            "mode": self.mode,
-            "pe": self.pe_mode,
+            **self._run_dict(instance),
             "delta": self.delta,
             "eps_measurement": self.eps_measurement,
             "normalized_betti": self.value,
             "normalized_betti_raw": self.raw_value,
-            "samples": self.samples_per_observable,
-            "confidence": self.confidence,
             "oracle_value": self.oracle_value,
-            "n": self.n,
-            "s_count": self.s_count,
-            "slot_count": self.slot_count,
-            "seed": self.seed,
         }
 
 
@@ -504,21 +490,12 @@ def estimate_normalized_betti(source, k: int, delta: float, *,
     oracle = betti_exact(ctx.complex, k) / ctx.s_count
 
     return NormalizedBettiEstimate(
+        **_run_fields(ctx, mode, confidence, samples, ss),
         value=value,
         raw_value=raw,
         delta=delta,
         eps_measurement=eps_measurement,
-        samples_per_observable=samples,
-        confidence=confidence,
-        mode=mode,
-        convention=convention,
-        pe_mode=ctx.cfg.mode,
-        n=ctx.complex.n,
-        k=k,
-        s_count=ctx.s_count,
-        slot_count=ctx.slot_count,
         oracle_value=oracle,
-        seed=seed_descriptor(ss) if ss is not None else None,
     )
 
 
@@ -623,8 +600,7 @@ def resource_estimate(n: int, k: int, kappa: float, beta: float, s_count: int,
     Multiplicative-accuracy costs need eps and beta > 0; normalized-mode costs
     need delta.  Deterministic, pure arithmetic.
     """
-    if n < 1 or not 0 <= k <= n - 1:
-        raise ValueError("bad (n, k)")
+    _check_dimension(k, n)
     if kappa <= 0 or s_count < 1:
         raise ValueError("kappa and |S_k| must be positive")
     if eps is not None:
@@ -662,7 +638,7 @@ def resource_estimate(n: int, k: int, kappa: float, beta: float, s_count: int,
         depth_prior_quantum=n**2 * sqrt(c_total / s_count) + n * kappa,
         normalized_this_method_cost=norm_this,
         normalized_prior_cost=norm_prior,
-        grover_preparation_cost=grover_prep_cost(n, k, s_count) if k >= 0 else 0.0,
+        grover_preparation_cost=grover_prep_cost(n, k, s_count),
         planned_measurement_delta=planned_delta,
         sample_cost=sample_cost,
     )

@@ -21,7 +21,7 @@ from math import ceil, comb, inf, isfinite, log, prod, sqrt
 
 import numpy as np
 
-from .complexes import CliqueComplex, _integer
+from .complexes import _integer
 from .homology import HodgeOperator, spectral_summary
 
 __all__ = [
@@ -165,7 +165,7 @@ class DensityOperator:
         return float(total.real)
 
 
-def reduced_density(complex_: CliqueComplex, k: int, op: HodgeOperator, cfg: PEConfig) -> DensityOperator:
+def reduced_density(op: HodgeOperator, cfg: PEConfig) -> DensityOperator:
     """The mixed state left on (phase, slot, flag) after discarding the copy
     register, as its C pure states: row s is sum_j r[:, j] x v_j v_j[s] x |flag>
     over the eigenpairs (lambda_j, v_j) of the slot's block, flag 1 on the
@@ -175,8 +175,6 @@ def reduced_density(complex_: CliqueComplex, k: int, op: HodgeOperator, cfg: PEC
     t-bit register, P = 2^cfg.resolve (the Hadamard layer maps |0> to the
     uniform state).  Each block runs `eigh` once; eig()'s cache is left alone,
     so the estimators' eigenvalues never depend on whether this ran first."""
-    if op.k != k or op.n != complex_.n:
-        raise ValueError("operator does not match the requested complex/dimension")
     pairs = [np.linalg.eigh(block) for block in op.blocks]
     # read on a fresh twin holding eigh's eigenvalues, whatever has run on `op`
     twin = HodgeOperator(op.k, op.n, op.convention, op.blocks, op.block_slots)
@@ -369,16 +367,27 @@ def block_encode_projector(phase_dim: int, slot_dim: int) -> BlockEncoding:
                          description=f"zero-phase projector ({phase_dim}x{slot_dim})")
 
 
+def _check_contraction(m: np.ndarray, what: str) -> None:
+    """Reject a matrix that is not a finite Hermitian contraction: entries
+    finite, Hermitian to 1e-12, operator norm at most 1 + 1e-12."""
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has non-finite entries {m[~np.isfinite(m)].tolist()}")
+    # each check is written so that NaN fails it
+    if not np.abs(m - m.conj().T).max() <= 1e-12:
+        raise ValueError(f"{what} must be Hermitian")
+    if not np.abs(np.linalg.eigvalsh(m)).max() <= 1.0 + 1e-12:
+        raise ValueError(f"{what} must have operator norm <= 1")
+
+
 def block_encode_hermitian(mat: np.ndarray) -> BlockEncoding:
-    """Exact one-ancilla encoding of a Hermitian contraction via its dilation."""
+    """Exact one-ancilla encoding of a Hermitian contraction via its dilation;
+    `_check_contraction` rejects any other matrix, NaN and inf included, so the
+    dilation passes `verify()`."""
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.abs(m - m.conj().T).max() > 1e-12:
-        raise ValueError("matrix must be Hermitian")
+    _check_contraction(m, "matrix")
     evals, evecs = np.linalg.eigh(m)
-    if np.abs(evals).max() > 1.0 + 1e-9:
-        raise ValueError(f"operator norm {np.abs(evals).max():.6g} exceeds 1")
     comp = evecs @ np.diag(np.sqrt(np.clip(1.0 - evals**2, 0.0, None))) @ evecs.conj().T
     dense = np.block([[m, comp], [comp, -m]])
     return BlockEncoding(2, m.shape[0], m, dense=dense,

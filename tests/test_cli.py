@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import shlex
 import time
@@ -8,7 +10,7 @@ import pytest
 
 import bettiq
 from bettiq import SingularSystemError, cli, dump_instance, extraction, hoeffding_sample_count
-from helpers import random_graph
+from helpers import complete_graph, random_graph
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -362,6 +364,39 @@ class TestTopDimension:
         assert not out.exists()
 
 
+RANGE_LIBRARY_ENTRY_POINTS = {
+    "build_clique_complex": lambda g, k: bettiq.build_clique_complex(g, k),
+    "estimate_betti": lambda g, k: bettiq.estimate_betti(g, k),
+    "pipeline_context": lambda g, k: bettiq.pipeline_context(g, k),
+    "resource_estimate": lambda g, k: bettiq.resource_estimate(g.n, k, 2.0, 1.0, 1),
+}
+
+
+@pytest.mark.parametrize("entry", [*RANGE_LIBRARY_ENTRY_POINTS, "exact", "estimate", "complement",
+                                   "resources"])
+@pytest.mark.parametrize("n,k", [(4, -1), (4, 4), (0, 0)])
+def test_one_range_rule_for_k(entry, n, k, tmp_path, capsys):
+    """Every entry point rejects a k outside 0..n-1 in the same words, before
+    building anything; n = 0 has no valid k at all."""
+    graph = complete_graph(n)
+    if entry in RANGE_LIBRARY_ENTRY_POINTS:
+        with pytest.raises(ValueError) as info:
+            RANGE_LIBRARY_ENTRY_POINTS[entry](graph, k)
+        message = str(info.value)
+    elif entry == "resources":
+        assert run(["resources", f"--n={n}", f"--k={k}", "--kappa", "2", "--beta", "1"]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["valid"] == "False"
+        message = row["error"]
+    else:
+        path, out = tmp_path / "g.json", tmp_path / "out.json"
+        dump_instance(graph, path)
+        assert run([entry, "--instance", str(path), "--k", str(k), "--out", str(out)]) == 2
+        assert not out.exists()
+        message = capsys.readouterr().err
+    assert f"dimension k={k} out of range for n={n}" in message
+
+
 class TestComplement:
     def test_c4_table(self, c4_file, tmp_path):
         out = tmp_path / "comp.json"
@@ -414,3 +449,20 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
     for argv in lines:
         assert run(argv[1:]) == 0, argv
     assert (tmp_path / "multi.trials.csv").exists()
+
+
+def test_readme_library_quick_start_runs():
+    """README's first python block runs, and each line it annotates with a
+    bare integer comment evaluates to that integer."""
+    block = README.read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    annotated = {}
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        words = comment.split()
+        if code.strip() and words and words[0].isdigit():
+            annotated[code.strip()] = int(words[0])
+    assert annotated == {"betti_exact(c, 2)": 1, "est.beta_rounded": 1}
+    for expr, value in annotated.items():
+        assert eval(expr, namespace) == value, expr

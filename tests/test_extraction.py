@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
@@ -250,6 +251,53 @@ class TestInvNorm:
         a = np.array([[1.0, 1.0], [1.0, 0.0]]) / 6
         expected = 12.0 / (np.sqrt(5.0) - 1.0)
         assert inv_norm(a) == pytest.approx(expected, rel=1e-12)
+
+
+    def test_default_pair_matches_lapack_bit_for_bit(self):
+        # the closed form smin = |h1 - h2| / 2, not |det| / smax, at every slot count
+        # the default pair meets: A = I / C for the estimate, I for the normalized one
+        pair = ObservablePair.default()
+        slot_counts = {comb(n, k + 1) for n in range(1, 41) for k in range(n)}
+        for a in [pair.raw_matrix(), *(assemble_system(pair, c) for c in slot_counts)]:
+            s = np.linalg.svd(a, compute_uv=False)
+            smax, smin = extraction._singular_values(a)
+            assert inv_norm(a) == 1.0 / s[-1]
+            assert smax / smin == s[0] / s[-1]
+        system = estimate_betti(octahedron_graph(), 2).system
+        s = np.linalg.svd(system.a, compute_uv=False)
+        assert (system.inv_norm, system.kappa_a) == (1.0 / s[-1], s[0] / s[-1])
+
+    def test_random_pairs_match_lapack(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        while checked < 500:
+            a = rng.uniform(-1.0, 1.0, size=(2, 2)) / rng.integers(1, 10_000)
+            s = np.linalg.svd(a, compute_uv=False)
+            if s[0] / s[-1] > 1e3:
+                continue
+            smax, smin = extraction._singular_values(a)
+            assert inv_norm(a) == pytest.approx(1.0 / s[-1], rel=1e-12, abs=0)
+            assert smax / smin == pytest.approx(s[0] / s[-1], rel=1e-12, abs=0)
+            checked += 1
+
+    def test_smallest_singular_value_is_nonnegative(self):
+        # h1 < h2 here: without the absolute value smin would read negative
+        assert extraction._singular_values(np.array([[1.0, 1.0], [1.0, 0.0]]))[1] > 0
+
+
+class TestEstimateRecords:
+    def test_to_dict_keys_are_unchanged(self):
+        est = estimate_betti(cycle_graph(4), 1, 0.25, mode="sampled", seed=1)
+        norm = estimate_normalized_betti(cycle_graph(4), 1, 0.1, mode="sampled", seed=1)
+        assert set(est.to_dict()) == {
+            "instance", "k", "convention", "mode", "pe", "epsilon", "delta", "beta_estimate",
+            "beta_rounded", "p1", "samples", "confidence", "inv_norm", "kappa_system",
+            "kappa_laplacian", "beta_oracle", "n", "s_count", "slot_count", "resource_report",
+            "seed"}
+        assert set(norm.to_dict()) == {
+            "instance", "k", "convention", "mode", "pe", "delta", "eps_measurement",
+            "normalized_betti", "normalized_betti_raw", "samples", "confidence", "oracle_value",
+            "n", "s_count", "slot_count", "seed"}
 
 
 class TestPerturbationBound:
@@ -541,7 +589,7 @@ class TestSpectralSums:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
         c = build_clique_complex(octahedron_graph(), 2)
         op = homology.hodge_laplacian(c, 1, convention)
-        pipeline.reduced_density(c, 1, op, PEConfig.bits(t=2))
+        pipeline.reduced_density(op, PEConfig.bits(t=2))
         assert sorted(seen) == sorted(id(block) for block in op.blocks)
         assert len(op.blocks) == (2 if convention == "dual" else 1)
 

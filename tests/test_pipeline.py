@@ -9,6 +9,7 @@ from bettiq import (
     BlockEncoding,
     BlockEncodingError,
     HodgeOperator,
+    ObservablePair,
     PEConfig,
     TraceEstimate,
     VertexGraph,
@@ -241,7 +242,7 @@ class TestZeroPhaseColumns:
         flag = np.zeros(op.dim, dtype=np.intp)
         flag[[slot_rank(w) for w in c.words(k)]] = 1
         for cfg in PE_CONFIGS:
-            rows = reduced_density(c, k, op, cfg).vectors.reshape(op.dim, -1, 2)
+            rows = reduced_density(op, cfg).vectors.reshape(op.dim, -1, 2)
             oracle = phase_estimation_unitary(op, cfg)[:, : op.dim]
             assert rows.shape[1] == oracle.shape[0]
             assert np.abs(rows[slots, :, flag] - oracle.T).max() < 1e-12, cfg
@@ -254,7 +255,7 @@ class TestZeroPhaseColumns:
         op.eig()
         tracemalloc.start()
         try:
-            rho = reduced_density(c, 2, op, PEConfig.bits(t=5))
+            rho = reduced_density(op, PEConfig.bits(t=5))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -268,17 +269,17 @@ class TestZeroPhaseColumns:
                                                 ("dual", IDEAL)])
     def test_rows_do_not_depend_on_call_order(self, monkeypatch, convention, cfg):
         c = build_clique_complex(random_graph(7, 0.4, 3), 2)
-        fresh = reduced_density(c, 1, hodge_laplacian(c, 1, convention), cfg).vectors
+        fresh = reduced_density(hodge_laplacian(c, 1, convention), cfg).vectors
         fresh_estimate = estimate_betti(c, 1, convention=convention, pe=cfg).beta_estimate
         op = hodge_laplacian(c, 1, convention)
         monkeypatch.setattr(extraction, "hodge_laplacian", lambda *args: op)
         assert estimate_betti(c, 1, convention=convention, pe=cfg).beta_estimate == fresh_estimate
         # the estimate decomposed this operator (under ideal, its complex's block) first
         assert (op.restricted() if cfg.mode == "ideal" else op)._eig is not None
-        assert np.array_equal(reduced_density(c, 1, op, cfg).vectors, fresh)
+        assert np.array_equal(reduced_density(op, cfg).vectors, fresh)
         # and the other way round: rows first leave the estimate unchanged
         op = hodge_laplacian(c, 1, convention)
-        assert np.array_equal(reduced_density(c, 1, op, cfg).vectors, fresh)
+        assert np.array_equal(reduced_density(op, cfg).vectors, fresh)
         assert estimate_betti(c, 1, convention=convention, pe=cfg).beta_estimate == fresh_estimate
 
 
@@ -305,14 +306,14 @@ class TestReducedDensity:
         c = c4_complex()
         op = hodge_laplacian(c, 1)
         for cfg in (IDEAL, PEConfig.bits(t=2)):
-            rho = reduced_density(c, 1, op, cfg)
+            rho = reduced_density(op, cfg)
             report = validate_density(rho)
             assert report["ok"], report
 
     def test_flagged_zero_phase_expectation(self):
         c = c4_complex()
         op = hodge_laplacian(c, 1)
-        rho = reduced_density(c, 1, op, IDEAL)
+        rho = reduced_density(op, IDEAL)
         value = rho.expectation(flag_one_observable(rho))
         assert value == pytest.approx(1 / 6, abs=1e-10)
         weights = slot_zero_phase_weights(op, IDEAL)
@@ -325,7 +326,7 @@ class TestReducedDensity:
         k = 1
         op = hodge_laplacian(c, k)
         cfg = PEConfig.bits(t=2)
-        rho = reduced_density(c, k, op, cfg)
+        rho = reduced_density(op, cfg)
         u_pe = phase_estimation_unitary(op, cfg)
         c_total = op.dim
         p_dim = u_pe.shape[0] // c_total
@@ -339,12 +340,6 @@ class TestReducedDensity:
         traced = partial_trace(np.outer(full, full.conj()), [p_dim, c_total, 2, c_total],
                                keep=[0, 1, 2])
         assert np.abs(traced - rho.matrix()).max() < 1e-12
-
-    def test_mismatched_operator_rejected(self):
-        c = c4_complex()
-        op = hodge_laplacian(c, 0)
-        with pytest.raises(ValueError):
-            reduced_density(c, 1, op, IDEAL)
 
 
 class TestPZeroPOne:
@@ -410,6 +405,19 @@ class TestBlockEncodeHermitian:
     def test_norm_above_one_rejected(self):
         with pytest.raises(ValueError):
             block_encode_hermitian(np.diag([1.5, 0.0]))
+
+    @pytest.mark.parametrize("mat,reason", [
+        (np.diag([np.nan, 0.5]), "non-finite"),
+        (np.diag([np.inf, 0.5]), "non-finite"),
+        (np.diag([0.0, 1.0 + 1e-10]), "operator norm <= 1"),  # its dilation would fail verify()
+        (np.array([[0.0, 0.5], [0.0, 0.0]]), "Hermitian"),
+    ])
+    def test_one_contraction_check(self, mat, reason):
+        """The dilation and the flag observables reject the same matrices, by one check."""
+        with pytest.raises(ValueError, match=reason):
+            block_encode_hermitian(mat)
+        with pytest.raises(ValueError, match=reason):
+            ObservablePair(mat, np.diag([1.0, 0.0]))
 
 
 class TestTensorBlockEncoding:
@@ -530,7 +538,7 @@ class TestBlockEncodeMixture:
     def test_pipeline_density_small(self):
         c = build_clique_complex(complete_graph(3), 2)
         op = hodge_laplacian(c, 1)
-        rho = reduced_density(c, 1, op, PEConfig.bits(t=1))
+        rho = reduced_density(op, PEConfig.bits(t=1))
         enc = block_encode_density(rho)
         assert enc.dense is None  # the mixture is kept as its factors at every size
         report = enc.verify()
@@ -540,7 +548,7 @@ class TestBlockEncodeMixture:
 
     def test_structured_matches_dense_path(self):
         c = build_clique_complex(complete_graph(3), 2)
-        rho = reduced_density(c, 1, hodge_laplacian(c, 1), PEConfig.ideal())
+        rho = reduced_density(hodge_laplacian(c, 1), PEConfig.ideal())
         enc = block_encode_density(rho)
         d = enc.system_dim
         cols = np.zeros((enc.dim, d), dtype=complex)
@@ -726,13 +734,13 @@ class TestTraceEstimate:
 
     def test_identity_observable_is_exact(self):
         c = c4_complex()
-        rho = reduced_density(c, 1, hodge_laplacian(c, 1), IDEAL)
+        rho = reduced_density(hodge_laplacian(c, 1), IDEAL)
         est = trace_estimate(rho.expectation(np.eye(rho.dim)), delta=0.1, confidence=0.95, seed=1)
         assert est.value == 1.0
 
     def test_deterministic_per_seed(self):
         c = c4_complex()
-        rho = reduced_density(c, 1, hodge_laplacian(c, 1), IDEAL)
+        rho = reduced_density(hodge_laplacian(c, 1), IDEAL)
         truth = rho.expectation(flag_one_observable(rho))
         a = trace_estimate(truth, 0.05, 0.95, seed=123)
         b = trace_estimate(truth, 0.05, 0.95, seed=123)
@@ -742,7 +750,7 @@ class TestTraceEstimate:
 
     def test_c4_flag_observable_hits_truth(self):
         c = c4_complex()
-        rho = reduced_density(c, 1, hodge_laplacian(c, 1), IDEAL)
+        rho = reduced_density(hodge_laplacian(c, 1), IDEAL)
         est = trace_estimate(rho.expectation(flag_one_observable(rho)), delta=0.01,
                              confidence=0.95, seed=0)
         assert est.samples_used == 73778
@@ -750,7 +758,7 @@ class TestTraceEstimate:
 
     def test_norm_above_one_rejected(self):
         c = c4_complex()
-        rho = reduced_density(c, 1, hodge_laplacian(c, 1), IDEAL)
+        rho = reduced_density(hodge_laplacian(c, 1), IDEAL)
         with pytest.raises(ValueError):
             trace_estimate(rho.expectation(2.0 * np.eye(rho.dim)), 0.1, 0.95, seed=0)
 
