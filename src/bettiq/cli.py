@@ -148,8 +148,8 @@ def _cmd_exact(args) -> int:
     ctx = pipeline_context(complex_, args.k, convention=args.convention)
     if ctx.s_count == 0:
         raise ValueError(f"instance has no simplices at dimension k={args.k}")
-    summary = spectral_summary(ctx.op)
-    # one coboundary pass: the Euler report's beta_k is betti_exact's
+    summary = spectral_summary(ctx.op)  # kernel_dim from the operator's rank counts
+    # a second coboundary pass, to level k+1: the Euler report's beta_k is betti_exact's
     euler_ok, euler_rep = euler_check(ctx.complex)
     config = {"command": "exact", "instance": str(args.instance), "k": args.k,
               "convention": args.convention}
@@ -159,6 +159,7 @@ def _cmd_exact(args) -> int:
         "slot_count": ctx.slot_count,
         "kappa_laplacian": summary.kappa,
         "kernel_dim": summary.kernel_dim,
+        "threshold_agrees": summary.threshold_agrees,
         "euler_ok": euler_ok,
         "euler": euler_rep,
     }

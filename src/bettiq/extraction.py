@@ -191,7 +191,6 @@ class PipelineContext:
     def __post_init__(self):
         self._sums = None
         self._rho = None
-        self._complement_betti = None
 
     @property
     def slot_count(self) -> int:
@@ -204,28 +203,18 @@ class PipelineContext:
     def summary(self) -> SpectralSummary:
         """The spectrum digest the estimate reads and reports: under ideal phase
         estimation the complex's own block's (the restricted operator's, whose
-        kappa is the paper's), as the complement block's kernel count comes from
-        ranks; for a t-bit register, which reads every eigenvalue, the whole operator's."""
+        kappa is the paper's), as no block's kernel count needs its spectrum; for
+        a t-bit register, which reads every eigenvalue, the whole operator's."""
         return spectral_summary(self.op.restricted() if self.cfg.mode == "ideal" else self.op)
-
-    def complement_betti(self) -> int:
-        """beta_k of the operator's complement complex by integer rank, computed
-        once: the kernel count of its block, by the Hodge theorem."""
-        if self._complement_betti is None:
-            self._complement_betti = betti_exact(self.op.complement, self.k)
-        return self._complement_betti
 
     def _block_sums(self) -> tuple[float, ...]:
         """Zero-outcome probability summed over each block's eigenvalues: in ideal
-        mode the kernel projector's trace, the block's kernel count (the complex's
-        from `summary`, the complement's from `complement_betti`, so its block is
-        never assembled); for a t-bit register, the summed `zero_phase_weights`."""
+        mode the kernel projector's trace, the block's rank kernel count, so no
+        block is decomposed and the complement's is never assembled; for a t-bit
+        register, the summed `zero_phase_weights`."""
         if self._sums is None:
             if self.cfg.mode == "ideal":
-                kernels = (self.summary().block_kernel_dims[0],)
-                if self.op.complement is not None:
-                    kernels += (self.complement_betti(),)
-                self._sums = tuple(map(float, kernels))
+                self._sums = tuple(map(float, self.op.kernel_dims))
             else:
                 self._sums = tuple(float(w.sum()) for w in zero_phase_weights(self.op, self.cfg))
         return self._sums
@@ -426,7 +415,6 @@ def estimate_betti(source, k: int, eps: float | None = None, *, pair: Observable
     beta_raw, p1 = system.x
     beta_rounded = _round_beta(beta_raw)
     summary = ctx.summary()
-    beta_oracle = betti_exact(ctx.complex, k)
 
     resource = None
     if eps is not None and beta_rounded > 0 and summary.kappa is not None:
@@ -442,7 +430,7 @@ def estimate_betti(source, k: int, eps: float | None = None, *, pair: Observable
         delta=delta,
         system=system,
         kappa_laplacian=summary.kappa,
-        beta_oracle=beta_oracle,
+        beta_oracle=ctx.op.kernel_dims[0],
         resource=resource,
     )
 
@@ -487,7 +475,7 @@ def estimate_normalized_betti(source, k: int, delta: float, *,
     system, samples = _measure_and_solve(ctx, pair, pair.raw_matrix(), accuracy, confidence, ss)
     raw = system.x[0] * ctx.slot_count / ctx.s_count
     value = min(max(raw, 0.0), 1.0)
-    oracle = betti_exact(ctx.complex, k) / ctx.s_count
+    oracle = ctx.op.kernel_dims[0] / ctx.s_count
 
     return NormalizedBettiEstimate(
         **_run_fields(ctx, mode, confidence, samples, ss),
@@ -531,7 +519,7 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
     if k >= 1:
         # the dual operator's off-complex kernel by the Hodge theorem: complement
         # homology plus one zero row per slot in neither complex
-        beta_comp = ctx.complement_betti()
+        beta_comp = ctx.op.kernel_dims[1]
         neither = comp_slots - ctx.op.complement.simplex_count(k)
         kernel_dim_block = beta_comp + neither
     else:  # no off-complex slots, so the operator holds no complement complex

@@ -10,12 +10,13 @@ conventions fill the slots outside the complex:
   carry that complex's own Laplacian block (slots in neither complex stay
   zero).  At k=0 there are no off-complex slots and both conventions agree.
 
-Betti numbers come from exact ranks over the rationals, independent of any
-floating-point spectral path: one coboundary pass with clearing, from the vertices up.
+Betti numbers, and so every block's kernel count, come from exact ranks over the
+rationals: one coboundary pass with clearing, from the vertices up.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from math import comb, gcd
 
@@ -34,9 +35,9 @@ __all__ = [
     "DEFAULT_ZERO_TOL",
 ]
 
-# Relative kernel threshold, applied by spectral_summary.  Integer Laplacians
-# at desk scale have smallest nonzero eigenvalues well above any accumulated
-# floating error.
+# Relative kernel threshold, the witness spectral_summary checks the rank's
+# kernel counts against.  Integer Laplacians at desk scale have smallest
+# nonzero eigenvalues well above any accumulated floating error.
 DEFAULT_ZERO_TOL = 1e-8
 
 
@@ -135,24 +136,24 @@ def _boundary_ranks(complex_: CliqueComplex, top: int) -> list[int]:
 
 class HodgeOperator:
     """Symmetric PSD operator on the binom(n, k+1) slots at dimension k, held
-    as its diagonal blocks: blocks[i] acts on the slots block_slots[i].  The
+    as its diagonal blocks: blocks[i] acts on the slots block_slots[i] and has
+    kernel_dims[i] zero eigenvalues, the first that many of eig()[i].  The
     complex's block comes first, then (dual, k >= 1) the complement complex's;
     a slot in no block is a zero row.
 
     The complement complex (`complement`, built to level k) comes with the
-    operator, but its slots are ranked and its block assembled only on the
-    first read of `block_slots` or `blocks`: ideal phase estimation needs only
-    its simplex count and that block's kernel count, the complement complex's
-    beta_k by the Hodge theorem."""
+    operator, but its slots, block and kernel count are each made only on the
+    first read of `block_slots`, `blocks` or `kernel_dims`: ideal phase
+    estimation needs only its simplex count and kernel count."""
 
-    def __init__(self, k: int, n: int, convention: str, blocks, block_slots,
+    def __init__(self, k: int, n: int, convention: str, blocks, block_slots, kernel_dims,
                  complement: CliqueComplex | None = None):
         self.k, self.n, self.convention = k, n, convention
         self.complement = complement
         self._block_slots: tuple[tuple[int, ...], ...] = tuple(block_slots)
         self._blocks = tuple(blocks)
+        self._kernel_dims: tuple[int, ...] = tuple(kernel_dims)
         self._eig: tuple | None = None
-        self._summary: SpectralSummary | None = None
         self._restricted: HodgeOperator | None = None
 
     @property
@@ -176,6 +177,14 @@ class HodgeOperator:
             self._blocks += (_laplacian_block(self.complement, self.k),)
         return self._blocks
 
+    @property
+    def kernel_dims(self) -> tuple[int, ...]:
+        """Each block's kernel count, its complex's beta_k by integer rank (the
+        Hodge theorem), the complement complex's ranked on the first read."""
+        if self.complement is not None and len(self._kernel_dims) == 1:
+            self._kernel_dims += (betti_exact(self.complement, self.k),)
+        return self._kernel_dims
+
     def eig(self) -> tuple[np.ndarray, ...]:
         """Each block's eigenvalues, ascending (cached)."""
         if self._eig is None:
@@ -185,12 +194,12 @@ class HodgeOperator:
     def restricted(self) -> HodgeOperator:
         """The complex's block alone, the restricted operator at this k: the
         operator itself when that is all it holds, otherwise a cached view that
-        shares the block and never assembles the complement's."""
+        shares the block and never assembles or ranks the complement's."""
         if self.complement is None and len(self._block_slots) == 1:
             return self
         if self._restricted is None:
-            self._restricted = HodgeOperator(self.k, self.n, "restricted",
-                                             self._blocks[:1], self._block_slots[:1])
+            self._restricted = HodgeOperator(self.k, self.n, "restricted", self._blocks[:1],
+                                             self._block_slots[:1], self._kernel_dims[:1])
         return self._restricted
 
 
@@ -230,16 +239,17 @@ def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
 
 
 def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restricted") -> HodgeOperator:
-    """d_k^T d_k + d_{k+1} d_{k+1}^T on the slot space, as its blocks: the
-    complex's own and, under `dual` at k >= 1, the complement complex's (built
-    here, its slots and block on first read)."""
+    """d_k^T d_k + d_{k+1} d_{k+1}^T on the slot space, as its blocks with their
+    kernel counts by integer rank: the complex's own and, under `dual` at k >= 1,
+    the complement complex's (built here, its slots, block and rank on first read)."""
     if convention not in ("restricted", "dual"):
         raise ValueError(f"unknown convention {convention!r}")
     slots = (tuple(slot_rank(w) for w in complex_.words(k)),)
     comp = None
     if convention == "dual" and k >= 1:
         comp = complement_complex(complex_.graph, k)
-    return HodgeOperator(k, complex_.n, convention, (_laplacian_block(complex_, k),), slots, comp)
+    return HodgeOperator(k, complex_.n, convention, (_laplacian_block(complex_, k),), slots,
+                         (betti_exact(complex_, k),), comp)
 
 
 def betti_exact(complex_: CliqueComplex, k: int) -> int:
@@ -256,9 +266,9 @@ class SpectralSummary:
     """Spectrum digest over all slots (a slot in no block is one zero
     eigenvalue); kappa = lambda_max / lambda_min_nonzero over the nonzero
     spectrum (an interpretation - the source ratio is not pinned to a norm),
-    None when the spectrum is all zero.  `threshold` is the zero cut
-    kernel_dim was counted at; block_kernel_dims[i] is the kernel of block i,
-    the first that many of its eigenvalues."""
+    None when the spectrum is all zero.  block_kernel_dims is the operator's
+    kernel_dims; threshold_agrees says whether each block counts that many
+    eigenvalues below the zero cut `threshold`."""
 
     kernel_dim: int
     block_kernel_dims: tuple[int, ...]
@@ -266,27 +276,28 @@ class SpectralSummary:
     lambda_min_nonzero: float | None
     lambda_max: float
     kappa: float | None
+    threshold_agrees: bool
 
 
 def spectral_summary(op: HodgeOperator) -> SpectralSummary:
-    """The pipeline's one kernel decision: eigenvalues below
-    DEFAULT_ZERO_TOL * max(lambda_max, 1) count as zero.  Each block's
-    eigenvalues come ascending, so a block's kernel is a prefix of them and
-    its first eigenvalue above the cut is its smallest nonzero one.  Computed
-    once per operator and cached on it."""
-    if op._summary is not None:
-        return op._summary
-    block_evals = op.eig()
+    """The spectrum around the rank's kernel split: block i's first
+    kernel_dims[i] ascending eigenvalues are its kernel, the next its smallest
+    nonzero one.  The count below DEFAULT_ZERO_TOL * max(lambda_max, 1) only
+    checks that split; a block where it differs is named in a RuntimeWarning."""
+    block_evals, kernel_dims = op.eig(), op.kernel_dims
     uncovered = op.dim - sum(e.size for e in block_evals)
     lam_max = max([float(e[-1]) for e in block_evals if e.size] + ([0.0] if uncovered else []))
     thresh = DEFAULT_ZERO_TOL * max(lam_max, 1.0)
-    block_kernel_dims = tuple(int(e.searchsorted(thresh)) for e in block_evals)  # count below the cut
-    kernel_dim = uncovered + sum(block_kernel_dims)
-    lam_min = min((float(e[d]) for e, d in zip(block_evals, block_kernel_dims) if d < e.size),
+    below = tuple(int(e.searchsorted(thresh)) for e in block_evals)
+    for i, (rank_count, count) in enumerate(zip(kernel_dims, below)):
+        if rank_count != count:
+            warnings.warn(f"block {i}: kernel count {rank_count} by integer rank, {count} "
+                          f"eigenvalues below the threshold {thresh:.3g}", RuntimeWarning)
+    lam_min = min((float(e[d]) for e, d in zip(block_evals, kernel_dims) if d < e.size),
                   default=None)
     kappa = None if lam_min is None else lam_max / lam_min
-    op._summary = SpectralSummary(kernel_dim, block_kernel_dims, thresh, lam_min, lam_max, kappa)
-    return op._summary
+    return SpectralSummary(uncovered + sum(kernel_dims), kernel_dims, thresh, lam_min, lam_max,
+                           kappa, below == kernel_dims)
 
 
 def euler_check(complex_: CliqueComplex) -> tuple[bool, dict]:

@@ -113,12 +113,13 @@ class PEConfig:
         return max(1, ceil(np.log2(bound) - _LOG2_SNAP))
 
 
-def _eigenphases(op: HodgeOperator) -> tuple[np.ndarray, ...]:
-    """Per block, the eigenphases tau * lambda of eig()'s eigenvalues, the kernel pinned to 0."""
-    summary = spectral_summary(op)
-    tau = 1.0 if summary.kappa is None else np.pi / summary.lambda_max
+def _eigenphases(block_evals, kernel_dims) -> tuple[np.ndarray, ...]:
+    """Per block, the eigenphases tau * lambda of its ascending eigenvalues, tau = pi /
+    lambda_max (1 if all is kernel), its first kernel_dims[i] (the kernel) pinned to 0."""
+    tops = [float(e[-1]) for e, d in zip(block_evals, kernel_dims) if d < e.size]
+    tau = np.pi / max(tops) if tops else 1.0
     return tuple(np.where(np.arange(evals.size) < kernel_dim, 0.0, tau * evals)
-                 for evals, kernel_dim in zip(op.eig(), summary.block_kernel_dims))
+                 for evals, kernel_dim in zip(block_evals, kernel_dims))
 
 
 def phase_zero_probability(phi, t: int):
@@ -173,20 +174,17 @@ def reduced_density(op: HodgeOperator, cfg: PEConfig) -> DensityOperator:
     kernel state).  The phase amplitudes r[:, j] are the kernel indicator and
     its complement in ideal mode, and QFT^dagger e^{i m phi_j} / sqrt(P) for a
     t-bit register, P = 2^cfg.resolve (the Hadamard layer maps |0> to the
-    uniform state).  Each block runs `eigh` once; eig()'s cache is left alone,
-    so the estimators' eigenvalues never depend on whether this ran first."""
+    uniform state).  Each block runs `eigh` once, and the phases read its
+    eigenvalues with the operator's rank kernel counts."""
     pairs = [np.linalg.eigh(block) for block in op.blocks]
-    # read on a fresh twin holding eigh's eigenvalues, whatever has run on `op`
-    twin = HodgeOperator(op.k, op.n, op.convention, op.blocks, op.block_slots)
-    twin._eig = tuple(evals for evals, _ in pairs)
-    big, c_total = 2 ** cfg.resolve(twin), op.dim
+    big, c_total = 2 ** cfg.resolve(op), op.dim
     m = np.arange(big)
     if cfg.mode == "ideal":
-        amplitudes = (np.stack([w, 1.0 - w]) for w in zero_phase_weights(twin, cfg))
+        amplitudes = (np.stack([w, 1.0 - w]) for w in zero_phase_weights(op, cfg))
     else:
         qft_dag = np.exp(-2j * np.pi * np.outer(m, m) / big) / sqrt(big)
         amplitudes = (qft_dag @ np.exp(1j * np.outer(m, phases)) / sqrt(big)
-                      for phases in _eigenphases(twin))
+                      for phases in _eigenphases([evals for evals, _ in pairs], op.kernel_dims))
     states = np.zeros((c_total, big, c_total, 2), dtype=complex)
     free = np.ones(c_total, dtype=bool)  # slots in no block
     for i, (slots, (_, evecs), r) in enumerate(zip(op.block_slots, pairs, amplitudes)):
@@ -205,15 +203,15 @@ def reduced_density(op: HodgeOperator, cfg: PEConfig) -> DensityOperator:
 
 def zero_phase_weights(op: HodgeOperator, cfg: PEConfig) -> tuple[np.ndarray, ...]:
     """Per block, the all-zeros phase outcome's probability on each eigenvector:
-    the kernel indicator (`spectral_summary`'s split) in ideal mode, the t-bit
-    readout of `cfg.resolve(op)` bits otherwise.  The eigenvectors are
-    orthonormal, so these sum to the outcome over the block's slots.  A slot in
-    no block reads it surely."""
+    in ideal mode the indicator of its first `op.kernel_dims[i]`, which reads no
+    eigenvalue, otherwise the t-bit readout of `cfg.resolve(op)` bits.  The
+    eigenvectors are orthonormal, so these sum to the outcome over the block's
+    slots.  A slot in no block reads it surely."""
     if cfg.mode == "ideal":
-        return tuple((np.arange(len(slots)) < kernel_dim).astype(float) for slots, kernel_dim
-                     in zip(op.block_slots, spectral_summary(op).block_kernel_dims))
+        return tuple((np.arange(len(slots)) < kernel_dim).astype(float)
+                     for slots, kernel_dim in zip(op.block_slots, op.kernel_dims))
     t = cfg.resolve(op)
-    return tuple(phase_zero_probability(phases, t) for phases in _eigenphases(op))
+    return tuple(phase_zero_probability(phases, t) for phases in _eigenphases(op.eig(), op.kernel_dims))
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,8 @@ class TestExact:
         assert rep["s_count"] == 4
         assert rep["slot_count"] == 6
         assert rep["kappa_laplacian"] == pytest.approx(2.0)
+        # beta_1 = 1 plus the two slots in no block; the threshold counts the same
+        assert rep["kernel_dim"] == 3 and rep["threshold_agrees"] is True
         assert rep["euler_ok"]
 
     def test_timing_covers_operator_build(self, c4_file, tmp_path, monkeypatch):

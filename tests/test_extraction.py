@@ -427,18 +427,23 @@ class TestEstimateBetti:
         recon = est.system.a @ np.array(est.system.x)
         assert np.allclose(recon, est.system.y, atol=1e-12)
 
-    def test_one_spectral_summary_per_estimate(self, monkeypatch):
-        computed = []
-        summarize = homology.spectral_summary
+    def test_each_block_decomposed_at_most_once(self, monkeypatch):
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
 
-        def counting(op):
-            computed.append(op._summary is None)
-            return summarize(op)
+        def counting(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eigvalsh(a, *args, **kwargs)
 
-        for module in (pipeline, extraction):
-            monkeypatch.setattr(module, "spectral_summary", counting)
-        estimate_betti(random_graph(7, 0.5, seed=3), 1, pe=PEConfig.bits())
-        assert sum(computed) == 1 and len(computed) > 1
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        # ER(7,0.5,3) k=1: the complex's block of 11 edges, the complement's of 10
+        graph = random_graph(7, 0.5, seed=3)
+        for convention in ("restricted", "dual"):
+            for cfg in (PEConfig.ideal(), PEConfig.bits(t=2), PEConfig.bits()):
+                sizes.clear()
+                estimate_betti(graph, 1, 0.25, convention=convention, pe=cfg)
+                read_complement = convention == "dual" and cfg.mode == "bits"
+                assert sorted(sizes) == ([10, 11] if read_complement else [11]), (convention, cfg)
 
     def test_auto_t_bounds_the_leakage_on_a_dense_graph(self):
         # |S_2| = 2,418 and kappa = 3.7: sizing the register from kappa alone
@@ -775,7 +780,7 @@ class TestComplementReport:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         rep = complement_report(graph, 2)
-        assert sizes == [10]  # the complement block's kernel comes from ranks
+        assert sizes == []  # every block's kernel count comes from ranks
         assert (rep["p1_restricted"], rep["p1_dual"]) == expected
         assert rep["dual_matches_block_kernel"]
 
@@ -852,7 +857,8 @@ class TestIdealDualRankRoute:
         estimate_betti(graph, 2, 0.5, convention="dual", mode="sampled", seed=1)
         estimate_normalized_betti(graph, 2, 0.1, convention="dual")
         assert complement_report(graph, 2)["dual_matches_block_kernel"]
-        assert built == decomposed == [10] * 4
+        assert built == [10] * 4
+        assert decomposed == [10, 10]  # kappa, once per estimate_betti
 
         path, out = tmp_path / "g.json", tmp_path / "out.json"
         dump_instance(graph, path)
@@ -870,23 +876,23 @@ class TestIdealDualRankRoute:
     def test_complement_report_builds_and_ranks_the_complement_once(self, monkeypatch):
         graph = random_graph(12, 0.4, seed=1)
         levels, ranked = [], []
-        build, rank = homology.complement_complex, extraction.betti_exact
+        build, rank = homology.complement_complex, homology.betti_exact
 
         def recording(g, max_dim):
             levels.append(max_dim)
             return build(g, max_dim)
 
         def ranking(c, k):
-            ranked.append(c.graph)
+            ranked.append("complex" if c.graph is graph else "complement")
             return rank(c, k)
 
         monkeypatch.setattr(homology, "complement_complex", recording)
-        monkeypatch.setattr(extraction, "betti_exact", ranking)
+        monkeypatch.setattr(homology, "betti_exact", ranking)
         for pe in (None, PEConfig.bits()):
             levels.clear()
             ranked.clear()
             rep = complement_report(graph, 2, pe=pe)
-            assert levels == [2] and len(ranked) == 1
+            assert levels == [2] and ranked == ["complex", "complement"]
             assert rep["kernel_dim_complement_block"] == \
                 rep["betti_complement_exact"] + rep["neither_complex_slot_count"]
 

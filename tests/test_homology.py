@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from bettiq import (
     integer_rank,
     slot_rank,
     spectral_summary,
+    zero_phase_weights,
 )
 from bettiq.homology import _coboundary, _laplacian_block
 from helpers import (
@@ -42,11 +45,13 @@ from helpers import (
 
 
 def manual_operator(matrix):
-    """A vertex-level (k=0) operator whose one block covers every slot."""
+    """A vertex-level (k=0) operator whose one block covers every slot, its
+    kernel counted by integer rank."""
     matrix = np.asarray(matrix, dtype=float)
     dim = matrix.shape[0]
     return HodgeOperator(k=0, n=dim, convention="restricted", blocks=(matrix,),
-                         block_slots=(tuple(range(dim)),))
+                         block_slots=(tuple(range(dim)),),
+                         kernel_dims=(dim - integer_rank(matrix),))
 
 
 @st.composite
@@ -341,10 +346,32 @@ class TestSpectralSummary:
         assert summary.lambda_min_nonzero is None
         assert summary.kernel_dim == 4
 
-    def test_cached_once_and_read_only(self):
-        op = hodge_laplacian(build_clique_complex(cycle_graph(4), 2), 1)
-        summary = spectral_summary(op)
-        assert spectral_summary(op) is summary
+    def test_each_block_decomposed_at_most_once(self, monkeypatch):
+        # ER(7,0.4,3) k=1 under dual: blocks of 7 and 14 edges
+        op = hodge_laplacian(build_clique_complex(random_graph(7, 0.4, 3), 1), 1, "dual")
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert spectral_summary(op) == spectral_summary(op)
+        zero_phase_weights(op, PEConfig.bits())
+        assert sorted(sizes) == sorted(map(len, op.block_slots)) == [7, 14]
+
+    def test_the_rank_decides_and_the_threshold_only_checks(self):
+        # lambda_max = 1 puts the cut at 1e-8, so the threshold counts two zeros
+        op = HodgeOperator(k=0, n=3, convention="restricted", blocks=(np.diag([0.0, 1e-9, 1.0]),),
+                           block_slots=((0, 1, 2),), kernel_dims=(1,))
+        with pytest.warns(RuntimeWarning, match="block 0: kernel count 1 by integer rank, 2 "):
+            summary = spectral_summary(op)
+        assert summary.kernel_dim == 1 and summary.block_kernel_dims == (1,)
+        assert summary.lambda_min_nonzero == 1e-9
+        assert summary.kappa == pytest.approx(1e9)
+        assert summary.threshold_agrees is False
+        assert zero_phase_weights(op, PEConfig.ideal())[0].tolist() == [1.0, 0.0, 0.0]
 
     def test_counts_add_up(self):
         c = build_clique_complex(random_graph(6, 0.5, seed=8), 2)
@@ -365,6 +392,18 @@ class TestKernelDecision:
         assert kernel_dim == betti_exact(c, k) + op.dim - c.simplex_count(k)
         assert np.trace(kernel_projector(op)) == pytest.approx(kernel_dim, abs=1e-9)
         assert slot_zero_phase_weights(op, PEConfig.ideal()).sum() == pytest.approx(kernel_dim, abs=1e-9)
+
+    def test_threshold_agrees_with_the_rank_on_the_benchmark_families(self):
+        # every 16th labeled 6-vertex graph at k in {0, 1}, and the ER ladder at k = 2
+        cases = [(census_graph(i), k) for i in range(0, 2 ** 15, 16) for k in (0, 1)]
+        cases += [(random_graph(n, p, 1), 2) for n in range(8, 25, 4) for p in (0.3, 0.5, 0.7)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for graph, k in cases:
+                c = build_clique_complex(graph, k)
+                for convention in ("restricted", "dual"):
+                    summary = spectral_summary(hodge_laplacian(c, k, convention))
+                    assert summary.threshold_agrees, (graph.edges(), k, convention)
 
 
 class TestBlockAssembly:
