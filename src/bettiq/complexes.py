@@ -36,7 +36,7 @@ GENERATOR_MODELS = ("erdos-renyi", "cycle", "complete", "octahedron", "annulus-c
 
 def _integer(x, what: str) -> int:
     """x as an int when its value is an integer (3 or 3.0); 4.9 or "3" raise ValueError."""
-    if isinstance(x, numbers.Integral) or isinstance(x, float) and x.is_integer():
+    if type(x) is int or isinstance(x, numbers.Integral) or isinstance(x, float) and x.is_integer():
         return int(x)
     raise ValueError(f"{what} must be an integer, got {x!r}")
 
@@ -139,15 +139,22 @@ class VertexGraph:
 class CliqueComplex:
     """Clique complex of a graph, truncated at max_dim.
 
-    simplices[k] holds the k-simplices (the (k+1)-cliques) as sorted words;
-    the complex is downward closed by construction.
+    simplices[k] holds the k-simplices (the (k+1)-cliques) as sorted words and
+    common_masks[k], in the same order, each one's common-neighbour mask: the
+    vertices adjacent to all of its vertices, so one coface per set bit.  The
+    complex is downward closed by construction.
     """
 
     n: int
     max_dim: int
     simplices: tuple[tuple[int, ...], ...]
     graph: VertexGraph
-    masks: tuple[int, ...]  # each vertex's neighbourhood as a bit mask
+    common_masks: tuple[tuple[int, ...], ...]
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """Each vertex's neighbourhood as a bit mask (level 0's common masks)."""
+        return self.common_masks[0]
 
     @property
     def counts(self) -> tuple[int, ...]:
@@ -185,23 +192,26 @@ def build_clique_complex(source, max_dim: int) -> CliqueComplex:
         raise ValueError(f"cannot build a complex from {type(source).__name__}")
     n = graph.n
     _check_dimension(max_dim, n)
-    masks = tuple(graph.adjacency_masks())
-    levels: list[tuple[int, ...]] = [tuple(1 << v for v in range(n))]
-    # frontier holds (word, candidate mask of common neighbours above the top vertex)
-    frontier = [(1 << v, masks[v] & ~((1 << (v + 1)) - 1)) for v in range(n)]
+    masks = graph.adjacency_masks()
+    # frontier holds (word, common-neighbour mask); a clique grows only by a common
+    # neighbour above its top vertex, so each is enumerated once
+    frontier = [(1 << v, masks[v]) for v in range(n)]
+    levels = [frontier]
     for _ in range(max_dim):
         next_frontier = []
-        for word, cand in frontier:
-            m = cand
+        for word, common in frontier:
+            top = word.bit_length()
+            m = common >> top << top
             while m:
                 bit = m & -m
                 m ^= bit
-                v = bit.bit_length() - 1
-                next_frontier.append((word | bit, cand & masks[v] & ~((bit << 1) - 1)))
+                next_frontier.append((word | bit, common & masks[bit.bit_length() - 1]))
         next_frontier.sort(key=lambda item: item[0])
-        levels.append(tuple(word for word, _ in next_frontier))
+        levels.append(next_frontier)
         frontier = next_frontier
-    return CliqueComplex(n=n, max_dim=max_dim, simplices=tuple(levels), graph=graph, masks=masks)
+    return CliqueComplex(n=n, max_dim=max_dim, graph=graph,
+                         simplices=tuple(tuple(w for w, _ in level) for level in levels),
+                         common_masks=tuple(tuple(m for _, m in level) for level in levels))
 
 
 def complement_complex(g: VertexGraph, max_dim: int) -> CliqueComplex:
@@ -265,7 +275,7 @@ def generate_instance(spec: InstanceSpec):
 def instance_to_dict(instance, spec: InstanceSpec | None = None) -> dict:
     """Canonical JSON form of an instance, optionally echoing its generator spec."""
     if isinstance(instance, VertexGraph):
-        out = {"n": instance.n, "edges": [list(e) for e in instance.edges()]}
+        out = {"n": instance.n, "edges": np.argwhere(np.triu(instance.adjacency, 1)).tolist()}
     elif isinstance(instance, PointCloud):
         out = {
             "points": [[float(x) for x in row] for row in instance.points],

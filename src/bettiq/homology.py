@@ -41,14 +41,9 @@ __all__ = [
 DEFAULT_ZERO_TOL = 1e-8
 
 
-def _coboundary(word: int, masks) -> dict[int, int]:
-    """{coface: sign} of a simplex word sigma from the adjacency masks: sigma+v for
-    each common neighbour v of its vertices, signed (-1)^(sigma's vertices below v)."""
-    common, rest = -1, word
-    while rest:
-        low = rest & -rest
-        common &= masks[low.bit_length() - 1]
-        rest ^= low
+def _coboundary(word: int, common: int) -> dict[int, int]:
+    """{coface: sign} of a simplex word sigma with common-neighbour mask `common`:
+    sigma+v for each set bit v, signed (-1)^(sigma's vertices below v)."""
     cofaces = {}
     while common:
         low = common & -common
@@ -57,20 +52,31 @@ def _coboundary(word: int, masks) -> dict[int, int]:
     return cofaces
 
 
-def _reduce(columns) -> dict:
+def _reduce(columns, build) -> set:
     """Column reduction over Q of sparse integer columns ({row: nonzero int}),
-    returning {pivot row: reduced column}, one per unit of rank.  A column is
-    reduced on its largest row, against the earlier column p whose largest row
-    it is, by c <- (a/g) c - (b/g) p (a = p[row], b = c[row], g = gcd(a, b)) and
-    divided by the gcd of its entries, until it is zero or that row is new."""
-    pivots: dict = {}
-    for col in columns:
+    returning the pivot rows, one per unit of rank.  `columns` yields each nonzero
+    column's largest row and a key, build(key) the column itself.  A column whose
+    largest row is new takes it unbuilt (an emergent pair), and is built only if
+    a later column reduces against it.  Any other column is built and reduced on
+    its largest row, against the earlier column p whose largest row it is, by
+    c <- (a/g) c - (b/g) p (a = p[row], b = c[row], g = gcd(a, b)) and divided
+    by the gcd of its entries, until it is zero or that row is new."""
+    pivots: dict = {}  # pivot row -> its column, or an emergent column's key
+    unbuilt = set()  # the pivot rows of emergent columns not yet built
+    for low, key in columns:
+        if low not in pivots:
+            pivots[low] = key
+            unbuilt.add(low)
+            continue
+        col = build(key)
         while col:
-            low = max(col)
             piv = pivots.get(low)
             if piv is None:
                 pivots[low] = col
                 break
+            if low in unbuilt:
+                unbuilt.remove(low)
+                piv = pivots[low] = build(piv)
             a, b = piv[low], col[low]
             g = gcd(a, b) if a > 0 else -gcd(a, b)
             a, b = a // g, b // g
@@ -85,7 +91,8 @@ def _reduce(columns) -> dict:
             g = gcd(*col.values())
             if g > 1:
                 col = {r: v // g for r, v in col.items()}
-    return pivots
+            low = max(col, default=None)
+    return set(pivots)
 
 
 def integer_rank(matrix) -> int:
@@ -97,7 +104,8 @@ def integer_rank(matrix) -> int:
         raise ValueError("expected a 2-d matrix")
     if any(x % 1 for x in a.flat):
         raise ValueError("matrix has a non-integral entry")
-    return len(_reduce({i: int(x) for i, x in enumerate(col) if x} for col in a.T))
+    columns = ({i: int(x) for i, x in enumerate(col) if x} for col in a.T)
+    return len(_reduce(((max(col), col) for col in columns if col), dict))
 
 
 def _boundary_ranks(complex_: CliqueComplex, top: int) -> list[int]:
@@ -109,7 +117,8 @@ def _boundary_ranks(complex_: CliqueComplex, top: int) -> list[int]:
     coboundary.  Level j >= 1 reduces, in ascending order, only the j-simplices tau
     leading no reduced coboundary delta x of level j-1 (delta delta x = 0 puts
     delta tau in the span of earlier columns: clearing), so only beta_j columns
-    reduce to zero."""
+    reduce to zero.  A column's largest row, tau + the top bit of its common
+    mask, is read before the column is built."""
     if top < 1:
         return [0, 0]
     n, masks = complex_.n, complex_.masks
@@ -129,7 +138,9 @@ def _boundary_ranks(complex_: CliqueComplex, top: int) -> list[int]:
                 pivots.add(1 << u | 1 << v)
     ranks = [0, len(pivots)]
     for j in range(1, top):
-        pivots = set(_reduce(_coboundary(w, masks) for w in complex_.words(j) if w not in pivots))
+        columns = zip(complex_.words(j), complex_.common_masks[j])
+        pivots = _reduce(((w | 1 << m.bit_length() - 1, (w, m)) for w, m in columns
+                          if m and w not in pivots), lambda key: _coboundary(*key))
         ranks.append(len(pivots))
     return ranks + [0]
 
@@ -141,16 +152,17 @@ class HodgeOperator:
     complex's block comes first, then (dual, k >= 1) the complement complex's;
     a slot in no block is a zero row.
 
-    The complement complex (`complement`, built to level k) comes with the
-    operator, but its slots, block and kernel count are each made only on the
-    first read of `block_slots`, `blocks` or `kernel_dims`: ideal phase
-    estimation needs only its simplex count and kernel count."""
+    An operator made from its complexes (`complex`, and `complement` built to
+    level k) ranks their slots only on the first read of `block_slots`, and
+    makes the complement's block and kernel count only on the first read of
+    `blocks` or `kernel_dims`: ideal phase estimation reads no slot, and of the
+    complement only its simplex count and kernel count."""
 
     def __init__(self, k: int, n: int, convention: str, blocks, block_slots, kernel_dims,
-                 complement: CliqueComplex | None = None):
+                 complement: CliqueComplex | None = None, complex_: CliqueComplex | None = None):
         self.k, self.n, self.convention = k, n, convention
-        self.complement = complement
-        self._block_slots: tuple[tuple[int, ...], ...] = tuple(block_slots)
+        self.complex, self.complement = complex_, complement
+        self._block_slots = None if block_slots is None else tuple(block_slots)
         self._blocks = tuple(blocks)
         self._kernel_dims: tuple[int, ...] = tuple(kernel_dims)
         self._eig: tuple | None = None
@@ -162,18 +174,18 @@ class HodgeOperator:
 
     @property
     def block_slots(self) -> tuple[tuple[int, ...], ...]:
-        """Each block's slot indices, the complement complex's ranked on the first read."""
-        if self.complement is not None and len(self._block_slots) == 1:
-            comp_slots = tuple(slot_rank(w) for w in self.complement.words(self.k))
-            if set(comp_slots) & set(self._block_slots[0]):
+        """Each block's slot indices, ranked from its complex's words on the first read."""
+        if self._block_slots is None:
+            self._block_slots = tuple(tuple(map(slot_rank, c.words(self.k)))
+                                      for c in (self.complex, self.complement) if c is not None)
+            if len(self._block_slots) > 1 and set(self._block_slots[0]) & set(self._block_slots[1]):
                 raise AssertionError("complement-complex simplices collide with the complex")
-            self._block_slots += (comp_slots,)
         return self._block_slots
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
         """Each block's matrix, the complement complex's assembled on the first read."""
-        if len(self._blocks) < len(self.block_slots):
+        if self.complement is not None and len(self._blocks) == 1:
             self._blocks += (_laplacian_block(self.complement, self.k),)
         return self._blocks
 
@@ -195,44 +207,46 @@ class HodgeOperator:
         """The complex's block alone, the restricted operator at this k: the
         operator itself when that is all it holds, otherwise a cached view that
         shares the block and never assembles or ranks the complement's."""
-        if self.complement is None and len(self._block_slots) == 1:
+        if self.complement is None and len(self._blocks) == 1:
             return self
         if self._restricted is None:
-            self._restricted = HodgeOperator(self.k, self.n, "restricted", self._blocks[:1],
-                                             self._block_slots[:1], self._kernel_dims[:1])
+            slots = None if self._block_slots is None else self._block_slots[:1]
+            self._restricted = HodgeOperator(self.k, self.n, "restricted", self._blocks[:1], slots,
+                                             self._kernel_dims[:1], complex_=self.complex)
         return self._restricted
 
 
 def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
-    """d_k^T d_k + d_{k+1} d_{k+1}^T from the words: a diagonal entry is k+1 (0 at
-    k = 0) plus the simplex's coface count; sigma = f+u and tau = f+v sharing
-    the face f (the empty face, sign +1, at k = 0) meet with s(sigma, f)
-    s(tau, f) ([k >= 1] - [u ~ v]), down through f and up through f+u+v.  Each
-    entry is emitted as the later simplex joins the face's star."""
+    """d_k^T d_k + d_{k+1} d_{k+1}^T from the common-neighbour masks: D - A at
+    k = 0.  At k >= 1 a diagonal entry is k+1 plus the simplex's coface count,
+    and sigma = f+u and tau = f+v sharing the face f meet with s(sigma, f)
+    s(tau, f) (1 - [u ~ v]), down through f and up through f+u+v.  So each
+    (k-1)-simplex f visits only the pairs u < v of its common neighbours with
+    u !~ v; every other pair cancels."""
     words = complex_.words(k)
     masks = complex_.masks
-    down = int(k >= 1)
+    if k == 0:
+        block = np.where(complex_.graph.adjacency, -1.0, 0.0)
+        block.flat[::len(words) + 1] = [m.bit_count() for m in masks]
+        return block
     block = np.zeros((len(words), len(words)))
-    stars: dict[int, list] = {}  # face f -> [(simplex index, s(sigma, f), vertex u)]
-    diagonal, rows, cols, vals = [], [], [], []
-    for i, word in enumerate(words):
-        common = -1  # vertices adjacent to every vertex of the simplex
-        sign, rest = 1, word
-        while rest:  # the faces, dropping the vertex u = each set bit in turn
+    block.flat[::len(words) + 1] = [k + 1 + m.bit_count() for m in complex_.common_masks[k]]
+    index = {word: i for i, word in enumerate(words)}
+    rows, cols, vals = [], [], []
+    for face, rest in zip(complex_.words(k - 1), complex_.common_masks[k - 1]):
+        while rest:  # sigma = f+u for each common neighbour u, ascending
             low = rest & -rest
             rest ^= low
-            u = low.bit_length() - 1
-            common &= masks[u]
-            star = stars.setdefault(word ^ low, [])
-            for j, sj, v in star:
-                if x := sign * sj * (down - (masks[u] >> v & 1)):
-                    rows.append(j)
-                    cols.append(i)
-                    vals.append(x)
-            star.append((i, sign, u))
-            sign = -sign
-        diagonal.append((k + 1) * down + common.bit_count())
-    block.flat[::len(words) + 1] = diagonal
+            apart = rest & ~masks[low.bit_length() - 1]  # each v > u with u !~ v
+            if not apart:
+                continue
+            i, su = index[face | low], (face & (low - 1)).bit_count()
+            while apart:
+                high = apart & -apart
+                apart ^= high
+                rows.append(i)
+                cols.append(index[face | high])
+                vals.append(-1 if (su + (face & (high - 1)).bit_count()) & 1 else 1)
     rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
     block[rows, cols] = block[cols, rows] = vals
     return block
@@ -241,15 +255,15 @@ def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
 def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restricted") -> HodgeOperator:
     """d_k^T d_k + d_{k+1} d_{k+1}^T on the slot space, as its blocks with their
     kernel counts by integer rank: the complex's own and, under `dual` at k >= 1,
-    the complement complex's (built here, its slots, block and rank on first read)."""
+    the complement complex's (built here, its block and rank on first read);
+    both complexes' slots are ranked on first read."""
     if convention not in ("restricted", "dual"):
         raise ValueError(f"unknown convention {convention!r}")
-    slots = (tuple(slot_rank(w) for w in complex_.words(k)),)
     comp = None
     if convention == "dual" and k >= 1:
         comp = complement_complex(complex_.graph, k)
-    return HodgeOperator(k, complex_.n, convention, (_laplacian_block(complex_, k),), slots,
-                         (betti_exact(complex_, k),), comp)
+    return HodgeOperator(k, complex_.n, convention, (_laplacian_block(complex_, k),), None,
+                         (betti_exact(complex_, k),), comp, complex_)
 
 
 def betti_exact(complex_: CliqueComplex, k: int) -> int:

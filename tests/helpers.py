@@ -228,14 +228,15 @@ def _boundary_faces(word: int) -> dict[int, int]:
     return faces
 
 
-def boundary_pivots(complex_: CliqueComplex, k: int, cleared=()) -> dict:
+def boundary_pivots(complex_: CliqueComplex, k: int, cleared=()) -> set:
     """The library's sparse reduction of d_k, its columns the faces of the
     k-simplex words in ascending order; d_0 and d_n are zero maps.  A k-simplex
     in `cleared`, a pivot row of d_{k+1}, is skipped: its column reduces to zero
     (clearing from the top down)."""
     if k == 0 or k == complex_.n:
-        return {}
-    return _reduce(_boundary_faces(w) for w in complex_.words(k) if w not in cleared)
+        return set()
+    columns = (_boundary_faces(w) for w in complex_.words(k) if w not in cleared)
+    return _reduce(((max(col), col) for col in columns), dict)
 
 
 def betti_by_boundary_reduction(complex_: CliqueComplex, k: int) -> int:

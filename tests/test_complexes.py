@@ -218,6 +218,20 @@ class TestGraphValidation:
             assert 0 <= mask < 1 << n
             assert {u for u in range(n) if mask >> u & 1} == set(np.nonzero(g.adjacency[v])[0])
 
+    @pytest.mark.parametrize("graph", [random_graph(9, 0.6, seed=2), complete_graph(6),
+                                       empty_graph(4)])
+    def test_common_masks_are_the_vertex_masks_anded(self, graph):
+        c = build_clique_complex(graph, graph.n - 1)
+        masks = graph.adjacency_masks()
+        for words, commons in zip(c.simplices, c.common_masks):
+            assert len(commons) == len(words)
+            for word, common in zip(words, commons):
+                expected = -1
+                for v in range(graph.n):
+                    if word >> v & 1:
+                        expected &= masks[v]
+                assert common == expected, word
+
     def test_complex_keeps_its_masks_for_the_laplacian(self, monkeypatch):
         g = random_graph(9, 0.5, seed=4)
         c = build_clique_complex(g, 3)
@@ -299,6 +313,16 @@ class TestInstanceIO:
     def test_integral_floats_accepted(self):
         g = load_instance({"n": 4.0, "edges": [[0.0, 1], [2, 3.0]]})
         assert g.n == 4 and g.edges() == [(0, 1), (2, 3)]
+
+    @pytest.mark.parametrize("vertex", [True, np.int64(1), np.uint8(1), 1.0])
+    def test_integral_ids_of_any_type_accepted(self, vertex):
+        g = load_instance({"n": np.int32(3), "edges": [[0, vertex], [vertex, 2]]})
+        assert g.n == 3 and g.edges() == [(0, 1), (1, 2)]
+
+    @pytest.mark.parametrize("vertex", [4.9, "3", np.float64(1.5)])
+    def test_non_integral_ids_of_any_type_rejected(self, vertex):
+        with pytest.raises(ValueError, match="vertex id must be an integer"):
+            load_instance({"n": 6, "edges": [[0, vertex]]})
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):

@@ -487,8 +487,8 @@ class TestEstimateBetti:
         assert est.beta_rounded == est.beta_oracle
         assert peak < 2 << 20
 
-    def test_ideal_dual_ranks_only_the_complex_slots(self, monkeypatch):
-        # the complement's slots are ranked only when its block or slots are read
+    def test_dual_estimates_rank_no_slot(self, monkeypatch):
+        # both complexes' slots are ranked only when the slots are read
         ranked = []
 
         def spy(word):
@@ -500,10 +500,10 @@ class TestEstimateBetti:
         c = build_clique_complex(graph, 3)
         comp = complement_complex(graph, 3)
         est = estimate_betti(graph, 2, convention="dual")
-        assert sorted(ranked) == sorted(c.words(2))
         assert est.beta_rounded == est.beta_oracle
-        ranked.clear()
         estimate_betti(graph, 2, convention="dual", pe=PEConfig.bits(t=2))
+        assert ranked == []
+        pipeline_context(graph, 2, "dual", PEConfig.bits(t=2)).rho()
         assert sorted(ranked) == sorted(c.words(2) + comp.words(2))
 
 

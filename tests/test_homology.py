@@ -17,6 +17,7 @@ from bettiq import (
     spectral_summary,
     zero_phase_weights,
 )
+from bettiq import homology
 from bettiq.homology import _coboundary, _laplacian_block
 from helpers import (
     bareiss_rank,
@@ -507,11 +508,40 @@ class TestCoboundaryPass:
         for j in range(c.max_dim):
             rows = {w: i for i, w in enumerate(c.words(j + 1))}
             cob = np.zeros((len(rows), c.simplex_count(j)), dtype=np.int64)
-            for col, word in enumerate(c.words(j)):
-                for coface, sign in _coboundary(word, c.masks).items():
+            for col, (word, common) in enumerate(zip(c.words(j), c.common_masks[j])):
+                for coface, sign in _coboundary(word, common).items():
                     cob[rows[coface], col] = sign
             assert np.array_equal(cob, boundary_matrix(c, j + 1).T), j
-        assert all(_coboundary(w, c.masks) == {} for w in c.words(c.max_dim))
+        top = c.max_dim
+        assert all(_coboundary(w, m) == {} for w, m in zip(c.words(top), c.common_masks[top]))
+
+    @pytest.mark.parametrize("c,columns,most_built", [
+        (build_clique_complex(complete_graph(8), 3), 91, 0),
+        (complement_complex(random_graph(28, 0.4, seed=1), 2), 737, 737 // 5),
+    ], ids=["K8", "ER28-complement"])
+    def test_emergent_pairs_leave_columns_unbuilt(self, monkeypatch, c, columns, most_built):
+        # a column whose largest row is new takes it without being built
+        counts = {"columns": 0, "built": 0}
+        reduce = homology._reduce
+
+        def counted(items, build):
+            def each():
+                for item in items:
+                    counts["columns"] += 1
+                    yield item
+
+            def built(key):
+                counts["built"] += 1
+                return build(key)
+
+            return reduce(each(), built)
+
+        monkeypatch.setattr(homology, "_reduce", counted)
+        k = c.max_dim
+        beta = betti_exact(c, k)
+        assert beta == betti_by_boundary_reduction(build_clique_complex(c.graph, k + 1), k)
+        assert counts["columns"] == columns
+        assert counts["built"] <= most_built
 
     def test_census_matches_boundary_reduction(self, census_complexes):
         for index, c in zip(CENSUS_INDICES, census_complexes):
