@@ -25,7 +25,6 @@ from .homology import (
     HodgeOperator,
     SpectralSummary,
     betti_exact,
-    euler_check,
     hodge_laplacian,
     integer_rank,
     spectral_summary,

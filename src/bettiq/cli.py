@@ -25,7 +25,6 @@ from .complexes import (
     GENERATOR_MODELS,
     InstanceSpec,
     _check_dimension,
-    build_clique_complex,
     dump_instance,
     generate_instance,
     instance_to_dict,
@@ -41,7 +40,7 @@ from .extraction import (
     pipeline_context,
     resource_estimate,
 )
-from .homology import euler_check, spectral_summary
+from .homology import spectral_summary
 from .pipeline import BlockEncodingError, PEConfig
 
 TRIAL_CSV_COLUMNS = [
@@ -142,26 +141,19 @@ def _cmd_generate(args) -> int:
 def _cmd_exact(args) -> int:
     instance = load_instance(args.instance)
     start = time.perf_counter()
-    _check_dimension(args.k, instance.n)
-    # level k+1 too, for the Euler report, which nothing else reads
-    complex_ = build_clique_complex(instance, min(args.k + 1, instance.n - 1))
-    ctx = pipeline_context(complex_, args.k, convention=args.convention)
+    ctx = pipeline_context(instance, args.k, convention=args.convention)
     if ctx.s_count == 0:
         raise ValueError(f"instance has no simplices at dimension k={args.k}")
     summary = spectral_summary(ctx.op)  # kernel_dim from the operator's rank counts
-    # a second coboundary pass, to level k+1: the Euler report's beta_k is betti_exact's
-    euler_ok, euler_rep = euler_check(ctx.complex)
     config = {"command": "exact", "instance": str(args.instance), "k": args.k,
               "convention": args.convention}
     results = {
-        "beta": euler_rep["bettis"][args.k],
+        "beta": ctx.op.kernel_dims[0],
         "s_count": ctx.s_count,
         "slot_count": ctx.slot_count,
         "kappa_laplacian": summary.kappa,
         "kernel_dim": summary.kernel_dim,
         "threshold_agrees": summary.threshold_agrees,
-        "euler_ok": euler_ok,
-        "euler": euler_rep,
     }
     _emit_report(config, results, start, args.out)
     return 0
@@ -272,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out")
     gen.set_defaults(func=_cmd_generate)
 
-    exact = sub.add_parser("exact", help="exact Betti number, spectrum, and Euler check")
+    exact = sub.add_parser("exact", help="exact Betti number, spectrum, and threshold check")
     exact.add_argument("--instance", required=True)
     exact.add_argument("--k", type=int, required=True)
     exact.add_argument("--convention", choices=["restricted", "dual"], default="restricted")

@@ -164,9 +164,6 @@ class CliqueComplex:
         self._check_dim(k)
         return len(self.simplices[k])
 
-    def slot_count(self, k: int) -> int:
-        return comb(self.n, k + 1)
-
     def words(self, k: int) -> tuple[int, ...]:
         self._check_dim(k)
         return self.simplices[k]

@@ -181,10 +181,8 @@ def _as_complex(source, k: int) -> CliqueComplex:
 @dataclass(eq=False)
 class PipelineContext:
     """One instance/dimension/convention binding of the pipeline, with the
-    spectral pieces cached."""
+    spectral pieces cached; the complex, k and slot count are the operator's."""
 
-    complex: CliqueComplex
-    k: int
     op: HodgeOperator
     cfg: PEConfig
 
@@ -193,8 +191,16 @@ class PipelineContext:
         self._rho = None
 
     @property
+    def complex(self) -> CliqueComplex:
+        return self.op.complex
+
+    @property
+    def k(self) -> int:
+        return self.op.k
+
+    @property
     def slot_count(self) -> int:
-        return comb(self.complex.n, self.k + 1)
+        return self.op.dim
 
     @property
     def s_count(self) -> int:
@@ -248,10 +254,8 @@ class PipelineContext:
 
 def pipeline_context(source, k: int, convention: str = "restricted",
                      pe: PEConfig | None = None) -> PipelineContext:
-    complex_ = _as_complex(source, k)
-    cfg = pe or PEConfig.ideal()
-    op = hodge_laplacian(complex_, k, convention)
-    return PipelineContext(complex_, k, op, cfg)
+    return PipelineContext(hodge_laplacian(_as_complex(source, k), k, convention),
+                           pe or PEConfig.ideal())
 
 
 def _flag_trace(m: np.ndarray, ctx: PipelineContext) -> float:

