@@ -26,7 +26,6 @@ from .homology import (
     SpectralSummary,
     betti_exact,
     hodge_laplacian,
-    integer_rank,
     spectral_summary,
 )
 from .pipeline import (

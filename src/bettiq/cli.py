@@ -90,18 +90,12 @@ def _parse_grid(text: str) -> list[int]:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_jsonable)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _jsonable(obj):
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()  # numpy scalars become the Python int/float/bool they hold
-    raise TypeError(f"not JSON-serializable: {type(obj)!r}")
 
 
 def _emit_report(config: dict, results, start: float, out: str | None) -> None:

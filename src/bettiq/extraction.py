@@ -16,7 +16,7 @@ from math import comb, floor, hypot, inf, sqrt
 
 import numpy as np
 
-from .complexes import CliqueComplex, PointCloud, VertexGraph, _check_dimension, build_clique_complex
+from .complexes import CliqueComplex, VertexGraph, _check_dimension, build_clique_complex
 from .homology import (
     HodgeOperator,
     SpectralSummary,
@@ -168,11 +168,9 @@ def plan_delta(eps: float, beta_lower: float, a: np.ndarray) -> float:
 def _as_complex(source, k: int) -> CliqueComplex:
     """The complex the pipeline reads at dimension k: a graph or point cloud's,
     built to level k, or a complex built at least that far."""
-    if not isinstance(source, (CliqueComplex, VertexGraph, PointCloud)):
-        raise ValueError(f"cannot run the pipeline on {type(source).__name__}")
-    _check_dimension(k, source.n)
     if not isinstance(source, CliqueComplex):
         return build_clique_complex(source, k)
+    _check_dimension(k, source.n)
     if source.max_dim < k:
         raise ValueError(f"complex must be built to dimension k={k} (max_dim={source.max_dim})")
     return source
@@ -204,7 +202,7 @@ class PipelineContext:
 
     @property
     def s_count(self) -> int:
-        return self.complex.simplex_count(self.k)
+        return self.op.block_sizes[0]
 
     def summary(self) -> SpectralSummary:
         """The spectrum digest the estimate reads and reports: under ideal phase
@@ -232,9 +230,7 @@ class PipelineContext:
 
     def p1_trace(self) -> float:
         """Zero-outcome weight over the other slots (1 per slot in no block)."""
-        comp = self.op.complement  # counted, as its slots are ranked only on demand
-        covered = self.s_count + (0 if comp is None else comp.simplex_count(self.k))
-        return float(self.slot_count - covered + sum(self._block_sums()[1:]))
+        return float(self.slot_count - sum(self.op.block_sizes) + sum(self._block_sums()[1:]))
 
     def rho(self) -> DensityOperator:
         """The reduced mixed state, for block-encoding verification only: the
@@ -524,7 +520,7 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
         # the dual operator's off-complex kernel by the Hodge theorem: complement
         # homology plus one zero row per slot in neither complex
         beta_comp = ctx.op.kernel_dims[1]
-        neither = comp_slots - ctx.op.complement.simplex_count(k)
+        neither = comp_slots - ctx.op.block_sizes[1]
         kernel_dim_block = beta_comp + neither
     else:  # no off-complex slots, so the operator holds no complement complex
         beta_comp = betti_exact(complement_complex(graph, 0), 0)
@@ -555,10 +551,12 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
 class ResourceReport:
     """Pure arithmetic on the cost formulas; nothing is executed.
 
-    `sample_cost` is the simulator's Hoeffding count at the planned
-    per-measurement accuracy (a 1/delta^2 statistical realization of the
-    1/delta query model), reported separately so the two scalings are never
-    conflated.
+    `sample_cost` is the Hoeffding count for one trace at
+    `planned_measurement_delta`, at the given beta (an estimate's beta_hat) and
+    the undivided `confidence`, not the count an estimate draws from beta_lower
+    with the confidence split over its two traces.  It is the 1/delta^2
+    statistical realization of the 1/delta query model, reported separately so
+    the two scalings are never conflated.
     """
 
     n: int

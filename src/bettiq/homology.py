@@ -27,7 +27,6 @@ from .complexes import CliqueComplex, complement_complex, slot_rank
 __all__ = [
     "HodgeOperator",
     "SpectralSummary",
-    "integer_rank",
     "hodge_laplacian",
     "betti_exact",
     "spectral_summary",
@@ -94,19 +93,6 @@ def _reduce(columns, build) -> set:
     return set(pivots)
 
 
-def integer_rank(matrix) -> int:
-    """Exact rank over the rationals of a 2-d matrix of integer-valued entries
-    (Python ints of any size or a numpy integer array), by sparse column
-    reduction; a non-integral entry raises ValueError."""
-    a = np.asarray(matrix, dtype=object)  # ints beyond int64 are not cast to float
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    if any(x % 1 for x in a.flat):
-        raise ValueError("matrix has a non-integral entry")
-    columns = ({i: int(x) for i, x in enumerate(col) if x} for col in a.T)
-    return len(_reduce(((max(col), col) for col in columns if col), dict))
-
-
 def _boundary_ranks(complex_: CliqueComplex, top: int) -> list[int]:
     """[rank d_0, ..., rank d_top] over Q, top >= 1, reducing the coboundaries
     delta_j = d_{j+1}^T from the vertices up, j < top, so no level from top up
@@ -144,22 +130,23 @@ def _boundary_ranks(complex_: CliqueComplex, top: int) -> list[int]:
 
 class HodgeOperator:
     """Symmetric PSD operator on the binom(n, k+1) slots at dimension k, held
-    as its diagonal blocks: blocks[i] acts on the slots block_slots[i] and has
-    kernel_dims[i] zero eigenvalues, the first that many of eig()[i].  The
-    complex's block comes first, then (dual, k >= 1) the complement complex's;
-    a slot in no block is a zero row.
+    as its diagonal blocks, one per complex: the complex's first, then (dual,
+    k >= 1) the complement complex's, built to level k.  blocks[i] has
+    block_sizes[i] rows, its complex's k-simplex count, and kernel_dims[i] zero
+    eigenvalues, the first that many of eig()[i]; it acts on the slots
+    block_slots[i].  A slot in no block is a zero row.
 
-    An operator made from its complexes (`complex`, and `complement` built to
-    level k) ranks their slots only on the first read of `block_slots`, and
-    makes the complement's block and kernel count only on the first read of
-    `blocks` or `kernel_dims`: ideal phase estimation reads no slot, and of the
-    complement only its simplex count and kernel count."""
+    The slots are ranked from the complexes' words only on the first read of
+    `block_slots`, which only placing the states makes.  The complement's block
+    and kernel count are made only on the first read of `blocks` or
+    `kernel_dims`, so ideal phase estimation reads of the complement only its
+    simplex count and kernel count."""
 
-    def __init__(self, k: int, n: int, convention: str, blocks, block_slots, kernel_dims,
-                 complement: CliqueComplex | None = None, complex_: CliqueComplex | None = None):
-        self.k, self.n, self.convention = k, n, convention
+    def __init__(self, k: int, convention: str, blocks, kernel_dims, complex_: CliqueComplex,
+                 complement: CliqueComplex | None = None):
+        self.k, self.n, self.convention = k, complex_.n, convention
         self.complex, self.complement = complex_, complement
-        self._block_slots = None if block_slots is None else tuple(block_slots)
+        self._block_slots = None
         self._blocks = tuple(blocks)
         self._kernel_dims: tuple[int, ...] = tuple(kernel_dims)
         self._eig: tuple | None = None
@@ -168,6 +155,12 @@ class HodgeOperator:
     @property
     def dim(self) -> int:
         return comb(self.n, self.k + 1)
+
+    @property
+    def block_sizes(self) -> tuple[int, ...]:
+        """Each block's row count, its complex's k-simplex count; no slot is ranked."""
+        return tuple(c.simplex_count(self.k) for c in (self.complex, self.complement)
+                     if c is not None)
 
     @property
     def block_slots(self) -> tuple[tuple[int, ...], ...]:
@@ -207,9 +200,8 @@ class HodgeOperator:
         if self.complement is None and len(self._blocks) == 1:
             return self
         if self._restricted is None:
-            slots = None if self._block_slots is None else self._block_slots[:1]
-            self._restricted = HodgeOperator(self.k, self.n, "restricted", self._blocks[:1], slots,
-                                             self._kernel_dims[:1], complex_=self.complex)
+            self._restricted = HodgeOperator(self.k, "restricted", self._blocks[:1],
+                                             self._kernel_dims[:1], self.complex)
         return self._restricted
 
 
@@ -252,15 +244,14 @@ def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
 def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restricted") -> HodgeOperator:
     """d_k^T d_k + d_{k+1} d_{k+1}^T on the slot space, as its blocks with their
     kernel counts by integer rank: the complex's own and, under `dual` at k >= 1,
-    the complement complex's (built here, its block and rank on first read);
-    both complexes' slots are ranked on first read."""
+    the complement complex's (built here, its block and rank on first read)."""
     if convention not in ("restricted", "dual"):
         raise ValueError(f"unknown convention {convention!r}")
     comp = None
     if convention == "dual" and k >= 1:
         comp = complement_complex(complex_.graph, k)
-    return HodgeOperator(k, complex_.n, convention, (_laplacian_block(complex_, k),), None,
-                         (betti_exact(complex_, k),), comp, complex_)
+    return HodgeOperator(k, convention, (_laplacian_block(complex_, k),),
+                         (betti_exact(complex_, k),), complex_, comp)
 
 
 def betti_exact(complex_: CliqueComplex, k: int) -> int:
@@ -296,7 +287,7 @@ def spectral_summary(op: HodgeOperator) -> SpectralSummary:
     nonzero one.  The count below DEFAULT_ZERO_TOL * max(lambda_max, 1) only
     checks that split; a block where it differs is named in a RuntimeWarning."""
     block_evals, kernel_dims = op.eig(), op.kernel_dims
-    uncovered = op.dim - sum(e.size for e in block_evals)
+    uncovered = op.dim - sum(op.block_sizes)
     lam_max = max([float(e[-1]) for e in block_evals if e.size] + ([0.0] if uncovered else []))
     thresh = DEFAULT_ZERO_TOL * max(lam_max, 1.0)
     below = tuple(int(e.searchsorted(thresh)) for e in block_evals)

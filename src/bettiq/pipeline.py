@@ -109,7 +109,7 @@ class PEConfig:
             return 1
         # each nonzero eigenphase phi lies in [pi/kappa, pi] and leaks at most
         # 1/(P^2 sin^2(phi/2)) into the zero outcome; a block's m of them add up
-        bound = 2.0 * sqrt(max(*map(len, op.block_slots), 1)) / np.sin(np.pi / (2.0 * summary.kappa))
+        bound = 2.0 * sqrt(max(*op.block_sizes, 1)) / np.sin(np.pi / (2.0 * summary.kappa))
         return max(1, ceil(np.log2(bound) - _LOG2_SNAP))
 
 
@@ -208,8 +208,8 @@ def zero_phase_weights(op: HodgeOperator, cfg: PEConfig) -> tuple[np.ndarray, ..
     eigenvectors are orthonormal, so these sum to the outcome over the block's
     slots.  A slot in no block reads it surely."""
     if cfg.mode == "ideal":
-        return tuple((np.arange(len(slots)) < kernel_dim).astype(float)
-                     for slots, kernel_dim in zip(op.block_slots, op.kernel_dims))
+        return tuple((np.arange(size) < kernel_dim).astype(float)
+                     for size, kernel_dim in zip(op.block_sizes, op.kernel_dims))
     t = cfg.resolve(op)
     return tuple(phase_zero_probability(phases, t) for phases in _eigenphases(op.eig(), op.kernel_dims))
 

@@ -5,7 +5,8 @@ found by exhaustive subset enumeration, ranks by Gaussian elimination over
 exact fractions or by dense fraction-free (Bareiss) elimination, on dense
 boundary matrices; Betti numbers also by the library's sparse reduction run
 on the boundary side, from the top level down, where the library runs it on
-coboundaries from the vertices up.  The small-size pipeline oracles below
+coboundaries from the vertices up; `integer_rank` runs that reduction on any
+integer matrix.  The small-size pipeline oracles below
 build what the library only ever reads in part: the dense C x C Hodge
 operator, the per-slot zero-phase weights, the whole phase-estimation
 unitary, the flag-tagged state with its copy register, the explicit density
@@ -237,6 +238,19 @@ def boundary_pivots(complex_: CliqueComplex, k: int, cleared=()) -> set:
         return set()
     columns = (_boundary_faces(w) for w in complex_.words(k) if w not in cleared)
     return _reduce(((max(col), col) for col in columns), dict)
+
+
+def integer_rank(matrix) -> int:
+    """Exact rank over the rationals of a 2-d matrix of integer-valued entries
+    (Python ints of any size or a numpy integer array), by the library's sparse
+    column reduction; a non-integral entry raises ValueError."""
+    a = np.asarray(matrix, dtype=object)  # ints beyond int64 are not cast to float
+    if a.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    if any(x % 1 for x in a.flat):
+        raise ValueError("matrix has a non-integral entry")
+    columns = ({i: int(x) for i, x in enumerate(col) if x} for col in a.T)
+    return len(_reduce(((max(col), col) for col in columns if col), dict))
 
 
 def betti_by_boundary_reduction(complex_: CliqueComplex, k: int) -> int:

@@ -502,6 +502,7 @@ class TestEstimateBetti:
         est = estimate_betti(graph, 2, convention="dual")
         assert est.beta_rounded == est.beta_oracle
         estimate_betti(graph, 2, convention="dual", pe=PEConfig.bits(t=2))
+        estimate_betti(graph, 2, convention="dual", pe=PEConfig.bits())
         assert ranked == []
         pipeline_context(graph, 2, "dual", PEConfig.bits(t=2)).rho()
         assert sorted(ranked) == sorted(c.words(2) + comp.words(2))

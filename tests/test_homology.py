@@ -11,7 +11,6 @@ from bettiq import (
     build_clique_complex,
     complement_complex,
     hodge_laplacian,
-    integer_rank,
     slot_rank,
     spectral_summary,
     zero_phase_weights,
@@ -31,6 +30,7 @@ from helpers import (
     empty_graph,
     fraction_rank,
     gf2_rank,
+    integer_rank,
     kernel_projector,
     laplacian_by_products,
     octahedron_graph,
@@ -48,9 +48,9 @@ def manual_operator(matrix):
     kernel counted by integer rank."""
     matrix = np.asarray(matrix, dtype=float)
     dim = matrix.shape[0]
-    return HodgeOperator(k=0, n=dim, convention="restricted", blocks=(matrix,),
-                         block_slots=(tuple(range(dim)),),
-                         kernel_dims=(dim - integer_rank(matrix),))
+    return HodgeOperator(k=0, convention="restricted", blocks=(matrix,),
+                         kernel_dims=(dim - integer_rank(matrix),),
+                         complex_=build_clique_complex(empty_graph(dim), 0))
 
 
 @st.composite
@@ -362,8 +362,8 @@ class TestSpectralSummary:
 
     def test_the_rank_decides_and_the_threshold_only_checks(self):
         # lambda_max = 1 puts the cut at 1e-8, so the threshold counts two zeros
-        op = HodgeOperator(k=0, n=3, convention="restricted", blocks=(np.diag([0.0, 1e-9, 1.0]),),
-                           block_slots=((0, 1, 2),), kernel_dims=(1,))
+        op = HodgeOperator(k=0, convention="restricted", blocks=(np.diag([0.0, 1e-9, 1.0]),),
+                           kernel_dims=(1,), complex_=build_clique_complex(empty_graph(3), 0))
         with pytest.warns(RuntimeWarning, match="block 0: kernel count 1 by integer rank, 2 "):
             summary = spectral_summary(op)
         assert summary.kernel_dim == 1 and summary.block_kernel_dims == (1,)

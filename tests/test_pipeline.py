@@ -151,8 +151,8 @@ class TestZeroPhaseWeights:
             assert zero_phase_weight(op, cfg, diag_word) == 1.0
 
     def test_eigenphase_pi_one_bit_reads_zero_never(self):
-        op = HodgeOperator(k=0, n=2, convention="restricted", blocks=(np.diag([0.0, 2.0]),),
-                           block_slots=((0, 1),), kernel_dims=(1,))
+        op = HodgeOperator(k=0, convention="restricted", blocks=(np.diag([0.0, 2.0]),),
+                           kernel_dims=(1,), complex_=build_clique_complex(empty_graph(2), 0))
         cfg = PEConfig.bits(t=1)  # the automatic tau = pi / lambda_max sends 2 to phase pi
         assert zero_phase_weight(op, cfg, 0b10) == pytest.approx(0.0, abs=1e-15)
         assert zero_phase_weight(op, cfg, 0b01) == 1.0
