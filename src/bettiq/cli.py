@@ -90,7 +90,7 @@ def _parse_grid(text: str) -> list[int]:
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, sort_keys=True)  # one line: the C encoder, which indent bypasses
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 from pathlib import Path
 
@@ -89,6 +90,7 @@ class VertexGraph:
     adjacency: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "vertex count n"))
         adj = np.asarray(self.adjacency, dtype=bool)
         if adj.shape != (self.n, self.n):
             raise ValueError(f"adjacency must be {self.n}x{self.n}")
@@ -129,10 +131,14 @@ class VertexGraph:
         return VertexGraph(self.n, adj)
 
     def adjacency_masks(self) -> list[int]:
-        """Neighbourhood of each vertex as a bit mask."""
-        rows = np.packbits(self.adjacency, axis=1, bitorder="little")
+        """Neighbourhood of each vertex as a bit mask: a fresh list, packed once per graph."""
+        return list(self._masks)
+
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        rows = np.packbits(self.adjacency, axis=1, bitorder="little")  # frozen and read-only
         buf, width = rows.tobytes(), rows.shape[1]
-        return [int.from_bytes(buf[i * width:(i + 1) * width], "little") for i in range(self.n)]
+        return tuple(int.from_bytes(buf[i * width:(i + 1) * width], "little") for i in range(self.n))
 
 
 @dataclass(frozen=True)
@@ -206,9 +212,9 @@ def build_clique_complex(source, max_dim: int) -> CliqueComplex:
         next_frontier.sort(key=lambda item: item[0])
         levels.append(next_frontier)
         frontier = next_frontier
-    return CliqueComplex(n=n, max_dim=max_dim, graph=graph,
-                         simplices=tuple(tuple(w for w, _ in level) for level in levels),
-                         common_masks=tuple(tuple(m for _, m in level) for level in levels))
+    # each level split into its words and their masks, an empty one into two empty tuples
+    words, common = zip(*(tuple(zip(*level)) or ((), ()) for level in levels))
+    return CliqueComplex(n=n, max_dim=max_dim, graph=graph, simplices=words, common_masks=common)
 
 
 def complement_complex(g: VertexGraph, max_dim: int) -> CliqueComplex:

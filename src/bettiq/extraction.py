@@ -103,6 +103,9 @@ class ObservablePair:
     def __post_init__(self):
         object.__setattr__(self, "m1", _check_flag_observable(self.m1))
         object.__setattr__(self, "m2", _check_flag_observable(self.m2))
+        # each observable's diagonal weights (M[1,1], M[0,0]), a row of the raw matrix
+        object.__setattr__(self, "_weights", tuple((float(m[1, 1].real), float(m[0, 0].real))
+                                                   for m in (self.m1, self.m2)))
         smax, smin = _singular_values(self.raw_matrix())
         if not smax * smin >= 1e-12:  # |det|
             raise ValueError("observable pair induces a singular system; choose distinct diagonals")
@@ -116,10 +119,11 @@ class ObservablePair:
 
     def raw_matrix(self) -> np.ndarray:
         """System matrix without the 1/C factor: rows (Tr M|1><1|, Tr M|0><0|)."""
-        return np.array([[m[1, 1].real, m[0, 0].real] for m in (self.m1, self.m2)])
+        return np.array(self._weights)
 
 
 _DEFAULT_PAIR = ObservablePair(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+_IDEAL = PEConfig.ideal()
 
 
 def assemble_system(pair: ObservablePair, slot_count: int) -> np.ndarray:
@@ -251,14 +255,20 @@ class PipelineContext:
 def pipeline_context(source, k: int, convention: str = "restricted",
                      pe: PEConfig | None = None) -> PipelineContext:
     return PipelineContext(hodge_laplacian(_as_complex(source, k), k, convention),
-                           pe or PEConfig.ideal())
+                           pe or _IDEAL)
+
+
+def _flag_traces(ctx: PipelineContext, weights) -> tuple[float, ...]:
+    """The scalars b = Tr[(|0><0| x I x M) rho] of flag observables M, each given
+    by its weights (M[1,1], M[0,0]), summed from the zero-phase block sums.
+    Sampled estimation draws the Hadamard-test statistic for these same b."""
+    beta, p1, c = ctx.beta_pe(), ctx.p1_trace(), ctx.slot_count
+    return tuple((beta * w1 + p1 * w0) / c for w1, w0 in weights)
 
 
 def _flag_trace(m: np.ndarray, ctx: PipelineContext) -> float:
-    """The scalar b = Tr[(|0><0| x I x M) rho] for a checked flag observable M,
-    summed from the zero-phase block sums.  Sampled estimation draws the
-    Hadamard-test statistic for this same b."""
-    return float((ctx.beta_pe() * m[1, 1].real + ctx.p1_trace() * m[0, 0].real) / ctx.slot_count)
+    """The flag trace b of one checked flag observable M."""
+    return _flag_traces(ctx, [(float(m[1, 1].real), float(m[0, 0].real))])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +387,12 @@ def _measure_and_solve(ctx: PipelineContext, pair: ObservablePair, a: np.ndarray
                        accuracy: float | None, confidence: float, seed) -> tuple:
     """Measure both traces, exactly with accuracy None and otherwise as seeded
     estimates to +/- accuracy, and solve A.x = y; also returns the samples drawn."""
-    if accuracy is None:
-        y, samples = (_flag_trace(pair.m1, ctx), _flag_trace(pair.m2, ctx)), 0
-    else:
+    y, samples = _flag_traces(ctx, pair._weights), 0
+    if accuracy is not None:
         # split the confidence budget evenly so the joint guarantee holds by union bound
         conf_each = 1.0 - (1.0 - confidence) / 2.0
-        est1, est2 = (trace_estimate(_flag_trace(m, ctx), accuracy, conf_each, child)
-                      for m, child in zip((pair.m1, pair.m2), seed.spawn(2)))
+        est1, est2 = (trace_estimate(b, accuracy, conf_each, child)
+                      for b, child in zip(y, seed.spawn(2)))
         y, samples = (est1.value, est2.value), est1.samples_used
     x = solve_system(a, y)
     smax, smin = _singular_values(a)
@@ -587,18 +596,18 @@ def resource_estimate(n: int, k: int, kappa: float, beta: float, s_count: int,
                       confidence: float = 0.95) -> ResourceReport:
     """Evaluate the cost formulas at one parameter point.
 
-    Multiplicative-accuracy costs need eps and beta > 0; normalized-mode costs
-    need delta.  Deterministic, pure arithmetic.
+    kappa must be positive and finite; multiplicative-accuracy costs need eps and
+    a positive finite beta, normalized-mode costs delta.  Deterministic, pure arithmetic.
     """
     _check_dimension(k, n)
-    if kappa <= 0 or s_count < 1:
-        raise ValueError("kappa and |S_k| must be positive")
-    if eps is not None:
+    _check_accuracy(kappa, "kappa")
+    if s_count < 1:
+        raise ValueError(f"|S_k| must be positive, got {s_count}")
+    if eps is not None:  # multiplicative accuracy, undefined at beta = 0
         _check_accuracy(eps, "eps")
+        _check_accuracy(beta, "beta")
     if delta is not None:
         _check_accuracy(delta, "delta")
-    if eps is not None and beta <= 0:
-        raise ValueError("multiplicative accuracy is undefined at beta = 0")
     c_total = comb(n, k + 1)
 
     this_cost = prior_cost = norm_this = norm_prior = None

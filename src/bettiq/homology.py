@@ -136,16 +136,19 @@ class HodgeOperator:
     eigenvalues, the first that many of eig()[i]; it acts on the slots
     block_slots[i].  A slot in no block is a zero row.
 
-    The slots are ranked from the complexes' words only on the first read of
-    `block_slots`, which only placing the states makes.  The complement's block
-    and kernel count are made only on the first read of `blocks` or
-    `kernel_dims`, so ideal phase estimation reads of the complement only its
-    simplex count and kernel count."""
+    The sizes are read from the complexes once, here; the slots are ranked
+    from their words only on the first read of `block_slots`, which only placing
+    the states makes.  Each block is assembled, and the complement's kernel
+    counted, only on the first read of `blocks` or `kernel_dims`, so ideal phase
+    estimation, which reads only sizes and kernel counts, assembles no block."""
 
     def __init__(self, k: int, convention: str, blocks, kernel_dims, complex_: CliqueComplex,
                  complement: CliqueComplex | None = None):
         self.k, self.n, self.convention = k, complex_.n, convention
         self.complex, self.complement = complex_, complement
+        self._sources = (complex_,) if complement is None else (complex_, complement)
+        self.dim = comb(self.n, k + 1)
+        self.block_sizes = tuple(c.simplex_count(k) for c in self._sources)  # no slot is ranked
         self._block_slots = None
         self._blocks = tuple(blocks)
         self._kernel_dims: tuple[int, ...] = tuple(kernel_dims)
@@ -153,30 +156,19 @@ class HodgeOperator:
         self._restricted: HodgeOperator | None = None
 
     @property
-    def dim(self) -> int:
-        return comb(self.n, self.k + 1)
-
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        """Each block's row count, its complex's k-simplex count; no slot is ranked."""
-        return tuple(c.simplex_count(self.k) for c in (self.complex, self.complement)
-                     if c is not None)
-
-    @property
     def block_slots(self) -> tuple[tuple[int, ...], ...]:
         """Each block's slot indices, ranked from its complex's words on the first read."""
         if self._block_slots is None:
-            self._block_slots = tuple(tuple(map(slot_rank, c.words(self.k)))
-                                      for c in (self.complex, self.complement) if c is not None)
+            self._block_slots = tuple(tuple(map(slot_rank, c.words(self.k))) for c in self._sources)
             if len(self._block_slots) > 1 and set(self._block_slots[0]) & set(self._block_slots[1]):
                 raise AssertionError("complement-complex simplices collide with the complex")
         return self._block_slots
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
-        """Each block's matrix, the complement complex's assembled on the first read."""
-        if self.complement is not None and len(self._blocks) == 1:
-            self._blocks += (_laplacian_block(self.complement, self.k),)
+        """Each block's matrix, those not yet held assembled on the first read."""
+        if len(self._blocks) < len(self._sources):
+            self._blocks += tuple(_laplacian_block(c, self.k) for c in self._sources[len(self._blocks):])
         return self._blocks
 
     @property
@@ -196,10 +188,12 @@ class HodgeOperator:
     def restricted(self) -> HodgeOperator:
         """The complex's block alone, the restricted operator at this k: the
         operator itself when that is all it holds, otherwise a cached view that
-        shares the block and never assembles or ranks the complement's."""
-        if self.complement is None and len(self._blocks) == 1:
+        shares the block, assembled here once if it is not yet held, and never
+        assembles or ranks the complement's."""
+        if self.complement is None:
             return self
         if self._restricted is None:
+            self._blocks = self._blocks or (_laplacian_block(self.complex, self.k),)
             self._restricted = HodgeOperator(self.k, "restricted", self._blocks[:1],
                                              self._kernel_dims[:1], self.complex)
         return self._restricted
@@ -244,14 +238,14 @@ def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
 def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restricted") -> HodgeOperator:
     """d_k^T d_k + d_{k+1} d_{k+1}^T on the slot space, as its blocks with their
     kernel counts by integer rank: the complex's own and, under `dual` at k >= 1,
-    the complement complex's (built here, its block and rank on first read)."""
+    the complement complex's (built here, its rank on first read); each block
+    is assembled on its first read."""
     if convention not in ("restricted", "dual"):
         raise ValueError(f"unknown convention {convention!r}")
     comp = None
     if convention == "dual" and k >= 1:
         comp = complement_complex(complex_.graph, k)
-    return HodgeOperator(k, convention, (_laplacian_block(complex_, k),),
-                         (betti_exact(complex_, k),), complex_, comp)
+    return HodgeOperator(k, convention, (), (betti_exact(complex_, k),), complex_, comp)
 
 
 def betti_exact(complex_: CliqueComplex, k: int) -> int:

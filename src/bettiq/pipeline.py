@@ -417,7 +417,8 @@ def tensor_block_encoding(encodings) -> BlockEncoding:
 
 
 def _check_accuracy(value: float, name: str) -> None:
-    """Reject an accuracy parameter that is not a positive finite number (NaN too)."""
+    """Reject an accuracy (or other scale) parameter that is not a positive finite
+    number (NaN too), naming it."""
     if not (value > 0 and isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
 

@@ -339,6 +339,18 @@ class TestResources:
         assert row["valid"] == "False"
         assert "beta" in row["error"]
 
+    @pytest.mark.parametrize("name,value", [("kappa", "nan"), ("kappa", "inf"),
+                                            ("beta", "nan"), ("beta", "inf")])
+    def test_non_finite_kappa_or_beta_flagged_invalid(self, name, value, capsys):
+        args = {"kappa": "2", "beta": "1", name: value}
+        assert run(["resources", "--n", "6", "--k", "1", "--kappa", args["kappa"],
+                    "--beta", args["beta"], "--eps", "0.25"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        row = dict(zip(lines[0].split(","), next(csv.reader([lines[1]]))))
+        assert row["valid"] == "False"
+        assert row["error"] == f"{name} must be positive and finite, got {float(value)}"
+        assert row["this_method_cost"] == ""
+
     def test_header_is_the_report_fields(self, capsys):
         assert run(["resources", "--n", "4", "--k", "1", "--kappa", "2", "--beta", "1"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == (

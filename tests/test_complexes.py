@@ -12,6 +12,7 @@ from bettiq import (
     build_clique_complex,
     complement_complex,
     dump_instance,
+    estimate_betti,
     generate_instance,
     hodge_laplacian,
     induced_graph,
@@ -211,6 +212,14 @@ class TestGraphValidation:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             VertexGraph.from_edges(3, [(1, 1)])
+
+    def test_vertex_count_is_read_as_an_int(self):
+        for n in (3, 3.0, np.int64(3)):
+            g = VertexGraph(n, np.zeros((3, 3), dtype=bool))
+            assert type(g.n) is int and g.n == 3
+            assert estimate_betti(g, 0).beta_rounded == 3
+        with pytest.raises(ValueError, match="vertex count n must be an integer"):
+            VertexGraph(2.5, np.zeros((3, 3), dtype=bool))
 
     @pytest.mark.parametrize("n", [1, 8, 9, 65])
     def test_adjacency_masks_hold_the_neighbours(self, n):

@@ -858,7 +858,7 @@ class TestIdealDualRankRoute:
         estimate_betti(graph, 2, 0.5, convention="dual", mode="sampled", seed=1)
         estimate_normalized_betti(graph, 2, 0.1, convention="dual")
         assert complement_report(graph, 2)["dual_matches_block_kernel"]
-        assert built == [10] * 4
+        assert built == [10] * 2  # only the estimate_betti calls read kappa
         assert decomposed == [10, 10]  # kappa, once per estimate_betti
 
         path, out = tmp_path / "g.json", tmp_path / "out.json"
@@ -873,6 +873,43 @@ class TestIdealDualRankRoute:
             decomposed.clear()
             assert run() is not None
             assert sorted(built) == sorted(set(decomposed)) == [10, 61]
+
+    @pytest.mark.parametrize("convention", ["restricted", "dual"])
+    def test_ideal_reads_of_sizes_and_kernel_counts_assemble_no_block(self, monkeypatch,
+                                                                      convention):
+        graph = random_graph(12, 0.4, seed=1)
+        built = []
+        block = homology._laplacian_block
+
+        def counting(complex_, k):
+            built.append(k)
+            return block(complex_, k)
+
+        monkeypatch.setattr(homology, "_laplacian_block", counting)
+        for k in (0, 1, 2):
+            estimate_normalized_betti(graph, k, 0.1, convention=convention)
+            estimate_normalized_betti(graph, k, 0.1, convention=convention, mode="sampled",
+                                      seed=1)
+            assert complement_report(graph, k)["dual_matches_block_kernel"]
+        assert built == []
+
+    def test_two_estimates_on_one_graph_pack_its_masks_once(self, monkeypatch):
+        graph = random_graph(12, 0.4, seed=1)
+        packed = []
+        packbits = np.packbits
+
+        def counting(*args, **kwargs):
+            packed.append(args[0].shape)
+            return packbits(*args, **kwargs)
+
+        monkeypatch.setattr(np, "packbits", counting)
+        first = estimate_betti(graph, 1)
+        assert estimate_normalized_betti(graph, 1, 0.1).oracle_value == (
+            first.beta_oracle / first.s_count)
+        assert packed == [(12, 12)]
+        masks = graph.adjacency_masks()
+        masks.clear()  # each call returns a fresh list
+        assert graph.adjacency_masks() == list(build_clique_complex(graph, 0).masks)
 
     def test_complement_report_builds_and_ranks_the_complement_once(self, monkeypatch):
         graph = random_graph(12, 0.4, seed=1)
