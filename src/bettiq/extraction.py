@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, floor, hypot, inf, sqrt
 
 import numpy as np
@@ -243,13 +244,18 @@ class PipelineContext:
             self._rho = reduced_density(self.op, self.cfg)
         return self._rho
 
+    @cached_property
+    def _zero_phase_projector(self):
+        """The encoding of |0><0|_phase x I_slot, built on first read from the
+        register sizes (the spectrum only for an automatic t), read-only."""
+        enc = block_encode_projector(2 ** self.cfg.resolve(self.op), self.slot_count)
+        enc.dense.flags.writeable = enc.target.flags.writeable = False
+        return enc
+
     def observable_encoding(self, m: np.ndarray):
-        """Block encoding of |0><0|_phase x I_slot x M by the tensor construction:
-        it reads the register sizes, not the state (nor, but for automatic t, the spectrum)."""
-        return tensor_block_encoding(
-            [block_encode_projector(2 ** self.cfg.resolve(self.op), self.slot_count),
-             block_encode_hermitian(m)]
-        )
+        """Block encoding of |0><0|_phase x I_slot x M by the tensor construction;
+        every observable of the context shares its zero-phase projector."""
+        return tensor_block_encoding([self._zero_phase_projector, block_encode_hermitian(m)])
 
 
 def pipeline_context(source, k: int, convention: str = "restricted",
@@ -264,11 +270,6 @@ def _flag_traces(ctx: PipelineContext, weights) -> tuple[float, ...]:
     Sampled estimation draws the Hadamard-test statistic for these same b."""
     beta, p1, c = ctx.beta_pe(), ctx.p1_trace(), ctx.slot_count
     return tuple((beta * w1 + p1 * w0) / c for w1, w0 in weights)
-
-
-def _flag_trace(m: np.ndarray, ctx: PipelineContext) -> float:
-    """The flag trace b of one checked flag observable M."""
-    return _flag_traces(ctx, [(float(m[1, 1].real), float(m[0, 0].real))])[0]
 
 
 # ---------------------------------------------------------------------------

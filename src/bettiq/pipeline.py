@@ -257,6 +257,14 @@ def _reflection_deviations(phases: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return dev
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Kronecker product of two vectors or two matrices, as one broadcast
+    product and a reshape."""
+    if a.ndim == 1:
+        return (a[:, None] * b).reshape(-1)
+    return (a[:, None, :, None] * b[:, None]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def _product_deviation(unitaries) -> float:
     """max|U^dagger U - I| for U the kron of the unitaries, from their Gram matrices
     G_i: off the diagonal it peaks at max_i off_i prod_{j != i} full_j (the largest
@@ -265,7 +273,7 @@ def _product_deviation(unitaries) -> float:
     full = [np.abs(g).max() for g in grams]
     off = [np.abs(g - np.diag(np.diag(g))).max() for g in grams]
     worst = [o * np.prod(full[:i] + full[i + 1:]) for i, o in enumerate(off)]
-    diag = reduce(np.kron, [np.diag(g) for g in grams])
+    diag = reduce(_kron, [np.diag(g) for g in grams])
     return float(np.max([*worst, np.abs(diag - 1.0).max()]))
 
 
@@ -307,7 +315,7 @@ class BlockEncoding:
             v_phase, v_vec, w_phases, w_vecs = self.reflections
             r = _first_columns(v_phase, v_vec)[0][:, None] * _first_columns(w_phases, w_vecs)
             return r.T @ r.conj()
-        return reduce(np.kron, [u[:d, :d] for u, d in zip(self.factors, self.factor_system_dims)])
+        return reduce(_kron, [u[:d, :d] for u, d in zip(self.factors, self.factor_system_dims)])
 
     def unitarity_deviation(self) -> float:
         """max|U^dagger U - I|, NaN if any factor has a NaN; for the mixture,
@@ -354,14 +362,17 @@ def block_encode_density(rho: DensityOperator) -> BlockEncoding:
 
 
 def block_encode_projector(phase_dim: int, slot_dim: int) -> BlockEncoding:
-    """Exact encoding of |0><0|_phase x I_slot with one ancilla qubit."""
+    """Exact encoding of Pi = |0><0|_phase x I_slot with one ancilla qubit: the
+    real permutation [[Pi, I - Pi], [I - Pi, Pi]], one 1 per row, whose
+    top-left block (a view) is the target."""
+    phase_dim, slot_dim = _integer(phase_dim, "phase_dim"), _integer(slot_dim, "slot_dim")
     if phase_dim < 1 or slot_dim < 1:
         raise ValueError("dimensions must be >= 1")
     d = phase_dim * slot_dim
-    proj = np.diag((np.arange(d) < slot_dim).astype(float))
-    rest = np.eye(d) - proj
-    dense = np.block([[proj, rest], [rest, proj]]).astype(complex)
-    return BlockEncoding(2, d, proj.astype(complex), dense=dense,
+    rows = np.arange(2 * d)
+    dense = np.zeros((2 * d, 2 * d))
+    dense[rows, np.where(rows % d < slot_dim, rows, (rows + d) % (2 * d))] = 1.0
+    return BlockEncoding(2, d, dense[:d, :d], dense=dense,
                          description=f"zero-phase projector ({phase_dim}x{slot_dim})")
 
 
@@ -387,9 +398,10 @@ def block_encode_hermitian(mat: np.ndarray) -> BlockEncoding:
     _check_contraction(m, "matrix")
     evals, evecs = np.linalg.eigh(m)
     comp = evecs @ np.diag(np.sqrt(np.clip(1.0 - evals**2, 0.0, None))) @ evecs.conj().T
-    dense = np.block([[m, comp], [comp, -m]])
-    return BlockEncoding(2, m.shape[0], m, dense=dense,
-                         description=f"hermitian dilation (dim {m.shape[0]})")
+    d = m.shape[0]
+    dense = np.empty((2 * d, 2 * d), dtype=complex)
+    dense[:d, :d], dense[:d, d:], dense[d:, :d], dense[d:, d:] = m, comp, comp, -m
+    return BlockEncoding(2, d, m, dense=dense, description=f"hermitian dilation (dim {d})")
 
 
 def tensor_block_encoding(encodings) -> BlockEncoding:
@@ -406,7 +418,7 @@ def tensor_block_encoding(encodings) -> BlockEncoding:
     if total > DENSE_DIM_CAP:
         raise BlockEncodingError(f"tensor construction of dimension {total} exceeds the dense cap")
     return BlockEncoding(prod(e.ancilla_dim for e in encodings), prod(e.system_dim for e in encodings),
-                         reduce(np.kron, [e.target for e in encodings]),
+                         reduce(_kron, [e.target for e in encodings]),
                          factors=tuple(u for e in encodings for u in e.factors),
                          factor_system_dims=tuple(d for e in encodings for d in e.factor_system_dims),
                          description="tensor of " + ", ".join(e.description or "?" for e in encodings))

@@ -37,7 +37,7 @@ from bettiq import (
     spectral_summary,
 )
 from bettiq.complexes import slot_rank
-from bettiq.extraction import PipelineContext, _check_flag_observable, _flag_trace
+from bettiq.extraction import PipelineContext, _check_flag_observable, _flag_traces
 from bettiq.homology import _reduce
 
 
@@ -438,8 +438,9 @@ def zero_phase_weight(op: HodgeOperator, cfg: PEConfig, s) -> float:
 
 def observable_b(m, ctx: PipelineContext) -> float:
     """The scalar b = Tr[(|0><0| x I x M) rho] for a flag observable M, checked
-    first, summed from the zero-phase block sums: the estimators' `_flag_trace`."""
-    return _flag_trace(_check_flag_observable(m), ctx)
+    first, summed from the zero-phase block sums by the estimators' `_flag_traces`."""
+    m = _check_flag_observable(m)
+    return _flag_traces(ctx, [(float(m[1, 1].real), float(m[0, 0].real))])[0]
 
 
 def perturbation_bound(a: np.ndarray, delta_y_norm: float) -> float:

@@ -120,6 +120,24 @@ class TestObservableB:
             assert enc.factor_system_dims == want.factor_system_dims
         assert ctx.op._eig is None
 
+    @pytest.mark.parametrize("cfg", [PEConfig.ideal(), PEConfig.bits(t=2), PEConfig.bits()])
+    def test_observables_of_one_context_share_one_read_only_projector(self, cfg, monkeypatch):
+        built, build = [], extraction.block_encode_projector
+
+        def counting(*args):
+            built.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(extraction, "block_encode_projector", counting)
+        ctx = pipeline_context(octahedron_graph(), 1, "dual", cfg)
+        pair = ObservablePair.default()
+        first, second = (ctx.observable_encoding(m) for m in (pair.m1, pair.m2))
+        assert built == [(2 ** cfg.resolve(ctx.op), ctx.slot_count)]
+        assert first.factors[0] is second.factors[0]
+        with pytest.raises(ValueError, match="read-only"):
+            first.factors[0][0, 0] = 0.5
+        assert first.verify()["ok"] and second.verify()["ok"]
+
     @pytest.mark.parametrize("convention", ["restricted", "dual"])
     @pytest.mark.parametrize("cfg", [PEConfig.ideal(), PEConfig.bits(t=2), PEConfig.bits()])
     def test_state_and_encoding_share_the_resolved_register(self, cfg, convention):

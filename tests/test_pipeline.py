@@ -390,6 +390,17 @@ class TestBlockEncodeProjector:
         assert np.allclose(block, expected)
         assert enc.verify()["ok"]
 
+    @pytest.mark.parametrize("phase_dim", [2.0, 2.5])
+    def test_sizes_are_read_as_ints(self, phase_dim):
+        if not phase_dim.is_integer():
+            with pytest.raises(ValueError, match="phase_dim must be an integer, got 2.5"):
+                block_encode_projector(phase_dim, 3)
+            return
+        enc = block_encode_projector(phase_dim, 3.0)
+        assert (enc.ancilla_dim, enc.system_dim) == (2, 6)
+        assert np.array_equal(enc.encoded_block(), block_encode_projector(2, 3).encoded_block())
+        assert enc.verify()["ok"]
+
 
 class TestBlockEncodeHermitian:
     @pytest.mark.parametrize("seed", range(4))
@@ -459,11 +470,15 @@ class TestTensorBlockEncoding:
         m = (raw + raw.conj().T) / 2
         return block_encode_hermitian(m / (1.2 * np.abs(np.linalg.eigvalsh(m)).max()))
 
-    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("seed", range(5))
     def test_matches_dense_oracle(self, seed):
         rng = np.random.default_rng(200 + seed)
-        encs = [block_encode_projector(2, 3 + seed), self._random_hermitian(rng, 2),
-                self._random_hermitian(rng, 3)]
+        if seed < 3:
+            encs = [block_encode_projector(2, 3 + seed), self._random_hermitian(rng, 2),
+                    self._random_hermitian(rng, 3)]
+        else:  # the observable encodings' shapes: P=4, C=6 and P=2, C=20 with a flag projector
+            phase_dim, slot_dim, flag = [(4, 6, [0.0, 1.0]), (2, 20, [1.0, 0.0])][seed - 3]
+            encs = [block_encode_projector(phase_dim, slot_dim), block_encode_hermitian(np.diag(flag))]
         enc = tensor_block_encoding(encs)
         assert enc.dense is None
         u = tensor_unitary([e.dense for e in encs], [e.system_dim for e in encs])
