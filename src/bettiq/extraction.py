@@ -21,6 +21,7 @@ from .complexes import CliqueComplex, VertexGraph, _check_dimension, build_cliqu
 from .homology import (
     HodgeOperator,
     SpectralSummary,
+    _summary,
     betti_exact,
     complement_complex,
     hodge_laplacian,
@@ -211,10 +212,10 @@ class PipelineContext:
 
     def summary(self) -> SpectralSummary:
         """The spectrum digest the estimate reads and reports: under ideal phase
-        estimation the complex's own block's (the restricted operator's, whose
-        kappa is the paper's), as no block's kernel count needs its spectrum; for
-        a t-bit register, which reads every eigenvalue, the whole operator's."""
-        return spectral_summary(self.op.restricted() if self.cfg.mode == "ideal" else self.op)
+        estimation the complex's block's alone, the restricted operator's, whose
+        kappa is the paper's, as no kernel count needs a spectrum; for a t-bit
+        register, which reads every eigenvalue, the whole operator's."""
+        return _summary(self.op, 1) if self.cfg.mode == "ideal" else spectral_summary(self.op)
 
     def _block_sums(self) -> tuple[float, ...]:
         """Zero-outcome probability summed over each block's eigenvalues: in ideal

@@ -133,14 +133,15 @@ class HodgeOperator:
     as its diagonal blocks, one per complex: the complex's first, then (dual,
     k >= 1) the complement complex's, built to level k.  blocks[i] has
     block_sizes[i] rows, its complex's k-simplex count, and kernel_dims[i] zero
-    eigenvalues, the first that many of eig()[i]; it acts on the slots
-    block_slots[i].  A slot in no block is a zero row.
+    eigenvalues, its complex's beta_k by integer rank (the Hodge theorem) and
+    the first that many of eig(i); it acts on the slots block_slots[i].  A slot
+    in no block is a zero row.
 
-    The sizes are read from the complexes once, here; the slots are ranked
-    from their words only on the first read of `block_slots`, which only placing
-    the states makes.  Each block is assembled, and the complement's kernel
-    counted, only on the first read of `blocks` or `kernel_dims`, so ideal phase
-    estimation, which reads only sizes and kernel counts, assembles no block."""
+    The sizes and kernel counts are fixed here.  A block is assembled on the
+    first read of it alone, by eig(i) or `blocks`, so ideal phase estimation,
+    which reads only sizes and kernel counts, assembles no block; the slots are
+    ranked from their words only on the first read of `block_slots`, which only
+    placing the states makes."""
 
     def __init__(self, k: int, convention: str, blocks, kernel_dims, complex_: CliqueComplex,
                  complement: CliqueComplex | None = None):
@@ -149,11 +150,13 @@ class HodgeOperator:
         self._sources = (complex_,) if complement is None else (complex_, complement)
         self.dim = comb(self.n, k + 1)
         self.block_sizes = tuple(c.simplex_count(k) for c in self._sources)  # no slot is ranked
+        self.kernel_dims: tuple[int, ...] = tuple(kernel_dims)
+        if len(self.kernel_dims) != len(self._sources):
+            raise ValueError(f"kernel_dims has {len(self.kernel_dims)} entries for "
+                             f"{len(self._sources)} blocks")
         self._block_slots = None
-        self._blocks = tuple(blocks)
-        self._kernel_dims: tuple[int, ...] = tuple(kernel_dims)
-        self._eig: tuple | None = None
-        self._restricted: HodgeOperator | None = None
+        self._blocks = [*blocks, *[None] * (len(self._sources) - len(blocks))]
+        self._evals = [None] * len(self._sources)
 
     @property
     def block_slots(self) -> tuple[tuple[int, ...], ...]:
@@ -164,39 +167,25 @@ class HodgeOperator:
                 raise AssertionError("complement-complex simplices collide with the complex")
         return self._block_slots
 
+    def _block(self, i: int) -> np.ndarray:
+        """Block i's matrix, assembled on its first read."""
+        block = self._blocks[i]
+        if block is None:
+            block = self._blocks[i] = _laplacian_block(self._sources[i], self.k)
+        return block
+
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
-        """Each block's matrix, those not yet held assembled on the first read."""
-        if len(self._blocks) < len(self._sources):
-            self._blocks += tuple(_laplacian_block(c, self.k) for c in self._sources[len(self._blocks):])
-        return self._blocks
+        """Each block's matrix, those not yet held assembled on this read."""
+        return tuple(map(self._block, range(len(self._sources))))
 
-    @property
-    def kernel_dims(self) -> tuple[int, ...]:
-        """Each block's kernel count, its complex's beta_k by integer rank (the
-        Hodge theorem), the complement complex's ranked on the first read."""
-        if self.complement is not None and len(self._kernel_dims) == 1:
-            self._kernel_dims += (betti_exact(self.complement, self.k),)
-        return self._kernel_dims
-
-    def eig(self) -> tuple[np.ndarray, ...]:
-        """Each block's eigenvalues, ascending (cached)."""
-        if self._eig is None:
-            self._eig = tuple(np.linalg.eigvalsh(block) for block in self.blocks)
-        return self._eig
-
-    def restricted(self) -> HodgeOperator:
-        """The complex's block alone, the restricted operator at this k: the
-        operator itself when that is all it holds, otherwise a cached view that
-        shares the block, assembled here once if it is not yet held, and never
-        assembles or ranks the complement's."""
-        if self.complement is None:
-            return self
-        if self._restricted is None:
-            self._blocks = self._blocks or (_laplacian_block(self.complex, self.k),)
-            self._restricted = HodgeOperator(self.k, "restricted", self._blocks[:1],
-                                             self._kernel_dims[:1], self.complex)
-        return self._restricted
+    def eig(self, i: int) -> np.ndarray:
+        """Block i's eigenvalues, ascending and read-only, decomposed on the first read."""
+        evals = self._evals[i]
+        if evals is None:
+            evals = self._evals[i] = np.linalg.eigvalsh(self._block(i))
+            evals.flags.writeable = False
+        return evals
 
 
 def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
@@ -238,14 +227,15 @@ def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
 def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restricted") -> HodgeOperator:
     """d_k^T d_k + d_{k+1} d_{k+1}^T on the slot space, as its blocks with their
     kernel counts by integer rank: the complex's own and, under `dual` at k >= 1,
-    the complement complex's (built here, its rank on first read); each block
-    is assembled on its first read."""
+    the complement complex's (built and ranked here); each block is assembled
+    on its first read."""
     if convention not in ("restricted", "dual"):
         raise ValueError(f"unknown convention {convention!r}")
-    comp = None
+    comp, kernel_dims = None, (betti_exact(complex_, k),)
     if convention == "dual" and k >= 1:
         comp = complement_complex(complex_.graph, k)
-    return HodgeOperator(k, convention, (), (betti_exact(complex_, k),), complex_, comp)
+        kernel_dims += (betti_exact(comp, k),)
+    return HodgeOperator(k, convention, (), kernel_dims, complex_, comp)
 
 
 def betti_exact(complex_: CliqueComplex, k: int) -> int:
@@ -262,12 +252,11 @@ class SpectralSummary:
     """Spectrum digest over all slots (a slot in no block is one zero
     eigenvalue); kappa = lambda_max / lambda_min_nonzero over the nonzero
     spectrum (an interpretation - the source ratio is not pinned to a norm),
-    None when the spectrum is all zero.  block_kernel_dims is the operator's
-    kernel_dims; threshold_agrees says whether each block counts that many
-    eigenvalues below the zero cut `threshold`."""
+    None when the spectrum is all zero.  threshold_agrees says whether each
+    block counts its kernel_dims entry of eigenvalues below the zero cut
+    `threshold`."""
 
     kernel_dim: int
-    block_kernel_dims: tuple[int, ...]
     threshold: float
     lambda_min_nonzero: float | None
     lambda_max: float
@@ -280,17 +269,23 @@ def spectral_summary(op: HodgeOperator) -> SpectralSummary:
     kernel_dims[i] ascending eigenvalues are its kernel, the next its smallest
     nonzero one.  The count below DEFAULT_ZERO_TOL * max(lambda_max, 1) only
     checks that split; a block where it differs is named in a RuntimeWarning."""
-    block_evals, kernel_dims = op.eig(), op.kernel_dims
-    uncovered = op.dim - sum(op.block_sizes)
+    return _summary(op, len(op.block_sizes))
+
+
+def _summary(op: HodgeOperator, count: int) -> SpectralSummary:
+    """spectral_summary over op's first `count` blocks, every other slot a zero
+    row: the restricted operator's digest at count 1, which reads no other block."""
+    block_evals, kernel_dims = [op.eig(i) for i in range(count)], op.kernel_dims[:count]
+    uncovered = op.dim - sum(op.block_sizes[:count])
     lam_max = max([float(e[-1]) for e in block_evals if e.size] + ([0.0] if uncovered else []))
     thresh = DEFAULT_ZERO_TOL * max(lam_max, 1.0)
     below = tuple(int(e.searchsorted(thresh)) for e in block_evals)
-    for i, (rank_count, count) in enumerate(zip(kernel_dims, below)):
-        if rank_count != count:
-            warnings.warn(f"block {i}: kernel count {rank_count} by integer rank, {count} "
+    for i, (rank_count, cut_count) in enumerate(zip(kernel_dims, below)):
+        if rank_count != cut_count:
+            warnings.warn(f"block {i}: kernel count {rank_count} by integer rank, {cut_count} "
                           f"eigenvalues below the threshold {thresh:.3g}", RuntimeWarning)
     lam_min = min((float(e[d]) for e, d in zip(block_evals, kernel_dims) if d < e.size),
                   default=None)
     kappa = None if lam_min is None else lam_max / lam_min
-    return SpectralSummary(uncovered + sum(kernel_dims), kernel_dims, thresh, lam_min, lam_max,
-                           kappa, below == kernel_dims)
+    return SpectralSummary(uncovered + sum(kernel_dims), thresh, lam_min, lam_max, kappa,
+                           below == kernel_dims)

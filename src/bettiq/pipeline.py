@@ -211,7 +211,8 @@ def zero_phase_weights(op: HodgeOperator, cfg: PEConfig) -> tuple[np.ndarray, ..
         return tuple((np.arange(size) < kernel_dim).astype(float)
                      for size, kernel_dim in zip(op.block_sizes, op.kernel_dims))
     t = cfg.resolve(op)
-    return tuple(phase_zero_probability(phases, t) for phases in _eigenphases(op.eig(), op.kernel_dims))
+    phases = _eigenphases([op.eig(i) for i in range(len(op.block_sizes))], op.kernel_dims)
+    return tuple(phase_zero_probability(p, t) for p in phases)
 
 
 # ---------------------------------------------------------------------------

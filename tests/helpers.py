@@ -67,11 +67,35 @@ def two_disjoint_cycles(m: int = 4) -> VertexGraph:
     return VertexGraph.from_edges(2 * m, edges)
 
 
+def cocktail_party_graph(m: int) -> VertexGraph:
+    """K_{2xm}: every vertex pair adjacent but the m pairs (i, i+m).  Its flag
+    complex is the boundary of the m-dimensional cross-polytope, the sphere
+    S^{m-1}, so beta_{m-1} = 1."""
+    adj = ~np.eye(2 * m, dtype=bool)
+    for i in range(m):
+        adj[i, i + m] = adj[i + m, i] = False
+    return VertexGraph(2 * m, adj)
+
+
 def octahedron_graph() -> VertexGraph:
-    adj = ~np.eye(6, dtype=bool)
-    for i in range(3):
-        adj[i, i + 3] = adj[i + 3, i] = False
-    return VertexGraph(6, adj)
+    return cocktail_party_graph(3)
+
+
+def graph_join(g: VertexGraph, h: VertexGraph) -> VertexGraph:
+    """G*H, h's vertices after g's, each adjacent to each of g's.  Its flag
+    complex is the join of theirs, with reduced homology over Q the sum over
+    i + j = r - 1 of H_i(G) x H_j(H) (Milnor 1956): the join of S^a and S^b is
+    S^{a+b+1}."""
+    adj = np.ones((g.n + h.n, g.n + h.n), dtype=bool)
+    adj[:g.n, :g.n], adj[g.n:, g.n:] = g.adjacency, h.adjacency
+    return VertexGraph(g.n + h.n, adj)
+
+
+def disjoint_union(g: VertexGraph, h: VertexGraph) -> VertexGraph:
+    """G + H, h's vertices after g's, no edge between them: Betti numbers add."""
+    adj = np.zeros((g.n + h.n, g.n + h.n), dtype=bool)
+    adj[:g.n, :g.n], adj[g.n:, g.n:] = g.adjacency, h.adjacency
+    return VertexGraph(g.n + h.n, adj)
 
 
 @st.composite
@@ -340,6 +364,23 @@ def contains_word(complex_: CliqueComplex, k: int, word: int) -> bool:
 # spectral and phase-estimation oracles
 
 
+def record_decompositions(monkeypatch) -> list:
+    """Patch np.linalg.eigvalsh and eigh to log each call as (name, matrix)."""
+    calls = []
+
+    def recording(name):
+        solver = getattr(np.linalg, name)
+
+        def run(a, *args, **kwargs):
+            calls.append((name, a))
+            return solver(a, *args, **kwargs)
+        return run
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
+    return calls
+
+
 def dense_operator(op: HodgeOperator) -> np.ndarray:
     """The operator as a dense C x C matrix: its blocks embedded at their slots."""
     full = np.zeros((op.dim, op.dim))
@@ -380,8 +421,8 @@ def slot_zero_phase_weights(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
     summary, t = spectral_summary(op), cfg.resolve(op)
     tau = 1.0 if summary.kappa is None else np.pi / summary.lambda_max
     weights = np.ones(op.dim)
-    for slots, block, evals, kernel_dim in zip(op.block_slots, op.blocks, op.eig(),
-                                               summary.block_kernel_dims):
+    for i, (slots, block) in enumerate(zip(op.block_slots, op.blocks)):
+        evals, kernel_dim = op.eig(i), op.kernel_dims[i]
         kernel = np.arange(evals.size) < kernel_dim
         if cfg.mode == "ideal":
             outcome = kernel.astype(float)

@@ -41,14 +41,18 @@ from bettiq import (
 )
 from helpers import (
     census_graph,
+    cocktail_party_graph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     empty_graph,
+    graph_join,
     observable_b,
     octahedron_graph,
     path_graph,
     perturbation_bound,
     random_graph,
+    record_decompositions,
     slot_zero_phase_weights,
     small_graphs,
 )
@@ -107,7 +111,8 @@ class TestObservableB:
             assert enc.system_dim == 4 * ctx.slot_count * 2  # phase x slot x flag
 
     @pytest.mark.parametrize("cfg", [PEConfig.ideal(), PEConfig.bits(t=2)])
-    def test_observable_encoding_of_a_fixed_register_needs_no_spectrum(self, cfg):
+    def test_observable_encoding_of_a_fixed_register_needs_no_spectrum(self, cfg, monkeypatch):
+        decomposed = record_decompositions(monkeypatch)
         ctx = pipeline_context(octahedron_graph(), 1, "dual", cfg)
         ref = pipeline_context(octahedron_graph(), 1, "dual", cfg)
         phase_dim = 2 ** cfg.resolve(ref.op)
@@ -118,7 +123,7 @@ class TestObservableB:
             assert np.array_equal(enc.target, want.target)
             assert all(np.array_equal(u, v) for u, v in zip(enc.factors, want.factors, strict=True))
             assert enc.factor_system_dims == want.factor_system_dims
-        assert ctx.op._eig is None
+        assert not any(a is block for _, a in decomposed for block in ctx.op.blocks)
 
     @pytest.mark.parametrize("cfg", [PEConfig.ideal(), PEConfig.bits(t=2), PEConfig.bits()])
     def test_observables_of_one_context_share_one_read_only_projector(self, cfg, monkeypatch):
@@ -617,6 +622,18 @@ class TestSpectralSums:
         assert sorted(seen) == sorted(id(block) for block in op.blocks)
         assert len(op.blocks) == (2 if convention == "dual" else 1)
 
+    def test_one_context_at_automatic_t_decomposes_each_block_once_per_solver(self, monkeypatch):
+        # blocks of 12 and 3: eigvalsh for the register size, the weights and the
+        # summary; eigh for the rows, whose phases never depend on which reader ran first
+        ctx = pipeline_context(octahedron_graph(), 1, "dual", PEConfig.bits())
+        decomposed = record_decompositions(monkeypatch)
+        ctx.beta_pe(), ctx.p1_trace(), ctx.rho()
+        assert all(ctx.observable_encoding(m).verify()["ok"] for m in (FLAG_ONE, FLAG_ZERO))
+        spectral_summary(ctx.op)
+        calls = [(name, len(a)) for name, a in decomposed if len(a) > 2]  # not the observables
+        assert sorted(calls) == [("eigh", 3), ("eigh", 12), ("eigvalsh", 3), ("eigvalsh", 12)]
+        assert ctx.op.block_sizes == (12, 3)
+
 
 class TestEstimateNormalized:
     def test_c4_exact(self):
@@ -703,6 +720,31 @@ class TestTopDimension:
     def test_top_level_of_a_hollow_complex_is_empty(self):
         with pytest.raises(ValueError, match="no k-simplices"):
             estimate_betti(cycle_graph(4), 3)
+
+
+class TestKnownTopology:
+    """Betti numbers at k = 3..5 from mathematics, not from this code: K_{2xm} is
+    S^{m-1}, the join of S^a and S^b is S^{a+b+1}, and disjoint unions add."""
+
+    C5 = cycle_graph(5)
+
+    @pytest.mark.parametrize("convention", ["restricted", "dual"])
+    @pytest.mark.parametrize("graph,k,beta", [
+        pytest.param(graph_join(C5, C5), 3, 1, id="C5*C5=S3"),
+        pytest.param(cocktail_party_graph(5), 4, 1, id="K2x5=S4"),
+        pytest.param(graph_join(C5, cocktail_party_graph(3)), 4, 1, id="C5*K2x3=S4"),
+        pytest.param(graph_join(graph_join(C5, C5), C5), 5, 1, id="C5*C5*C5=S5"),
+        # its complement is the join of two perfect matchings: a dual block of 16 rows
+        pytest.param(disjoint_union(cocktail_party_graph(4), cocktail_party_graph(4)), 3, 2,
+                     id="K2x4+K2x4=2S3"),
+    ])
+    def test_betti_number_of_a_known_space(self, graph, k, beta, convention):
+        c = build_clique_complex(graph, k)
+        assert betti_exact(c, k) == beta
+        assert spectral_summary(hodge_laplacian(c, k, convention)).threshold_agrees
+        assert estimate_betti(c, k, convention=convention).beta_rounded == beta
+        # automatic t reads 1.003 to 1.022 here (its leakage bias), so only the rounded value
+        assert estimate_betti(c, k, convention=convention, pe=PEConfig.bits()).beta_rounded == beta
 
 
 class TestBuildLevel:
@@ -846,7 +888,7 @@ class TestIdealDualRankRoute:
         for graph, k in self.cases():
             ctx = pipeline_context(graph, k, "dual")
             full = hodge_laplacian(ctx.complex, k, "dual")
-            kernels = spectral_summary(full).block_kernel_dims
+            kernels = full.kernel_dims
             uncovered = full.dim - sum(map(len, full.block_slots))
             assert ctx.p1_trace() == uncovered + sum(kernels[1:]), (graph, k)
             if k == 0:

@@ -176,6 +176,18 @@ class TestHodge:
         with pytest.raises(ValueError):
             hodge_laplacian(c, 1, "projected")
 
+    def test_one_kernel_count_per_block(self):
+        c = build_clique_complex(cycle_graph(4), 1)
+        with pytest.raises(ValueError, match="kernel_dims has 2 entries for 1 blocks"):
+            HodgeOperator(1, "restricted", (), (1, 0), c)
+
+    def test_cached_eigenvalues_are_read_only(self):
+        # zeros written into them made the next estimate on the operator divide by zero
+        op = hodge_laplacian(build_clique_complex(cycle_graph(4), 2), 1)
+        with pytest.raises(ValueError, match="read-only"):
+            op.eig(0)[:] = 0
+        assert np.allclose(op.eig(0), [0, 2, 2, 4])
+
     @pytest.mark.parametrize("seed", range(3))
     def test_psd(self, seed):
         c = build_clique_complex(random_graph(7, 0.5, seed=seed), 3)
@@ -211,7 +223,8 @@ class TestHodge:
         monkeypatch.setattr(homology, "complement_complex", recording)
         c = build_clique_complex(random_graph(7, 0.5, seed=1), 3)
         for k in (1, 2):
-            hodge_laplacian(c, k, "dual").eig()
+            op = hodge_laplacian(c, k, "dual")
+            op.eig(0), op.eig(1)
         assert levels == [1, 2]
 
     def test_dual_equals_restricted_at_k0(self):
@@ -366,7 +379,7 @@ class TestSpectralSummary:
                            kernel_dims=(1,), complex_=build_clique_complex(empty_graph(3), 0))
         with pytest.warns(RuntimeWarning, match="block 0: kernel count 1 by integer rank, 2 "):
             summary = spectral_summary(op)
-        assert summary.kernel_dim == 1 and summary.block_kernel_dims == (1,)
+        assert summary.kernel_dim == 1 and op.kernel_dims == (1,)
         assert summary.lambda_min_nonzero == 1e-9
         assert summary.kappa == pytest.approx(1e9)
         assert summary.threshold_agrees is False
@@ -376,7 +389,7 @@ class TestSpectralSummary:
         c = build_clique_complex(random_graph(6, 0.5, seed=8), 2)
         op = hodge_laplacian(c, 1)
         summary = spectral_summary(op)
-        nonzero = sum(int((e >= summary.threshold).sum()) for e in op.eig())
+        nonzero = sum(int((op.eig(i) >= summary.threshold).sum()) for i in range(len(op.blocks)))
         assert summary.kernel_dim + nonzero == op.dim
 
 
