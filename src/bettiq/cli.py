@@ -98,6 +98,12 @@ def _emit_json(payload: dict, out: str | None) -> None:
         print(text)
 
 
+def _config(args, **overrides) -> dict:
+    """The report's echo of every parsed option but the handler and --out."""
+    return {**{key: value for key, value in vars(args).items() if key not in ("func", "out")},
+            **overrides}
+
+
 def _emit_report(config: dict, results, start: float, out: str | None) -> None:
     """Write the report envelope every analysis command emits; its timing runs
     from `start` to this call, after the results are computed."""
@@ -139,8 +145,6 @@ def _cmd_exact(args) -> int:
     if ctx.s_count == 0:
         raise ValueError(f"instance has no simplices at dimension k={args.k}")
     summary = spectral_summary(ctx.op)  # kernel_dim from the operator's rank counts
-    config = {"command": "exact", "instance": str(args.instance), "k": args.k,
-              "convention": args.convention}
     results = {
         "beta": ctx.op.kernel_dims[0],
         "s_count": ctx.s_count,
@@ -149,36 +153,18 @@ def _cmd_exact(args) -> int:
         "kernel_dim": summary.kernel_dim,
         "threshold_agrees": summary.threshold_agrees,
     }
-    _emit_report(config, results, start, args.out)
+    _emit_report(_config(args), results, start, args.out)
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    if args.normalized and args.delta is None:
-        raise ValueError("--normalized needs --delta (additive accuracy)")
-    if not args.normalized and args.mode == "sampled" and args.eps is None:
-        raise ValueError("sampled estimation needs --eps (multiplicative accuracy)")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     instance = load_instance(args.instance)
     pe = _parse_pe(args.pe)
     pair = _parse_pair(args.pair)
     master = np.random.SeedSequence(args.seed)
-    config = {
-        "command": "estimate",
-        "instance": str(args.instance),
-        "k": args.k,
-        "normalized": args.normalized,
-        "eps": args.eps,
-        "delta": args.delta,
-        "mode": args.mode,
-        "convention": args.convention,
-        "pe": args.pe,
-        "pair": args.pair,
-        "confidence": args.confidence,
-        "seed": master.entropy,
-        "trials": args.trials,
-    }
+    config = _config(args, seed=master.entropy)
 
     def run_one(seed):
         if args.normalized:
@@ -231,9 +217,7 @@ def _cmd_complement(args) -> int:
     instance = load_instance(args.instance)
     pe = _parse_pe(args.pe)
     start = time.perf_counter()
-    report = complement_report(instance, args.k, pe=pe)
-    config = {"command": "complement", "instance": str(args.instance), "k": args.k, "pe": args.pe}
-    _emit_report(config, report, start, args.out)
+    _emit_report(_config(args), complement_report(instance, args.k, pe=pe), start, args.out)
     return 0
 
 

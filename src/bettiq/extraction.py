@@ -17,7 +17,7 @@ from math import comb, floor, hypot, inf, sqrt
 
 import numpy as np
 
-from .complexes import CliqueComplex, VertexGraph, _check_dimension, build_clique_complex
+from .complexes import CliqueComplex, _check_dimension, build_clique_complex
 from .homology import (
     HodgeOperator,
     SpectralSummary,
@@ -32,6 +32,7 @@ from .pipeline import (
     PEConfig,
     TraceEstimate,
     _check_accuracy,
+    _check_confidence,
     _check_contraction,
     as_seed_sequence,
     block_encode_hermitian,
@@ -172,14 +173,15 @@ def plan_delta(eps: float, beta_lower: float, a: np.ndarray) -> float:
 
 
 def _as_complex(source, k: int) -> CliqueComplex:
-    """The complex the pipeline reads at dimension k: a graph or point cloud's,
-    built to level k, or a complex built at least that far."""
-    if not isinstance(source, CliqueComplex):
-        return build_clique_complex(source, k)
-    _check_dimension(k, source.n)
-    if source.max_dim < k:
-        raise ValueError(f"complex must be built to dimension k={k} (max_dim={source.max_dim})")
-    return source
+    """The complex the pipeline reads at dimension k: a complex built at least
+    that far is reused; an under-built complex is rebuilt from its graph, and a
+    graph or point cloud built, to level k."""
+    if isinstance(source, CliqueComplex):
+        if source.max_dim >= k:
+            _check_dimension(k, source.n)
+            return source
+        source = source.graph
+    return build_clique_complex(source, k)
 
 
 @dataclass(eq=False)
@@ -372,16 +374,16 @@ def _round_beta(beta_raw: float) -> int:
 
 def _enter(source, k: int, convention: str, pe: PEConfig | None, mode: str, confidence: float,
            pair: ObservablePair | None, seed) -> tuple:
-    """The estimators' shared entry: check mode and confidence, build the context, reject
-    an empty level, and supply the default pair and (sampled mode) the seed sequence."""
+    """The estimators' shared entry: check mode, confidence and (sampled mode) the seed,
+    then build the context, reject an empty level, and supply the default pair and the
+    seed sequence."""
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    if not 0 < confidence < 1:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    _check_confidence(confidence)
+    ss = as_seed_sequence(seed) if mode == "sampled" else None
     ctx = pipeline_context(source, k, convention, pe)
     if ctx.s_count == 0:
         raise ValueError("no k-simplices; the estimate is undefined")
-    ss = as_seed_sequence(seed) if mode == "sampled" else None
     return ctx, pair or ObservablePair.default(), ss
 
 
@@ -413,14 +415,13 @@ def estimate_betti(source, k: int, eps: float | None = None, *, pair: Observable
     """
     if eps is not None:
         _check_accuracy(eps, "eps")
-    ctx, pair, ss = _enter(source, k, convention, pe, mode, confidence, pair, seed)
-    a = assemble_system(pair, ctx.slot_count)
-
-    delta = None
     if mode == "sampled":
         if eps is None:
             raise ValueError("sampled mode needs a target multiplicative accuracy eps")
-        delta = plan_delta(eps, beta_lower, a)
+        _check_accuracy(beta_lower, "beta_lower")
+    ctx, pair, ss = _enter(source, k, convention, pe, mode, confidence, pair, seed)
+    a = assemble_system(pair, ctx.slot_count)
+    delta = plan_delta(eps, beta_lower, a) if mode == "sampled" else None
     system, samples = _measure_and_solve(ctx, pair, a, delta, confidence, ss)
 
     beta_raw, p1 = system.x
@@ -512,15 +513,8 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
     a t-bit register, where p1_dual sums the block's zero-phase weights, is it
     an independent spectral-vs-rank check.
     """
-    if isinstance(source, CliqueComplex):
-        graph = source.graph
-        if source.max_dim < k:
-            source = graph  # under-built: the pipeline builds it from the graph
-    elif isinstance(source, VertexGraph):
-        graph = source
-    else:
-        raise ValueError("the complement comparison needs a graph instance")
     ctx = pipeline_context(source, k, "dual", pe)
+    graph = ctx.complex.graph
     c_total, s_count = ctx.slot_count, ctx.s_count
     comp_slots = c_total - s_count
     # the restricted operator is the dual one's first block alone: every other slot is a zero row
@@ -605,12 +599,14 @@ def resource_estimate(n: int, k: int, kappa: float, beta: float, s_count: int,
     _check_accuracy(kappa, "kappa")
     if s_count < 1:
         raise ValueError(f"|S_k| must be positive, got {s_count}")
+    c_total = comb(n, k + 1)
+    if s_count > c_total:
+        raise ValueError(f"|S_k| = {s_count} exceeds the slot count C = {c_total}")
     if eps is not None:  # multiplicative accuracy, undefined at beta = 0
         _check_accuracy(eps, "eps")
         _check_accuracy(beta, "beta")
     if delta is not None:
         _check_accuracy(delta, "delta")
-    c_total = comb(n, k + 1)
 
     this_cost = prior_cost = norm_this = norm_prior = None
     planned_delta = sample_cost = None

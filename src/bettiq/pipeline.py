@@ -431,17 +431,30 @@ def tensor_block_encoding(encodings) -> BlockEncoding:
 
 def _check_accuracy(value: float, name: str) -> None:
     """Reject an accuracy (or other scale) parameter that is not a positive finite
-    number (NaN too), naming it."""
-    if not (value > 0 and isfinite(value)):
+    number (NaN, None and non-numbers too), naming it."""
+    try:
+        ok = value > 0 and isfinite(value)
+    except TypeError:
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _check_confidence(confidence: float) -> None:
+    """Reject a confidence outside (0, 1) (NaN, None and non-numbers too)."""
+    try:
+        ok = 0 < confidence < 1
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
 
 
 def hoeffding_sample_count(delta: float, confidence: float) -> int:
     """Samples guaranteeing |mean - truth| <= delta with the given confidence
     for the +/-1 Hadamard statistic, whose outcomes span _OUTCOME_RANGE."""
     _check_accuracy(delta, "delta")
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must lie in (0, 1)")
+    _check_confidence(confidence)
     try:
         count = _OUTCOME_RANGE**2 * log(2.0 / (1.0 - confidence)) / (2.0 * delta**2)
     except ZeroDivisionError:  # delta**2 underflows to 0

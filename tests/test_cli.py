@@ -339,6 +339,14 @@ class TestResources:
         assert row["valid"] == "False"
         assert "beta" in row["error"]
 
+    def test_more_simplices_than_slots_flagged_invalid(self, capsys):
+        assert run(["resources", "--n", "5", "--k", "1", "--kappa", "2", "--beta", "1",
+                    "--s-k", "11", "--eps", "0.1"]) == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["valid"] == "False"
+        assert row["error"] == "|S_k| = 11 exceeds the slot count C = 10"
+        assert row["grover_preparation_cost"] == ""
+
     @pytest.mark.parametrize("name,value", [("kappa", "nan"), ("kappa", "inf"),
                                             ("beta", "nan"), ("beta", "inf")])
     def test_non_finite_kappa_or_beta_flagged_invalid(self, name, value, capsys):
@@ -461,6 +469,27 @@ class TestReportEnvelope:
         assert set(report) == {"config", "results", "timing_seconds", "versions"}
         assert report["versions"] == {"bettiq": bettiq.__version__, "numpy": np.__version__}
         assert report["config"]["command"] == args[0]
+
+    @pytest.mark.parametrize("args", [
+        ["exact", "--convention", "dual"],
+        ["estimate"],
+        ["estimate", "--mode", "sampled", "--eps", "0.25", "--pe", "bits:2", "--trials", "2"],
+        ["estimate", "--normalized", "--delta", "0.1", "--mode", "sampled", "--seed", "7"],
+        ["complement", "--pe", "bits:2"],
+    ])
+    def test_config_echoes_every_parsed_option_but_out(self, args, c4_file, tmp_path):
+        out = tmp_path / "report.json"
+        argv = args + ["--instance", str(c4_file), "--k", "1", "--out", str(out)]
+        assert run(argv) == 0
+        report = json.loads(out.read_text())
+        expected = vars(cli._parser().parse_args(argv))
+        del expected["func"], expected["out"]
+        if args[0] == "estimate":  # the master seed's entropy, drawn when --seed is unset
+            results = report["results"]
+            seed = (results["trials"][0] if "trials" in results else results)["seed"]
+            expected["seed"] = report["config"]["seed"] if seed is None else seed["entropy"]
+            assert isinstance(expected["seed"], int)
+        assert report["config"] == expected
 
 
 def readme_cli_lines():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from bettiq import (
+    InstanceSpec,
     ObservablePair,
     PEConfig,
     PipelineContext,
@@ -25,9 +26,11 @@ from bettiq import (
     estimate_betti,
     estimate_normalized_betti,
     extraction,
+    generate_instance,
     homology,
     hodge_laplacian,
     hoeffding_sample_count,
+    induced_graph,
     inv_norm,
     pipeline,
     pipeline_context,
@@ -749,29 +752,76 @@ class TestKnownTopology:
 
 class TestBuildLevel:
     """A graph is built to level k; a complex built a level higher, as a caller
-    may still pass, gives the same estimates bit for bit."""
+    may still pass, or a level lower, which is rebuilt from its graph, gives the
+    same estimates bit for bit."""
 
     CASES = ([(census_graph(i), k) for i in range(1, 2 ** 15, 64) for k in (0, 1)]
              + [(random_graph(n, p, seed=1), 2) for n in (8, 16, 24) for p in (0.3, 0.5, 0.7)])
 
     def test_a_complex_built_above_k_estimates_as_the_graph(self):
         for graph, k in self.CASES:
-            over = build_clique_complex(graph, min(k + 1, graph.n - 1))
-            for pe in (None, PEConfig.bits(t=2)):
-                for convention in ("restricted", "dual"):
-                    a, b = (estimate_betti(source, k, convention=convention, pe=pe)
-                            for source in (graph, over))
-                    assert repr((a.beta_estimate, a.p1_estimate, a.kappa_laplacian)) == \
-                        repr((b.beta_estimate, b.p1_estimate, b.kappa_laplacian)), \
-                        (graph.edges(), k, convention, pe)
-                assert complement_report(graph, k, pe) == complement_report(over, k, pe), \
-                    (graph.edges(), k, pe)
+            # a level above k and, for k >= 1, a level below, rebuilt from its graph
+            complexes = [build_clique_complex(graph, level)
+                         for level in {min(k + 1, graph.n - 1), max(k - 1, 0)}]
+            for source in complexes:
+                for pe in (None, PEConfig.bits(t=2)):
+                    for convention in ("restricted", "dual"):
+                        a, b = (estimate_betti(s, k, convention=convention, pe=pe)
+                                for s in (graph, source))
+                        assert repr((a.beta_estimate, a.p1_estimate, a.kappa_laplacian)) == \
+                            repr((b.beta_estimate, b.p1_estimate, b.kappa_laplacian)), \
+                            (graph.edges(), k, source.max_dim, convention, pe)
+                    assert complement_report(graph, k, pe) == complement_report(source, k, pe), \
+                        (graph.edges(), k, source.max_dim, pe)
 
     @pytest.mark.parametrize("k", [-1, 4])
     def test_dimension_out_of_range_is_named(self, k):
         for source in (complete_graph(4), build_clique_complex(complete_graph(4), 3)):
             with pytest.raises(ValueError, match=f"dimension k={k} out of range for n=4"):
                 pipeline_context(source, k)
+
+
+class TestArgumentsCheckedFirst:
+    """Every argument an estimator reads is checked before any complex is built,
+    and a missing or non-numeric one is a ValueError, not a TypeError."""
+
+    CALLS = {
+        "sampled-without-eps": (lambda g: estimate_betti(g, 2, mode="sampled"),
+                                "sampled mode needs a target multiplicative accuracy eps"),
+        "beta-lower-zero": (lambda g: estimate_betti(g, 2, 0.1, mode="sampled", beta_lower=0),
+                            "beta_lower must be positive and finite, got 0"),
+        "negative-seed": (lambda g: estimate_betti(g, 2, 0.1, mode="sampled", seed=-1),
+                          "expected non-negative integer"),
+        "normalized-delta-none": (lambda g: estimate_normalized_betti(g, 2, None),
+                                  "delta must be positive and finite, got None"),
+        "confidence-none": (lambda g: estimate_betti(g, 2, confidence=None),
+                            r"confidence must lie in \(0, 1\), got None"),
+        "normalized-confidence-none": (
+            lambda g: estimate_normalized_betti(g, 2, 0.1, mode="sampled", confidence=None),
+            r"confidence must lie in \(0, 1\), got None"),
+        "eps-string": (lambda g: estimate_betti(g, 2, "0.1"),
+                       "eps must be positive and finite, got 0.1"),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_rejected_before_any_build(self, monkeypatch, name):
+        call, message = self.CALLS[name]
+        levels = []
+        build = extraction.build_clique_complex
+
+        def counting(source, max_dim):
+            levels.append(max_dim)
+            return build(source, max_dim)
+
+        monkeypatch.setattr(extraction, "build_clique_complex", counting)
+        with pytest.raises(ValueError, match=message):
+            call(random_graph(12, 0.4, seed=1))
+        assert levels == []
+
+    @pytest.mark.parametrize("confidence", [None, "0.9"])
+    def test_sample_count_rejects_a_non_numeric_confidence(self, confidence):
+        with pytest.raises(ValueError, match=r"confidence must lie in \(0, 1\)"):
+            hoeffding_sample_count(0.1, confidence)
 
 
 class TestComplementReport:
@@ -822,11 +872,15 @@ class TestComplementReport:
         assert rep["p1_dual"] == pytest.approx(12.0, abs=1e-9)
         assert rep["dual_matches_block_kernel"]
 
-    def test_point_cloud_rejected(self):
-        from bettiq import PointCloud
-
-        with pytest.raises(ValueError):
-            complement_report(PointCloud(np.zeros((3, 2)), 1.0), 1)
+    def test_point_cloud_reads_its_induced_graph(self, tmp_path):
+        cloud = generate_instance(InstanceSpec("annulus-cloud", {"n": 9, "length_scale": 0.9}, 1))
+        for k in (0, 1, 2):
+            for pe in (None, PEConfig.bits(t=2)):
+                assert complement_report(cloud, k, pe) == \
+                    complement_report(induced_graph(cloud), k, pe), (k, pe)
+        path, out = tmp_path / "cloud.json", tmp_path / "report.json"
+        dump_instance(cloud, path)
+        assert cli.main(["complement", "--instance", str(path), "--k", "1", "--out", str(out)]) == 0
 
     def test_builds_and_decomposes_each_block_once(self, monkeypatch):
         graph = random_graph(12, 0.4, seed=1)
@@ -1026,6 +1080,13 @@ class TestResourceEstimate:
     def test_beta_zero_multiplicative_rejected(self):
         with pytest.raises(ValueError):
             resource_estimate(4, 1, kappa=2.0, beta=0.0, s_count=4, eps=0.25)
+
+    def test_more_simplices_than_slots_rejected(self):
+        # C = binom(5, 2) = 10 slots hold at most 10 edges
+        with pytest.raises(ValueError, match=r"\|S_k\| = 11 exceeds the slot count C = 10"):
+            resource_estimate(5, 1, kappa=2.0, beta=1.0, s_count=11, eps=0.1)
+        assert resource_estimate(5, 1, kappa=2.0, beta=1.0, s_count=10,
+                                 eps=0.1).grover_preparation_cost == 5.0
 
     def test_pure_function(self):
         a = resource_estimate(5, 1, kappa=1.5, beta=2.0, s_count=7, eps=0.2, delta=0.1)
