@@ -223,20 +223,31 @@ class BlockEncodingError(RuntimeError):
     """A block-encoding construction failed its verification contract."""
 
 
-def _reflection(target) -> tuple[complex, np.ndarray]:
-    """(phi, w) with phi (I - 2 w w^dagger) e_0 the given unit vector: a
-    Householder reflection times a phase (w = 0 when it is phi I)."""
-    v = np.asarray(target, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(v)
-    if not abs(norm - 1.0) <= 1e-10:  # NaN or inf fails too
-        raise ValueError(f"target norm {norm} is not 1")
-    v = v / norm
-    v0 = v[0]
-    phase = v0 / abs(v0) if abs(v0) > 1e-14 else 1.0
-    w = v / phase
-    w[0] -= 1.0
-    wn = np.linalg.norm(w)
-    return phase, (w / wn if wn >= 1e-14 else np.zeros_like(w))
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of a complex (rows, d) array, as `np.linalg.norm` takes
+    it from one row: the real and imaginary parts' BLAS dots, summed, then sqrt."""
+    re, im = v.real, v.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None])[:, 0, 0] + (im[:, None, :] @ im[:, :, None])[:, 0, 0])
+
+
+def _reflections(targets) -> tuple[np.ndarray, np.ndarray]:
+    """(phases, vecs) with phi_i (I - 2 w_i w_i^dagger) e_0 row i of the given
+    (rows, d) array of unit vectors: a Householder reflection times a phase (w_i = 0
+    when it is phi_i I).  Each row gets the operations one vector alone would: the
+    norms are `_row_norms` and |v_0| is `hypot`, as scalar `abs` takes it (the
+    complex `np.abs` kernel can differ from it in the last bit)."""
+    v = np.asarray(targets, dtype=complex)
+    norms = _row_norms(v)
+    if not np.abs(norms - 1.0).max() <= 1e-10:  # NaN or inf fails too
+        raise ValueError(f"target norm {norms[~(np.abs(norms - 1.0) <= 1e-10)][0]} is not 1")
+    v = v / norms[:, None]
+    v0 = v[:, 0]
+    mod = np.hypot(v0.real, v0.imag)
+    phases = np.divide(v0, mod, out=np.ones(len(v), dtype=complex), where=mod > 1e-14)
+    w = v / phases[:, None]
+    w[:, 0] -= 1.0
+    wn = _row_norms(w)[:, None]
+    return phases, np.divide(w, wn, out=np.zeros_like(w), where=wn >= 1e-14)
 
 
 def _first_columns(phases: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -270,10 +281,14 @@ def _product_deviation(unitaries) -> float:
     """max|U^dagger U - I| for U the kron of the unitaries, from their Gram matrices
     G_i: off the diagonal it peaks at max_i off_i prod_{j != i} full_j (the largest
     moduli of G_i off its diagonal and overall); the diagonal is their diagonals' kron."""
-    grams = [u.conj().T @ u for u in unitaries]
-    full = [np.abs(g).max() for g in grams]
-    off = [np.abs(g - np.diag(np.diag(g))).max() for g in grams]
-    worst = [o * np.prod(full[:i] + full[i + 1:]) for i, o in enumerate(off)]
+    grams = [(u.conj().T if np.iscomplexobj(u) else u.T) @ u for u in unitaries]
+    full, off = [], []
+    for g in grams:
+        mod = np.abs(g)
+        full.append(mod.max())
+        np.fill_diagonal(mod, 0.0)
+        off.append(mod.max())
+    worst = [o * prod(full[:i] + full[i + 1:]) for i, o in enumerate(off)]
     diag = reduce(_kron, [np.diag(g) for g in grams])
     return float(np.max([*worst, np.abs(diag - 1.0).max()]))
 
@@ -348,11 +363,9 @@ def block_encode_state_mixture(states: np.ndarray, description: str = "") -> Blo
     system against a fresh register and undo the preparation."""
     states = np.asarray(states, dtype=complex)
     m, d = states.shape
-    pairs = [_reflection(t) for t in (np.full(m, 1.0 / sqrt(m)), *states)]
-    phases = np.array([phase for phase, _ in pairs], dtype=complex)
+    rotation = _reflections(np.full((1, m), 1.0 / sqrt(m)))
     return BlockEncoding(m * d, d, (states.T @ states.conj()) / m,
-                         reflections=(phases[:1], pairs[0][1][None], phases[1:],
-                                      np.stack([w for _, w in pairs[1:]])),
+                         reflections=(*rotation, *_reflections(states)),
                          description=description or f"density encoding ({m} states, dim {d})")
 
 
@@ -364,8 +377,8 @@ def block_encode_density(rho: DensityOperator) -> BlockEncoding:
 
 def block_encode_projector(phase_dim: int, slot_dim: int) -> BlockEncoding:
     """Exact encoding of Pi = |0><0|_phase x I_slot with one ancilla qubit: the
-    real permutation [[Pi, I - Pi], [I - Pi, Pi]], one 1 per row, whose
-    top-left block (a view) is the target."""
+    real permutation [[Pi, I - Pi], [I - Pi, Pi]], one 1 per row.  The target is
+    Pi built again from the sizes, so the block check compares two arrays."""
     phase_dim, slot_dim = _integer(phase_dim, "phase_dim"), _integer(slot_dim, "slot_dim")
     if phase_dim < 1 or slot_dim < 1:
         raise ValueError("dimensions must be >= 1")
@@ -373,7 +386,7 @@ def block_encode_projector(phase_dim: int, slot_dim: int) -> BlockEncoding:
     rows = np.arange(2 * d)
     dense = np.zeros((2 * d, 2 * d))
     dense[rows, np.where(rows % d < slot_dim, rows, (rows + d) % (2 * d))] = 1.0
-    return BlockEncoding(2, d, dense[:d, :d], dense=dense,
+    return BlockEncoding(2, d, np.diag((rows[:d] < slot_dim).astype(float)), dense=dense,
                          description=f"zero-phase projector ({phase_dim}x{slot_dim})")
 
 
@@ -468,9 +481,15 @@ def hoeffding_sample_count(delta: float, confidence: float) -> int:
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
+    """The seed as a SeedSequence; a seed of the wrong type is a ValueError that
+    names it (a negative integer keeps numpy's own ValueError)."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
-    return np.random.SeedSequence(seed)
+    try:
+        return np.random.SeedSequence(seed)
+    except TypeError as exc:
+        raise ValueError(f"seed must be None, a non-negative integer or a sequence of them, "
+                         f"got {seed!r}") from exc
 
 
 def seed_descriptor(seed) -> dict:

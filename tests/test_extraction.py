@@ -792,6 +792,10 @@ class TestArgumentsCheckedFirst:
                             "beta_lower must be positive and finite, got 0"),
         "negative-seed": (lambda g: estimate_betti(g, 2, 0.1, mode="sampled", seed=-1),
                           "expected non-negative integer"),
+        "string-seed": (lambda g: estimate_betti(g, 2, 0.1, mode="sampled", seed="a"),
+                        "seed must be None, a non-negative integer or a sequence of them, got 'a'"),
+        "float-seed": (lambda g: estimate_betti(g, 2, 0.1, mode="sampled", seed=1.5),
+                       "seed must be None, a non-negative integer or a sequence of them, got 1.5"),
         "normalized-delta-none": (lambda g: estimate_normalized_betti(g, 2, None),
                                   "delta must be positive and finite, got None"),
         "confidence-none": (lambda g: estimate_betti(g, 2, confidence=None),

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,7 @@ from bettiq import (
     tensor_block_encoding,
     trace_estimate,
 )
+from bettiq.pipeline import _row_norms
 from helpers import (
     apply_encoding,
     complete_graph,
@@ -406,6 +408,14 @@ class TestBlockEncodeProjector:
         assert np.array_equal(enc.encoded_block(), block_encode_projector(2, 3).encoded_block())
         assert enc.verify()["ok"]
 
+    def test_a_changed_block_fails_verify(self):
+        enc = block_encode_projector(2, 3)
+        assert not np.shares_memory(enc.target, enc.dense)
+        enc.dense[[0, 4]] = enc.dense[[4, 0]]  # rows of the top block: still a permutation
+        assert enc.unitarity_deviation() == 0.0
+        with pytest.raises(BlockEncodingError, match=r"block 1\.000e\+00"):
+            enc.verify()
+
 
 class TestBlockEncodeHermitian:
     @pytest.mark.parametrize("seed", range(4))
@@ -628,6 +638,43 @@ class TestBlockEncodeMixture:
             householder_unitary([np.nan, 0.0])
         with pytest.raises(ValueError):
             block_encode_state_mixture(np.array([[1.0, 0.0], [np.nan, 0.0]]))
+        rng = np.random.default_rng(37)
+        raw = rng.normal(size=(64, 5)) + 1j * rng.normal(size=(64, 5))
+        for bad in ("scaled", "nan"):
+            states = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+            if bad == "scaled":
+                states[37] *= 1.0 + 1e-9
+            else:
+                states[37, 2] = np.nan
+            message = f"target norm {np.linalg.norm(states[37])} is not 1"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                block_encode_state_mixture(states)
+
+    def test_no_norm_call_per_state(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        raw = rng.normal(size=(64, 6)) + 1j * rng.normal(size=(64, 6))
+        states = raw / np.linalg.norm(raw, axis=1, keepdims=True)
+        calls = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", lambda *a, **kw: calls.append(a) or norm(*a, **kw))
+        block_encode_state_mixture(states).verify()
+        assert calls == []
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 16, 17, 40, 161])
+    def test_batched_numerics_equal_one_row_at_a_time(self, d):
+        # the reflections equal the one-vector Householder construction bit for bit
+        # only while these hold, so a numpy or BLAS change that breaks one fails here
+        rng = np.random.default_rng(d)
+        batches = rng.normal(size=(3, 40, d)) + 1j * rng.normal(size=(3, 40, d))
+        batches[1] = batches[1].real
+        batches[2][rng.random((40, d)) < 0.4] = 0.0
+        for rows in batches:
+            assert np.array_equal(_row_norms(rows), [np.linalg.norm(row) for row in rows])
+            mod = np.hypot(rows.real, rows.imag)
+            assert np.array_equal(mod.ravel(), [abs(z) for z in rows.ravel()])
+            first = mod[:, 0] > 0
+            assert np.array_equal(rows[first, 0] / mod[first, 0],
+                                  [z / abs(z) for z in rows[first, 0]])
 
     def test_nan_factor_fails_unitarity(self):
         good = block_encode_state_mixture(np.eye(3))
@@ -686,12 +733,14 @@ class TestBlockEncodeMixture:
         assert expected > 0.1
         assert enc.unitarity_deviation() == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("m,d", [(1, 1), (1, 2), (3, 7), (5, 40)])
+    @pytest.mark.parametrize("m,d", [(1, 1), (1, 2), (3, 7), (5, 40), (64, 3)])
     def test_reflections_match_dense_oracle(self, m, d):
         rng = np.random.default_rng(7 * m + d)
         raw = rng.normal(size=(m, d)) + 1j * rng.normal(size=(m, d))
         states = raw / np.linalg.norm(raw, axis=1, keepdims=True)
         states[0] = np.eye(d)[-1]  # zero first entry: the phase defaults to 1
+        if m == 64:  # one batch also holds a phase times e_0: w = 0
+            states[1] = np.exp(0.7j) * np.eye(d)[0]
         enc = block_encode_state_mixture(states)
         v_phase, v_vec, w_phases, w_vecs = enc.reflections
         dense = [reflection_matrix(p, w) for p, w in zip(w_phases, w_vecs)]
@@ -767,6 +816,11 @@ class TestTraceEstimate:
         other = trace_estimate(truth, 0.05, 0.95, seed=124)
         assert a.value == b.value
         assert a.value != other.value  # different stream
+
+    @pytest.mark.parametrize("seed", ["a", 1.5])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
+            trace_estimate(0.1, 0.1, seed=seed)
 
     def test_c4_flag_observable_hits_truth(self):
         c = c4_complex()
