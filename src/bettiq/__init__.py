@@ -22,6 +22,7 @@ from .complexes import (
     slot_rank,
 )
 from .homology import (
+    HodgeBlock,
     HodgeOperator,
     SpectralSummary,
     betti_exact,

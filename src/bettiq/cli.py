@@ -146,7 +146,7 @@ def _cmd_exact(args) -> int:
         raise ValueError(f"instance has no simplices at dimension k={args.k}")
     summary = spectral_summary(ctx.op)  # kernel_dim from the operator's rank counts
     results = {
-        "beta": ctx.op.kernel_dims[0],
+        "beta": ctx.op.blocks[0].kernel_dim,
         "s_count": ctx.s_count,
         "slot_count": ctx.slot_count,
         "kappa_laplacian": summary.kappa,

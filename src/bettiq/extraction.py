@@ -210,14 +210,16 @@ class PipelineContext:
 
     @property
     def s_count(self) -> int:
-        return self.op.block_sizes[0]
+        return self.op.blocks[0].size
 
     def summary(self) -> SpectralSummary:
         """The spectrum digest the estimate reads and reports: under ideal phase
         estimation the complex's block's alone, the restricted operator's, whose
         kappa is the paper's, as no kernel count needs a spectrum; for a t-bit
         register, which reads every eigenvalue, the whole operator's."""
-        return _summary(self.op, 1) if self.cfg.mode == "ideal" else spectral_summary(self.op)
+        if self.cfg.mode == "ideal":
+            return _summary(self.op.blocks[:1], self.op.dim)
+        return spectral_summary(self.op)
 
     def _block_sums(self) -> tuple[float, ...]:
         """Zero-outcome probability summed over each block's eigenvalues: in ideal
@@ -226,7 +228,7 @@ class PipelineContext:
         register, the summed `zero_phase_weights`."""
         if self._sums is None:
             if self.cfg.mode == "ideal":
-                self._sums = tuple(map(float, self.op.kernel_dims))
+                self._sums = tuple(float(b.kernel_dim) for b in self.op.blocks)
             else:
                 self._sums = tuple(float(w.sum()) for w in zero_phase_weights(self.op, self.cfg))
         return self._sums
@@ -238,7 +240,8 @@ class PipelineContext:
 
     def p1_trace(self) -> float:
         """Zero-outcome weight over the other slots (1 per slot in no block)."""
-        return float(self.slot_count - sum(self.op.block_sizes) + sum(self._block_sums()[1:]))
+        return float(self.slot_count - sum(b.size for b in self.op.blocks)
+                     + sum(self._block_sums()[1:]))
 
     def rho(self) -> DensityOperator:
         """The reduced mixed state, for block-encoding verification only: the
@@ -442,7 +445,7 @@ def estimate_betti(source, k: int, eps: float | None = None, *, pair: Observable
         delta=delta,
         system=system,
         kappa_laplacian=summary.kappa,
-        beta_oracle=ctx.op.kernel_dims[0],
+        beta_oracle=ctx.op.blocks[0].kernel_dim,
         resource=resource,
     )
 
@@ -487,7 +490,7 @@ def estimate_normalized_betti(source, k: int, delta: float, *,
     system, samples = _measure_and_solve(ctx, pair, pair.raw_matrix(), accuracy, confidence, ss)
     raw = system.x[0] * ctx.slot_count / ctx.s_count
     value = min(max(raw, 0.0), 1.0)
-    oracle = ctx.op.kernel_dims[0] / ctx.s_count
+    oracle = ctx.op.blocks[0].kernel_dim / ctx.s_count
 
     return NormalizedBettiEstimate(
         **_run_fields(ctx, mode, confidence, samples, ss),
@@ -524,8 +527,8 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
     if k >= 1:
         # the dual operator's off-complex kernel by the Hodge theorem: complement
         # homology plus one zero row per slot in neither complex
-        beta_comp = ctx.op.kernel_dims[1]
-        neither = comp_slots - ctx.op.block_sizes[1]
+        comp = ctx.op.blocks[1]
+        beta_comp, neither = comp.kernel_dim, comp_slots - comp.size
         kernel_dim_block = beta_comp + neither
     else:  # no off-complex slots, so the operator holds no complement complex
         beta_comp = betti_exact(complement_complex(graph, 0), 0)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, gcd
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from .complexes import CliqueComplex, complement_complex, slot_rank
 
 __all__ = [
+    "HodgeBlock",
     "HodgeOperator",
     "SpectralSummary",
     "hodge_laplacian",
@@ -128,64 +130,51 @@ def _boundary_ranks(complex_: CliqueComplex, top: int) -> list[int]:
     return ranks
 
 
+class HodgeBlock:
+    """One diagonal block of a Hodge operator: the k-simplex Laplacian of one
+    complex, size rows (its k-simplex count) with kernel_dim zero eigenvalues,
+    the complex's beta_k by integer rank (the Hodge theorem).  Its slot
+    indices, matrix and ascending eigenvalues are each computed on the first
+    read and cached read-only, so sizes and kernel counts read no slot and
+    assemble nothing."""
+
+    def __init__(self, complex_: CliqueComplex, k: int, kernel_dim: int):
+        self.complex, self.k, self.kernel_dim = complex_, k, kernel_dim
+        self.size = complex_.simplex_count(k)
+
+    @cached_property
+    def slots(self) -> tuple[int, ...]:
+        return tuple(map(slot_rank, self.complex.words(self.k)))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _read_only(_laplacian_block(self.complex, self.k))
+
+    @cached_property
+    def evals(self) -> np.ndarray:
+        return _read_only(np.linalg.eigvalsh(self.matrix))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class HodgeOperator:
     """Symmetric PSD operator on the binom(n, k+1) slots at dimension k, held
     as its diagonal blocks, one per complex: the complex's first, then (dual,
-    k >= 1) the complement complex's, built to level k.  blocks[i] has
-    block_sizes[i] rows, its complex's k-simplex count, and kernel_dims[i] zero
-    eigenvalues, its complex's beta_k by integer rank (the Hodge theorem) and
-    the first that many of eig(i); it acts on the slots block_slots[i].  A slot
-    in no block is a zero row.
+    k >= 1) the complement complex's, built to level k.  A slot in no block
+    is a zero row."""
 
-    The sizes and kernel counts are fixed here.  A block is assembled on the
-    first read of it alone, by eig(i) or `blocks`, so ideal phase estimation,
-    which reads only sizes and kernel counts, assembles no block; the slots are
-    ranked from their words only on the first read of `block_slots`, which only
-    placing the states makes."""
-
-    def __init__(self, k: int, convention: str, blocks, kernel_dims, complex_: CliqueComplex,
-                 complement: CliqueComplex | None = None):
-        self.k, self.n, self.convention = k, complex_.n, convention
-        self.complex, self.complement = complex_, complement
-        self._sources = (complex_,) if complement is None else (complex_, complement)
-        self.dim = comb(self.n, k + 1)
-        self.block_sizes = tuple(c.simplex_count(k) for c in self._sources)  # no slot is ranked
-        self.kernel_dims: tuple[int, ...] = tuple(kernel_dims)
-        if len(self.kernel_dims) != len(self._sources):
-            raise ValueError(f"kernel_dims has {len(self.kernel_dims)} entries for "
-                             f"{len(self._sources)} blocks")
-        self._block_slots = None
-        self._blocks = [*blocks, *[None] * (len(self._sources) - len(blocks))]
-        self._evals = [None] * len(self._sources)
-
-    @property
-    def block_slots(self) -> tuple[tuple[int, ...], ...]:
-        """Each block's slot indices, ranked from its complex's words on the first read."""
-        if self._block_slots is None:
-            self._block_slots = tuple(tuple(map(slot_rank, c.words(self.k))) for c in self._sources)
-            if len(self._block_slots) > 1 and set(self._block_slots[0]) & set(self._block_slots[1]):
-                raise AssertionError("complement-complex simplices collide with the complex")
-        return self._block_slots
-
-    def _block(self, i: int) -> np.ndarray:
-        """Block i's matrix, assembled on its first read."""
-        block = self._blocks[i]
-        if block is None:
-            block = self._blocks[i] = _laplacian_block(self._sources[i], self.k)
-        return block
-
-    @property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """Each block's matrix, those not yet held assembled on this read."""
-        return tuple(map(self._block, range(len(self._sources))))
+    def __init__(self, convention: str, blocks: tuple[HodgeBlock, ...]):
+        self.convention, self.blocks = convention, tuple(blocks)
+        self.complex, self.k = self.blocks[0].complex, self.blocks[0].k
+        self.n = self.complex.n
+        self.dim = comb(self.n, self.k + 1)
 
     def eig(self, i: int) -> np.ndarray:
         """Block i's eigenvalues, ascending and read-only, decomposed on the first read."""
-        evals = self._evals[i]
-        if evals is None:
-            evals = self._evals[i] = np.linalg.eigvalsh(self._block(i))
-            evals.flags.writeable = False
-        return evals
+        return self.blocks[i].evals
 
 
 def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
@@ -231,11 +220,11 @@ def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restrict
     on its first read."""
     if convention not in ("restricted", "dual"):
         raise ValueError(f"unknown convention {convention!r}")
-    comp, kernel_dims = None, (betti_exact(complex_, k),)
+    blocks = (HodgeBlock(complex_, k, betti_exact(complex_, k)),)
     if convention == "dual" and k >= 1:
         comp = complement_complex(complex_.graph, k)
-        kernel_dims += (betti_exact(comp, k),)
-    return HodgeOperator(k, convention, (), kernel_dims, complex_, comp)
+        blocks += (HodgeBlock(comp, k, betti_exact(comp, k)),)
+    return HodgeOperator(convention, blocks)
 
 
 def betti_exact(complex_: CliqueComplex, k: int) -> int:
@@ -253,8 +242,7 @@ class SpectralSummary:
     eigenvalue); kappa = lambda_max / lambda_min_nonzero over the nonzero
     spectrum (an interpretation - the source ratio is not pinned to a norm),
     None when the spectrum is all zero.  threshold_agrees says whether each
-    block counts its kernel_dims entry of eigenvalues below the zero cut
-    `threshold`."""
+    block counts its kernel_dim eigenvalues below the zero cut `threshold`."""
 
     kernel_dim: int
     threshold: float
@@ -265,27 +253,28 @@ class SpectralSummary:
 
 
 def spectral_summary(op: HodgeOperator) -> SpectralSummary:
-    """The spectrum around the rank's kernel split: block i's first
-    kernel_dims[i] ascending eigenvalues are its kernel, the next its smallest
-    nonzero one.  The count below DEFAULT_ZERO_TOL * max(lambda_max, 1) only
-    checks that split; a block where it differs is named in a RuntimeWarning."""
-    return _summary(op, len(op.block_sizes))
+    """The spectrum around the rank's kernel split: a block's first kernel_dim
+    ascending eigenvalues are its kernel, the next its smallest nonzero one.
+    The count below DEFAULT_ZERO_TOL * max(lambda_max, 1) only checks that
+    split; a block where it differs is named in a RuntimeWarning."""
+    return _summary(op.blocks, op.dim)
 
 
-def _summary(op: HodgeOperator, count: int) -> SpectralSummary:
-    """spectral_summary over op's first `count` blocks, every other slot a zero
-    row: the restricted operator's digest at count 1, which reads no other block."""
-    block_evals, kernel_dims = [op.eig(i) for i in range(count)], op.kernel_dims[:count]
-    uncovered = op.dim - sum(op.block_sizes[:count])
-    lam_max = max([float(e[-1]) for e in block_evals if e.size] + ([0.0] if uncovered else []))
+def _summary(blocks, dim: int) -> SpectralSummary:
+    """spectral_summary over `blocks`, every other of the dim slots a zero row:
+    over block 0 alone the restricted operator's digest, which reads no other block."""
+    uncovered = dim - sum(b.size for b in blocks)
+    lam_max = max([float(b.evals[-1]) for b in blocks if b.size] + ([0.0] if uncovered else []))
     thresh = DEFAULT_ZERO_TOL * max(lam_max, 1.0)
-    below = tuple(int(e.searchsorted(thresh)) for e in block_evals)
-    for i, (rank_count, cut_count) in enumerate(zip(kernel_dims, below)):
-        if rank_count != cut_count:
-            warnings.warn(f"block {i}: kernel count {rank_count} by integer rank, {cut_count} "
+    agrees = True
+    for i, b in enumerate(blocks):
+        cut_count = int(b.evals.searchsorted(thresh))
+        if cut_count != b.kernel_dim:
+            agrees = False
+            warnings.warn(f"block {i}: kernel count {b.kernel_dim} by integer rank, {cut_count} "
                           f"eigenvalues below the threshold {thresh:.3g}", RuntimeWarning)
-    lam_min = min((float(e[d]) for e, d in zip(block_evals, kernel_dims) if d < e.size),
+    lam_min = min((float(b.evals[b.kernel_dim]) for b in blocks if b.kernel_dim < b.size),
                   default=None)
     kappa = None if lam_min is None else lam_max / lam_min
-    return SpectralSummary(uncovered + sum(kernel_dims), thresh, lam_min, lam_max, kappa,
-                           below == kernel_dims)
+    return SpectralSummary(uncovered + sum(b.kernel_dim for b in blocks), thresh, lam_min,
+                           lam_max, kappa, agrees)

@@ -109,17 +109,18 @@ class PEConfig:
             return 1
         # each nonzero eigenphase phi lies in [pi/kappa, pi] and leaks at most
         # 1/(P^2 sin^2(phi/2)) into the zero outcome; a block's m of them add up
-        bound = 2.0 * sqrt(max(*op.block_sizes, 1)) / np.sin(np.pi / (2.0 * summary.kappa))
+        largest = max(1, *(b.size for b in op.blocks))
+        bound = 2.0 * sqrt(largest) / np.sin(np.pi / (2.0 * summary.kappa))
         return max(1, ceil(np.log2(bound) - _LOG2_SNAP))
 
 
-def _eigenphases(block_evals, kernel_dims) -> tuple[np.ndarray, ...]:
+def _eigenphases(blocks, block_evals) -> tuple[np.ndarray, ...]:
     """Per block, the eigenphases tau * lambda of its ascending eigenvalues, tau = pi /
-    lambda_max (1 if all is kernel), its first kernel_dims[i] (the kernel) pinned to 0."""
-    tops = [float(e[-1]) for e, d in zip(block_evals, kernel_dims) if d < e.size]
+    lambda_max (1 if all is kernel), its first kernel_dim (the kernel) pinned to 0."""
+    tops = [float(e[-1]) for b, e in zip(blocks, block_evals) if b.kernel_dim < b.size]
     tau = np.pi / max(tops) if tops else 1.0
-    return tuple(np.where(np.arange(evals.size) < kernel_dim, 0.0, tau * evals)
-                 for evals, kernel_dim in zip(block_evals, kernel_dims))
+    return tuple(np.where(np.arange(b.size) < b.kernel_dim, 0.0, tau * e)
+                 for b, e in zip(blocks, block_evals))
 
 
 def phase_zero_probability(phi, t: int):
@@ -175,8 +176,8 @@ def reduced_density(op: HodgeOperator, cfg: PEConfig) -> DensityOperator:
     its complement in ideal mode, and QFT^dagger e^{i m phi_j} / sqrt(P) for a
     t-bit register, P = 2^cfg.resolve (the Hadamard layer maps |0> to the
     uniform state).  Each block runs `eigh` once, and the phases read its
-    eigenvalues with the operator's rank kernel counts."""
-    pairs = [np.linalg.eigh(block) for block in op.blocks]
+    eigenvalues with the block's rank kernel count."""
+    pairs = [np.linalg.eigh(b.matrix) for b in op.blocks]
     big, c_total = 2 ** cfg.resolve(op), op.dim
     m = np.arange(big)
     if cfg.mode == "ideal":
@@ -184,11 +185,13 @@ def reduced_density(op: HodgeOperator, cfg: PEConfig) -> DensityOperator:
     else:
         qft_dag = np.exp(-2j * np.pi * np.outer(m, m) / big) / sqrt(big)
         amplitudes = (qft_dag @ np.exp(1j * np.outer(m, phases)) / sqrt(big)
-                      for phases in _eigenphases([evals for evals, _ in pairs], op.kernel_dims))
+                      for phases in _eigenphases(op.blocks, [evals for evals, _ in pairs]))
     states = np.zeros((c_total, big, c_total, 2), dtype=complex)
     free = np.ones(c_total, dtype=bool)  # slots in no block
-    for i, (slots, (_, evecs), r) in enumerate(zip(op.block_slots, pairs, amplitudes)):
-        idx = np.array(slots, dtype=np.intp)
+    for i, (block, (_, evecs), r) in enumerate(zip(op.blocks, pairs, amplitudes)):
+        idx = np.array(block.slots, dtype=np.intp)
+        if not free[idx].all():
+            raise AssertionError("complement-complex simplices collide with the complex")
         free[idx] = False
         # [a, c, s] = sum_j r[a, j] v_j[c] v_j[s], written at [s, a, c, flag]
         states[idx[:, None, None], m[:, None], idx, int(i == 0)] = (
@@ -203,15 +206,14 @@ def reduced_density(op: HodgeOperator, cfg: PEConfig) -> DensityOperator:
 
 def zero_phase_weights(op: HodgeOperator, cfg: PEConfig) -> tuple[np.ndarray, ...]:
     """Per block, the all-zeros phase outcome's probability on each eigenvector:
-    in ideal mode the indicator of its first `op.kernel_dims[i]`, which reads no
+    in ideal mode the indicator of its first `kernel_dim`, which reads no
     eigenvalue, otherwise the t-bit readout of `cfg.resolve(op)` bits.  The
     eigenvectors are orthonormal, so these sum to the outcome over the block's
     slots.  A slot in no block reads it surely."""
     if cfg.mode == "ideal":
-        return tuple((np.arange(size) < kernel_dim).astype(float)
-                     for size, kernel_dim in zip(op.block_sizes, op.kernel_dims))
+        return tuple((np.arange(b.size) < b.kernel_dim).astype(float) for b in op.blocks)
     t = cfg.resolve(op)
-    phases = _eigenphases([op.eig(i) for i in range(len(op.block_sizes))], op.kernel_dims)
+    phases = _eigenphases(op.blocks, [b.evals for b in op.blocks])
     return tuple(phase_zero_probability(p, t) for p in phases)
 
 

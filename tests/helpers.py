@@ -29,9 +29,11 @@ from hypothesis import strategies as st
 from bettiq import (
     BlockEncoding,
     CliqueComplex,
+    HodgeBlock,
     HodgeOperator,
     PEConfig,
     VertexGraph,
+    build_clique_complex,
     inv_norm,
     phase_zero_probability,
     spectral_summary,
@@ -381,12 +383,21 @@ def record_decompositions(monkeypatch) -> list:
     return calls
 
 
+def matrix_operator(matrix, kernel_dim: int) -> HodgeOperator:
+    """A vertex-level (k=0) operator whose one block covers every slot, the
+    block's matrix preset to `matrix` and its kernel count to `kernel_dim`."""
+    matrix = np.asarray(matrix, dtype=float)
+    block = HodgeBlock(build_clique_complex(empty_graph(len(matrix)), 0), 0, kernel_dim)
+    block.matrix = matrix
+    return HodgeOperator("restricted", (block,))
+
+
 def dense_operator(op: HodgeOperator) -> np.ndarray:
     """The operator as a dense C x C matrix: its blocks embedded at their slots."""
     full = np.zeros((op.dim, op.dim))
-    for block, slots in zip(op.blocks, op.block_slots):
-        if slots:
-            full[np.ix_(slots, slots)] = block
+    for block in op.blocks:
+        if block.slots:
+            full[np.ix_(block.slots, block.slots)] = block.matrix
     return full
 
 
@@ -421,15 +432,15 @@ def slot_zero_phase_weights(op: HodgeOperator, cfg: PEConfig) -> np.ndarray:
     summary, t = spectral_summary(op), cfg.resolve(op)
     tau = 1.0 if summary.kappa is None else np.pi / summary.lambda_max
     weights = np.ones(op.dim)
-    for i, (slots, block) in enumerate(zip(op.block_slots, op.blocks)):
-        evals, kernel_dim = op.eig(i), op.kernel_dims[i]
-        kernel = np.arange(evals.size) < kernel_dim
+    for block in op.blocks:
+        evals = block.evals
+        kernel = np.arange(evals.size) < block.kernel_dim
         if cfg.mode == "ideal":
             outcome = kernel.astype(float)
         else:
             outcome = phase_zero_probability(np.where(kernel, 0.0, tau * evals), t)
-        evecs = np.linalg.eigh(block)[1]
-        weights[list(slots)] = (evecs * evecs) @ outcome
+        evecs = np.linalg.eigh(block.matrix)[1]
+        weights[list(block.slots)] = (evecs * evecs) @ outcome
     return weights
 
 

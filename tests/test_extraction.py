@@ -103,7 +103,7 @@ class TestObservableB:
 
         def refuse_blocks(a, *args, **kwargs):
             # the flag observable's own dilation may decompose it; the operator's blocks not
-            if any(a is block for block in ctx.op.blocks):
+            if any(a is block.matrix for block in ctx.op.blocks):
                 raise AssertionError("operator eigenvectors requested")
             return eigh(a, *args, **kwargs)
 
@@ -126,7 +126,7 @@ class TestObservableB:
             assert np.array_equal(enc.target, want.target)
             assert all(np.array_equal(u, v) for u, v in zip(enc.factors, want.factors, strict=True))
             assert enc.factor_system_dims == want.factor_system_dims
-        assert not any(a is block for _, a in decomposed for block in ctx.op.blocks)
+        assert not any(a is block.matrix for _, a in decomposed for block in ctx.op.blocks)
 
     @pytest.mark.parametrize("cfg", [PEConfig.ideal(), PEConfig.bits(t=2), PEConfig.bits()])
     def test_observables_of_one_context_share_one_read_only_projector(self, cfg, monkeypatch):
@@ -550,7 +550,7 @@ class TestSpectralSums:
             ctx = pipeline_context(graph, k, convention, cfg)
             weights = slot_zero_phase_weights(ctx.op, cfg)
             member = np.zeros(ctx.slot_count, dtype=bool)
-            member[list(ctx.op.block_slots[0])] = True
+            member[list(ctx.op.blocks[0].slots)] = True
             assert abs(ctx.beta_pe() - weights[member].sum()) < 1e-12, cfg
             assert abs(ctx.p1_trace() - weights[~member].sum()) < 1e-12, cfg
 
@@ -562,12 +562,12 @@ class TestSpectralSums:
         for graph, k in cases:
             ctx = pipeline_context(graph, k, convention)
             sums = [w.sum() for w in pipeline.zero_phase_weights(ctx.op, ctx.cfg)]
-            covered = sum(len(slots) for slots in ctx.op.block_slots)
+            covered = sum(len(b.slots) for b in ctx.op.blocks)
             assert ctx.beta_pe() == sums[0]
             assert ctx.p1_trace() == ctx.slot_count - covered + sum(sums[1:])
             weights = slot_zero_phase_weights(ctx.op, ctx.cfg)
             member = np.zeros(ctx.slot_count, dtype=bool)
-            member[list(ctx.op.block_slots[0])] = True
+            member[list(ctx.op.blocks[0].slots)] = True
             assert abs(ctx.beta_pe() - weights[member].sum()) < 1e-12
             assert abs(ctx.p1_trace() - weights[~member].sum()) < 1e-12
 
@@ -622,7 +622,7 @@ class TestSpectralSums:
         c = build_clique_complex(octahedron_graph(), 2)
         op = homology.hodge_laplacian(c, 1, convention)
         pipeline.reduced_density(op, PEConfig.bits(t=2))
-        assert sorted(seen) == sorted(id(block) for block in op.blocks)
+        assert sorted(seen) == sorted(id(block.matrix) for block in op.blocks)
         assert len(op.blocks) == (2 if convention == "dual" else 1)
 
     def test_one_context_at_automatic_t_decomposes_each_block_once_per_solver(self, monkeypatch):
@@ -635,7 +635,7 @@ class TestSpectralSums:
         spectral_summary(ctx.op)
         calls = [(name, len(a)) for name, a in decomposed if len(a) > 2]  # not the observables
         assert sorted(calls) == [("eigh", 3), ("eigh", 12), ("eigvalsh", 3), ("eigvalsh", 12)]
-        assert ctx.op.block_sizes == (12, 3)
+        assert tuple(b.size for b in ctx.op.blocks) == (12, 3)
 
 
 class TestEstimateNormalized:
@@ -946,8 +946,8 @@ class TestIdealDualRankRoute:
         for graph, k in self.cases():
             ctx = pipeline_context(graph, k, "dual")
             full = hodge_laplacian(ctx.complex, k, "dual")
-            kernels = full.kernel_dims
-            uncovered = full.dim - sum(map(len, full.block_slots))
+            kernels = tuple(b.kernel_dim for b in full.blocks)
+            uncovered = full.dim - sum(len(b.slots) for b in full.blocks)
             assert ctx.p1_trace() == uncovered + sum(kernels[1:]), (graph, k)
             if k == 0:
                 assert ctx.p1_trace() == 0

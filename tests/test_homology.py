@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bettiq import (
-    HodgeOperator,
     PEConfig,
     betti_exact,
     build_clique_complex,
     complement_complex,
     hodge_laplacian,
+    pipeline_context,
     slot_rank,
     spectral_summary,
     zero_phase_weights,
@@ -33,6 +33,7 @@ from helpers import (
     integer_rank,
     kernel_projector,
     laplacian_by_products,
+    matrix_operator,
     octahedron_graph,
     random_graph,
     rp2_subdivision,
@@ -47,10 +48,7 @@ def manual_operator(matrix):
     """A vertex-level (k=0) operator whose one block covers every slot, its
     kernel counted by integer rank."""
     matrix = np.asarray(matrix, dtype=float)
-    dim = matrix.shape[0]
-    return HodgeOperator(k=0, convention="restricted", blocks=(matrix,),
-                         kernel_dims=(dim - integer_rank(matrix),),
-                         complex_=build_clique_complex(empty_graph(dim), 0))
+    return matrix_operator(matrix, matrix.shape[0] - integer_rank(matrix))
 
 
 @st.composite
@@ -148,7 +146,7 @@ class TestHodge:
         c = build_clique_complex(cycle_graph(4), 2)
         op = hodge_laplacian(c, 1, "restricted")
         full = dense_operator(op)
-        idx = list(op.block_slots[0])
+        idx = list(op.blocks[0].slots)
         block = full[np.ix_(idx, idx)]
         assert np.allclose(np.sort(np.linalg.eigvalsh(block)), [0, 2, 2, 4], atol=1e-9)
         comp = [i for i in range(op.dim) if i not in idx]
@@ -164,22 +162,17 @@ class TestHodge:
         c = build_clique_complex(empty_graph(4), 2)
         op = hodge_laplacian(c, 1, "restricted")
         assert not dense_operator(op).any()
-        assert op.block_slots[0] == ()
+        assert op.blocks[0].slots == ()
 
     def test_needs_level_k_built(self):
         with pytest.raises(ValueError):
             hodge_laplacian(build_clique_complex(cycle_graph(4), 0), 1)
-        assert len(hodge_laplacian(build_clique_complex(cycle_graph(4), 1), 1).block_slots[0]) == 4
+        assert len(hodge_laplacian(build_clique_complex(cycle_graph(4), 1), 1).blocks[0].slots) == 4
 
     def test_unknown_convention(self):
         c = build_clique_complex(cycle_graph(4), 2)
         with pytest.raises(ValueError):
             hodge_laplacian(c, 1, "projected")
-
-    def test_one_kernel_count_per_block(self):
-        c = build_clique_complex(cycle_graph(4), 1)
-        with pytest.raises(ValueError, match="kernel_dims has 2 entries for 1 blocks"):
-            HodgeOperator(1, "restricted", (), (1, 0), c)
 
     def test_cached_eigenvalues_are_read_only(self):
         # zeros written into them made the next estimate on the operator divide by zero
@@ -187,6 +180,14 @@ class TestHodge:
         with pytest.raises(ValueError, match="read-only"):
             op.eig(0)[:] = 0
         assert np.allclose(op.eig(0), [0, 2, 2, 4])
+
+    def test_block_matrices_are_read_only(self):
+        # zeros written into one made the next summary of a t-bit context divide by zero
+        ctx = pipeline_context(random_graph(8, 0.5, 2), 1, "dual", PEConfig.bits())
+        for block in ctx.op.blocks:
+            with pytest.raises(ValueError, match="read-only"):
+                block.matrix[:] = 0
+        assert ctx.summary() == spectral_summary(hodge_laplacian(ctx.complex, 1, "dual"))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_psd(self, seed):
@@ -203,7 +204,7 @@ class TestHodge:
         comp = complement_complex(cycle_graph(4), 2)
         comp_idx = [slot_rank(w) for w in comp.words(1)]
         # off-diagonal coupling between complex and complement blocks must vanish
-        for i in op.block_slots[0]:
+        for i in op.blocks[0].slots:
             for j in comp_idx:
                 assert full[i, j] == 0
         # complement block = edge Laplacian of two disjoint edges = 2 I
@@ -280,7 +281,7 @@ class TestBettiExact:
             beta = betti_exact(c, k)
             assert beta == betti_by_ranks(c, k)
             op = hodge_laplacian(c, k, "restricted")
-            idx = list(op.block_slots[0])
+            idx = list(op.blocks[0].slots)
             if idx:
                 block = dense_operator(op)[np.ix_(idx, idx)]
                 evals = np.linalg.eigvalsh(block)
@@ -295,7 +296,7 @@ class TestBettiExact:
         for k in (1, 2):
             op = hodge_laplacian(c, k, "dual")
             comp = complement_complex(g, k + 1)
-            comp_idx = list(op.block_slots[1])
+            comp_idx = list(op.blocks[1].slots)
             if comp_idx:
                 sub = dense_operator(op)[np.ix_(comp_idx, comp_idx)]
                 evals = np.linalg.eigvalsh(sub)
@@ -324,7 +325,7 @@ class TestKernelProjector:
         c = build_clique_complex(cycle_graph(4), 2)
         op = hodge_laplacian(c, 1)
         proj = kernel_projector(op)
-        idx = list(op.block_slots[0])
+        idx = list(op.blocks[0].slots)
         comp = [i for i in range(op.dim) if i not in idx]
         assert abs(np.trace(proj[np.ix_(idx, idx)]) - 1.0) < 1e-10
         assert abs(np.trace(proj[np.ix_(comp, comp)]) - 2.0) < 1e-10
@@ -371,15 +372,14 @@ class TestSpectralSummary:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         assert spectral_summary(op) == spectral_summary(op)
         zero_phase_weights(op, PEConfig.bits())
-        assert sorted(sizes) == sorted(map(len, op.block_slots)) == [7, 14]
+        assert sorted(sizes) == sorted(len(b.slots) for b in op.blocks) == [7, 14]
 
     def test_the_rank_decides_and_the_threshold_only_checks(self):
         # lambda_max = 1 puts the cut at 1e-8, so the threshold counts two zeros
-        op = HodgeOperator(k=0, convention="restricted", blocks=(np.diag([0.0, 1e-9, 1.0]),),
-                           kernel_dims=(1,), complex_=build_clique_complex(empty_graph(3), 0))
+        op = matrix_operator(np.diag([0.0, 1e-9, 1.0]), 1)
         with pytest.warns(RuntimeWarning, match="block 0: kernel count 1 by integer rank, 2 "):
             summary = spectral_summary(op)
-        assert summary.kernel_dim == 1 and op.kernel_dims == (1,)
+        assert summary.kernel_dim == 1 and tuple(b.kernel_dim for b in op.blocks) == (1,)
         assert summary.lambda_min_nonzero == 1e-9
         assert summary.kappa == pytest.approx(1e9)
         assert summary.threshold_agrees is False

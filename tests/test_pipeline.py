@@ -9,6 +9,7 @@ from bettiq import extraction
 from bettiq import (
     BlockEncoding,
     BlockEncodingError,
+    HodgeBlock,
     HodgeOperator,
     ObservablePair,
     PEConfig,
@@ -40,6 +41,7 @@ from helpers import (
     cycle_graph,
     empty_graph,
     householder_unitary,
+    matrix_operator,
     octahedron_graph,
     partial_trace,
     path_graph,
@@ -154,8 +156,7 @@ class TestZeroPhaseWeights:
             assert zero_phase_weight(op, cfg, diag_word) == 1.0
 
     def test_eigenphase_pi_one_bit_reads_zero_never(self):
-        op = HodgeOperator(k=0, convention="restricted", blocks=(np.diag([0.0, 2.0]),),
-                           kernel_dims=(1,), complex_=build_clique_complex(empty_graph(2), 0))
+        op = matrix_operator(np.diag([0.0, 2.0]), 1)
         cfg = PEConfig.bits(t=1)  # the automatic tau = pi / lambda_max sends 2 to phase pi
         assert zero_phase_weight(op, cfg, 0b10) == pytest.approx(0.0, abs=1e-15)
         assert zero_phase_weight(op, cfg, 0b01) == 1.0
@@ -281,7 +282,7 @@ class TestZeroPhaseColumns:
         decomposed = record_decompositions(monkeypatch)
         assert estimate_betti(c, 1, convention=convention, pe=cfg).beta_estimate == fresh_estimate
         # the estimate decomposed this operator (under ideal, its complex's block) first
-        read = op.block_sizes[:1] if cfg.mode == "ideal" else op.block_sizes
+        read = [b.size for b in (op.blocks[:1] if cfg.mode == "ideal" else op.blocks)]
         assert [(name, len(a)) for name, a in decomposed] == [("eigvalsh", size) for size in read]
         assert np.array_equal(reduced_density(op, cfg).vectors, fresh)
         # and the other way round: rows first leave the estimate unchanged
@@ -309,6 +310,12 @@ class TestPhaseEstimationUnitary:
 
 
 class TestReducedDensity:
+    def test_blocks_sharing_a_slot_are_refused(self):
+        c = c4_complex()
+        op = HodgeOperator("dual", (HodgeBlock(c, 1, 1), HodgeBlock(c, 1, 1)))
+        with pytest.raises(AssertionError, match="complement-complex simplices collide"):
+            reduced_density(op, IDEAL)
+
     def test_trace_and_psd(self):
         c = c4_complex()
         op = hodge_laplacian(c, 1)
