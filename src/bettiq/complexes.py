@@ -42,10 +42,13 @@ def _integer(x, what: str) -> int:
     raise ValueError(f"{what} must be an integer, got {x!r}")
 
 
-def _check_dimension(k: int, n: int) -> None:
-    """The one range rule for a dimension on n vertices: 0 <= k <= n-1."""
+def _check_dimension(k: int, n: int) -> int:
+    """The one range rule for a dimension on n vertices: k, as the int its
+    integer value is (1 or 1.0), with 0 <= k <= n-1."""
+    k = _integer(k, "dimension k")
     if not 0 <= k <= n - 1:
         raise ValueError(f"dimension k={k} out of range for n={n}")
+    return k
 
 
 def slot_rank(word: int) -> int:
@@ -194,7 +197,7 @@ def build_clique_complex(source, max_dim: int) -> CliqueComplex:
     if not isinstance(graph, VertexGraph):
         raise ValueError(f"cannot build a complex from {type(source).__name__}")
     n = graph.n
-    _check_dimension(max_dim, n)
+    max_dim = _check_dimension(max_dim, n)
     masks = graph.adjacency_masks()
     # frontier holds (word, common-neighbour mask); a clique grows only by a common
     # neighbour above its top vertex, so each is enumerated once

@@ -87,10 +87,15 @@ def _check_flag_observable(mat) -> np.ndarray:
 
 
 def _singular_values(a) -> tuple[float, float]:
-    """(smax, smin) of a real 2x2 matrix in closed form: with h1 = hypot(a11+a22,
-    a21-a12) and h2 = hypot(a11-a22, a21+a12), smax = (h1+h2)/2 and smin =
-    |h1-h2|/2 (not |det|/smax, which drifts from LAPACK by an ulp)."""
+    """(smax, smin) of a real 2x2 matrix, by `_closed_form` on its entries."""
     (a11, a12), (a21, a22) = np.asarray(a, dtype=float).tolist()
+    return _closed_form(a11, a12, a21, a22)
+
+
+def _closed_form(a11: float, a12: float, a21: float, a22: float) -> tuple[float, float]:
+    """(smax, smin) of [[a11, a12], [a21, a22]]: with h1 = hypot(a11+a22, a21-a12)
+    and h2 = hypot(a11-a22, a21+a12), smax = (h1+h2)/2 and smin = |h1-h2|/2 (not
+    |det|/smax, which drifts from LAPACK by an ulp)."""
     h1, h2 = hypot(a11 + a22, a21 - a12), hypot(a11 - a22, a21 + a12)
     return (h1 + h2) / 2.0, abs(h1 - h2) / 2.0
 
@@ -109,7 +114,10 @@ class ObservablePair:
         # each observable's diagonal weights (M[1,1], M[0,0]), a row of the raw matrix
         object.__setattr__(self, "_weights", tuple((float(m[1, 1].real), float(m[0, 0].real))
                                                    for m in (self.m1, self.m2)))
-        smax, smin = _singular_values(self.raw_matrix())
+        raw = np.array(self._weights)
+        raw.setflags(write=False)
+        object.__setattr__(self, "_raw", raw)
+        smax, smin = _singular_values(raw)
         if not smax * smin >= 1e-12:  # |det|
             raise ValueError("observable pair induces a singular system; choose distinct diagonals")
 
@@ -121,8 +129,8 @@ class ObservablePair:
         return _DEFAULT_PAIR
 
     def raw_matrix(self) -> np.ndarray:
-        """System matrix without the 1/C factor: rows (Tr M|1><1|, Tr M|0><0|)."""
-        return np.array(self._weights)
+        """System matrix without the 1/C factor, read-only: rows (Tr M|1><1|, Tr M|0><0|)."""
+        return self._raw
 
 
 _DEFAULT_PAIR = ObservablePair(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
@@ -134,7 +142,7 @@ def assemble_system(pair: ObservablePair, slot_count: int) -> np.ndarray:
     since `ObservablePair` rejects a pair whose raw matrix has |det| < 1e-12."""
     if slot_count < 1:
         raise ValueError("slot count must be positive")
-    return pair.raw_matrix() / slot_count
+    return pair._raw / slot_count
 
 
 def inv_norm(a: np.ndarray) -> float:
@@ -148,16 +156,22 @@ def inv_norm(a: np.ndarray) -> float:
 def solve_system(a: np.ndarray, y) -> tuple[float, float]:
     """Exact 2x2 solve of A.(beta, p1) = Y by Cramer's rule on Python floats, forward stable
     at this size; warns when the closed-form condition number smax / smin is large."""
+    return _solve(a, y)[0]
+
+
+def _solve(a: np.ndarray, y) -> tuple[tuple[float, float], float, float]:
+    """`solve_system`'s solution and A's closed-form (smax, smin), A's entries read
+    as Python floats once."""
     (a11, a12), (a21, a22) = np.asarray(a, dtype=float).tolist()
     y1, y2 = map(float, y)
     det = a11 * a22 - a12 * a21
     if det == 0.0:
         raise SingularSystemError("matrix is singular")
-    smax, smin = _singular_values(a)
+    smax, smin = _closed_form(a11, a12, a21, a22)
     cond = smax / smin if smin > 0.0 else inf
     if cond > CONDITION_WARN_THRESHOLD:
         warnings.warn(f"extraction system condition number {cond:.3g} is large", RuntimeWarning)
-    return (a22 * y1 - a12 * y2) / det, (a11 * y2 - a21 * y1) / det
+    return ((a22 * y1 - a12 * y2) / det, (a11 * y2 - a21 * y1) / det), smax, smin
 
 
 def plan_delta(eps: float, beta_lower: float, a: np.ndarray) -> float:
@@ -172,16 +186,17 @@ def plan_delta(eps: float, beta_lower: float, a: np.ndarray) -> float:
 # pipeline context
 
 
-def _as_complex(source, k: int) -> CliqueComplex:
-    """The complex the pipeline reads at dimension k: a complex built at least
-    that far is reused; an under-built complex is rebuilt from its graph, and a
-    graph or point cloud built, to level k."""
+def _as_complex(source, k: int) -> tuple[CliqueComplex, int]:
+    """The complex the pipeline reads at dimension k, with k as the range rule's
+    int: a complex built at least that far is reused; an under-built complex is
+    rebuilt from its graph, and a graph or point cloud built, to level k."""
     if isinstance(source, CliqueComplex):
+        k = _check_dimension(k, source.n)
         if source.max_dim >= k:
-            _check_dimension(k, source.n)
-            return source
+            return source, k
         source = source.graph
-    return build_clique_complex(source, k)
+    complex_ = build_clique_complex(source, k)
+    return complex_, complex_.max_dim
 
 
 @dataclass(eq=False)
@@ -266,8 +281,8 @@ class PipelineContext:
 
 def pipeline_context(source, k: int, convention: str = "restricted",
                      pe: PEConfig | None = None) -> PipelineContext:
-    return PipelineContext(hodge_laplacian(_as_complex(source, k), k, convention),
-                           pe or _IDEAL)
+    complex_, k = _as_complex(source, k)
+    return PipelineContext(hodge_laplacian(complex_, k, convention), pe or _IDEAL)
 
 
 def _flag_traces(ctx: PipelineContext, weights) -> tuple[float, ...]:
@@ -401,8 +416,7 @@ def _measure_and_solve(ctx: PipelineContext, pair: ObservablePair, a: np.ndarray
         est1, est2 = (trace_estimate(b, accuracy, conf_each, child)
                       for b, child in zip(y, seed.spawn(2)))
         y, samples = (est1.value, est2.value), est1.samples_used
-    x = solve_system(a, y)
-    smax, smin = _singular_values(a)
+    x, smax, smin = _solve(a, y)
     return ExtractionSystem(a=a, y=y, x=x, inv_norm=1.0 / smin, kappa_a=smax / smin), samples
 
 
@@ -433,7 +447,7 @@ def estimate_betti(source, k: int, eps: float | None = None, *, pair: Observable
 
     resource = None
     if eps is not None and beta_rounded > 0 and summary.kappa is not None:
-        resource = resource_estimate(ctx.complex.n, k, summary.kappa, beta_rounded,
+        resource = resource_estimate(ctx.complex.n, ctx.k, summary.kappa, beta_rounded,
                                      ctx.s_count, eps=eps, confidence=confidence)
 
     return BettiEstimate(
@@ -486,8 +500,8 @@ def estimate_normalized_betti(source, k: int, delta: float, *,
     ctx, pair, ss = _enter(source, k, convention, pe, mode, confidence, pair, seed)
     eps_measurement = delta * ctx.s_count / ctx.slot_count
     accuracy = eps_measurement if mode == "sampled" else None
-    # raw_matrix() is the system in the (beta/C, p1/C) variables
-    system, samples = _measure_and_solve(ctx, pair, pair.raw_matrix(), accuracy, confidence, ss)
+    # the raw matrix is the system in the (beta/C, p1/C) variables
+    system, samples = _measure_and_solve(ctx, pair, pair._raw, accuracy, confidence, ss)
     raw = system.x[0] * ctx.slot_count / ctx.s_count
     value = min(max(raw, 0.0), 1.0)
     oracle = ctx.op.blocks[0].kernel_dim / ctx.s_count
@@ -517,7 +531,7 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
     an independent spectral-vs-rank check.
     """
     ctx = pipeline_context(source, k, "dual", pe)
-    graph = ctx.complex.graph
+    graph, k = ctx.complex.graph, ctx.k
     c_total, s_count = ctx.slot_count, ctx.s_count
     comp_slots = c_total - s_count
     # the restricted operator is the dual one's first block alone: every other slot is a zero row
@@ -598,7 +612,7 @@ def resource_estimate(n: int, k: int, kappa: float, beta: float, s_count: int,
     kappa must be positive and finite; multiplicative-accuracy costs need eps and
     a positive finite beta, normalized-mode costs delta.  Deterministic, pure arithmetic.
     """
-    _check_dimension(k, n)
+    k = _check_dimension(k, n)
     _check_accuracy(kappa, "kappa")
     if s_count < 1:
         raise ValueError(f"|S_k| must be positive, got {s_count}")

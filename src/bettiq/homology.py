@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
-from math import comb, gcd
+from math import comb, gcd, inf
 
 import numpy as np
 
@@ -134,29 +133,40 @@ class HodgeBlock:
     """One diagonal block of a Hodge operator: the k-simplex Laplacian of one
     complex, size rows (its k-simplex count) with kernel_dim zero eigenvalues,
     the complex's beta_k by integer rank (the Hodge theorem).  Its slot
-    indices, matrix and ascending eigenvalues are each computed on the first
-    read and cached read-only, so sizes and kernel counts read no slot and
-    assemble nothing."""
+    indices, matrix and ascending eigenvalues are plain attributes, each
+    filled read-only on its first read, so sizes and kernel counts read no
+    slot and assemble nothing.  Filling the eigenvalues also keeps, as floats,
+    the ends the spectrum digest reads: lambda_max, the largest eigenvalue
+    (None for an empty block); lambda_min_nonzero, the first above the
+    kernel (None if all is kernel); and kernel_top, the kernel's largest
+    (-inf for no kernel, inf if the block has fewer than kernel_dim)."""
+
+    __slots__ = ("complex", "k", "kernel_dim", "size", "slots", "matrix", "evals",
+                 "lambda_max", "lambda_min_nonzero", "kernel_top")
 
     def __init__(self, complex_: CliqueComplex, k: int, kernel_dim: int):
         self.complex, self.k, self.kernel_dim = complex_, k, kernel_dim
         self.size = complex_.simplex_count(k)
 
-    @cached_property
-    def slots(self) -> tuple[int, ...]:
-        return tuple(map(slot_rank, self.complex.words(self.k)))
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return _read_only(_laplacian_block(self.complex, self.k))
-
-    @cached_property
-    def evals(self) -> np.ndarray:
-        return _read_only(np.linalg.eigvalsh(self.matrix))
+    def __getattr__(self, name: str):
+        # reached only while a slot is unfilled: fill it (the spectral ones together)
+        if name == "slots":
+            self.slots = tuple(map(slot_rank, self.complex.words(self.k)))
+        elif name == "matrix":
+            self.matrix = _read_only(_laplacian_block(self.complex, self.k))
+        elif name in ("evals", "lambda_max", "lambda_min_nonzero", "kernel_top"):
+            self.evals = _read_only(np.linalg.eigvalsh(self.matrix))
+            values, kd = self.evals.tolist(), self.kernel_dim
+            self.lambda_max = values[-1] if values else None
+            self.lambda_min_nonzero = values[kd] if kd < len(values) else None
+            self.kernel_top = -inf if kd == 0 else values[kd - 1] if kd <= len(values) else inf
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        return object.__getattribute__(self, name)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -262,19 +272,30 @@ def spectral_summary(op: HodgeOperator) -> SpectralSummary:
 
 def _summary(blocks, dim: int) -> SpectralSummary:
     """spectral_summary over `blocks`, every other of the dim slots a zero row:
-    over block 0 alone the restricted operator's digest, which reads no other block."""
-    uncovered = dim - sum(b.size for b in blocks)
-    lam_max = max([float(b.evals[-1]) for b in blocks if b.size] + ([0.0] if uncovered else []))
+    over block 0 alone the restricted operator's digest, which reads no other block.
+    It reads each block's spectral ends; a block agrees with the cut when its
+    kernel lies below it and its first nonzero eigenvalue does not."""
+    covered = kernel_dim = 0
+    lam_max = lam_min = None
+    for b in blocks:
+        covered += b.size
+        kernel_dim += b.kernel_dim
+        top, low = b.lambda_max, b.lambda_min_nonzero
+        if top is not None and (lam_max is None or top > lam_max):
+            lam_max = top
+        if low is not None and (lam_min is None or low < lam_min):
+            lam_min = low
+    uncovered = dim - covered
+    if uncovered and (lam_max is None or 0.0 > lam_max):  # an uncovered slot's zero eigenvalue
+        lam_max = 0.0
     thresh = DEFAULT_ZERO_TOL * max(lam_max, 1.0)
     agrees = True
     for i, b in enumerate(blocks):
-        cut_count = int(b.evals.searchsorted(thresh))
-        if cut_count != b.kernel_dim:
+        if not (b.kernel_top < thresh and (b.lambda_min_nonzero is None
+                                           or thresh <= b.lambda_min_nonzero)):
             agrees = False
-            warnings.warn(f"block {i}: kernel count {b.kernel_dim} by integer rank, {cut_count} "
-                          f"eigenvalues below the threshold {thresh:.3g}", RuntimeWarning)
-    lam_min = min((float(b.evals[b.kernel_dim]) for b in blocks if b.kernel_dim < b.size),
-                  default=None)
+            warnings.warn(f"block {i}: kernel count {b.kernel_dim} by integer rank, "
+                          f"{int(b.evals.searchsorted(thresh))} eigenvalues below the threshold "
+                          f"{thresh:.3g}", RuntimeWarning)
     kappa = None if lam_min is None else lam_max / lam_min
-    return SpectralSummary(uncovered + sum(b.kernel_dim for b in blocks), thresh, lam_min,
-                           lam_max, kappa, agrees)
+    return SpectralSummary(uncovered + kernel_dim, thresh, lam_min, lam_max, kappa, agrees)

@@ -14,6 +14,8 @@ matrix, dense state-preparation reflections and tensor-product unitaries, and
 a block encoding's whole unitary applied to any input.  The slot
 enumeration `slot_words`, the flag trace `observable_b` and the bound
 `perturbation_bound` are kept here too: no library code reads them.
+`summary_oracle` computes the spectrum digest from each block's eigenvalue
+array, where the library reads the spectral ends each block records.
 """
 
 import itertools
@@ -32,6 +34,7 @@ from bettiq import (
     HodgeBlock,
     HodgeOperator,
     PEConfig,
+    SpectralSummary,
     VertexGraph,
     build_clique_complex,
     inv_norm,
@@ -40,7 +43,7 @@ from bettiq import (
 )
 from bettiq.complexes import slot_rank
 from bettiq.extraction import PipelineContext, _check_flag_observable, _flag_traces
-from bettiq.homology import _reduce
+from bettiq.homology import DEFAULT_ZERO_TOL, _reduce
 
 
 def cycle_graph(n: int) -> VertexGraph:
@@ -390,6 +393,22 @@ def matrix_operator(matrix, kernel_dim: int) -> HodgeOperator:
     block = HodgeBlock(build_clique_complex(empty_graph(len(matrix)), 0), 0, kernel_dim)
     block.matrix = matrix
     return HodgeOperator("restricted", (block,))
+
+
+def summary_oracle(blocks, dim: int) -> SpectralSummary:
+    """The spectrum digest over `blocks`, every other of the dim slots one zero
+    eigenvalue, computed directly: lists and min/max over each block's
+    np.linalg.eigvalsh(block.matrix), not the block's recorded spectral ends."""
+    spectra = [np.linalg.eigvalsh(b.matrix) for b in blocks]
+    uncovered = dim - sum(b.size for b in blocks)
+    lam_max = max([float(e[-1]) for e in spectra if e.size] + ([0.0] if uncovered else []))
+    thresh = DEFAULT_ZERO_TOL * max(lam_max, 1.0)
+    agrees = all(int(e.searchsorted(thresh)) == b.kernel_dim for b, e in zip(blocks, spectra))
+    lam_min = min((float(e[b.kernel_dim]) for b, e in zip(blocks, spectra)
+                   if b.kernel_dim < b.size), default=None)
+    kappa = None if lam_min is None else lam_max / lam_min
+    return SpectralSummary(uncovered + sum(b.kernel_dim for b in blocks), thresh, lam_min,
+                           lam_max, kappa, agrees)
 
 
 def dense_operator(op: HodgeOperator) -> np.ndarray:

@@ -311,6 +311,55 @@ class TestInvNorm:
         assert extraction._singular_values(np.array([[1.0, 1.0], [1.0, 0.0]]))[1] > 0
 
 
+class TestReadOut:
+    """An estimate's 2x2 system, exact, sampled or normalized, is what the public
+    helpers give for its own matrix and traces, bit for bit."""
+
+    def test_estimates_match_the_helpers(self, monkeypatch):
+        systems = []
+        measure = extraction._measure_and_solve
+
+        def recording(*args):
+            result = measure(*args)
+            systems.append(result[0])
+            return result
+
+        monkeypatch.setattr(extraction, "_measure_and_solve", recording)
+        pair = ObservablePair.default()
+        cases = [(census_graph(i), k) for i in range(1, 2 ** 15, 2048) for k in (0, 1)]
+        cases += [(random_graph(n, 0.5, seed=1), 2) for n in (8, 10)]
+        for graph, k in cases:
+            for pe in (None, PEConfig.bits(t=2)):
+                systems.clear()
+                exact = estimate_betti(graph, k, pe=pe)
+                sampled = estimate_betti(graph, k, 0.5, pe=pe, mode="sampled", seed=3)
+                norm = estimate_normalized_betti(graph, k, 0.2, pe=pe)
+                norm_sampled = estimate_normalized_betti(graph, k, 0.2, pe=pe, mode="sampled", seed=3)
+                c = exact.slot_count
+                assert systems[0] is exact.system and systems[1] is sampled.system
+                matrices = [assemble_system(pair, c)] * 2 + [pair.raw_matrix()] * 2
+                for system, a in zip(systems, matrices):
+                    assert np.array_equal(system.a, a)
+                    assert system.x == solve_system(system.a, system.y)
+                    smax, smin = extraction._singular_values(system.a)
+                    assert (system.inv_norm, system.kappa_a) == (inv_norm(system.a), smax / smin)
+                ctx = pipeline_context(graph, k, pe=pe)
+                exact_y = (observable_b(pair.m1, ctx), observable_b(pair.m2, ctx))
+                assert systems[0].y == exact_y and systems[2].y == exact_y
+                assert (exact.beta_estimate, exact.p1_estimate) == exact.system.x
+                for est, system in ((norm, systems[2]), (norm_sampled, systems[3])):
+                    assert est.raw_value == system.x[0] * c / est.s_count
+
+    def test_ill_conditioned_pair_warns_through_the_estimators(self):
+        pair = ObservablePair(FLAG_ONE, np.diag([1e-9, 1.0]))
+        smax, smin = extraction._singular_values(pair.raw_matrix())
+        assert smax / smin == pytest.approx(2e9, rel=1e-6)
+        for estimate in (lambda: estimate_betti(cycle_graph(4), 1, pair=pair),
+                         lambda: estimate_normalized_betti(cycle_graph(4), 1, 0.1, pair=pair)):
+            with pytest.warns(RuntimeWarning, match=r"condition number 2e\+09 is large"):
+                estimate()
+
+
 class TestEstimateRecords:
     def test_to_dict_keys_are_unchanged(self):
         est = estimate_betti(cycle_graph(4), 1, 0.25, mode="sampled", seed=1)
@@ -779,6 +828,38 @@ class TestBuildLevel:
         for source in (complete_graph(4), build_clique_complex(complete_graph(4), 3)):
             with pytest.raises(ValueError, match=f"dimension k={k} out of range for n=4"):
                 pipeline_context(source, k)
+
+
+class TestIntegerDimension:
+    """Every entry point takes k through the one range rule, which reads an
+    integer value (1.0, or True) as the plain int its records then hold, and
+    names k when 1.5, "1" or None is not one."""
+
+    BAD = (1.5, "1", None)
+
+    @classmethod
+    def check(cls, call):
+        one = call(1)
+        for k in (1.0, True):
+            got = call(k)
+            assert got == one
+            assert type(got["k"]) is int
+        for k in cls.BAD:
+            with pytest.raises(ValueError, match=f"dimension k must be an integer, got {k!r}"):
+                call(k)
+
+    def test_estimate_betti(self):
+        for source in (cycle_graph(4), build_clique_complex(cycle_graph(4), 2)):
+            self.check(lambda k: estimate_betti(source, k).to_dict())
+
+    def test_estimate_normalized_betti(self):
+        self.check(lambda k: estimate_normalized_betti(cycle_graph(4), k, 0.1).to_dict())
+
+    def test_complement_report(self):
+        self.check(lambda k: complement_report(cycle_graph(4), k))
+
+    def test_resource_estimate(self):
+        self.check(lambda k: resource_estimate(5, k, 2.0, 1, 3).to_dict())
 
 
 class TestArgumentsCheckedFirst:

@@ -23,13 +23,16 @@ from helpers import (
     betti_by_ranks,
     boundary_matrix,
     census_graph,
+    cocktail_party_graph,
     complete_graph,
     cycle_graph,
     dense_operator,
     dense_zero_phase_weights,
+    disjoint_union,
     empty_graph,
     fraction_rank,
     gf2_rank,
+    graph_join,
     integer_rank,
     kernel_projector,
     laplacian_by_products,
@@ -37,8 +40,10 @@ from helpers import (
     octahedron_graph,
     random_graph,
     rp2_subdivision,
+    path_graph,
     slot_zero_phase_weights,
     small_graphs,
+    summary_oracle,
     two_disjoint_cycles,
     two_disjoint_edges,
 )
@@ -391,6 +396,67 @@ class TestSpectralSummary:
         summary = spectral_summary(op)
         nonzero = sum(int((op.eig(i) >= summary.threshold).sum()) for i in range(len(op.blocks)))
         assert summary.kernel_dim + nonzero == op.dim
+
+
+class TestDigestOracle:
+    """Every digest field, from the blocks' recorded spectral ends, equals the
+    direct computation over fresh eigenvalue arrays."""
+
+    @staticmethod
+    def check(op):
+        """The whole operator's digest and the restricted one the ideal estimate reads."""
+        assert spectral_summary(op) == summary_oracle(op.blocks, op.dim)
+        assert homology._summary(op.blocks[:1], op.dim) == summary_oracle(op.blocks[:1], op.dim)
+
+    def test_census(self):
+        for i in range(0, 2 ** 15, 16):
+            graph = census_graph(i)
+            for k in (0, 1):
+                for convention in ("restricted", "dual"):
+                    ctx = pipeline_context(graph, k, convention)
+                    assert ctx.summary() == summary_oracle(ctx.op.blocks[:1], ctx.op.dim)
+                    self.check(ctx.op)
+
+    def test_known_topology(self):
+        graphs = [cycle_graph(5), complete_graph(5), octahedron_graph(), rp2_subdivision(),
+                  two_disjoint_cycles(), two_disjoint_edges(), path_graph(5), empty_graph(4)]
+        cases = [(build_clique_complex(g, min(g.n - 1, 3)), k) for g in graphs for k in range(4)
+                 if k < g.n]
+        c5 = cycle_graph(5)  # the spheres of the estimators' known-space tests, at their k
+        spheres = [(graph_join(c5, c5), 3), (cocktail_party_graph(5), 4),
+                   (graph_join(c5, cocktail_party_graph(3)), 4),
+                   (graph_join(graph_join(c5, c5), c5), 5),
+                   (disjoint_union(cocktail_party_graph(4), cocktail_party_graph(4)), 3)]
+        cases += [(build_clique_complex(g, k), k) for g, k in spheres]
+        for c, k in cases:
+            # the 31-vertex RP^2 subdivision's complement complex is too large to decompose
+            for convention in ("restricted", "dual") if c.n < 31 else ("restricted",):
+                self.check(hodge_laplacian(c, k, convention))
+
+    def test_all_kernel_block(self):
+        op = hodge_laplacian(build_clique_complex(empty_graph(4), 0), 0)
+        assert op.blocks[0].size == op.blocks[0].kernel_dim == 4
+        assert spectral_summary(op).kappa is None
+        self.check(op)
+
+    def test_zero_spectrum_with_uncovered_slots(self):
+        # no edges: the k=1 block is empty and all six slots are uncovered zero rows
+        op = hodge_laplacian(build_clique_complex(empty_graph(4), 1), 1)
+        summary = spectral_summary(op)
+        assert (summary.lambda_max, summary.kernel_dim, summary.kappa) == (0.0, 6, None)
+        self.check(op)
+
+    def test_smallest_nonzero_eigenvalue_in_the_complement_block(self):
+        op = hodge_laplacian(build_clique_complex(census_graph(254), 1), 1, "dual")
+        own, comp = (b.lambda_min_nonzero for b in op.blocks)
+        assert comp < own
+        assert spectral_summary(op).lambda_min_nonzero == comp
+        assert homology._summary(op.blocks[:1], op.dim).lambda_min_nonzero == own
+        self.check(op)
+
+    def test_threshold_mismatch(self):
+        with pytest.warns(RuntimeWarning):
+            self.check(matrix_operator(np.diag([0.0, 1e-9, 1.0]), 1))
 
 
 class TestKernelDecision:
