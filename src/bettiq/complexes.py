@@ -12,6 +12,7 @@ import json
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import comb
 from pathlib import Path
 
@@ -35,9 +36,14 @@ __all__ = [
 GENERATOR_MODELS = ("erdos-renyi", "cycle", "complete", "octahedron", "annulus-cloud")
 
 
+def _integral(x) -> bool:
+    """Whether x's value is an integer (3 or 3.0; not 4.9 or "3"), the rule _integer reads by."""
+    return type(x) is int or isinstance(x, numbers.Integral) or isinstance(x, float) and x.is_integer()
+
+
 def _integer(x, what: str) -> int:
     """x as an int when its value is an integer (3 or 3.0); 4.9 or "3" raise ValueError."""
-    if type(x) is int or isinstance(x, numbers.Integral) or isinstance(x, float) and x.is_integer():
+    if _integral(x):
         return int(x)
     raise ValueError(f"{what} must be an integer, got {x!r}")
 
@@ -107,21 +113,34 @@ class VertexGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "VertexGraph":
+        """An integer array of pairs is checked as arrays, any other input pair by
+        pair, each id by _integer's rule (a non-integer one as -1).  Anything but a
+        list of pairs raises first; then the first bad edge does, by its first fault
+        of: a non-integer id, a self-loop, an id outside 0..n-1."""
         n = _integer(n, "vertex count n")
         try:
-            pairs = [tuple(edge) for edge in edges]
-        except TypeError:
-            pairs = None
-        if pairs is None or any(len(pair) != 2 for pair in pairs):
-            raise ValueError(f"edges must be a list of vertex pairs, got {edges!r}")
+            pairs = ids = np.asarray(edges)
+        except (TypeError, ValueError):  # a ragged list, or input numpy cannot read
+            ids = None
+        if ids is None or ids.dtype.kind not in "iu" or ids.shape[1:] != (2,):
+            try:
+                pairs = [tuple(edge) for edge in edges]
+            except TypeError:
+                pairs = None
+            if pairs is None or any(len(pair) != 2 for pair in pairs):
+                raise ValueError(f"edges must be a list of vertex pairs, got {edges!r}")
+            ids = np.array([[int(x) if _integral(x) and 0 <= x < n else -1 for x in pair]
+                            for pair in pairs], dtype=np.int64).reshape(-1, 2)
+        u, v = ids.T
+        bad = (u == v) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        if bad.any():
+            a, b = pairs[bad.argmax()]
+            a, b = _integer(a, "vertex id"), _integer(b, "vertex id")
+            if a == b:
+                raise ValueError(f"self-loop at vertex {a}")
+            raise ValueError(f"edge ({a},{b}) names a vertex outside 0..{n - 1}")
         adj = np.zeros((n, n), dtype=bool)
-        for u, v in pairs:
-            u, v = _integer(u, "vertex id"), _integer(v, "vertex id")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) names a vertex outside 0..{n - 1}")
-            adj[u, v] = adj[v, u] = True
+        adj[u, v] = adj[v, u] = True
         return cls(n, adj)
 
     def edges(self) -> list[tuple[int, int]]:
@@ -199,25 +218,25 @@ def build_clique_complex(source, max_dim: int) -> CliqueComplex:
     n = graph.n
     max_dim = _check_dimension(max_dim, n)
     masks = graph.adjacency_masks()
-    # frontier holds (word, common-neighbour mask); a clique grows only by a common
-    # neighbour above its top vertex, so each is enumerated once
-    frontier = [(1 << v, masks[v]) for v in range(n)]
-    levels = [frontier]
+    # a clique grows only by a common neighbour v above its top vertex, so each is
+    # enumerated once; it goes to the bucket of its new top vertex v, and the buckets
+    # joined in v order are in word order, as each bucket is filled in frontier order
+    words, common = [tuple(1 << v for v in range(n))], [tuple(masks)]
     for _ in range(max_dim):
-        next_frontier = []
-        for word, common in frontier:
+        new_words, new_common = [[] for _ in range(n)], [[] for _ in range(n)]
+        for word, mask in zip(words[-1], common[-1]):
             top = word.bit_length()
-            m = common >> top << top
+            m = mask >> top << top
             while m:
                 bit = m & -m
                 m ^= bit
-                next_frontier.append((word | bit, common & masks[bit.bit_length() - 1]))
-        next_frontier.sort(key=lambda item: item[0])
-        levels.append(next_frontier)
-        frontier = next_frontier
-    # each level split into its words and their masks, an empty one into two empty tuples
-    words, common = zip(*(tuple(zip(*level)) or ((), ()) for level in levels))
-    return CliqueComplex(n=n, max_dim=max_dim, graph=graph, simplices=words, common_masks=common)
+                v = bit.bit_length() - 1
+                new_words[v].append(word | bit)
+                new_common[v].append(mask & masks[v])
+        words.append(tuple(chain.from_iterable(new_words)))
+        common.append(tuple(chain.from_iterable(new_common)))
+    return CliqueComplex(n=n, max_dim=max_dim, graph=graph, simplices=tuple(words),
+                         common_masks=tuple(common))
 
 
 def complement_complex(g: VertexGraph, max_dim: int) -> CliqueComplex:

@@ -51,31 +51,30 @@ def _coboundary(word: int, common: int) -> dict[int, int]:
     return cofaces
 
 
-def _reduce(columns, build) -> set:
-    """Column reduction over Q of sparse integer columns ({row: nonzero int}),
-    returning the pivot rows, one per unit of rank.  `columns` yields each nonzero
-    column's largest row and a key, build(key) the column itself.  A column whose
-    largest row is new takes it unbuilt (an emergent pair), and is built only if
-    a later column reduces against it.  Any other column is built and reduced on
-    its largest row, against the earlier column p whose largest row it is, by
+def _reduce_level(words, masks, cleared) -> dict:
+    """Column reduction over Q of the coboundaries of one level's simplices
+    (`words` ascending, `masks` their common masks), returning {pivot row: its
+    column}, one pivot per unit of rank.  A simplex in `cleared` or with no coface
+    is skipped.  A column's largest row, its word plus the top bit of its mask, is
+    read before the column is built: a column whose largest row is new takes it
+    unbuilt (an emergent pair), held as its (word, mask) and built only if a later
+    column reduces against it.  Any other column is built and reduced on its
+    largest row, against the earlier column p whose largest row it is, by
     c <- (a/g) c - (b/g) p (a = p[row], b = c[row], g = gcd(a, b)) and divided
     by the gcd of its entries, until it is zero or that row is new."""
-    pivots: dict = {}  # pivot row -> its column, or an emergent column's key
-    unbuilt = set()  # the pivot rows of emergent columns not yet built
-    for low, key in columns:
-        if low not in pivots:
-            pivots[low] = key
-            unbuilt.add(low)
+    pivots: dict = {}  # pivot row -> its column, or an unbuilt column's (word, mask)
+    for w, m in zip(words, masks):
+        if not m or w in cleared:
             continue
-        col = build(key)
-        while col:
-            piv = pivots.get(low)
-            if piv is None:
-                pivots[low] = col
-                break
-            if low in unbuilt:
-                unbuilt.remove(low)
-                piv = pivots[low] = build(piv)
+        low = w | 1 << m.bit_length() - 1
+        piv = pivots.get(low)
+        if piv is None:
+            pivots[low] = (w, m)
+            continue
+        col = _coboundary(w, m)
+        while True:
+            if type(piv) is tuple:  # an emergent column, built on its first use
+                piv = pivots[low] = _coboundary(*piv)
             a, b = piv[low], col[low]
             g = gcd(a, b) if a > 0 else -gcd(a, b)
             a, b = a // g, b // g
@@ -87,11 +86,17 @@ def _reduce(columns, build) -> set:
                     col[r] = x
                 else:
                     del col[r]
+            if not col:
+                break
             g = gcd(*col.values())
             if g > 1:
                 col = {r: v // g for r, v in col.items()}
-            low = max(col, default=None)
-    return set(pivots)
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = col
+                break
+    return pivots
 
 
 def _boundary_ranks(complex_: CliqueComplex, top: int) -> list[int]:
@@ -122,9 +127,7 @@ def _boundary_ranks(complex_: CliqueComplex, top: int) -> list[int]:
                 pivots.add(1 << u | 1 << v)
     ranks = [0, len(pivots)]
     for j in range(1, top):
-        columns = zip(complex_.words(j), complex_.common_masks[j])
-        pivots = _reduce(((w | 1 << m.bit_length() - 1, (w, m)) for w, m in columns
-                          if m and w not in pivots), lambda key: _coboundary(*key))
+        pivots = _reduce_level(complex_.words(j), complex_.common_masks[j], pivots)
         ranks.append(len(pivots))
     return ranks
 

@@ -1,12 +1,13 @@
 """Independent oracles and named instances shared by the test suite.
 
-The oracles here deliberately avoid the library's own code paths: cliques are
-found by exhaustive subset enumeration, ranks by Gaussian elimination over
+The oracles here deliberately avoid the library's own code paths: cliques, and
+each level's words and common masks in order, are found by exhaustive subset
+enumeration, ranks by Gaussian elimination over
 exact fractions or by dense fraction-free (Bareiss) elimination, on dense
-boundary matrices; Betti numbers also by the library's sparse reduction run
-on the boundary side, from the top level down, where the library runs it on
-coboundaries from the vertices up; `integer_rank` runs that reduction on any
-integer matrix.  The small-size pipeline oracles below
+boundary matrices; Betti numbers also by a sparse column reduction of its own,
+`column_pivots`, run on the boundary side from the top level down, where the
+library reduces coboundaries from the vertices up; `integer_rank` runs that
+reduction on any integer matrix.  The small-size pipeline oracles below
 build what the library only ever reads in part: the dense C x C Hodge
 operator, the per-slot zero-phase weights, the whole phase-estimation
 unitary, the flag-tagged state with its copy register, the explicit density
@@ -23,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import sqrt
+from math import gcd, sqrt
 
 import numpy as np
 from hypothesis import strategies as st
@@ -43,7 +44,7 @@ from bettiq import (
 )
 from bettiq.complexes import slot_rank
 from bettiq.extraction import PipelineContext, _check_flag_observable, _flag_traces
-from bettiq.homology import DEFAULT_ZERO_TOL, _reduce
+from bettiq.homology import DEFAULT_ZERO_TOL
 
 
 def cycle_graph(n: int) -> VertexGraph:
@@ -146,6 +147,23 @@ def brute_force_cliques(graph: VertexGraph, size: int) -> set[frozenset]:
         if all(adj[u, v] for u, v in itertools.combinations(combo, 2)):
             found.add(frozenset(combo))
     return found
+
+
+def brute_force_levels(graph: VertexGraph, max_dim: int) -> tuple[list, list]:
+    """Levels 0..max_dim of the clique complex as ascending word lists and their
+    common masks, by subset enumeration: each (k+1)-subset of the vertices whose
+    pairs are all adjacent, its mask the AND of its vertices' neighbourhood masks,
+    read from the adjacency matrix's rows."""
+    adj = graph.adjacency
+    nbrs = [sum(1 << int(u) for u in np.flatnonzero(row)) for row in adj]
+    words, masks = [], []
+    for size in range(1, max_dim + 2):
+        level = sorted((sum(1 << v for v in combo), reduce(int.__and__, (nbrs[v] for v in combo)))
+                       for combo in itertools.combinations(range(graph.n), size)
+                       if all(adj[u, v] for u, v in itertools.combinations(combo, 2)))
+        words.append([w for w, _ in level])
+        masks.append([m for _, m in level])
+    return words, masks
 
 
 def fraction_rank(matrix) -> int:
@@ -258,28 +276,54 @@ def _boundary_faces(word: int) -> dict[int, int]:
     return faces
 
 
+def column_pivots(columns) -> set:
+    """The pivot rows of sparse integer columns ({row: nonzero int}) reduced over
+    Q in the given order, one per unit of rank: each column is reduced on its
+    largest row against the earlier column whose largest row it is, by
+    c <- (a/g) c - (b/g) p (a = p[row], b = c[row], g = gcd(a, b)) and divided by
+    the gcd of its entries, until it is zero or its largest row is new.  Every
+    column is built; there is no clearing or emergent shortcut, and no code is
+    shared with the library's reduction."""
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = col
+                break
+            g = gcd(piv[low], col[low])
+            a, b = piv[low] // g, col[low] // g
+            col = {r: x for r in col.keys() | piv.keys()
+                   if (x := a * col.get(r, 0) - b * piv.get(r, 0))}
+            g = gcd(*col.values())  # divided by its content, so entries stay small
+            if g > 1:
+                col = {r: x // g for r, x in col.items()}
+    return set(pivots)
+
+
 def boundary_pivots(complex_: CliqueComplex, k: int, cleared=()) -> set:
-    """The library's sparse reduction of d_k, its columns the faces of the
+    """The pivot rows of d_k by `column_pivots`, its columns the faces of the
     k-simplex words in ascending order; d_0 and d_n are zero maps.  A k-simplex
     in `cleared`, a pivot row of d_{k+1}, is skipped: its column reduces to zero
     (clearing from the top down)."""
     if k == 0 or k == complex_.n:
         return set()
     columns = (_boundary_faces(w) for w in complex_.words(k) if w not in cleared)
-    return _reduce(((max(col), col) for col in columns), dict)
+    return column_pivots(columns)
 
 
 def integer_rank(matrix) -> int:
     """Exact rank over the rationals of a 2-d matrix of integer-valued entries
-    (Python ints of any size or a numpy integer array), by the library's sparse
-    column reduction; a non-integral entry raises ValueError."""
+    (Python ints of any size or a numpy integer array), by `column_pivots`; a
+    non-integral entry raises ValueError."""
     a = np.asarray(matrix, dtype=object)  # ints beyond int64 are not cast to float
     if a.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     if any(x % 1 for x in a.flat):
         raise ValueError("matrix has a non-integral entry")
     columns = ({i: int(x) for i, x in enumerate(col) if x} for col in a.T)
-    return len(_reduce(((max(col), col) for col in columns if col), dict))
+    return len(column_pivots(columns))
 
 
 def betti_by_boundary_reduction(complex_: CliqueComplex, k: int) -> int:

@@ -16,21 +16,31 @@ from bettiq import (
     generate_instance,
     hodge_laplacian,
     induced_graph,
+    instance_to_dict,
     load_instance,
     slot_rank,
 )
 from helpers import (
     SimplexWord,
     brute_force_cliques,
+    brute_force_levels,
+    census_graph,
+    cocktail_party_graph,
     complete_graph,
     contains_word,
     cycle_graph,
+    disjoint_union,
     empty_graph,
     enumerate_slots,
+    graph_join,
     membership,
     octahedron_graph,
+    path_graph,
     random_graph,
+    rp2_subdivision,
     slot_words,
+    two_disjoint_cycles,
+    two_disjoint_edges,
 )
 
 
@@ -113,6 +123,45 @@ class TestBuild:
             c = build_clique_complex(g, 3)
             for k in range(4):
                 assert words_to_sets(c.words(k)) == brute_force_cliques(g, k + 1)
+
+    @staticmethod
+    def check_levels(graph, max_dim):
+        # every level's words and common masks, in order, as the subset oracle has them
+        c = build_clique_complex(graph, max_dim)
+        words, masks = brute_force_levels(graph, max_dim)
+        assert [list(level) for level in c.simplices] == words, (graph.edges(), max_dim)
+        assert [list(level) for level in c.common_masks] == masks, (graph.edges(), max_dim)
+
+    def test_census_levels_match_the_subset_oracle(self):
+        for i in range(0, 2 ** 15, 16):
+            self.check_levels(census_graph(i), 5)
+
+    def test_er_ladder_levels_match_the_subset_oracle(self):
+        for n in range(8, 29, 4):
+            for p in (0.3, 0.5, 0.7):
+                self.check_levels(random_graph(n, p, 1), 2)
+
+    def test_known_topology_levels_match_the_subset_oracle(self):
+        graphs = [cycle_graph(5), complete_graph(5), octahedron_graph(), rp2_subdivision(),
+                  two_disjoint_cycles(), two_disjoint_edges(), path_graph(5), empty_graph(4)]
+        for g in graphs:
+            self.check_levels(g, min(g.n - 1, 3))
+        c5 = cycle_graph(5)
+        spheres = [(graph_join(c5, c5), 3), (cocktail_party_graph(5), 4),
+                   (graph_join(c5, cocktail_party_graph(3)), 4),
+                   (graph_join(graph_join(c5, c5), c5), 5),
+                   (disjoint_union(cocktail_party_graph(4), cocktail_party_graph(4)), 3)]
+        for g, k in spheres:
+            self.check_levels(g, k)
+
+    def test_empty_graph_levels_match_the_subset_oracle(self):
+        self.check_levels(empty_graph(5), 4)
+
+    def test_words_beyond_64_bits_match_the_subset_oracle(self):
+        g = random_graph(70, 0.1, seed=5)
+        self.check_levels(g, 2)
+        c = build_clique_complex(g, 2)
+        assert c.counts[2] > 0 and max(c.words(2)).bit_length() > 64
 
     def test_downward_closure(self):
         c = build_clique_complex(random_graph(8, 0.55, seed=9), 3)
@@ -333,6 +382,54 @@ class TestInstanceIO:
     def test_non_integral_ids_of_any_type_rejected(self, vertex):
         with pytest.raises(ValueError, match="vertex id must be an integer"):
             load_instance({"n": 6, "edges": [[0, vertex]]})
+
+    @pytest.mark.parametrize("edges,message", [
+        ([(0, 1), (1.5, 2)], "vertex id must be an integer, got 1.5"),
+        ([(0, 1), (2, "3")], "vertex id must be an integer, got '3'"),
+        ([(0, 1), (2, None)], "vertex id must be an integer, got None"),
+        ([(True, True)], "self-loop at vertex 1"),
+        ([(0, 1), (-1, 2)], "edge (-1,2) names a vertex outside 0..3"),
+        ([(0, 1), (2, 4)], "edge (2,4) names a vertex outside 0..3"),
+        ([(0, 1), (2, 2)], "self-loop at vertex 2"),
+        ([(0, 1), (1, 2, 3)], "edges must be a list of vertex pairs, got [(0, 1), (1, 2, 3)]"),
+        # the first bad edge raises, and within an edge a non-integer id, then a
+        # self-loop, then a range; a ragged pair anywhere raises before any id is read
+        ([(0, 9), (1.5, 2)], "edge (0,9) names a vertex outside 0..3"),
+        ([(1.5, 2), (0, 9)], "vertex id must be an integer, got 1.5"),
+        ([(9, 1.5)], "vertex id must be an integer, got 1.5"),
+        ([(7, 7)], "self-loop at vertex 7"),
+        ([(0, 9), (1,)], "edges must be a list of vertex pairs, got [(0, 9), (1,)]"),
+        ([(0, 2 ** 70)], f"edge (0,{2 ** 70}) names a vertex outside 0..3"),
+        (np.array([[0, 1], [3, 4]]), "edge (3,4) names a vertex outside 0..3"),
+        (5, "edges must be a list of vertex pairs, got 5"),
+    ])
+    def test_bad_edges_raise_the_first_bad_edges_message(self, edges, message):
+        with pytest.raises(ValueError) as info:
+            VertexGraph.from_edges(4, edges)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("edges,expected", [
+        ([], []),
+        ([(True, 2), (3, False)], [(0, 3), (1, 2)]),
+        ([[0.0, 1], (2, np.int64(3))], [(0, 1), (2, 3)]),
+        (((i, i + 1) for i in range(3)), [(0, 1), (1, 2), (2, 3)]),
+        (np.array([[1, 0], [3, 2], [0, 1]]), [(0, 1), (2, 3)]),
+        (np.zeros((0, 2), dtype=int), []),
+    ])
+    def test_good_edges_of_any_form_are_read(self, edges, expected):
+        assert VertexGraph.from_edges(4, edges).edges() == expected
+
+    def test_edge_lists_give_the_adjacency(self):
+        # each edge filled both ways, one by one, on the census and the ER ladder
+        graphs = [census_graph(i) for i in range(0, 2 ** 15, 7)]
+        graphs += [random_graph(n, p, 1) for n in range(8, 29, 4) for p in (0.3, 0.5, 0.7)]
+        for g in graphs:
+            edges = instance_to_dict(g)["edges"]
+            adj = np.zeros((g.n, g.n), dtype=bool)
+            for u, v in edges:
+                adj[u, v] = adj[v, u] = True
+            assert np.array_equal(VertexGraph.from_edges(g.n, edges).adjacency, adj)
+            assert np.array_equal(load_instance(instance_to_dict(g)).adjacency, adj)
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
