@@ -34,10 +34,10 @@ from .extraction import (
     ObservablePair,
     ResourceReport,
     SingularSystemError,
+    _operator,
     complement_report,
     estimate_betti,
     estimate_normalized_betti,
-    pipeline_context,
     resource_estimate,
 )
 from .homology import spectral_summary
@@ -141,14 +141,14 @@ def _cmd_generate(args) -> int:
 def _cmd_exact(args) -> int:
     instance = load_instance(args.instance)
     start = time.perf_counter()
-    ctx = pipeline_context(instance, args.k, convention=args.convention)
-    if ctx.s_count == 0:
+    op = _operator(instance, args.k, args.convention)
+    if op.blocks[0].size == 0:
         raise ValueError(f"instance has no simplices at dimension k={args.k}")
-    summary = spectral_summary(ctx.op)  # kernel_dim from the operator's rank counts
+    summary = spectral_summary(op)  # kernel_dim from the operator's rank counts
     results = {
-        "beta": ctx.op.blocks[0].kernel_dim,
-        "s_count": ctx.s_count,
-        "slot_count": ctx.slot_count,
+        "beta": op.blocks[0].kernel_dim,
+        "s_count": op.blocks[0].size,
+        "slot_count": op.dim,
         "kappa_laplacian": summary.kappa,
         "kernel_dim": summary.kernel_dim,
         "threshold_agrees": summary.threshold_agrees,

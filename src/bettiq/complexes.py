@@ -141,7 +141,10 @@ class VertexGraph:
             raise ValueError(f"edge ({a},{b}) names a vertex outside 0..{n - 1}")
         adj = np.zeros((n, n), dtype=bool)
         adj[u, v] = adj[v, u] = True
-        return cls(n, adj)
+        adj.setflags(write=False)  # symmetric with a zero diagonal: no second check or copy
+        graph = object.__new__(cls)
+        vars(graph).update(n=n, adjacency=adj)
+        return graph
 
     def edges(self) -> list[tuple[int, int]]:
         iu, iv = np.nonzero(np.triu(self.adjacency, 1))

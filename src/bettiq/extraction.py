@@ -183,87 +183,76 @@ def plan_delta(eps: float, beta_lower: float, a: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pipeline context
+# the operator and what the estimators read from it
 
 
-def _as_complex(source, k: int) -> tuple[CliqueComplex, int]:
-    """The complex the pipeline reads at dimension k, with k as the range rule's
-    int: a complex built at least that far is reused; an under-built complex is
+def _operator(source, k: int, convention: str) -> HodgeOperator:
+    """The Hodge operator every entry point reads, at k as the range rule's int:
+    a complex built at least to level k is reused; an under-built complex is
     rebuilt from its graph, and a graph or point cloud built, to level k."""
     if isinstance(source, CliqueComplex):
         k = _check_dimension(k, source.n)
         if source.max_dim >= k:
-            return source, k
+            return hodge_laplacian(source, k, convention)
         source = source.graph
     complex_ = build_clique_complex(source, k)
-    return complex_, complex_.max_dim
+    return hodge_laplacian(complex_, complex_.max_dim, convention)
+
+
+def _flag_sums(op: HodgeOperator, cfg: PEConfig) -> tuple[float, float]:
+    """The zero-outcome weight summed over the complex's simplices (flag 1; the
+    Betti number under ideal phase estimation) and over the other slots (flag 0;
+    1 per slot in no block).  A block's sum is, in ideal mode, its rank kernel
+    count, so no block is decomposed; for a t-bit register, its summed
+    `zero_phase_weights`."""
+    sums = ([b.kernel_dim for b in op.blocks] if cfg.mode == "ideal"
+            else [float(w.sum()) for w in zero_phase_weights(op, cfg)])
+    free = op.dim - sum([b.size for b in op.blocks])
+    return float(sums[0]), float(free + sum(sums[1:]))
+
+
+def _digest(op: HodgeOperator, cfg: PEConfig) -> SpectralSummary:
+    """The spectrum digest an estimate reads and reports: under ideal phase
+    estimation the complex's block's alone (the restricted operator's, whose kappa
+    is the paper's); for a t-bit register, which reads every eigenvalue, the whole's."""
+    return _summary(op.blocks[:1], op.dim) if cfg.mode == "ideal" else spectral_summary(op)
 
 
 @dataclass(eq=False)
 class PipelineContext:
-    """One instance/dimension/convention binding of the pipeline, with the
-    spectral pieces cached; the complex, k and slot count are the operator's."""
+    """One instance/dimension/convention binding of the pipeline, the entry of
+    block-encoding verification: the reduced state and the observable encodings
+    with their shared projector.  Its traces and digest are the estimators' own
+    `_flag_sums` and `_digest`; the complex, k and slot count are the operator's."""
 
     op: HodgeOperator
     cfg: PEConfig
 
     def __post_init__(self):
-        self._sums = None
-        self._rho = None
-
-    @property
-    def complex(self) -> CliqueComplex:
-        return self.op.complex
-
-    @property
-    def k(self) -> int:
-        return self.op.k
-
-    @property
-    def slot_count(self) -> int:
-        return self.op.dim
-
-    @property
-    def s_count(self) -> int:
-        return self.op.blocks[0].size
+        self.complex, self.k, self.slot_count = self.op.complex, self.op.k, self.op.dim
+        self.s_count = self.op.blocks[0].size
 
     def summary(self) -> SpectralSummary:
-        """The spectrum digest the estimate reads and reports: under ideal phase
-        estimation the complex's block's alone, the restricted operator's, whose
-        kappa is the paper's, as no kernel count needs a spectrum; for a t-bit
-        register, which reads every eigenvalue, the whole operator's."""
-        if self.cfg.mode == "ideal":
-            return _summary(self.op.blocks[:1], self.op.dim)
-        return spectral_summary(self.op)
-
-    def _block_sums(self) -> tuple[float, ...]:
-        """Zero-outcome probability summed over each block's eigenvalues: in ideal
-        mode the kernel projector's trace, the block's rank kernel count, so no
-        block is decomposed and the complement's is never assembled; for a t-bit
-        register, the summed `zero_phase_weights`."""
-        if self._sums is None:
-            if self.cfg.mode == "ideal":
-                self._sums = tuple(float(b.kernel_dim) for b in self.op.blocks)
-            else:
-                self._sums = tuple(float(w.sum()) for w in zero_phase_weights(self.op, self.cfg))
-        return self._sums
+        """The spectrum digest an estimate on this binding reports (`_digest`)."""
+        return _digest(self.op, self.cfg)
 
     def beta_pe(self) -> float:
         """Zero-outcome weight summed over the complex's simplices (the Betti
         number under ideal phase estimation)."""
-        return self._block_sums()[0]
+        return _flag_sums(self.op, self.cfg)[0]
 
     def p1_trace(self) -> float:
         """Zero-outcome weight over the other slots (1 per slot in no block)."""
-        return float(self.slot_count - sum(b.size for b in self.op.blocks)
-                     + sum(self._block_sums()[1:]))
+        return _flag_sums(self.op, self.cfg)[1]
 
     def rho(self) -> DensityOperator:
         """The reduced mixed state, for block-encoding verification only: the
-        estimators read the block sums and never build it."""
-        if self._rho is None:
-            self._rho = reduced_density(self.op, self.cfg)
+        estimators read the flag sums and never build it."""
         return self._rho
+
+    @cached_property
+    def _rho(self) -> DensityOperator:
+        return reduced_density(self.op, self.cfg)
 
     @cached_property
     def _zero_phase_projector(self):
@@ -281,16 +270,7 @@ class PipelineContext:
 
 def pipeline_context(source, k: int, convention: str = "restricted",
                      pe: PEConfig | None = None) -> PipelineContext:
-    complex_, k = _as_complex(source, k)
-    return PipelineContext(hodge_laplacian(complex_, k, convention), pe or _IDEAL)
-
-
-def _flag_traces(ctx: PipelineContext, weights) -> tuple[float, ...]:
-    """The scalars b = Tr[(|0><0| x I x M) rho] of flag observables M, each given
-    by its weights (M[1,1], M[0,0]), summed from the zero-phase block sums.
-    Sampled estimation draws the Hadamard-test statistic for these same b."""
-    beta, p1, c = ctx.beta_pe(), ctx.p1_trace(), ctx.slot_count
-    return tuple((beta * w1 + p1 * w0) / c for w1, w0 in weights)
+    return PipelineContext(_operator(source, k, convention), pe or _IDEAL)
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +320,10 @@ class _EstimateRun:
         }
 
 
-def _run_fields(ctx: PipelineContext, mode: str, confidence: float, samples: int, ss) -> dict:
-    """The `_EstimateRun` fields of a run on this context."""
-    return dict(samples_per_observable=samples, confidence=confidence, mode=mode,
-                convention=ctx.op.convention, pe_mode=ctx.cfg.mode, n=ctx.complex.n, k=ctx.k,
-                s_count=ctx.s_count, slot_count=ctx.slot_count,
-                seed=seed_descriptor(ss) if ss is not None else None)
+def _run(op: HodgeOperator, cfg: PEConfig, mode: str, confidence: float, samples: int, ss):
+    """The `_EstimateRun` fields of a run on this operator, in field order."""
+    return (samples, confidence, mode, op.convention, cfg.mode, op.n, op.k, op.blocks[0].size,
+            op.dim, seed_descriptor(ss) if ss is not None else None)
 
 
 @dataclass(frozen=True)
@@ -353,7 +331,7 @@ class BettiEstimate(_EstimateRun):
     """Betti-number estimate with its error budget and diagnostics.
 
     `kappa_laplacian` (and the resource report's kappa) is that of the
-    spectrum the estimate read (`PipelineContext.summary`): under ideal phase
+    spectrum the estimate read (`_digest`): under ideal phase
     estimation the complex's own block, the paper's kappa, under either
     convention; under a t-bit register the whole operator, which under `dual`
     includes the complement block."""
@@ -393,23 +371,25 @@ def _round_beta(beta_raw: float) -> int:
 def _enter(source, k: int, convention: str, pe: PEConfig | None, mode: str, confidence: float,
            pair: ObservablePair | None, seed) -> tuple:
     """The estimators' shared entry: check mode, confidence and (sampled mode) the seed,
-    then build the context, reject an empty level, and supply the default pair and the
-    seed sequence."""
+    then build the operator, reject an empty level, and supply the default phase
+    estimation, pair and the seed sequence."""
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_confidence(confidence)
     ss = as_seed_sequence(seed) if mode == "sampled" else None
-    ctx = pipeline_context(source, k, convention, pe)
-    if ctx.s_count == 0:
+    op = _operator(source, k, convention)
+    if op.blocks[0].size == 0:
         raise ValueError("no k-simplices; the estimate is undefined")
-    return ctx, pair or ObservablePair.default(), ss
+    return op, pe or _IDEAL, pair or _DEFAULT_PAIR, ss
 
 
-def _measure_and_solve(ctx: PipelineContext, pair: ObservablePair, a: np.ndarray,
+def _measure_and_solve(op: HodgeOperator, cfg: PEConfig, pair: ObservablePair, a: np.ndarray,
                        accuracy: float | None, confidence: float, seed) -> tuple:
-    """Measure both traces, exactly with accuracy None and otherwise as seeded
-    estimates to +/- accuracy, and solve A.x = y; also returns the samples drawn."""
-    y, samples = _flag_traces(ctx, pair._weights), 0
+    """Measure both flag traces b = Tr[(|0><0| x I x M) rho], M's weights (M[1,1], M[0,0])
+    on the two `_flag_sums`: exactly with accuracy None, else as seeded estimates to
+    +/- accuracy.  Returns the solved system A.x = y and the samples drawn."""
+    (beta, p1), c = _flag_sums(op, cfg), op.dim
+    y, samples = tuple([(beta * w1 + p1 * w0) / c for w1, w0 in pair._weights]), 0
     if accuracy is not None:
         # split the confidence budget evenly so the joint guarantee holds by union bound
         conf_each = 1.0 - (1.0 - confidence) / 2.0
@@ -436,30 +416,30 @@ def estimate_betti(source, k: int, eps: float | None = None, *, pair: Observable
         if eps is None:
             raise ValueError("sampled mode needs a target multiplicative accuracy eps")
         _check_accuracy(beta_lower, "beta_lower")
-    ctx, pair, ss = _enter(source, k, convention, pe, mode, confidence, pair, seed)
-    a = assemble_system(pair, ctx.slot_count)
+    op, cfg, pair, ss = _enter(source, k, convention, pe, mode, confidence, pair, seed)
+    a = assemble_system(pair, op.dim)
     delta = plan_delta(eps, beta_lower, a) if mode == "sampled" else None
-    system, samples = _measure_and_solve(ctx, pair, a, delta, confidence, ss)
+    system, samples = _measure_and_solve(op, cfg, pair, a, delta, confidence, ss)
 
     beta_raw, p1 = system.x
     beta_rounded = _round_beta(beta_raw)
-    summary = ctx.summary()
+    kappa, first = _digest(op, cfg).kappa, op.blocks[0]
 
     resource = None
-    if eps is not None and beta_rounded > 0 and summary.kappa is not None:
-        resource = resource_estimate(ctx.complex.n, ctx.k, summary.kappa, beta_rounded,
-                                     ctx.s_count, eps=eps, confidence=confidence)
+    if eps is not None and beta_rounded > 0 and kappa is not None:
+        resource = resource_estimate(op.n, op.k, kappa, beta_rounded, first.size, eps=eps,
+                                     confidence=confidence)
 
     return BettiEstimate(
-        **_run_fields(ctx, mode, confidence, samples, ss),
+        *_run(op, cfg, mode, confidence, samples, ss),
         beta_estimate=beta_raw,
         beta_rounded=beta_rounded,
         p1_estimate=p1,
         eps=eps,
         delta=delta,
         system=system,
-        kappa_laplacian=summary.kappa,
-        beta_oracle=ctx.op.blocks[0].kernel_dim,
+        kappa_laplacian=kappa,
+        beta_oracle=first.kernel_dim,
         resource=resource,
     )
 
@@ -497,17 +477,18 @@ def estimate_normalized_betti(source, k: int, delta: float, *,
     C/|S_k|, and the result is clamped to [0, 1].
     """
     _check_accuracy(delta, "delta")
-    ctx, pair, ss = _enter(source, k, convention, pe, mode, confidence, pair, seed)
-    eps_measurement = delta * ctx.s_count / ctx.slot_count
+    op, cfg, pair, ss = _enter(source, k, convention, pe, mode, confidence, pair, seed)
+    c, first = op.dim, op.blocks[0]
+    eps_measurement = delta * first.size / c
     accuracy = eps_measurement if mode == "sampled" else None
     # the raw matrix is the system in the (beta/C, p1/C) variables
-    system, samples = _measure_and_solve(ctx, pair, pair._raw, accuracy, confidence, ss)
-    raw = system.x[0] * ctx.slot_count / ctx.s_count
+    system, samples = _measure_and_solve(op, cfg, pair, pair._raw, accuracy, confidence, ss)
+    raw = system.x[0] * c / first.size
     value = min(max(raw, 0.0), 1.0)
-    oracle = ctx.op.blocks[0].kernel_dim / ctx.s_count
+    oracle = first.kernel_dim / first.size
 
     return NormalizedBettiEstimate(
-        **_run_fields(ctx, mode, confidence, samples, ss),
+        *_run(op, cfg, mode, confidence, samples, ss),
         value=value,
         raw_value=raw,
         delta=delta,
@@ -530,18 +511,18 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
     a t-bit register, where p1_dual sums the block's zero-phase weights, is it
     an independent spectral-vs-rank check.
     """
-    ctx = pipeline_context(source, k, "dual", pe)
-    graph, k = ctx.complex.graph, ctx.k
-    c_total, s_count = ctx.slot_count, ctx.s_count
+    op = _operator(source, k, "dual")
+    graph, k = op.complex.graph, op.k
+    c_total, s_count = op.dim, op.blocks[0].size
     comp_slots = c_total - s_count
     # the restricted operator is the dual one's first block alone: every other slot is a zero row
     p1_restricted = float(comp_slots)
-    p1_dual = ctx.p1_trace()
+    p1_dual = _flag_sums(op, pe or _IDEAL)[1]
 
     if k >= 1:
         # the dual operator's off-complex kernel by the Hodge theorem: complement
         # homology plus one zero row per slot in neither complex
-        comp = ctx.op.blocks[1]
+        comp = op.blocks[1]
         beta_comp, neither = comp.kernel_dim, comp_slots - comp.size
         kernel_dim_block = beta_comp + neither
     else:  # no off-complex slots, so the operator holds no complement complex

@@ -57,24 +57,25 @@ def _reduce_level(words, masks, cleared) -> dict:
     column}, one pivot per unit of rank.  A simplex in `cleared` or with no coface
     is skipped.  A column's largest row, its word plus the top bit of its mask, is
     read before the column is built: a column whose largest row is new takes it
-    unbuilt (an emergent pair), held as its (word, mask) and built only if a later
-    column reduces against it.  Any other column is built and reduced on its
-    largest row, against the earlier column p whose largest row it is, by
-    c <- (a/g) c - (b/g) p (a = p[row], b = c[row], g = gcd(a, b)) and divided
-    by the gcd of its entries, until it is zero or that row is new."""
-    pivots: dict = {}  # pivot row -> its column, or an unbuilt column's (word, mask)
+    unbuilt (an emergent pair), held as its mask alone (its word is the row less
+    the mask's top bit) and built only if a later column reduces against it.  Any
+    other column is built and reduced on its largest row, against the earlier
+    column p whose largest row it is, by c <- (a/g) c - (b/g) p (a = p[row],
+    b = c[row], g = gcd(a, b)) and divided by the gcd of its entries, until it is
+    zero or that row is new."""
+    pivots: dict = {}  # pivot row -> its column, or an unbuilt column's int mask
     for w, m in zip(words, masks):
         if not m or w in cleared:
             continue
         low = w | 1 << m.bit_length() - 1
         piv = pivots.get(low)
         if piv is None:
-            pivots[low] = (w, m)
+            pivots[low] = m
             continue
         col = _coboundary(w, m)
         while True:
-            if type(piv) is tuple:  # an emergent column, built on its first use
-                piv = pivots[low] = _coboundary(*piv)
+            if type(piv) is int:  # an emergent column, built on its first use
+                piv = pivots[low] = _coboundary(low ^ 1 << piv.bit_length() - 1, piv)
             a, b = piv[low], col[low]
             g = gcd(a, b) if a > 0 else -gcd(a, b)
             a, b = a // g, b // g
@@ -132,45 +133,54 @@ def _boundary_ranks(complex_: CliqueComplex, top: int) -> list[int]:
     return ranks
 
 
+class _OnFirstRead:
+    """A HodgeBlock attribute that `fill` sets on the block at its first read; the
+    block's own attribute then shadows this descriptor, so later reads are plain."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, block, owner=None):
+        if block is None:
+            return self
+        self.fill(block)
+        return vars(block)[self.name]
+
+
 class HodgeBlock:
     """One diagonal block of a Hodge operator: the k-simplex Laplacian of one
     complex, size rows (its k-simplex count) with kernel_dim zero eigenvalues,
-    the complex's beta_k by integer rank (the Hodge theorem).  Its slot
-    indices, matrix and ascending eigenvalues are plain attributes, each
-    filled read-only on its first read, so sizes and kernel counts read no
-    slot and assemble nothing.  Filling the eigenvalues also keeps, as floats,
-    the ends the spectrum digest reads: lambda_max, the largest eigenvalue
-    (None for an empty block); lambda_min_nonzero, the first above the
-    kernel (None if all is kernel); and kernel_top, the kernel's largest
-    (-inf for no kernel, inf if the block has fewer than kernel_dim)."""
-
-    __slots__ = ("complex", "k", "kernel_dim", "size", "slots", "matrix", "evals",
-                 "lambda_max", "lambda_min_nonzero", "kernel_top")
+    the complex's beta_k by integer rank (the Hodge theorem).  Its slot indices,
+    matrix and ascending eigenvalues are filled read-only on their first read.
+    The eigenvalues come with, as floats, the ends the spectrum digest reads:
+    lambda_max, the largest (None for an empty block); lambda_min_nonzero, the
+    first above the kernel (None if all is kernel); and kernel_top, the kernel's
+    largest (-inf for no kernel, inf if the block has fewer than kernel_dim)."""
 
     def __init__(self, complex_: CliqueComplex, k: int, kernel_dim: int):
         self.complex, self.k, self.kernel_dim = complex_, k, kernel_dim
         self.size = complex_.simplex_count(k)
 
-    def __getattr__(self, name: str):
-        # reached only while a slot is unfilled: fill it (the spectral ones together)
-        if name == "slots":
-            self.slots = tuple(map(slot_rank, self.complex.words(self.k)))
-        elif name == "matrix":
-            self.matrix = _read_only(_laplacian_block(self.complex, self.k))
-        elif name in ("evals", "lambda_max", "lambda_min_nonzero", "kernel_top"):
-            self.evals = _read_only(np.linalg.eigvalsh(self.matrix))
-            values, kd = self.evals.tolist(), self.kernel_dim
-            self.lambda_max = values[-1] if values else None
-            self.lambda_min_nonzero = values[kd] if kd < len(values) else None
-            self.kernel_top = -inf if kd == 0 else values[kd - 1] if kd <= len(values) else inf
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        return object.__getattribute__(self, name)
+    def _fill_slots(self):
+        self.slots = tuple(map(slot_rank, self.complex.words(self.k)))
 
+    def _fill_matrix(self):
+        self.matrix = matrix = _laplacian_block(self.complex, self.k)
+        matrix.setflags(write=False)
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+    def _fill_spectrum(self):
+        self.evals = evals = np.linalg.eigvalsh(self.matrix)
+        evals.setflags(write=False)
+        values, kd = evals.tolist(), self.kernel_dim
+        self.lambda_max = values[-1] if values else None
+        self.lambda_min_nonzero = values[kd] if kd < len(values) else None
+        self.kernel_top = -inf if kd == 0 else values[kd - 1] if kd <= len(values) else inf
+
+    slots, matrix = _OnFirstRead(_fill_slots), _OnFirstRead(_fill_matrix)
+    evals, lambda_max, lambda_min_nonzero, kernel_top = map(_OnFirstRead, [_fill_spectrum] * 4)
 
 
 class HodgeOperator:
@@ -233,16 +243,21 @@ def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restrict
     on its first read."""
     if convention not in ("restricted", "dual"):
         raise ValueError(f"unknown convention {convention!r}")
-    blocks = (HodgeBlock(complex_, k, betti_exact(complex_, k)),)
+    blocks = [HodgeBlock(complex_, k, 0)]
     if convention == "dual" and k >= 1:
-        comp = complement_complex(complex_.graph, k)
-        blocks += (HodgeBlock(comp, k, betti_exact(comp, k)),)
+        blocks.append(HodgeBlock(complement_complex(complex_.graph, k), k, 0))
+    for b in blocks:  # each block's size is its |S_k|, counted once
+        b.kernel_dim = _betti(b.complex, k, b.size)
     return HodgeOperator(convention, blocks)
 
 
 def betti_exact(complex_: CliqueComplex, k: int) -> int:
     """k-th Betti number by exact ranks over Q: |S_k| - rank d_k - rank d_{k+1}."""
-    count = complex_.simplex_count(k)
+    return _betti(complex_, k, complex_.simplex_count(k))
+
+
+def _betti(complex_: CliqueComplex, k: int, count: int) -> int:
+    """betti_exact at a level k the complex holds, its |S_k| = count."""
     ranks = _boundary_ranks(complex_, k + 1)
     beta = count - ranks[k] - ranks[k + 1]
     assert beta >= 0, "rank computation produced a negative Betti number"

@@ -43,7 +43,7 @@ from bettiq import (
     spectral_summary,
 )
 from bettiq.complexes import slot_rank
-from bettiq.extraction import PipelineContext, _check_flag_observable, _flag_traces
+from bettiq.extraction import PipelineContext, _check_flag_observable
 from bettiq.homology import DEFAULT_ZERO_TOL
 
 
@@ -553,9 +553,11 @@ def zero_phase_weight(op: HodgeOperator, cfg: PEConfig, s) -> float:
 
 def observable_b(m, ctx: PipelineContext) -> float:
     """The scalar b = Tr[(|0><0| x I x M) rho] for a flag observable M, checked
-    first, summed from the zero-phase block sums by the estimators' `_flag_traces`."""
+    first: M's weights (M[1,1], M[0,0]) on the context's zero-outcome sums over
+    the complex's slots and the others, over the slot count."""
     m = _check_flag_observable(m)
-    return _flag_traces(ctx, [(float(m[1, 1].real), float(m[0, 0].real))])[0]
+    w1, w0 = float(m[1, 1].real), float(m[0, 0].real)
+    return (ctx.beta_pe() * w1 + ctx.p1_trace() * w0) / ctx.slot_count
 
 
 def perturbation_bound(a: np.ndarray, delta_y_norm: float) -> float:

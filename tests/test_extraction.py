@@ -360,6 +360,79 @@ class TestReadOut:
                 estimate()
 
 
+class TestOperatorPath:
+    """The estimators and `complement_report` read the Hodge operator and its
+    blocks, never a `PipelineContext`, and give exactly what that verification
+    entry gives.  Calls are counted through the module attributes the
+    benchmark's traced run wraps."""
+
+    CASES = [(census_graph(i), k) for i in (7, 1000, 2 ** 15 - 1) for k in (0, 1)]
+    CASES += [(random_graph(10, 0.5, seed=1), 2), (octahedron_graph(), 2)]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {}
+
+        def counting(name, fn):
+            def run(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return run
+
+        for module, name in ((extraction, "build_clique_complex"), (extraction, "hodge_laplacian"),
+                             (homology, "_laplacian_block"), (np.linalg, "eigvalsh"),
+                             (PipelineContext, "__init__")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        return calls
+
+    @pytest.mark.parametrize("convention", ["restricted", "dual"])
+    def test_an_ideal_estimate_pays_for_its_kernels_once(self, calls, convention):
+        for graph, k in self.CASES:
+            calls.clear()
+            estimate_betti(graph, k, convention=convention)
+            assert calls == {"build_clique_complex": 1, "hodge_laplacian": 1,
+                             "_laplacian_block": 1, "eigvalsh": 1}, (graph.edges(), k)
+
+    @pytest.mark.parametrize("convention", ["restricted", "dual"])
+    def test_ideal_normalized_estimates_and_reports_decompose_nothing(self, calls, convention):
+        for graph, k in self.CASES:
+            calls.clear()
+            estimate_normalized_betti(graph, k, 0.1, convention=convention)
+            complement_report(graph, k)
+            assert calls == {"build_clique_complex": 2, "hodge_laplacian": 2}, (graph.edges(), k)
+
+    def test_no_estimator_builds_a_context(self, calls):
+        graph = random_graph(8, 0.5, seed=2)
+        for pe in (None, PEConfig.bits(t=2), PEConfig.bits()):
+            for convention in ("restricted", "dual"):
+                estimate_betti(graph, 1, 0.25, convention=convention, pe=pe)
+                estimate_betti(graph, 1, 0.5, convention=convention, pe=pe, mode="sampled", seed=3)
+                estimate_normalized_betti(graph, 1, 0.1, convention=convention, pe=pe)
+                estimate_normalized_betti(graph, 1, 0.2, convention=convention, pe=pe,
+                                          mode="sampled", seed=3)
+            complement_report(graph, 1, pe=pe)
+        assert "__init__" not in calls
+
+    @pytest.mark.parametrize("convention", ["restricted", "dual"])
+    @pytest.mark.parametrize("pe", [None, PEConfig.bits(t=2), PEConfig.bits()],
+                             ids=["ideal", "bits-t2", "bits-auto"])
+    def test_estimates_equal_the_verification_entry(self, convention, pe):
+        # every 16th labeled 6-vertex graph at k in {0, 1}, and the ER ladder at k = 2
+        cases = [(census_graph(i), k) for i in range(0, 2 ** 15, 16) for k in (0, 1)]
+        cases += [(random_graph(n, 0.4, seed=1), 2) for n in range(10, 29, 6)]
+        pair = ObservablePair.default()
+        for graph, k in cases:
+            ctx = pipeline_context(graph, k, convention, pe)
+            if ctx.s_count == 0:
+                continue
+            est = estimate_betti(graph, k, convention=convention, pe=pe)
+            beta, p1, c = ctx.beta_pe(), ctx.p1_trace(), ctx.slot_count
+            y = tuple((beta * w1 + p1 * w0) / c for w1, w0 in pair.raw_matrix().tolist())
+            assert (est.beta_estimate, est.p1_estimate) == solve_system(assemble_system(pair, c), y)
+            assert est.beta_oracle == ctx.op.blocks[0].kernel_dim
+            assert est.kappa_laplacian == ctx.summary().kappa
+
+
 class TestEstimateRecords:
     def test_to_dict_keys_are_unchanged(self):
         est = estimate_betti(cycle_graph(4), 1, 0.25, mode="sampled", seed=1)
@@ -1113,18 +1186,18 @@ class TestIdealDualRankRoute:
     def test_complement_report_builds_and_ranks_the_complement_once(self, monkeypatch):
         graph = random_graph(12, 0.4, seed=1)
         levels, ranked = [], []
-        build, rank = homology.complement_complex, homology.betti_exact
+        build, rank = homology.complement_complex, homology._betti
 
         def recording(g, max_dim):
             levels.append(max_dim)
             return build(g, max_dim)
 
-        def ranking(c, k):
+        def ranking(c, k, count):
             ranked.append("complex" if c.graph is graph else "complement")
-            return rank(c, k)
+            return rank(c, k, count)
 
         monkeypatch.setattr(homology, "complement_complex", recording)
-        monkeypatch.setattr(homology, "betti_exact", ranking)
+        monkeypatch.setattr(homology, "_betti", ranking)
         for pe in (None, PEConfig.bits()):
             levels.clear()
             ranked.clear()
