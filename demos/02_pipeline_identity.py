@@ -7,13 +7,15 @@ the kernel still reads zero with certainty, but nonzero eigenphases leak into
 the zero outcome; the leakage dies off monotonically as t grows.
 """
 
-from bettiq import PEConfig, betti_exact, build_clique_complex, complement_report, pipeline_context
+from bettiq import (PEConfig, betti_exact, build_clique_complex, complement_report, hodge_laplacian,
+                    zero_phase_weights)
 from bettiq.complexes import InstanceSpec, generate_instance
 
 
 def p_zero(complex_, k, pe):
-    ctx = pipeline_context(complex_, k, pe=pe)
-    return ctx.beta_pe() / ctx.s_count
+    """The zero outcome's weight summed over the complex's block, per k-simplex."""
+    op = hodge_laplacian(complex_, k)
+    return float(zero_phase_weights(op, pe)[0].sum()) / op.blocks[0].size
 
 
 print("ideal phase estimation: p0 * |S_k| recovers the Betti number exactly\n")
@@ -38,8 +40,10 @@ for t in range(1, 10):
 print(f"ideal: {ideal:.8f} (= beta_0 / |S_0| = 1/5)")
 
 print("\nthe off-complex slots always read zero under the restricted convention:")
-ctx = pipeline_context(c, 0, pe=PEConfig.bits(t=3))
-print(f"p1 trace = {ctx.p1_trace():.1f} over {ctx.slot_count - ctx.s_count} off-complex slots "
+op = hodge_laplacian(c, 0)
+(weights,) = zero_phase_weights(op, PEConfig.bits(t=3))  # restricted: the complex's block alone
+off = op.dim - weights.size  # each slot in no block reads zero surely
+print(f"p1 trace = {float(off):.1f} over {off} off-complex slots "
       "(none at k=0: every vertex is a simplex)")
 c4 = build_clique_complex(generate_instance(InstanceSpec("cycle", {"n": 4})), 2)
 rep4 = complement_report(c4, 1, pe=PEConfig.bits(t=3))

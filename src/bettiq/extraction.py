@@ -21,6 +21,7 @@ from .complexes import CliqueComplex, _check_dimension, build_clique_complex
 from .homology import (
     HodgeOperator,
     SpectralSummary,
+    _check_convention,
     _summary,
     betti_exact,
     complement_complex,
@@ -186,10 +187,18 @@ def plan_delta(eps: float, beta_lower: float, a: np.ndarray) -> float:
 # the operator and what the estimators read from it
 
 
+def _given(value, cls: type, default, name: str):
+    """`value`, or `default` for None; anything but a `cls` is a ValueError naming it."""
+    if value is not None and not isinstance(value, cls):
+        raise ValueError(f"{name} must be None or of type {cls.__name__}, got {value!r}")
+    return default if value is None else value
+
+
 def _operator(source, k: int, convention: str) -> HodgeOperator:
-    """The Hodge operator every entry point reads, at k as the range rule's int:
-    a complex built at least to level k is reused; an under-built complex is
-    rebuilt from its graph, and a graph or point cloud built, to level k."""
+    """The Hodge operator every entry point reads, its convention checked first and k
+    as the range rule's int: a complex built at least to level k is reused; an under-built
+    complex is rebuilt from its graph, and a graph or point cloud built, to level k."""
+    _check_convention(convention)
     if isinstance(source, CliqueComplex):
         k = _check_dimension(k, source.n)
         if source.max_dim >= k:
@@ -220,34 +229,15 @@ def _digest(op: HodgeOperator, cfg: PEConfig) -> SpectralSummary:
 
 @dataclass(eq=False)
 class PipelineContext:
-    """One instance/dimension/convention binding of the pipeline, the entry of
-    block-encoding verification: the reduced state and the observable encodings
-    with their shared projector.  Its traces and digest are the estimators' own
-    `_flag_sums` and `_digest`; the complex, k and slot count are the operator's."""
+    """One operator and phase estimation bound for block-encoding verification:
+    the reduced state and the observable encodings with their shared projector.
+    No estimator builds one; they read the operator through `_flag_sums` and `_digest`."""
 
     op: HodgeOperator
     cfg: PEConfig
 
-    def __post_init__(self):
-        self.complex, self.k, self.slot_count = self.op.complex, self.op.k, self.op.dim
-        self.s_count = self.op.blocks[0].size
-
-    def summary(self) -> SpectralSummary:
-        """The spectrum digest an estimate on this binding reports (`_digest`)."""
-        return _digest(self.op, self.cfg)
-
-    def beta_pe(self) -> float:
-        """Zero-outcome weight summed over the complex's simplices (the Betti
-        number under ideal phase estimation)."""
-        return _flag_sums(self.op, self.cfg)[0]
-
-    def p1_trace(self) -> float:
-        """Zero-outcome weight over the other slots (1 per slot in no block)."""
-        return _flag_sums(self.op, self.cfg)[1]
-
     def rho(self) -> DensityOperator:
-        """The reduced mixed state, for block-encoding verification only: the
-        estimators read the flag sums and never build it."""
+        """The reduced mixed state, built on first read."""
         return self._rho
 
     @cached_property
@@ -258,7 +248,7 @@ class PipelineContext:
     def _zero_phase_projector(self):
         """The encoding of |0><0|_phase x I_slot, built on first read from the
         register sizes (the spectrum only for an automatic t), read-only."""
-        enc = block_encode_projector(2 ** self.cfg.resolve(self.op), self.slot_count)
+        enc = block_encode_projector(2 ** self.cfg.resolve(self.op), self.op.dim)
         enc.dense.flags.writeable = enc.target.flags.writeable = False
         return enc
 
@@ -270,7 +260,8 @@ class PipelineContext:
 
 def pipeline_context(source, k: int, convention: str = "restricted",
                      pe: PEConfig | None = None) -> PipelineContext:
-    return PipelineContext(_operator(source, k, convention), pe or _IDEAL)
+    cfg = _given(pe, PEConfig, _IDEAL, "pe")
+    return PipelineContext(_operator(source, k, convention), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +361,19 @@ def _round_beta(beta_raw: float) -> int:
 
 def _enter(source, k: int, convention: str, pe: PEConfig | None, mode: str, confidence: float,
            pair: ObservablePair | None, seed) -> tuple:
-    """The estimators' shared entry: check mode, confidence and (sampled mode) the seed,
-    then build the operator, reject an empty level, and supply the default phase
-    estimation, pair and the seed sequence."""
+    """The estimators' shared entry: check mode, confidence, phase estimation, pair
+    and (sampled mode) the seed, supplying the defaults, then build the operator
+    and reject an empty level."""
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     _check_confidence(confidence)
+    cfg = _given(pe, PEConfig, _IDEAL, "pe")
+    pair = _given(pair, ObservablePair, _DEFAULT_PAIR, "pair")
     ss = as_seed_sequence(seed) if mode == "sampled" else None
     op = _operator(source, k, convention)
     if op.blocks[0].size == 0:
         raise ValueError("no k-simplices; the estimate is undefined")
-    return op, pe or _IDEAL, pair or _DEFAULT_PAIR, ss
+    return op, cfg, pair, ss
 
 
 def _measure_and_solve(op: HodgeOperator, cfg: PEConfig, pair: ObservablePair, a: np.ndarray,
@@ -511,13 +504,14 @@ def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:
     a t-bit register, where p1_dual sums the block's zero-phase weights, is it
     an independent spectral-vs-rank check.
     """
+    cfg = _given(pe, PEConfig, _IDEAL, "pe")
     op = _operator(source, k, "dual")
     graph, k = op.complex.graph, op.k
     c_total, s_count = op.dim, op.blocks[0].size
     comp_slots = c_total - s_count
     # the restricted operator is the dual one's first block alone: every other slot is a zero row
     p1_restricted = float(comp_slots)
-    p1_dual = _flag_sums(op, pe or _IDEAL)[1]
+    p1_dual = _flag_sums(op, cfg)[1]
 
     if k >= 1:
         # the dual operator's off-complex kernel by the Hodge theorem: complement

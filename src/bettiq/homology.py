@@ -236,13 +236,17 @@ def _laplacian_block(complex_: CliqueComplex, k: int) -> np.ndarray:
     return block
 
 
+def _check_convention(convention: str) -> None:
+    if convention not in ("restricted", "dual"):
+        raise ValueError(f"unknown convention {convention!r}")
+
+
 def hodge_laplacian(complex_: CliqueComplex, k: int, convention: str = "restricted") -> HodgeOperator:
     """d_k^T d_k + d_{k+1} d_{k+1}^T on the slot space, as its blocks with their
     kernel counts by integer rank: the complex's own and, under `dual` at k >= 1,
     the complement complex's (built and ranked here); each block is assembled
     on its first read."""
-    if convention not in ("restricted", "dual"):
-        raise ValueError(f"unknown convention {convention!r}")
+    _check_convention(convention)
     blocks = [HodgeBlock(complex_, k, 0)]
     if convention == "dual" and k >= 1:
         blocks.append(HodgeBlock(complement_complex(complex_.graph, k), k, 0))

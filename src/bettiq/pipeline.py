@@ -421,23 +421,23 @@ def block_encode_hermitian(mat: np.ndarray) -> BlockEncoding:
 
 
 def tensor_block_encoding(encodings) -> BlockEncoding:
-    """Block encoding of the tensor product of targets: the unitaries tensored
-    with all ancilla registers permuted in front of all system registers, held
-    as the inputs' factors (a tensor input contributes its own)."""
+    """Block encoding of a x b for the two dense encodings [a, b], the observable
+    encodings' projector and dilation: the unitaries tensored with both ancilla
+    registers permuted in front, held as the two factors."""
     encodings = list(encodings)
-    if not encodings:
-        raise ValueError("need at least one encoding")
-    for e in encodings:
-        if not e.factors:
+    if len(encodings) != 2:
+        raise ValueError(f"need two encodings, got {len(encodings)}")
+    a, b = encodings
+    for e in (a, b):
+        if e.dense is None:
             raise BlockEncodingError(f"tensor input {e.description or '?'} is not held densely")
-    total = prod(e.dim for e in encodings)
+    total = a.dim * b.dim
     if total > DENSE_DIM_CAP:
         raise BlockEncodingError(f"tensor construction of dimension {total} exceeds the dense cap")
-    return BlockEncoding(prod(e.ancilla_dim for e in encodings), prod(e.system_dim for e in encodings),
-                         reduce(_kron, [e.target for e in encodings]),
-                         factors=tuple(u for e in encodings for u in e.factors),
-                         factor_system_dims=tuple(d for e in encodings for d in e.factor_system_dims),
-                         description="tensor of " + ", ".join(e.description or "?" for e in encodings))
+    return BlockEncoding(a.ancilla_dim * b.ancilla_dim, a.system_dim * b.system_dim,
+                         _kron(a.target, b.target), factors=(a.dense, b.dense),
+                         factor_system_dims=(a.system_dim, b.system_dim),
+                         description=f"tensor of {a.description or '?'}, {b.description or '?'}")
 
 
 # ---------------------------------------------------------------------------

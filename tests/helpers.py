@@ -43,7 +43,7 @@ from bettiq import (
     spectral_summary,
 )
 from bettiq.complexes import slot_rank
-from bettiq.extraction import PipelineContext, _check_flag_observable
+from bettiq.extraction import PipelineContext, _check_flag_observable, _flag_sums
 from bettiq.homology import DEFAULT_ZERO_TOL
 
 
@@ -557,7 +557,8 @@ def observable_b(m, ctx: PipelineContext) -> float:
     the complex's slots and the others, over the slot count."""
     m = _check_flag_observable(m)
     w1, w0 = float(m[1, 1].real), float(m[0, 0].real)
-    return (ctx.beta_pe() * w1 + ctx.p1_trace() * w0) / ctx.slot_count
+    beta, p1 = _flag_sums(ctx.op, ctx.cfg)
+    return (beta * w1 + p1 * w0) / ctx.op.dim
 
 
 def perturbation_bound(a: np.ndarray, delta_y_norm: float) -> float:

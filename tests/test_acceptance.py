@@ -33,6 +33,7 @@ from bettiq import (
     trace_estimate,
     VertexGraph,
 )
+from bettiq.extraction import _flag_sums
 from helpers import (
     complete_graph,
     cycle_graph,
@@ -65,20 +66,21 @@ def run_exact_pipeline(complex_, k):
     """One exact-mode pipeline pass; returns everything the criteria inspect."""
     ctx = pipeline_context(complex_, k)
     oracle = betti_exact(complex_, k)
-    p0 = ctx.beta_pe() / ctx.s_count
-    p1 = ctx.p1_trace()
-    a = assemble_system(PAIR, ctx.slot_count)
+    s_count, slot_count = ctx.op.blocks[0].size, ctx.op.dim
+    beta_pe, p1 = _flag_sums(ctx.op, ctx.cfg)
+    p0 = beta_pe / s_count
+    a = assemble_system(PAIR, slot_count)
     y = (observable_b(PAIR.m1, ctx), observable_b(PAIR.m2, ctx))
     beta_raw, p1_solved = solve_system(a, y)
     return {
         "oracle": oracle,
         "beta_raw": beta_raw,
         "beta_rounded": int(np.floor(max(beta_raw, 0.0) + 0.5)),
-        "p0_times_s": p0 * ctx.s_count,
+        "p0_times_s": p0 * s_count,
         "p1": p1_solved,
         "p1_direct": p1,
-        "s_count": ctx.s_count,
-        "slot_count": ctx.slot_count,
+        "s_count": s_count,
+        "slot_count": slot_count,
         "threshold_agrees": spectral_summary(ctx.op).threshold_agrees,
     }
 
@@ -291,7 +293,7 @@ def test_criterion_07_perturbation_bound():
     cases = [(cycle_graph(4), 1), (octahedron_graph(), 2), (complete_graph(3), 0)]
     for graph, k in cases:
         ctx = pipeline_context(graph, k)
-        a = assemble_system(PAIR, ctx.slot_count)
+        a = assemble_system(PAIR, ctx.op.dim)
         y1 = np.array([observable_b(PAIR.m1, ctx), observable_b(PAIR.m2, ctx)])
         x1 = np.linalg.solve(a, y1)
         delta = plan_delta(0.25, 1.0, a)

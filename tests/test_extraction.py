@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 from math import comb
@@ -86,6 +87,23 @@ class TestObservableB:
                     assert observable_b(m, ctx) == pytest.approx(
                         ctx.rho().expectation(enc.target), abs=1e-10)
 
+    def test_estimates_read_the_simulated_state(self):
+        # every 128th labeled 6-vertex graph: each trace an estimate solves from is
+        # the expectation of its observable's encoding on the verification state
+        pair = ObservablePair.default()
+        for i in range(0, 2 ** 15, 128):
+            graph = census_graph(i)
+            for k, convention, pe in itertools.product(
+                    (0, 1), ("restricted", "dual"), (PEConfig.ideal(), PEConfig.bits(t=2))):
+                ctx = pipeline_context(graph, k, convention, pe)
+                if ctx.op.blocks[0].size == 0:
+                    continue
+                y = estimate_betti(graph, k, convention=convention, pe=pe).system.y
+                rho = ctx.rho()
+                for y_m, m in zip(y, (pair.m1, pair.m2)):
+                    expected = rho.expectation(ctx.observable_encoding(m).target)
+                    assert abs(y_m - expected) <= 1e-12, (i, k, convention, pe)
+
     def test_sampled_returns_trace_estimate(self):
         ctx = c4_context()
         est = trace_estimate(observable_b(FLAG_ONE, ctx), 0.05, 0.95, seed=5)
@@ -111,7 +129,7 @@ class TestObservableB:
         for m in (FLAG_ONE, FLAG_ZERO):
             enc = ctx.observable_encoding(m)
             assert enc.verify()["ok"]
-            assert enc.system_dim == 4 * ctx.slot_count * 2  # phase x slot x flag
+            assert enc.system_dim == 4 * ctx.op.dim * 2  # phase x slot x flag
 
     @pytest.mark.parametrize("cfg", [PEConfig.ideal(), PEConfig.bits(t=2)])
     def test_observable_encoding_of_a_fixed_register_needs_no_spectrum(self, cfg, monkeypatch):
@@ -121,7 +139,7 @@ class TestObservableB:
         phase_dim = 2 ** cfg.resolve(ref.op)
         for m in (FLAG_ONE, FLAG_ZERO):
             enc = ctx.observable_encoding(m)
-            want = tensor_block_encoding([block_encode_projector(phase_dim, ref.slot_count),
+            want = tensor_block_encoding([block_encode_projector(phase_dim, ref.op.dim),
                                           block_encode_hermitian(m)])
             assert np.array_equal(enc.target, want.target)
             assert all(np.array_equal(u, v) for u, v in zip(enc.factors, want.factors, strict=True))
@@ -140,7 +158,7 @@ class TestObservableB:
         ctx = pipeline_context(octahedron_graph(), 1, "dual", cfg)
         pair = ObservablePair.default()
         first, second = (ctx.observable_encoding(m) for m in (pair.m1, pair.m2))
-        assert built == [(2 ** cfg.resolve(ctx.op), ctx.slot_count)]
+        assert built == [(2 ** cfg.resolve(ctx.op), ctx.op.dim)]
         assert first.factors[0] is second.factors[0]
         with pytest.raises(ValueError, match="read-only"):
             first.factors[0][0, 0] = 0.5
@@ -153,7 +171,7 @@ class TestObservableB:
         t = cfg.resolve(ctx.op)
         assert ctx.rho().phase_dim == 2 ** t
         for m in (FLAG_ONE, FLAG_ZERO):
-            assert ctx.observable_encoding(m).system_dim == 2 ** t * ctx.slot_count * 2
+            assert ctx.observable_encoding(m).system_dim == 2 ** t * ctx.op.dim * 2
 
     def test_sampled_estimators_build_no_state_or_encoding(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -423,14 +441,14 @@ class TestOperatorPath:
         pair = ObservablePair.default()
         for graph, k in cases:
             ctx = pipeline_context(graph, k, convention, pe)
-            if ctx.s_count == 0:
+            if ctx.op.blocks[0].size == 0:
                 continue
             est = estimate_betti(graph, k, convention=convention, pe=pe)
-            beta, p1, c = ctx.beta_pe(), ctx.p1_trace(), ctx.slot_count
+            (beta, p1), c = extraction._flag_sums(ctx.op, ctx.cfg), ctx.op.dim
             y = tuple((beta * w1 + p1 * w0) / c for w1, w0 in pair.raw_matrix().tolist())
             assert (est.beta_estimate, est.p1_estimate) == solve_system(assemble_system(pair, c), y)
             assert est.beta_oracle == ctx.op.blocks[0].kernel_dim
-            assert est.kappa_laplacian == ctx.summary().kappa
+            assert est.kappa_laplacian == extraction._digest(ctx.op, ctx.cfg).kappa
 
 
 class TestEstimateRecords:
@@ -671,10 +689,11 @@ class TestSpectralSums:
                     PEConfig.bits(t=3), PEConfig.bits()):
             ctx = pipeline_context(graph, k, convention, cfg)
             weights = slot_zero_phase_weights(ctx.op, cfg)
-            member = np.zeros(ctx.slot_count, dtype=bool)
+            member = np.zeros(ctx.op.dim, dtype=bool)
             member[list(ctx.op.blocks[0].slots)] = True
-            assert abs(ctx.beta_pe() - weights[member].sum()) < 1e-12, cfg
-            assert abs(ctx.p1_trace() - weights[~member].sum()) < 1e-12, cfg
+            beta, p1 = extraction._flag_sums(ctx.op, ctx.cfg)
+            assert abs(beta - weights[member].sum()) < 1e-12, cfg
+            assert abs(p1 - weights[~member].sum()) < 1e-12, cfg
 
     @pytest.mark.parametrize("convention", ["restricted", "dual"])
     def test_ideal_traces_are_the_kernel_counts(self, convention):
@@ -685,13 +704,14 @@ class TestSpectralSums:
             ctx = pipeline_context(graph, k, convention)
             sums = [w.sum() for w in pipeline.zero_phase_weights(ctx.op, ctx.cfg)]
             covered = sum(len(b.slots) for b in ctx.op.blocks)
-            assert ctx.beta_pe() == sums[0]
-            assert ctx.p1_trace() == ctx.slot_count - covered + sum(sums[1:])
+            beta, p1 = extraction._flag_sums(ctx.op, ctx.cfg)
+            assert beta == sums[0]
+            assert p1 == ctx.op.dim - covered + sum(sums[1:])
             weights = slot_zero_phase_weights(ctx.op, ctx.cfg)
-            member = np.zeros(ctx.slot_count, dtype=bool)
+            member = np.zeros(ctx.op.dim, dtype=bool)
             member[list(ctx.op.blocks[0].slots)] = True
-            assert abs(ctx.beta_pe() - weights[member].sum()) < 1e-12
-            assert abs(ctx.p1_trace() - weights[~member].sum()) < 1e-12
+            assert abs(beta - weights[member].sum()) < 1e-12
+            assert abs(p1 - weights[~member].sum()) < 1e-12
 
     def test_ideal_estimates_neither_resolve_nor_weigh(self, monkeypatch):
         calls = []
@@ -752,7 +772,7 @@ class TestSpectralSums:
         # summary; eigh for the rows, whose phases never depend on which reader ran first
         ctx = pipeline_context(octahedron_graph(), 1, "dual", PEConfig.bits())
         decomposed = record_decompositions(monkeypatch)
-        ctx.beta_pe(), ctx.p1_trace(), ctx.rho()
+        extraction._flag_sums(ctx.op, ctx.cfg), ctx.rho()
         assert all(ctx.observable_encoding(m).verify()["ok"] for m in (FLAG_ONE, FLAG_ZERO))
         spectral_summary(ctx.op)
         calls = [(name, len(a)) for name, a in decomposed if len(a) > 2]  # not the observables
@@ -936,8 +956,9 @@ class TestIntegerDimension:
 
 
 class TestArgumentsCheckedFirst:
-    """Every argument an estimator reads is checked before any complex is built,
-    and a missing or non-numeric one is a ValueError, not a TypeError."""
+    """Every argument an estimator, `complement_report` or `pipeline_context` reads
+    is checked before any complex is built, and a missing, non-numeric or
+    mistyped one is a ValueError that names it, not a TypeError or AttributeError."""
 
     CALLS = {
         "sampled-without-eps": (lambda g: estimate_betti(g, 2, mode="sampled"),
@@ -959,6 +980,26 @@ class TestArgumentsCheckedFirst:
             r"confidence must lie in \(0, 1\), got None"),
         "eps-string": (lambda g: estimate_betti(g, 2, "0.1"),
                        "eps must be positive and finite, got 0.1"),
+        "convention-typo": (lambda g: estimate_betti(g, 2, convention="dula"),
+                            "unknown convention 'dula'"),
+        "normalized-convention-typo": (
+            lambda g: estimate_normalized_betti(g, 2, 0.1, convention="dula"),
+            "unknown convention 'dula'"),
+        "context-convention-typo": (lambda g: pipeline_context(g, 2, "dula"),
+                                    "unknown convention 'dula'"),
+        "pe-string": (lambda g: estimate_betti(g, 2, pe="bits"),
+                      "pe must be None or of type PEConfig, got 'bits'"),
+        "normalized-pe-string": (lambda g: estimate_normalized_betti(g, 2, 0.1, pe="bits"),
+                                 "pe must be None or of type PEConfig, got 'bits'"),
+        "complement-pe-string": (lambda g: complement_report(g, 2, pe="ideal"),
+                                 "pe must be None or of type PEConfig, got 'ideal'"),
+        "context-pe-string": (lambda g: pipeline_context(g, 2, pe="bits"),
+                              "pe must be None or of type PEConfig, got 'bits'"),
+        "pair-list": (lambda g: estimate_betti(g, 2, pair=[[1, 0], [0, 1]]),
+                      r"pair must be None or of type ObservablePair, got \[\[1, 0\], \[0, 1\]\]"),
+        "normalized-pair-list": (
+            lambda g: estimate_normalized_betti(g, 2, 0.1, pair=[[1, 0], [0, 1]]),
+            r"pair must be None or of type ObservablePair, got \[\[1, 0\], \[0, 1\]\]"),
     }
 
     @pytest.mark.parametrize("name", CALLS)
@@ -1042,8 +1083,8 @@ class TestComplementReport:
 
     def test_builds_and_decomposes_each_block_once(self, monkeypatch):
         graph = random_graph(12, 0.4, seed=1)
-        expected = (pipeline_context(graph, 2, "restricted").p1_trace(),
-                    pipeline_context(graph, 2, "dual").p1_trace())
+        expected = tuple(extraction._flag_sums(ctx.op, ctx.cfg)[1] for ctx in
+                         (pipeline_context(graph, 2, c) for c in ("restricted", "dual")))
         sizes = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -1099,16 +1140,18 @@ class TestIdealDualRankRoute:
     def test_p1_is_the_kernel_count_of_the_dual_spectrum(self):
         for graph, k in self.cases():
             ctx = pipeline_context(graph, k, "dual")
-            full = hodge_laplacian(ctx.complex, k, "dual")
+            full = hodge_laplacian(ctx.op.complex, k, "dual")
             kernels = tuple(b.kernel_dim for b in full.blocks)
             uncovered = full.dim - sum(len(b.slots) for b in full.blocks)
-            assert ctx.p1_trace() == uncovered + sum(kernels[1:]), (graph, k)
+            p1 = extraction._flag_sums(ctx.op, ctx.cfg)[1]
+            assert p1 == uncovered + sum(kernels[1:]), (graph, k)
             if k == 0:
-                assert ctx.p1_trace() == 0
-            if ctx.s_count:
-                est = estimate_betti(ctx.complex, k, convention="dual")
-                norm = estimate_normalized_betti(ctx.complex, k, 0.05, convention="dual")
-                assert est.beta_rounded == round(norm.value * ctx.s_count) == kernels[0]
+                assert p1 == 0
+            if ctx.op.blocks[0].size:
+                est = estimate_betti(ctx.op.complex, k, convention="dual")
+                norm = estimate_normalized_betti(ctx.op.complex, k, 0.05, convention="dual")
+                assert (est.beta_rounded == round(norm.value * ctx.op.blocks[0].size)
+                        == kernels[0])
 
     def test_only_the_complex_block_is_built_and_decomposed(self, monkeypatch, tmp_path):
         graph = random_graph(12, 0.4, seed=1)  # blocks of 10 and 61 at k = 2

@@ -15,7 +15,7 @@ from bettiq import (
     spectral_summary,
     zero_phase_weights,
 )
-from bettiq import homology
+from bettiq import extraction, homology
 from bettiq.homology import _coboundary, _laplacian_block
 from helpers import (
     bareiss_rank,
@@ -192,7 +192,8 @@ class TestHodge:
         for block in ctx.op.blocks:
             with pytest.raises(ValueError, match="read-only"):
                 block.matrix[:] = 0
-        assert ctx.summary() == spectral_summary(hodge_laplacian(ctx.complex, 1, "dual"))
+        assert (extraction._digest(ctx.op, ctx.cfg)
+                == spectral_summary(hodge_laplacian(ctx.op.complex, 1, "dual")))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_psd(self, seed):
@@ -414,7 +415,8 @@ class TestDigestOracle:
             for k in (0, 1):
                 for convention in ("restricted", "dual"):
                     ctx = pipeline_context(graph, k, convention)
-                    assert ctx.summary() == summary_oracle(ctx.op.blocks[:1], ctx.op.dim)
+                    assert (extraction._digest(ctx.op, ctx.cfg)
+                            == summary_oracle(ctx.op.blocks[:1], ctx.op.dim))
                     self.check(ctx.op)
 
     def test_known_topology(self):

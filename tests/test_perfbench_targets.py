@@ -18,12 +18,16 @@ import bettiq
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _layers():
+def _perfbench(name: str):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        return importlib.import_module("layers")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+def _layers():
+    return _perfbench("layers")
 
 
 def _locations() -> list[str]:
@@ -51,3 +55,39 @@ def test_held_bytes_count_the_encoding_factors():
     assert held(enc) >= sum(f.nbytes for f in enc.factors)
     mixture = bettiq.block_encode_state_mixture(np.eye(3))
     assert held(mixture) >= sum(a.nbytes for a in mixture.reflections)
+
+
+# The attributes through which `encoding_verify`'s op reaches block-encoding
+# verification; perfbench's per-layer spans wrap all of them but the projector builder.
+VERIFICATION_SPANS = (
+    "bettiq.extraction:pipeline_context",
+    "bettiq.extraction:reduced_density",
+    "bettiq.extraction:block_encode_projector",
+    "bettiq.extraction:PipelineContext.observable_encoding",
+    "bettiq.pipeline:block_encode_density",
+    "bettiq.pipeline:BlockEncoding.unitarity_deviation",
+    "bettiq.pipeline:BlockEncoding.block_deviation",
+)
+
+
+def test_encoding_verify_reaches_every_verification_span(monkeypatch, tmp_path):
+    """A criterion-4 op, run as the `encoding_verify` workload runs it, calls
+    each verification layer through the attribute that a counter replaces."""
+    calls = dict.fromkeys(VERIFICATION_SPANS, 0)
+
+    def counting(location, fn):
+        def run(*args, **kwargs):
+            calls[location] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    for location in VERIFICATION_SPANS:
+        module_name, _, qualname = location.partition(":")
+        owner = importlib.import_module(module_name)
+        *path, name = qualname.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        monkeypatch.setattr(owner, name, counting(location, getattr(owner, name)))
+    op = _perfbench("workloads").encoding_verify(1, str(tmp_path)).warmup
+    assert all(op.summarize(op.call())["ok"])
+    assert [location for location, count in calls.items() if count == 0] == []

@@ -66,8 +66,8 @@ def c4_complex(max_dim=2):
 
 def p_zero(complex_, k, cfg=IDEAL):
     """Zero-outcome probability over the complex's own simplices."""
-    ctx = pipeline_context(complex_, k, pe=cfg)
-    return ctx.beta_pe() / ctx.s_count
+    op = pipeline_context(complex_, k, pe=cfg).op
+    return extraction._flag_sums(op, cfg)[0] / op.blocks[0].size
 
 
 def flag_one_observable(rho):
@@ -360,7 +360,7 @@ class TestPZeroPOne:
     def test_c4(self):
         c = c4_complex()
         assert p_zero(c, 1) == pytest.approx(0.25, abs=1e-10)
-        assert pipeline_context(c, 1).p1_trace() == pytest.approx(2.0, abs=1e-9)
+        assert extraction._flag_sums(pipeline_context(c, 1).op, IDEAL)[1] == pytest.approx(2.0, abs=1e-9)
         assert complement_report(c, 1)["p1_restricted_per_slot"] == pytest.approx(1.0, abs=1e-9)
 
     def test_octahedron_k2(self):
@@ -376,7 +376,8 @@ class TestPZeroPOne:
     def test_c4_dual_p1_by_diagonalization(self):
         c = c4_complex()
         # complement block is the edge Laplacian of two disjoint edges: no kernel
-        assert pipeline_context(c, 1, "dual").p1_trace() == pytest.approx(0.0, abs=1e-10)
+        dual = pipeline_context(c, 1, "dual").op
+        assert extraction._flag_sums(dual, IDEAL)[1] == pytest.approx(0.0, abs=1e-10)
 
     def test_empty_level_rejected(self):
         c = build_clique_complex(empty_graph(3), 2)
@@ -496,8 +497,7 @@ class TestTensorBlockEncoding:
     def test_matches_dense_oracle(self, seed):
         rng = np.random.default_rng(200 + seed)
         if seed < 3:
-            encs = [block_encode_projector(2, 3 + seed), self._random_hermitian(rng, 2),
-                    self._random_hermitian(rng, 3)]
+            encs = [block_encode_projector(2, 3 + seed), self._random_hermitian(rng, 2 + seed)]
         else:  # the observable encodings' shapes: P=4, C=6 and P=2, C=20 with a flag projector
             phase_dim, slot_dim, flag = [(4, 6, [0.0, 1.0]), (2, 20, [1.0, 0.0])][seed - 3]
             encs = [block_encode_projector(phase_dim, slot_dim), block_encode_hermitian(np.diag(flag))]
@@ -511,24 +511,18 @@ class TestTensorBlockEncoding:
         x = rng.normal(size=enc.dim)
         assert np.abs(apply_encoding(enc, x) - u @ x).max() < 1e-15
 
-    def test_nested_equals_flat(self):
-        rng = np.random.default_rng(9)
-        a, b, c = block_encode_projector(2, 2), self._random_hermitian(rng, 2), self._random_hermitian(rng, 2)
-        flat = tensor_block_encoding([a, b, c])
-        nested = tensor_block_encoding([tensor_block_encoding([a, b]), c])
-        assert (nested.ancilla_dim, nested.system_dim) == (flat.ancilla_dim, flat.system_dim)
-        assert len(nested.factors) == 3 and nested.factor_system_dims == flat.factor_system_dims
-        assert np.array_equal(nested.encoded_block(), flat.encoded_block())
-        assert nested.unitarity_deviation() == flat.unitarity_deviation()
-        assert np.array_equal(nested.target, flat.target)
-        right = tensor_block_encoding([a, tensor_block_encoding([b, c])])
-        assert np.abs(right.encoded_block() - flat.encoded_block()).max() < 1e-15
-        assert abs(right.unitarity_deviation() - flat.unitarity_deviation()) < 1e-15
+    def test_takes_exactly_two_dense_encodings(self):
+        proj, flag = block_encode_projector(2, 2), block_encode_hermitian(np.diag([0.0, 1.0]))
+        for count in (0, 1, 3):
+            with pytest.raises(ValueError, match=f"need two encodings, got {count}"):
+                tensor_block_encoding([proj, flag, flag][:count])
+        with pytest.raises(BlockEncodingError, match="is not held densely"):
+            tensor_block_encoding([tensor_block_encoding([proj, flag]), flag])
 
     def test_dense_cap_counts_the_whole_product(self):
-        ident = block_encode_hermitian(np.eye(24))  # dim 48
+        proj, ident = block_encode_projector(2, 25), block_encode_hermitian(np.eye(24))
         with pytest.raises(BlockEncodingError, match="exceeds the dense cap"):
-            tensor_block_encoding([ident, ident, ident])  # 48^3 > 4608, never formed
+            tensor_block_encoding([proj, ident])  # 100 * 48 > 4608, never formed
 
     @pytest.mark.parametrize("seed", range(4))
     def test_unitarity_is_the_dense_gram_deviation(self, seed):
