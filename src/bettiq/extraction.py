@@ -386,8 +386,11 @@ def _measure_and_solve(op: HodgeOperator, cfg: PEConfig, pair: ObservablePair, a
     if accuracy is not None:
         # split the confidence budget evenly so the joint guarantee holds by union bound
         conf_each = 1.0 - (1.0 - confidence) / 2.0
+        # the children `seed.spawn(2)` gives a fresh seed, without advancing the caller's
+        children = (np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, i),
+                                           pool_size=seed.pool_size) for i in (0, 1))
         est1, est2 = (trace_estimate(b, accuracy, conf_each, child)
-                      for b, child in zip(y, seed.spawn(2)))
+                      for b, child in zip(y, children))
         y, samples = (est1.value, est2.value), est1.samples_used
     x, smax, smin = _solve(a, y)
     return ExtractionSystem(a=a, y=y, x=x, inv_norm=1.0 / smin, kappa_a=smax / smin), samples

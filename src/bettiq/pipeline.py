@@ -15,7 +15,7 @@ encoding is held as its circuit's factors (one-ancilla matrices, reflections).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from math import ceil, comb, inf, isfinite, log, prod, sqrt
 
@@ -252,6 +252,26 @@ def _reflections(targets) -> tuple[np.ndarray, np.ndarray]:
     return phases, np.divide(w, wn, out=np.zeros_like(w), where=wn >= 1e-14)
 
 
+def _uniform_rotation(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_reflections` of the one row 1/sqrt(m), the mixture-index rotation, built from
+    that one vector by the same numpy operations: a norm is the real and imaginary
+    parts' BLAS dots, as `_row_norms` takes a row, and each division is numpy's."""
+    v = np.full(m, 1.0 / sqrt(m), dtype=complex)
+    v = v / _norm(v)
+    mod = np.hypot(v[:1].real, v[:1].imag)  # 1/sqrt(m) > 1e-14: the phase is v_0/|v_0|
+    phase = v[:1] / mod
+    w = v / phase
+    w[0] -= 1.0
+    wn = _norm(w)
+    return phase, np.divide(w, wn, out=np.zeros_like(w), where=wn >= 1e-14)[None, :]
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a complex vector, as `np.linalg.norm` takes it."""
+    re, im = v.real, v.imag
+    return sqrt(re @ re + im @ im)
+
+
 def _first_columns(phases: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Row i: column 0 of phi_i (I - 2 w_i w_i^dagger), phi_i (e_0 - 2 w_i conj(w_i[0]))."""
     e0 = np.eye(1, vecs.shape[1], dtype=complex)[0]
@@ -279,19 +299,23 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[:, None]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def _product_deviation(unitaries) -> float:
-    """max|U^dagger U - I| for U the kron of the unitaries, from their Gram matrices
-    G_i: off the diagonal it peaks at max_i off_i prod_{j != i} full_j (the largest
-    moduli of G_i off its diagonal and overall); the diagonal is their diagonals' kron."""
-    grams = [(u.conj().T if np.iscomplexobj(u) else u.T) @ u for u in unitaries]
-    full, off = [], []
-    for g in grams:
-        mod = np.abs(g)
-        full.append(mod.max())
-        np.fill_diagonal(mod, 0.0)
-        off.append(mod.max())
-    worst = [o * prod(full[:i] + full[i + 1:]) for i, o in enumerate(off)]
-    diag = reduce(_kron, [np.diag(g) for g in grams])
+def _gram_stats(u: np.ndarray) -> tuple:
+    """(full, off, diag) of the Gram matrix G = U^dagger U of a dense unitary: the
+    largest modulus of G, its largest modulus off the diagonal, and its diagonal."""
+    g = (u.conj().T if np.iscomplexobj(u) else u.T) @ u
+    mod = np.abs(g)
+    full = mod.max()
+    np.fill_diagonal(mod, 0.0)
+    return full, mod.max(), np.diag(g).copy()  # a copy: a kept diagonal holds no Gram matrix
+
+
+def _product_deviation(stats) -> float:
+    """max|U^dagger U - I| for U the kron of unitaries with the given `_gram_stats`:
+    off the diagonal it peaks at max_i off_i prod_{j != i} full_j; the diagonal is
+    their diagonals' kron."""
+    full = [f for f, _, _ in stats]
+    worst = [o * prod(full[:i] + full[i + 1:]) for i, (_, o, _) in enumerate(stats)]
+    diag = reduce(_kron, [d for _, _, d in stats])
     return float(np.max([*worst, np.abs(diag - 1.0).max()]))
 
 
@@ -302,9 +326,10 @@ class BlockEncoding:
     construction is its own one factor (`dense`).  A tensor product holds its
     factors' matrices and system dimensions; regrouping its ancillas in front
     permutes rows and columns alike, so its block and Gram matrix are the
-    krons of theirs.  The mixture holds its reflections R = phi (I - 2 w w^dagger):
-    the mixture-index rotation's (phase, vector), then the state preparations'
-    (phases, vectors), one row each.
+    krons of theirs; one built by `tensor_block_encoding` reads each factor's Gram
+    statistics from the encoding it came from.  The mixture holds its reflections
+    R = phi (I - 2 w w^dagger): the mixture-index rotation's (phase, vector), then
+    the state preparations' (phases, vectors), one row each.
     """
 
     ancilla_dim: int
@@ -315,10 +340,21 @@ class BlockEncoding:
     factor_system_dims: tuple[int, ...] = ()
     reflections: tuple[np.ndarray, ...] = ()
     description: str = ""
+    _sources: tuple[BlockEncoding, ...] = field(default=(), init=False, repr=False)
+    _gram: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.dense is not None:
             self.factors, self.factor_system_dims = (self.dense,), (self.system_dim,)
+
+    def _dense_gram_stats(self) -> tuple:
+        """`_gram_stats` of `dense`, kept from the first computation while `dense` is
+        read-only; a writable one can change in place, so it is computed each time."""
+        if self.dense.flags.writeable:
+            return _gram_stats(self.dense)
+        if self._gram is None:
+            self._gram = _gram_stats(self.dense)
+        return self._gram
 
     @property
     def dim(self) -> int:
@@ -341,7 +377,9 @@ class BlockEncoding:
         if self.reflections:
             pairs = (self.reflections[:2], self.reflections[2:])
             return float(np.max([_reflection_deviations(*pair).max() for pair in pairs]))
-        return _product_deviation(self.factors)
+        if self.dense is not None or self._sources:
+            return _product_deviation([e._dense_gram_stats() for e in self._sources or (self,)])
+        return _product_deviation([_gram_stats(u) for u in self.factors])
 
     def block_deviation(self) -> float:
         return float(np.abs(self.encoded_block() - self.target).max())
@@ -365,9 +403,8 @@ def block_encode_state_mixture(states: np.ndarray, description: str = "") -> Blo
     system against a fresh register and undo the preparation."""
     states = np.asarray(states, dtype=complex)
     m, d = states.shape
-    rotation = _reflections(np.full((1, m), 1.0 / sqrt(m)))
     return BlockEncoding(m * d, d, (states.T @ states.conj()) / m,
-                         reflections=(*rotation, *_reflections(states)),
+                         reflections=(*_uniform_rotation(m), *_reflections(states)),
                          description=description or f"density encoding ({m} states, dim {d})")
 
 
@@ -392,27 +429,29 @@ def block_encode_projector(phase_dim: int, slot_dim: int) -> BlockEncoding:
                          description=f"zero-phase projector ({phase_dim}x{slot_dim})")
 
 
-def _check_contraction(m: np.ndarray, what: str) -> None:
+def _check_contraction(m: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Reject a matrix that is not a finite Hermitian contraction: entries
-    finite, Hermitian to 1e-12, operator norm at most 1 + 1e-12."""
+    finite, Hermitian to 1e-12, operator norm at most 1 + 1e-12.  Returns its
+    `eigh` (eigenvalues, eigenvectors), the one decomposition the norm check reads."""
     if not np.isfinite(m).all():
         raise ValueError(f"{what} has non-finite entries {m[~np.isfinite(m)].tolist()}")
     # each check is written so that NaN fails it
     if not np.abs(m - m.conj().T).max() <= 1e-12:
         raise ValueError(f"{what} must be Hermitian")
-    if not np.abs(np.linalg.eigvalsh(m)).max() <= 1.0 + 1e-12:
+    evals, evecs = np.linalg.eigh(m)
+    if not np.abs(evals).max() <= 1.0 + 1e-12:
         raise ValueError(f"{what} must have operator norm <= 1")
+    return evals, evecs
 
 
 def block_encode_hermitian(mat: np.ndarray) -> BlockEncoding:
-    """Exact one-ancilla encoding of a Hermitian contraction via its dilation;
-    `_check_contraction` rejects any other matrix, NaN and inf included, so the
-    dilation passes `verify()`."""
+    """Exact one-ancilla encoding of a Hermitian contraction via its dilation, built
+    from the decomposition `_check_contraction` takes; that check rejects any other
+    matrix, NaN and inf included, so the dilation passes `verify()`."""
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    _check_contraction(m, "matrix")
-    evals, evecs = np.linalg.eigh(m)
+    evals, evecs = _check_contraction(m, "matrix")
     comp = evecs @ np.diag(np.sqrt(np.clip(1.0 - evals**2, 0.0, None))) @ evecs.conj().T
     d = m.shape[0]
     dense = np.empty((2 * d, 2 * d), dtype=complex)
@@ -434,10 +473,12 @@ def tensor_block_encoding(encodings) -> BlockEncoding:
     total = a.dim * b.dim
     if total > DENSE_DIM_CAP:
         raise BlockEncodingError(f"tensor construction of dimension {total} exceeds the dense cap")
-    return BlockEncoding(a.ancilla_dim * b.ancilla_dim, a.system_dim * b.system_dim,
-                         _kron(a.target, b.target), factors=(a.dense, b.dense),
-                         factor_system_dims=(a.system_dim, b.system_dim),
-                         description=f"tensor of {a.description or '?'}, {b.description or '?'}")
+    enc = BlockEncoding(a.ancilla_dim * b.ancilla_dim, a.system_dim * b.system_dim,
+                        _kron(a.target, b.target), factors=(a.dense, b.dense),
+                        factor_system_dims=(a.system_dim, b.system_dim),
+                        description=f"tensor of {a.description or '?'}, {b.description or '?'}")
+    enc._sources = (a, b)
+    return enc
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +565,7 @@ def trace_estimate(truth: float, delta: float, confidence: float = 0.95,
     outcomes with success probability (1 + truth)/2, as one Binomial(N, p)
     draw in O(1) memory, N sized so the +/-1-valued average meets the
     additive-error contract.  Deterministic per seed (counter-based Philox)."""
-    if abs(truth) > 1.0 + 1e-9:
+    if not abs(truth) <= 1.0 + 1e-9:  # NaN fails too
         raise ValueError(f"trace {truth:.6g} lies outside [-1, 1]: observable norm exceeds 1")
     p_success = min(max((1.0 + truth) / 2.0, 0.0), 1.0)
     n_samples = hoeffding_sample_count(delta, confidence)

@@ -164,6 +164,25 @@ class TestObservableB:
             first.factors[0][0, 0] = 0.5
         assert first.verify()["ok"] and second.verify()["ok"]
 
+    def test_each_encoding_factor_is_checked_once(self, monkeypatch):
+        """On the criterion-4 case C4 k=1: one Gram of the shared projector, one
+        `eigh` and no `eigvalsh` per dilation, and `_reflections` for the states only."""
+        ctx = pipeline_context(cycle_graph(4), 1)
+        rho = ctx.rho()
+        grams, gram = [], pipeline._gram_stats
+        reflected, reflect = [], pipeline._reflections
+        monkeypatch.setattr(pipeline, "_gram_stats", lambda u: grams.append(u) or gram(u))
+        monkeypatch.setattr(pipeline, "_reflections", lambda v: reflected.append(v) or reflect(v))
+        decomposed = record_decompositions(monkeypatch)
+        pair = ObservablePair.default()
+        for m in (pair.m1, pair.m2):
+            assert ctx.observable_encoding(m).verify()["ok"]
+        projector = ctx._zero_phase_projector.dense
+        assert sum(u is projector for u in grams) == 1
+        assert [name for name, _ in decomposed] == ["eigh", "eigh"]
+        assert pipeline.block_encode_density(rho).verify()["ok"]
+        assert len(reflected) == 1 and reflected[0] is rho.vectors
+
     @pytest.mark.parametrize("convention", ["restricted", "dual"])
     @pytest.mark.parametrize("cfg", [PEConfig.ideal(), PEConfig.bits(t=2), PEConfig.bits()])
     def test_state_and_encoding_share_the_resolved_register(self, cfg, convention):
@@ -547,6 +566,13 @@ class TestEstimateBetti:
         b = estimate_betti(cycle_graph(4), 1, 0.25, mode="sampled", seed=99)
         assert a.beta_estimate == b.beta_estimate
         assert a.system.y == b.system.y
+        # one SeedSequence passed twice replays too: the estimate does not advance it
+        graph = random_graph(10, 0.5, seed=3)
+        for estimate, accuracy in ((estimate_betti, 0.25), (estimate_normalized_betti, 0.1)):
+            ss = np.random.SeedSequence(7)
+            runs = [estimate(graph, 2, accuracy, mode="sampled", seed=s) for s in (ss, ss, 7)]
+            assert runs[0].to_dict() == runs[1].to_dict() == runs[2].to_dict()
+            assert runs[0].seed == {"entropy": 7, "spawn_key": []}
 
     def test_empty_level_rejected(self):
         with pytest.raises(ValueError):
