@@ -35,6 +35,7 @@ from .pipeline import (
     _check_accuracy,
     _check_confidence,
     _check_contraction,
+    _gram_stats,
     as_seed_sequence,
     block_encode_hermitian,
     block_encode_projector,
@@ -252,10 +253,18 @@ class PipelineContext:
         enc.dense.flags.writeable = enc.target.flags.writeable = False
         return enc
 
+    @cached_property
+    def _projector_gram(self) -> tuple:
+        """The read-only projector's Gram statistics, taken once for every observable."""
+        return _gram_stats(self._zero_phase_projector.dense)
+
     def observable_encoding(self, m: np.ndarray):
         """Block encoding of |0><0|_phase x I_slot x M by the tensor construction;
-        every observable of the context shares its zero-phase projector."""
-        return tensor_block_encoding([self._zero_phase_projector, block_encode_hermitian(m)])
+        every observable of the context shares its zero-phase projector and the
+        projector's Gram statistics."""
+        enc = tensor_block_encoding([self._zero_phase_projector, block_encode_hermitian(m)])
+        enc._given_grams = (self._projector_gram,)
+        return enc
 
 
 def pipeline_context(source, k: int, convention: str = "restricted",

@@ -226,50 +226,39 @@ class BlockEncodingError(RuntimeError):
 
 
 def _row_norms(v: np.ndarray) -> np.ndarray:
-    """The 2-norm of each row of a complex (rows, d) array, as `np.linalg.norm` takes
-    it from one row: the real and imaginary parts' BLAS dots, summed, then sqrt."""
+    """The 2-norm of each row of a complex (rows, d) array, or of one vector, as
+    `np.linalg.norm` takes it from one row: the real and imaginary parts' BLAS dots,
+    summed, then sqrt."""
     re, im = v.real, v.imag
+    if v.ndim == 1:
+        return np.sqrt(re @ re + im @ im)
     return np.sqrt((re[:, None, :] @ re[:, :, None])[:, 0, 0] + (im[:, None, :] @ im[:, :, None])[:, 0, 0])
 
 
 def _reflections(targets) -> tuple[np.ndarray, np.ndarray]:
     """(phases, vecs) with phi_i (I - 2 w_i w_i^dagger) e_0 row i of the given
-    (rows, d) array of unit vectors: a Householder reflection times a phase (w_i = 0
-    when it is phi_i I).  Each row gets the operations one vector alone would: the
-    norms are `_row_norms` and |v_0| is `hypot`, as scalar `abs` takes it (the
-    complex `np.abs` kernel can differ from it in the last bit)."""
+    (rows, d) array of unit vectors, normalized by `_row_norms` after its check."""
     v = np.asarray(targets, dtype=complex)
     norms = _row_norms(v)
     if not np.abs(norms - 1.0).max() <= 1e-10:  # NaN or inf fails too
         raise ValueError(f"target norm {norms[~(np.abs(norms - 1.0) <= 1e-10)][0]} is not 1")
-    v = v / norms[:, None]
-    v0 = v[:, 0]
+    phases, vecs = _householder(v / norms[:, None])
+    return phases[:, 0], vecs
+
+
+def _householder(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(phases, vecs) with phi (I - 2 w w^dagger) e_0 = v for each unit row of v, or for
+    the one unit vector v, a phase keeping its axis of length 1: a Householder
+    reflection times a phase (w = 0 when it is phi I).  Each row gets the operations
+    one vector alone would: the norms are `_row_norms` and |v_0| is `hypot`, as scalar
+    `abs` takes it (the complex `np.abs` kernel can differ from it in the last bit)."""
+    v0 = v[..., :1]
     mod = np.hypot(v0.real, v0.imag)
-    phases = np.divide(v0, mod, out=np.ones(len(v), dtype=complex), where=mod > 1e-14)
-    w = v / phases[:, None]
-    w[:, 0] -= 1.0
-    wn = _row_norms(w)[:, None]
+    phases = np.divide(v0, mod, out=np.ones_like(v0), where=mod > 1e-14)
+    w = v / phases
+    w[..., 0] -= 1.0
+    wn = _row_norms(w)[..., None]
     return phases, np.divide(w, wn, out=np.zeros_like(w), where=wn >= 1e-14)
-
-
-def _uniform_rotation(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_reflections` of the one row 1/sqrt(m), the mixture-index rotation, built from
-    that one vector by the same numpy operations: a norm is the real and imaginary
-    parts' BLAS dots, as `_row_norms` takes a row, and each division is numpy's."""
-    v = np.full(m, 1.0 / sqrt(m), dtype=complex)
-    v = v / _norm(v)
-    mod = np.hypot(v[:1].real, v[:1].imag)  # 1/sqrt(m) > 1e-14: the phase is v_0/|v_0|
-    phase = v[:1] / mod
-    w = v / phase
-    w[0] -= 1.0
-    wn = _norm(w)
-    return phase, np.divide(w, wn, out=np.zeros_like(w), where=wn >= 1e-14)[None, :]
-
-
-def _norm(v: np.ndarray) -> float:
-    """The 2-norm of a complex vector, as `np.linalg.norm` takes it."""
-    re, im = v.real, v.imag
-    return sqrt(re @ re + im @ im)
 
 
 def _first_columns(phases: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -326,10 +315,11 @@ class BlockEncoding:
     construction is its own one factor (`dense`).  A tensor product holds its
     factors' matrices and system dimensions; regrouping its ancillas in front
     permutes rows and columns alike, so its block and Gram matrix are the
-    krons of theirs; one built by `tensor_block_encoding` reads each factor's Gram
-    statistics from the encoding it came from.  The mixture holds its reflections
-    R = phi (I - 2 w w^dagger): the mixture-index rotation's (phase, vector), then
-    the state preparations' (phases, vectors), one row each.
+    krons of theirs.  The Gram statistics of its first factors may be handed in
+    (`_given_grams`) by the owner of those read-only matrices, which takes them
+    once; every other factor's are computed at each check.  The mixture holds its
+    reflections R = phi (I - 2 w w^dagger): the mixture-index rotation's (phase,
+    vector), then the state preparations' (phases, vectors), one row each.
     """
 
     ancilla_dim: int
@@ -340,21 +330,11 @@ class BlockEncoding:
     factor_system_dims: tuple[int, ...] = ()
     reflections: tuple[np.ndarray, ...] = ()
     description: str = ""
-    _sources: tuple[BlockEncoding, ...] = field(default=(), init=False, repr=False)
-    _gram: tuple | None = field(default=None, init=False, repr=False)
+    _given_grams: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         if self.dense is not None:
             self.factors, self.factor_system_dims = (self.dense,), (self.system_dim,)
-
-    def _dense_gram_stats(self) -> tuple:
-        """`_gram_stats` of `dense`, kept from the first computation while `dense` is
-        read-only; a writable one can change in place, so it is computed each time."""
-        if self.dense.flags.writeable:
-            return _gram_stats(self.dense)
-        if self._gram is None:
-            self._gram = _gram_stats(self.dense)
-        return self._gram
 
     @property
     def dim(self) -> int:
@@ -377,9 +357,8 @@ class BlockEncoding:
         if self.reflections:
             pairs = (self.reflections[:2], self.reflections[2:])
             return float(np.max([_reflection_deviations(*pair).max() for pair in pairs]))
-        if self.dense is not None or self._sources:
-            return _product_deviation([e._dense_gram_stats() for e in self._sources or (self,)])
-        return _product_deviation([_gram_stats(u) for u in self.factors])
+        rest = self.factors[len(self._given_grams):]
+        return _product_deviation([*self._given_grams, *map(_gram_stats, rest)])
 
     def block_deviation(self) -> float:
         return float(np.abs(self.encoded_block() - self.target).max())
@@ -403,8 +382,10 @@ def block_encode_state_mixture(states: np.ndarray, description: str = "") -> Blo
     system against a fresh register and undo the preparation."""
     states = np.asarray(states, dtype=complex)
     m, d = states.shape
+    index = np.full(m, 1.0 / sqrt(m), dtype=complex)  # the mixture-index rotation's vector
+    phase, vec = _householder(index / _row_norms(index))
     return BlockEncoding(m * d, d, (states.T @ states.conj()) / m,
-                         reflections=(*_uniform_rotation(m), *_reflections(states)),
+                         reflections=(phase, vec[None], *_reflections(states)),
                          description=description or f"density encoding ({m} states, dim {d})")
 
 
@@ -429,19 +410,20 @@ def block_encode_projector(phase_dim: int, slot_dim: int) -> BlockEncoding:
                          description=f"zero-phase projector ({phase_dim}x{slot_dim})")
 
 
-def _check_contraction(m: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+def _check_contraction(m: np.ndarray, what: str, vectors: bool = False) -> tuple:
     """Reject a matrix that is not a finite Hermitian contraction: entries
-    finite, Hermitian to 1e-12, operator norm at most 1 + 1e-12.  Returns its
-    `eigh` (eigenvalues, eigenvectors), the one decomposition the norm check reads."""
+    finite, Hermitian to 1e-12, operator norm at most 1 + 1e-12.  Returns the one
+    decomposition the norm check reads: (`eigvalsh`,), or with `vectors` the `eigh`
+    (eigenvalues, eigenvectors) a dilation is built from."""
     if not np.isfinite(m).all():
         raise ValueError(f"{what} has non-finite entries {m[~np.isfinite(m)].tolist()}")
     # each check is written so that NaN fails it
     if not np.abs(m - m.conj().T).max() <= 1e-12:
         raise ValueError(f"{what} must be Hermitian")
-    evals, evecs = np.linalg.eigh(m)
-    if not np.abs(evals).max() <= 1.0 + 1e-12:
+    eig = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m),)
+    if not np.abs(eig[0]).max() <= 1.0 + 1e-12:
         raise ValueError(f"{what} must have operator norm <= 1")
-    return evals, evecs
+    return eig
 
 
 def block_encode_hermitian(mat: np.ndarray) -> BlockEncoding:
@@ -451,7 +433,7 @@ def block_encode_hermitian(mat: np.ndarray) -> BlockEncoding:
     m = np.asarray(mat, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    evals, evecs = _check_contraction(m, "matrix")
+    evals, evecs = _check_contraction(m, "matrix", vectors=True)
     comp = evecs @ np.diag(np.sqrt(np.clip(1.0 - evals**2, 0.0, None))) @ evecs.conj().T
     d = m.shape[0]
     dense = np.empty((2 * d, 2 * d), dtype=complex)
@@ -473,12 +455,10 @@ def tensor_block_encoding(encodings) -> BlockEncoding:
     total = a.dim * b.dim
     if total > DENSE_DIM_CAP:
         raise BlockEncodingError(f"tensor construction of dimension {total} exceeds the dense cap")
-    enc = BlockEncoding(a.ancilla_dim * b.ancilla_dim, a.system_dim * b.system_dim,
-                        _kron(a.target, b.target), factors=(a.dense, b.dense),
-                        factor_system_dims=(a.system_dim, b.system_dim),
-                        description=f"tensor of {a.description or '?'}, {b.description or '?'}")
-    enc._sources = (a, b)
-    return enc
+    return BlockEncoding(a.ancilla_dim * b.ancilla_dim, a.system_dim * b.system_dim,
+                         _kron(a.target, b.target), factors=(a.dense, b.dense),
+                         factor_system_dims=(a.system_dim, b.system_dim),
+                         description=f"tensor of {a.description or '?'}, {b.description or '?'}")
 
 
 # ---------------------------------------------------------------------------

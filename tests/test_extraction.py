@@ -171,7 +171,8 @@ class TestObservableB:
         rho = ctx.rho()
         grams, gram = [], pipeline._gram_stats
         reflected, reflect = [], pipeline._reflections
-        monkeypatch.setattr(pipeline, "_gram_stats", lambda u: grams.append(u) or gram(u))
+        for module in (pipeline, extraction):
+            monkeypatch.setattr(module, "_gram_stats", lambda u: grams.append(u) or gram(u))
         monkeypatch.setattr(pipeline, "_reflections", lambda v: reflected.append(v) or reflect(v))
         decomposed = record_decompositions(monkeypatch)
         pair = ObservablePair.default()
