@@ -147,8 +147,11 @@ class VertexGraph:
         return graph
 
     def edges(self) -> list[tuple[int, int]]:
-        iu, iv = np.nonzero(np.triu(self.adjacency, 1))
-        return [(int(u), int(v)) for u, v in zip(iu, iv)]
+        return list(map(tuple, self._edge_rows()))
+
+    def _edge_rows(self) -> list[list[int]]:
+        """Each edge as [u, v], u < v, in row-major order: the form the JSON holds."""
+        return np.argwhere(np.triu(self.adjacency, 1)).tolist()
 
     def complement(self) -> "VertexGraph":
         adj = ~self.adjacency
@@ -303,7 +306,7 @@ def generate_instance(spec: InstanceSpec):
 def instance_to_dict(instance, spec: InstanceSpec | None = None) -> dict:
     """Canonical JSON form of an instance, optionally echoing its generator spec."""
     if isinstance(instance, VertexGraph):
-        out = {"n": instance.n, "edges": np.argwhere(np.triu(instance.adjacency, 1)).tolist()}
+        out = {"n": instance.n, "edges": instance._edge_rows()}
     elif isinstance(instance, PointCloud):
         out = {
             "points": [[float(x) for x in row] for row in instance.points],

@@ -20,13 +20,12 @@ import numpy as np
 from .complexes import CliqueComplex, _check_dimension, build_clique_complex
 from .homology import (
     HodgeOperator,
-    SpectralSummary,
     _check_convention,
-    _summary,
+    _digest,
     betti_exact,
     complement_complex,
     hodge_laplacian,
-    spectral_summary,
+    spectral_summary,  # the name the benchmark's traced run wraps
 )
 from .pipeline import (
     DensityOperator,
@@ -158,14 +157,14 @@ def inv_norm(a: np.ndarray) -> float:
 def solve_system(a: np.ndarray, y) -> tuple[float, float]:
     """Exact 2x2 solve of A.(beta, p1) = Y by Cramer's rule on Python floats, forward stable
     at this size; warns when the closed-form condition number smax / smin is large."""
-    return _solve(a, y)[0]
+    return _solve(np.asarray(a, dtype=float).tolist(), tuple(map(float, y)))[0]
 
 
-def _solve(a: np.ndarray, y) -> tuple[tuple[float, float], float, float]:
-    """`solve_system`'s solution and A's closed-form (smax, smin), A's entries read
-    as Python floats once."""
-    (a11, a12), (a21, a22) = np.asarray(a, dtype=float).tolist()
-    y1, y2 = map(float, y)
+def _solve(rows, y) -> tuple[tuple[float, float], float, float]:
+    """`solve_system`'s solution and A's closed-form (smax, smin), from A's rows
+    and Y as Python floats."""
+    (a11, a12), (a21, a22) = rows
+    y1, y2 = y
     det = a11 * a22 - a12 * a21
     if det == 0.0:
         raise SingularSystemError("matrix is singular")
@@ -221,18 +220,19 @@ def _flag_sums(op: HodgeOperator, cfg: PEConfig) -> tuple[float, float]:
     return float(sums[0]), float(free + sum(sums[1:]))
 
 
-def _digest(op: HodgeOperator, cfg: PEConfig) -> SpectralSummary:
-    """The spectrum digest an estimate reads and reports: under ideal phase
-    estimation the complex's block's alone (the restricted operator's, whose kappa
-    is the paper's); for a t-bit register, which reads every eigenvalue, the whole's."""
-    return _summary(op.blocks[:1], op.dim) if cfg.mode == "ideal" else spectral_summary(op)
+def _kappa(op: HodgeOperator, cfg: PEConfig) -> float | None:
+    """The kappa an estimate reports, from the spectrum digest's check of the
+    blocks it read: under ideal phase estimation the complex's block's alone (the
+    restricted operator's, the paper's kappa); for a t-bit register, which reads
+    every eigenvalue, the whole operator's."""
+    return _digest(op.blocks[:1] if cfg.mode == "ideal" else op.blocks, op.dim)[4]
 
 
 @dataclass(eq=False)
 class PipelineContext:
     """One operator and phase estimation bound for block-encoding verification:
     the reduced state and the observable encodings with their shared projector.
-    No estimator builds one; they read the operator through `_flag_sums` and `_digest`."""
+    No estimator builds one; they read the operator through `_flag_sums` and `_kappa`."""
 
     op: HodgeOperator
     cfg: PEConfig
@@ -320,10 +320,25 @@ class _EstimateRun:
         }
 
 
-def _run(op: HodgeOperator, cfg: PEConfig, mode: str, confidence: float, samples: int, ss):
-    """The `_EstimateRun` fields of a run on this operator, in field order."""
-    return (samples, confidence, mode, op.convention, cfg.mode, op.n, op.k, op.blocks[0].size,
-            op.dim, seed_descriptor(ss) if ss is not None else None)
+def _frozen(cls, fields: dict):
+    """An instance of the frozen dataclass `cls` whose attributes are `fields`, a
+    fresh dict holding every field by name: it becomes the instance's dict in one
+    step, rather than one `object.__setattr__` per field."""
+    record = object.__new__(cls)
+    object.__setattr__(record, "__dict__", fields)
+    return record
+
+
+def _run(op: HodgeOperator, cfg: PEConfig, mode: str, confidence: float, samples: int, ss,
+         **fields) -> dict:
+    """An estimate's fields by name, in a fresh dict: those of its `_EstimateRun` on
+    this operator, then its own `fields`."""
+    run = {"samples_per_observable": samples, "confidence": confidence, "mode": mode,
+           "convention": op.convention, "pe_mode": cfg.mode, "n": op.n, "k": op.k,
+           "s_count": op.blocks[0].size, "slot_count": op.dim,
+           "seed": seed_descriptor(ss) if ss is not None else None}
+    run.update(fields)
+    return run
 
 
 @dataclass(frozen=True)
@@ -331,7 +346,7 @@ class BettiEstimate(_EstimateRun):
     """Betti-number estimate with its error budget and diagnostics.
 
     `kappa_laplacian` (and the resource report's kappa) is that of the
-    spectrum the estimate read (`_digest`): under ideal phase
+    spectrum the estimate read (`_kappa`): under ideal phase
     estimation the complex's own block, the paper's kappa, under either
     convention; under a t-bit register the whole operator, which under `dual`
     includes the complement block."""
@@ -386,12 +401,15 @@ def _enter(source, k: int, convention: str, pe: PEConfig | None, mode: str, conf
 
 
 def _measure_and_solve(op: HodgeOperator, cfg: PEConfig, pair: ObservablePair, a: np.ndarray,
-                       accuracy: float | None, confidence: float, seed) -> tuple:
+                       scale: int, accuracy: float | None, confidence: float, seed) -> tuple:
     """Measure both flag traces b = Tr[(|0><0| x I x M) rho], M's weights (M[1,1], M[0,0])
     on the two `_flag_sums`: exactly with accuracy None, else as seeded estimates to
-    +/- accuracy.  Returns the solved system A.x = y and the samples drawn."""
+    +/- accuracy.  Returns the solved system A.x = y and the samples drawn; the system
+    matrix a, pair.raw_matrix() / scale, is solved on the pair's weights / scale, the
+    same floats."""
     (beta, p1), c = _flag_sums(op, cfg), op.dim
-    y, samples = tuple([(beta * w1 + p1 * w0) / c for w1, w0 in pair._weights]), 0
+    (w11, w10), (w21, w20) = pair._weights
+    y, samples = ((beta * w11 + p1 * w10) / c, (beta * w21 + p1 * w20) / c), 0
     if accuracy is not None:
         # split the confidence budget evenly so the joint guarantee holds by union bound
         conf_each = 1.0 - (1.0 - confidence) / 2.0
@@ -401,8 +419,9 @@ def _measure_and_solve(op: HodgeOperator, cfg: PEConfig, pair: ObservablePair, a
         est1, est2 = (trace_estimate(b, accuracy, conf_each, child)
                       for b, child in zip(y, children))
         y, samples = (est1.value, est2.value), est1.samples_used
-    x, smax, smin = _solve(a, y)
-    return ExtractionSystem(a=a, y=y, x=x, inv_norm=1.0 / smin, kappa_a=smax / smin), samples
+    x, smax, smin = _solve(((w11 / scale, w10 / scale), (w21 / scale, w20 / scale)), y)
+    return _frozen(ExtractionSystem, {"a": a, "y": y, "x": x, "inv_norm": 1.0 / smin,
+                                      "kappa_a": smax / smin}), samples
 
 
 def estimate_betti(source, k: int, eps: float | None = None, *, pair: ObservablePair | None = None,
@@ -424,19 +443,19 @@ def estimate_betti(source, k: int, eps: float | None = None, *, pair: Observable
     op, cfg, pair, ss = _enter(source, k, convention, pe, mode, confidence, pair, seed)
     a = assemble_system(pair, op.dim)
     delta = plan_delta(eps, beta_lower, a) if mode == "sampled" else None
-    system, samples = _measure_and_solve(op, cfg, pair, a, delta, confidence, ss)
+    system, samples = _measure_and_solve(op, cfg, pair, a, op.dim, delta, confidence, ss)
 
     beta_raw, p1 = system.x
     beta_rounded = _round_beta(beta_raw)
-    kappa, first = _digest(op, cfg).kappa, op.blocks[0]
+    kappa, first = _kappa(op, cfg), op.blocks[0]
 
     resource = None
     if eps is not None and beta_rounded > 0 and kappa is not None:
         resource = resource_estimate(op.n, op.k, kappa, beta_rounded, first.size, eps=eps,
                                      confidence=confidence)
 
-    return BettiEstimate(
-        *_run(op, cfg, mode, confidence, samples, ss),
+    return _frozen(BettiEstimate, _run(
+        op, cfg, mode, confidence, samples, ss,
         beta_estimate=beta_raw,
         beta_rounded=beta_rounded,
         p1_estimate=p1,
@@ -446,7 +465,7 @@ def estimate_betti(source, k: int, eps: float | None = None, *, pair: Observable
         kappa_laplacian=kappa,
         beta_oracle=first.kernel_dim,
         resource=resource,
-    )
+    ))
 
 
 @dataclass(frozen=True)
@@ -487,19 +506,19 @@ def estimate_normalized_betti(source, k: int, delta: float, *,
     eps_measurement = delta * first.size / c
     accuracy = eps_measurement if mode == "sampled" else None
     # the raw matrix is the system in the (beta/C, p1/C) variables
-    system, samples = _measure_and_solve(op, cfg, pair, pair._raw, accuracy, confidence, ss)
+    system, samples = _measure_and_solve(op, cfg, pair, pair._raw, 1, accuracy, confidence, ss)
     raw = system.x[0] * c / first.size
     value = min(max(raw, 0.0), 1.0)
     oracle = first.kernel_dim / first.size
 
-    return NormalizedBettiEstimate(
-        *_run(op, cfg, mode, confidence, samples, ss),
+    return _frozen(NormalizedBettiEstimate, _run(
+        op, cfg, mode, confidence, samples, ss,
         value=value,
         raw_value=raw,
         delta=delta,
         eps_measurement=eps_measurement,
         oracle_value=oracle,
-    )
+    ))
 
 
 def complement_report(source, k: int, pe: PEConfig | None = None) -> dict:

@@ -169,15 +169,15 @@ class HodgeBlock:
 
     def _fill_matrix(self):
         self.matrix = matrix = _laplacian_block(self.complex, self.k)
-        matrix.setflags(write=False)
+        matrix.setflags(False)  # read-only: write=False, the cheaper positional form
 
     def _fill_spectrum(self):
         self.evals = evals = np.linalg.eigvalsh(self.matrix)
-        evals.setflags(write=False)
-        values, kd = evals.tolist(), self.kernel_dim
-        self.lambda_max = values[-1] if values else None
-        self.lambda_min_nonzero = values[kd] if kd < len(values) else None
-        self.kernel_top = -inf if kd == 0 else values[kd - 1] if kd <= len(values) else inf
+        evals.setflags(False)
+        size, kd = len(evals), self.kernel_dim
+        self.lambda_max = evals.item(-1) if size else None
+        self.lambda_min_nonzero = evals.item(kd) if kd < size else None
+        self.kernel_top = -inf if kd == 0 else evals.item(kd - 1) if kd <= size else inf
 
     slots, matrix = _OnFirstRead(_fill_slots), _OnFirstRead(_fill_matrix)
     evals, lambda_max, lambda_min_nonzero, kernel_top = map(_OnFirstRead, [_fill_spectrum] * 4)
@@ -289,14 +289,15 @@ def spectral_summary(op: HodgeOperator) -> SpectralSummary:
     ascending eigenvalues are its kernel, the next its smallest nonzero one.
     The count below DEFAULT_ZERO_TOL * max(lambda_max, 1) only checks that
     split; a block where it differs is named in a RuntimeWarning."""
-    return _summary(op.blocks, op.dim)
+    return SpectralSummary(*_digest(op.blocks, op.dim))
 
 
-def _summary(blocks, dim: int) -> SpectralSummary:
-    """spectral_summary over `blocks`, every other of the dim slots a zero row:
-    over block 0 alone the restricted operator's digest, which reads no other block.
-    It reads each block's spectral ends; a block agrees with the cut when its
-    kernel lies below it and its first nonzero eigenvalue does not."""
+def _digest(blocks, dim: int) -> tuple:
+    """spectral_summary's fields, in order, over `blocks`, every other of the dim
+    slots a zero row: over block 0 alone the restricted operator's digest, which
+    reads no other block.  It reads each block's spectral ends; a block agrees
+    with the cut when its kernel lies below it and its first nonzero eigenvalue
+    does not."""
     covered = kernel_dim = 0
     lam_max = lam_min = None
     for b in blocks:
@@ -320,4 +321,4 @@ def _summary(blocks, dim: int) -> SpectralSummary:
                           f"{int(b.evals.searchsorted(thresh))} eigenvalues below the threshold "
                           f"{thresh:.3g}", RuntimeWarning)
     kappa = None if lam_min is None else lam_max / lam_min
-    return SpectralSummary(uncovered + kernel_dim, thresh, lam_min, lam_max, kappa, agrees)
+    return uncovered + kernel_dim, thresh, lam_min, lam_max, kappa, agrees

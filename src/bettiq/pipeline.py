@@ -545,7 +545,11 @@ def trace_estimate(truth: float, delta: float, confidence: float = 0.95,
     outcomes with success probability (1 + truth)/2, as one Binomial(N, p)
     draw in O(1) memory, N sized so the +/-1-valued average meets the
     additive-error contract.  Deterministic per seed (counter-based Philox)."""
-    if not abs(truth) <= 1.0 + 1e-9:  # NaN fails too
+    try:
+        inside = abs(truth) <= 1.0 + 1e-9  # NaN fails too
+    except TypeError:
+        raise ValueError(f"trace must be a number, got {truth!r}") from None
+    if not inside:
         raise ValueError(f"trace {truth:.6g} lies outside [-1, 1]: observable norm exceeds 1")
     p_success = min(max((1.0 + truth) / 2.0, 0.0), 1.0)
     n_samples = hoeffding_sample_count(delta, confidence)

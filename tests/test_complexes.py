@@ -431,6 +431,15 @@ class TestInstanceIO:
             assert np.array_equal(VertexGraph.from_edges(g.n, edges).adjacency, adj)
             assert np.array_equal(load_instance(instance_to_dict(g)).adjacency, adj)
 
+    def test_the_json_edges_are_the_edge_list(self):
+        graphs = [census_graph(i) for i in range(0, 2 ** 15, 97)]
+        graphs += [random_graph(n, 0.5, 1) for n in (1, 2, 9, 20)]
+        for g in graphs:
+            edges = g.edges()
+            assert all(type(u) is int and type(v) is int and u < v for u, v in edges)
+            assert edges == sorted(edges)
+            assert instance_to_dict(g)["edges"] == [list(e) for e in edges]
+
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             load_instance({"foo": 1})

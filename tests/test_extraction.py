@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 import warnings
@@ -432,6 +433,26 @@ class TestOperatorPath:
                              "_laplacian_block": 1, "eigvalsh": 1}, (graph.edges(), k)
 
     @pytest.mark.parametrize("convention", ["restricted", "dual"])
+    def test_an_ideal_estimate_reads_kappa_without_a_summary(self, calls, monkeypatch, convention):
+        """Block 0 is assembled and decomposed once, and kappa comes from the digest's
+        check of its spectral ends: no `SpectralSummary` is built."""
+        summary = homology.SpectralSummary
+
+        def counting(*args):
+            calls["SpectralSummary"] = calls.get("SpectralSummary", 0) + 1
+            return summary(*args)
+
+        monkeypatch.setattr(homology, "SpectralSummary", counting)
+        for graph, k in self.CASES:
+            calls.clear()
+            est = estimate_betti(graph, k, convention=convention)
+            assert calls == {"build_clique_complex": 1, "hodge_laplacian": 1,
+                             "_laplacian_block": 1, "eigvalsh": 1}, (graph.edges(), k)
+            assert est.kappa_laplacian is not None
+        assert spectral_summary(hodge_laplacian(build_clique_complex(cycle_graph(4), 1), 1))
+        assert calls["SpectralSummary"] == 1  # the counter sees the public digest's record
+
+    @pytest.mark.parametrize("convention", ["restricted", "dual"])
     def test_ideal_normalized_estimates_and_reports_decompose_nothing(self, calls, convention):
         for graph, k in self.CASES:
             calls.clear()
@@ -468,10 +489,44 @@ class TestOperatorPath:
             y = tuple((beta * w1 + p1 * w0) / c for w1, w0 in pair.raw_matrix().tolist())
             assert (est.beta_estimate, est.p1_estimate) == solve_system(assemble_system(pair, c), y)
             assert est.beta_oracle == ctx.op.blocks[0].kernel_dim
-            assert est.kappa_laplacian == extraction._digest(ctx.op, ctx.cfg).kappa
+            assert est.kappa_laplacian == extraction._kappa(ctx.op, ctx.cfg)
 
 
 class TestEstimateRecords:
+    def test_records_keep_their_value_semantics(self):
+        """What the estimators return behaves as the dataclass constructor's record:
+        frozen, equal to and with the repr and hash (or unhashability) of a record
+        built from the same fields, with its fields in order, and `replace` works."""
+        graph = cycle_graph(4)
+        est = estimate_betti(graph, 1, 0.25)
+        sampled = estimate_betti(graph, 1, 0.25, mode="sampled", seed=1)
+        norm = estimate_normalized_betti(graph, 1, 0.1)
+        norm_sampled = estimate_normalized_betti(graph, 1, 0.1, mode="sampled", seed=1)
+        summary = spectral_summary(hodge_laplacian(build_clique_complex(graph, 1), 1))
+        for record in (est, sampled, est.system, sampled.system, norm, norm_sampled, summary):
+            fields = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+            built = type(record)(**fields)
+            assert list(vars(record)) == list(fields)
+            assert record == built and built == record and repr(record) == repr(built)
+            try:
+                expected = hash(built)
+            except TypeError:  # an array, or a seed descriptor's dict, among the fields
+                with pytest.raises(TypeError):
+                    hash(record)
+            else:
+                assert hash(record) == expected
+            copy = dataclasses.replace(record)
+            assert copy == record and repr(copy) == repr(record)
+            name = next(iter(fields))
+            for change in (lambda: setattr(record, name, None), lambda: delattr(record, name)):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    change()
+            assert getattr(record, name) is fields[name]
+        assert hash(norm) == hash(dataclasses.replace(norm))
+        changed = dataclasses.replace(est, beta_rounded=est.beta_rounded + 1)
+        assert changed.beta_rounded == est.beta_rounded + 1 and changed != est
+        assert changed.to_dict().keys() == est.to_dict().keys()
+
     def test_to_dict_keys_are_unchanged(self):
         est = estimate_betti(cycle_graph(4), 1, 0.25, mode="sampled", seed=1)
         norm = estimate_normalized_betti(cycle_graph(4), 1, 0.1, mode="sampled", seed=1)

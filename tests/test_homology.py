@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bettiq import (
     PEConfig,
+    SpectralSummary,
     betti_exact,
     build_clique_complex,
     complement_complex,
@@ -192,8 +193,7 @@ class TestHodge:
         for block in ctx.op.blocks:
             with pytest.raises(ValueError, match="read-only"):
                 block.matrix[:] = 0
-        assert (extraction._digest(ctx.op, ctx.cfg)
-                == spectral_summary(hodge_laplacian(ctx.op.complex, 1, "dual")))
+        assert spectral_summary(ctx.op) == spectral_summary(hodge_laplacian(ctx.op.complex, 1, "dual"))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_psd(self, seed):
@@ -407,7 +407,8 @@ class TestDigestOracle:
     def check(op):
         """The whole operator's digest and the restricted one the ideal estimate reads."""
         assert spectral_summary(op) == summary_oracle(op.blocks, op.dim)
-        assert homology._summary(op.blocks[:1], op.dim) == summary_oracle(op.blocks[:1], op.dim)
+        assert (SpectralSummary(*homology._digest(op.blocks[:1], op.dim))
+                == summary_oracle(op.blocks[:1], op.dim))
 
     def test_census(self):
         for i in range(0, 2 ** 15, 16):
@@ -415,8 +416,8 @@ class TestDigestOracle:
             for k in (0, 1):
                 for convention in ("restricted", "dual"):
                     ctx = pipeline_context(graph, k, convention)
-                    assert (extraction._digest(ctx.op, ctx.cfg)
-                            == summary_oracle(ctx.op.blocks[:1], ctx.op.dim))
+                    assert (extraction._kappa(ctx.op, ctx.cfg)
+                            == summary_oracle(ctx.op.blocks[:1], ctx.op.dim).kappa)
                     self.check(ctx.op)
 
     def test_known_topology(self):
@@ -453,7 +454,7 @@ class TestDigestOracle:
         own, comp = (b.lambda_min_nonzero for b in op.blocks)
         assert comp < own
         assert spectral_summary(op).lambda_min_nonzero == comp
-        assert homology._summary(op.blocks[:1], op.dim).lambda_min_nonzero == own
+        assert homology._digest(op.blocks[:1], op.dim)[2] == own
         self.check(op)
 
     def test_threshold_mismatch(self):

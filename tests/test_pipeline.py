@@ -861,6 +861,11 @@ class TestTraceEstimate:
         with pytest.raises(ValueError, match=r"trace nan lies outside \[-1, 1\]"):
             trace_estimate(float("nan"), 0.1)
 
+    @pytest.mark.parametrize("truth", [None, "0.1", [0.1]])
+    def test_a_trace_that_is_no_number_is_rejected(self, truth):
+        with pytest.raises(ValueError, match=re.escape(f"trace must be a number, got {truth!r}")):
+            trace_estimate(truth, 0.1)
+
 
 class TestGroverCost:
     def test_values(self):
