@@ -6,8 +6,10 @@ weights; the block encodings that a hardware run would use for it are built
 here only to be verified.  Every construction is checked against its
 contract: U is unitary and its all-zeros-ancilla block equals the target.
 Every encoding is held as the factors of its circuit and never multiplied
-out.  The tensor product keeps its factors' matrices, and its block and
-unitarity come from theirs.  The mixed-state encoding goes through a
+out.  The zero-phase projector is held as the 0/1 diagonal that fixes its
+one-ancilla permutation.  The tensor product keeps its factors (that diagonal
+and the dilation's matrix), its block and unitarity come from theirs, and its
+target is formed only when read.  The mixed-state encoding goes through a
 purification, a register swap, and the inverse preparation; each preparation
 is held as one reflection (a phase and a vector), its unitarity is read from
 those, and its encoded block is contracted from both ends of the circuit (the
@@ -30,7 +32,7 @@ from bettiq.complexes import InstanceSpec, generate_instance
 
 def show(label, enc):
     rep = enc.verify()
-    form = ("dense" if enc.dense is not None else
+    form = ("dense" if enc.dense is not None else "diagonal" if enc.diagonal is not None else
             f"{len(enc.factors)} factors" if enc.factors else "reflections")
     print(f"{label:42s} dim={enc.dim:7d} ({form:11s}) "
           f"unitarity={rep['unitarity_deviation']:.2e} block={rep['block_deviation']:.2e}")

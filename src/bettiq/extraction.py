@@ -17,7 +17,7 @@ from math import comb, floor, hypot, inf, sqrt
 
 import numpy as np
 
-from .complexes import CliqueComplex, _check_dimension, build_clique_complex
+from .complexes import CliqueComplex, _check_dimension, _integer, build_clique_complex
 from .homology import (
     HodgeOperator,
     _check_convention,
@@ -34,7 +34,6 @@ from .pipeline import (
     _check_accuracy,
     _check_confidence,
     _check_contraction,
-    _gram_stats,
     as_seed_sequence,
     block_encode_hermitian,
     block_encode_projector,
@@ -250,21 +249,13 @@ class PipelineContext:
         """The encoding of |0><0|_phase x I_slot, built on first read from the
         register sizes (the spectrum only for an automatic t), read-only."""
         enc = block_encode_projector(2 ** self.cfg.resolve(self.op), self.op.dim)
-        enc.dense.flags.writeable = enc.target.flags.writeable = False
+        enc.diagonal.flags.writeable = enc.target.flags.writeable = False
         return enc
-
-    @cached_property
-    def _projector_gram(self) -> tuple:
-        """The read-only projector's Gram statistics, taken once for every observable."""
-        return _gram_stats(self._zero_phase_projector.dense)
 
     def observable_encoding(self, m: np.ndarray):
         """Block encoding of |0><0|_phase x I_slot x M by the tensor construction;
-        every observable of the context shares its zero-phase projector and the
-        projector's Gram statistics."""
-        enc = tensor_block_encoding([self._zero_phase_projector, block_encode_hermitian(m)])
-        enc._given_grams = (self._projector_gram,)
-        return enc
+        every observable of the context shares its zero-phase projector."""
+        return tensor_block_encoding([self._zero_phase_projector, block_encode_hermitian(m)])
 
 
 def pipeline_context(source, k: int, convention: str = "restricted",
@@ -616,10 +607,13 @@ def resource_estimate(n: int, k: int, kappa: float, beta: float, s_count: int,
     """Evaluate the cost formulas at one parameter point.
 
     kappa must be positive and finite; multiplicative-accuracy costs need eps and
-    a positive finite beta, normalized-mode costs delta.  Deterministic, pure arithmetic.
+    a positive finite beta, normalized-mode costs delta; n, k and s_count are read by
+    `_integer`'s rule.  Deterministic, pure arithmetic.
     """
+    n = _integer(n, "vertex count n")
     k = _check_dimension(k, n)
     _check_accuracy(kappa, "kappa")
+    s_count = _integer(s_count, "s_count")
     if s_count < 1:
         raise ValueError(f"|S_k| must be positive, got {s_count}")
     c_total = comb(n, k + 1)

@@ -10,12 +10,13 @@ statistic.
 Phase estimation starts from the phase register's |0>, so only those C
 columns of its unitary are built, from the operator's eigenpairs.  The mixed
 state is kept as a uniform mixture of one pure state per slot.  Every block
-encoding is held as its circuit's factors (one-ancilla matrices, reflections).
+encoding is held as its circuit's factors (one-ancilla matrices, the projector's
+0/1 diagonal, reflections).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from math import ceil, comb, inf, isfinite, log, prod, sqrt
 
@@ -45,7 +46,7 @@ __all__ = [
     "seed_descriptor",
 ]
 
-# Largest dimension of a tensor-product encoding (held as its factors).
+# Largest dimension of a tensor-product encoding whose target or block is formed.
 DENSE_DIM_CAP = 4608
 
 # Range of the +/-1-valued Hadamard-test statistic that trace estimation samples.
@@ -124,7 +125,9 @@ def _eigenphases(blocks, block_evals) -> tuple[np.ndarray, ...]:
 
 
 def phase_zero_probability(phi, t: int):
-    """Probability that t-bit phase estimation of eigenphase phi reads all zeros."""
+    """Probability that t-bit phase estimation of eigenphase phi reads all zeros;
+    t is read by `_integer`'s rule (2 or 2.0)."""
+    t = _integer(t, "phase register size t")
     if t < 1:
         raise ValueError("need t >= 1")
     phi_arr = np.asarray(phi, dtype=float)
@@ -289,13 +292,22 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _gram_stats(u: np.ndarray) -> tuple:
-    """(full, off, diag) of the Gram matrix G = U^dagger U of a dense unitary: the
-    largest modulus of G, its largest modulus off the diagonal, and its diagonal."""
+    """(full, off, diag) of the Gram matrix G = U^dagger U of a dense unitary, or of
+    the projector [[D, I - D], [I - D, D]] its 1-D diagonal p fixes (D = diag(p)):
+    the largest modulus of G, its largest modulus off the diagonal, and its
+    diagonal.  The projector's G is [[E, F], [F, E]] with E = D^2 + (I - D)^2 and
+    F = D (I - D) + (I - D) D = 2 D (I - D), both diagonal; every entry of the dense
+    Gram is one such sum of products, exact for 0/1 entries, so the two agree bit
+    for bit.  Its diagonal is given as E's, once: [E, E] holds the same values."""
+    if u.ndim == 1:
+        q = 1.0 - u
+        e, off = u * u + q * q, 2.0 * np.abs(u * q).max()
+        return np.maximum(np.abs(e).max(), off), off, e
     g = (u.conj().T if np.iscomplexobj(u) else u.T) @ u
     mod = np.abs(g)
     full = mod.max()
-    np.fill_diagonal(mod, 0.0)
-    return full, mod.max(), np.diag(g).copy()  # a copy: a kept diagonal holds no Gram matrix
+    mod.flat[::len(mod) + 1] = 0.0
+    return full, mod.max(), g.diagonal().copy()  # a copy: a kept diagonal holds no Gram matrix
 
 
 def _product_deviation(stats) -> float:
@@ -303,45 +315,73 @@ def _product_deviation(stats) -> float:
     off the diagonal it peaks at max_i off_i prod_{j != i} full_j; the diagonal is
     their diagonals' kron."""
     full = [f for f, _, _ in stats]
-    worst = [o * prod(full[:i] + full[i + 1:]) for i, (_, o, _) in enumerate(stats)]
-    diag = reduce(_kron, [d for _, _, d in stats])
-    return float(np.max([*worst, np.abs(diag - 1.0).max()]))
+    dev = np.abs(reduce(_kron, [d for _, _, d in stats]) - 1.0).max()
+    for i, (_, o, _) in enumerate(stats):
+        dev = np.maximum(dev, o * prod(full[:i] + full[i + 1:]))  # NaN propagates
+    return float(dev)
 
 
-@dataclass(eq=False)
+def _entry_pairs(u: np.ndarray, d: int, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(blocks, targets), two 1-D arrays in which every pair (block entry, target
+    entry) at one position of a factor's d x d block and target occurs: all d^2 of a
+    dense factor's; for a diagonal p, (p_i, target_ii), then (0, t) for each nonzero
+    target entry t off the diagonal and one (0, 0) if any such entry is zero.  An
+    entry of a kron's block comparison depends on its factors' pairs alone."""
+    if u.ndim == 2:
+        return u[:d, :d].ravel(), target.ravel()
+    nz = target.ravel().nonzero()[0]
+    off = target.flat[nz[nz % (d + 1) != 0]]
+    zeros = np.zeros(off.size + (off.size < d * d - d))
+    return np.concatenate((u, zeros)), np.concatenate((target.diagonal(), off, zeros[off.size:]))
+
+
 class BlockEncoding:
     """Unitary whose all-zeros-ancilla block equals `target` (subnormalization 1),
     held as the factors of its circuit and never multiplied out.  A one-ancilla
-    construction is its own one factor (`dense`).  A tensor product holds its
-    factors' matrices and system dimensions; regrouping its ancillas in front
-    permutes rows and columns alike, so its block and Gram matrix are the
-    krons of theirs.  The Gram statistics of its first factors may be handed in
-    (`_given_grams`) by the owner of those read-only matrices, which takes them
-    once; every other factor's are computed at each check.  The mixture holds its
-    reflections R = phi (I - 2 w w^dagger): the mixture-index rotation's (phase,
-    vector), then the state preparations' (phases, vectors), one row each.
+    construction is its own one factor: a dense matrix (`dense`), or the projector
+    [[D, I - D], [I - D, D]] held as its 0/1 diagonal p (`diagonal`, D = diag(p)).
+    A tensor product holds its factors (matrices or diagonals), their system
+    dimensions and their targets; regrouping its ancillas in front permutes rows
+    and columns alike, so its block and Gram matrix are the krons of theirs, and
+    its target, their targets' kron, is formed only when read.  The mixture holds
+    its reflections R = phi (I - 2 w w^dagger): the mixture-index rotation's
+    (phase, vector), then the state preparations' (phases, vectors), one row each.
     """
 
-    ancilla_dim: int
-    system_dim: int
-    target: np.ndarray
-    dense: np.ndarray | None = None
-    factors: tuple[np.ndarray, ...] = ()
-    factor_system_dims: tuple[int, ...] = ()
-    reflections: tuple[np.ndarray, ...] = ()
-    description: str = ""
-    _given_grams: tuple = field(default=(), init=False, repr=False)
-
-    def __post_init__(self):
-        if self.dense is not None:
-            self.factors, self.factor_system_dims = (self.dense,), (self.system_dim,)
+    def __init__(self, ancilla_dim: int, system_dim: int, target: np.ndarray | None,
+                 dense: np.ndarray | None = None, diagonal: np.ndarray | None = None,
+                 factors: tuple[np.ndarray, ...] = (), factor_system_dims: tuple[int, ...] = (),
+                 factor_targets: tuple[np.ndarray, ...] = (),
+                 reflections: tuple[np.ndarray, ...] = (), description: str = ""):
+        self.ancilla_dim, self.system_dim, self.description = ancilla_dim, system_dim, description
+        self.dense, self.diagonal, self.reflections = dense, diagonal, reflections
+        self.factors, self.factor_system_dims = factors, factor_system_dims
+        self.factor_targets, self._target = factor_targets, target
+        one = dense if dense is not None else diagonal
+        if one is not None:
+            self.factors, self.factor_system_dims = (one,), (system_dim,)
 
     @property
     def dim(self) -> int:
         return self.ancilla_dim * self.system_dim
 
+    def _check_dense_cap(self) -> None:
+        if self.dim > DENSE_DIM_CAP:
+            raise BlockEncodingError(
+                f"tensor construction of dimension {self.dim} exceeds the dense cap")
+
+    @property
+    def target(self) -> np.ndarray:
+        """The encoded matrix; a tensor product's is its factors' targets' kron,
+        formed at each read, and refused past the dense cap."""
+        if self._target is not None:
+            return self._target
+        self._check_dense_cap()
+        return reduce(_kron, self.factor_targets)
+
     def encoded_block(self) -> np.ndarray:
-        """(<0|_anc x I) U (|0>_anc x I), computed through the construction.  For
+        """(<0|_anc x I) U (|0>_anc x I), computed through the construction (a
+        product of factors is refused past the dense cap).  For
         the mixture U = V^dagger W^dagger S W V (V and W on the ancilla only), the
         input side is r = W V |0>_anc, an (m, d) array; the swap S and the
         zero-ancilla output read it back: block[s, c] = sum_i r[i, s] conj(r[i, c])."""
@@ -349,7 +389,10 @@ class BlockEncoding:
             v_phase, v_vec, w_phases, w_vecs = self.reflections
             r = _first_columns(v_phase, v_vec)[0][:, None] * _first_columns(w_phases, w_vecs)
             return r.T @ r.conj()
-        return reduce(_kron, [u[:d, :d] for u, d in zip(self.factors, self.factor_system_dims)])
+        if len(self.factors) > 1:
+            self._check_dense_cap()
+        return reduce(_kron, [np.diag(u) if u.ndim == 1 else u[:d, :d]
+                              for u, d in zip(self.factors, self.factor_system_dims)])
 
     def unitarity_deviation(self) -> float:
         """max|U^dagger U - I|, NaN if any factor has a NaN; for the mixture,
@@ -357,11 +400,18 @@ class BlockEncoding:
         if self.reflections:
             pairs = (self.reflections[:2], self.reflections[2:])
             return float(np.max([_reflection_deviations(*pair).max() for pair in pairs]))
-        rest = self.factors[len(self._given_grams):]
-        return _product_deviation([*self._given_grams, *map(_gram_stats, rest)])
+        return _product_deviation([_gram_stats(u) for u in self.factors])
 
     def block_deviation(self) -> float:
-        return float(np.abs(self.encoded_block() - self.target).max())
+        """max|block - target|.  A tensor product with a diagonal factor takes it
+        factor by factor, over the kron of its factors' `_entry_pairs`: the same
+        products and differences as the whole comparison, NaN and inf included, on
+        O(P C) entries for the projector, and nothing past the dense cap is formed."""
+        if self._target is not None or all(u.ndim == 2 for u in self.factors):
+            return float(np.abs(self.encoded_block() - self.target).max())
+        blocks, targets = zip(*map(_entry_pairs, self.factors, self.factor_system_dims,
+                                   self.factor_targets))
+        return float(np.abs(reduce(_kron, blocks) - reduce(_kron, targets)).max())
 
     def verify(self, unitarity_tol: float = 1e-10, block_tol: float = 1e-9) -> dict:
         u_dev, b_dev = self.unitarity_deviation(), self.block_deviation()
@@ -397,16 +447,15 @@ def block_encode_density(rho: DensityOperator) -> BlockEncoding:
 
 def block_encode_projector(phase_dim: int, slot_dim: int) -> BlockEncoding:
     """Exact encoding of Pi = |0><0|_phase x I_slot with one ancilla qubit: the
-    real permutation [[Pi, I - Pi], [I - Pi, Pi]], one 1 per row.  The target is
-    Pi built again from the sizes, so the block check compares two arrays."""
+    real permutation [[Pi, I - Pi], [I - Pi, Pi]], held as the 0/1 diagonal p of Pi
+    that fixes it.  The target is Pi, a square array of its own, so the block check
+    compares two arrays and an edit to p fails it."""
     phase_dim, slot_dim = _integer(phase_dim, "phase_dim"), _integer(slot_dim, "slot_dim")
     if phase_dim < 1 or slot_dim < 1:
         raise ValueError("dimensions must be >= 1")
     d = phase_dim * slot_dim
-    rows = np.arange(2 * d)
-    dense = np.zeros((2 * d, 2 * d))
-    dense[rows, np.where(rows % d < slot_dim, rows, (rows + d) % (2 * d))] = 1.0
-    return BlockEncoding(2, d, np.diag((rows[:d] < slot_dim).astype(float)), dense=dense,
+    p = (np.arange(d) < slot_dim).astype(float)
+    return BlockEncoding(2, d, np.diag(p), diagonal=p,
                          description=f"zero-phase projector ({phase_dim}x{slot_dim})")
 
 
@@ -434,7 +483,7 @@ def block_encode_hermitian(mat: np.ndarray) -> BlockEncoding:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
     evals, evecs = _check_contraction(m, "matrix", vectors=True)
-    comp = evecs @ np.diag(np.sqrt(np.clip(1.0 - evals**2, 0.0, None))) @ evecs.conj().T
+    comp = (evecs * np.sqrt(np.maximum(1.0 - evals * evals, 0.0))) @ evecs.conj().T
     d = m.shape[0]
     dense = np.empty((2 * d, 2 * d), dtype=complex)
     dense[:d, :d], dense[:d, d:], dense[d:, :d], dense[d:, d:] = m, comp, comp, -m
@@ -442,22 +491,22 @@ def block_encode_hermitian(mat: np.ndarray) -> BlockEncoding:
 
 
 def tensor_block_encoding(encodings) -> BlockEncoding:
-    """Block encoding of a x b for the two dense encodings [a, b], the observable
-    encodings' projector and dilation: the unitaries tensored with both ancilla
-    registers permuted in front, held as the two factors."""
+    """Block encoding of a x b for the two one-factor encodings [a, b], the
+    observable encodings' projector (held as its diagonal) and dilation: the
+    unitaries tensored with both ancilla registers permuted in front, held as the
+    two factors and their targets."""
     encodings = list(encodings)
     if len(encodings) != 2:
         raise ValueError(f"need two encodings, got {len(encodings)}")
     a, b = encodings
     for e in (a, b):
-        if e.dense is None:
-            raise BlockEncodingError(f"tensor input {e.description or '?'} is not held densely")
-    total = a.dim * b.dim
-    if total > DENSE_DIM_CAP:
-        raise BlockEncodingError(f"tensor construction of dimension {total} exceeds the dense cap")
-    return BlockEncoding(a.ancilla_dim * b.ancilla_dim, a.system_dim * b.system_dim,
-                         _kron(a.target, b.target), factors=(a.dense, b.dense),
+        if e.dense is None and e.diagonal is None:
+            raise BlockEncodingError(f"tensor input {e.description or '?'} is not held densely "
+                                     "or as a diagonal")
+    return BlockEncoding(a.ancilla_dim * b.ancilla_dim, a.system_dim * b.system_dim, None,
+                         factors=(*a.factors, *b.factors),
                          factor_system_dims=(a.system_dim, b.system_dim),
+                         factor_targets=(a.target, b.target),
                          description=f"tensor of {a.description or '?'}, {b.description or '?'}")
 
 
@@ -563,7 +612,9 @@ def trace_estimate(truth: float, delta: float, confidence: float = 0.95,
 
 def grover_prep_cost(n: int, k: int, s_k: int) -> float:
     """Oracle-call count n*k*sqrt(C/|S_k|) for amplitude-amplified state
-    preparation; a comparison unit, no circuit is built."""
+    preparation; a comparison unit, no circuit is built.  n, k and s_k are read by
+    `_integer`'s rule."""
+    n, k, s_k = _integer(n, "vertex count n"), _integer(k, "dimension k"), _integer(s_k, "s_k")
     if s_k < 1:
         raise ValueError("need at least one k-simplex")
     return n * k * sqrt(comb(n, k + 1) / s_k)

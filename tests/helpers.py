@@ -670,10 +670,20 @@ def reflection_matrix(phase, w) -> np.ndarray:
     return phase * (np.eye(w.size, dtype=complex) - 2.0 * np.outer(w, w.conj()))
 
 
+def projector_unitary(diagonal) -> np.ndarray:
+    """The dense one-ancilla unitary [[D, I - D], [I - D, D]] that a projector
+    encoding's diagonal p fixes, D = diag(p)."""
+    d = np.diag(np.asarray(diagonal, dtype=float))
+    rest = np.eye(len(d)) - d
+    return np.block([[d, rest], [rest, d]])
+
+
 def tensor_unitary(unitaries, system_dims) -> np.ndarray:
     """The whole unitary of a tensor-product encoding: the kron of the factors'
-    matrices with every ancilla register permuted in front of every system
-    register."""
+    matrices (a 1-D factor is a projector's diagonal, built densely by
+    `projector_unitary`) with every ancilla register permuted in front of every
+    system register."""
+    unitaries = [projector_unitary(u) if np.ndim(u) == 1 else u for u in unitaries]
     u_kron = reduce(np.kron, unitaries)
     interleaved = []
     for u, d in zip(unitaries, system_dims):
@@ -686,8 +696,8 @@ def tensor_unitary(unitaries, system_dims) -> np.ndarray:
 
 def apply_encoding(enc: BlockEncoding, x: np.ndarray) -> np.ndarray:
     """The encoding's whole unitary applied to a vector or to columns: its dense
-    matrix, the tensor product's permuted kron, or, for the mixture, its
-    circuit V^dagger W^dagger S W V factor by factor, each reflection built
+    matrix, its factors' permuted kron (a projector's built from its diagonal),
+    or, for the mixture, its circuit V^dagger W^dagger S W V factor by factor, each reflection built
     densely from its phase and vector: the mixture-index rotation V, the
     per-index preparations W, the swap S of the purified system against the
     input register, and the inverse preparation."""

@@ -162,28 +162,47 @@ class TestObservableB:
         assert built == [(2 ** cfg.resolve(ctx.op), ctx.op.dim)]
         assert first.factors[0] is second.factors[0]
         with pytest.raises(ValueError, match="read-only"):
-            first.factors[0][0, 0] = 0.5
+            first.factors[0][0] = 0.5
         assert first.verify()["ok"] and second.verify()["ok"]
 
     def test_each_encoding_factor_is_checked_once(self, monkeypatch):
-        """On the criterion-4 case C4 k=1: one Gram of the shared projector, one
-        `eigh` and no `eigvalsh` per dilation, and `_reflections` for the states only."""
+        """On the criterion-4 case C4 k=1: no dense Gram of the shared projector (its
+        statistics come from its diagonal), one `eigh` and no `eigvalsh` per dilation,
+        and `_reflections` for the states only."""
         ctx = pipeline_context(cycle_graph(4), 1)
         rho = ctx.rho()
         grams, gram = [], pipeline._gram_stats
         reflected, reflect = [], pipeline._reflections
-        for module in (pipeline, extraction):
-            monkeypatch.setattr(module, "_gram_stats", lambda u: grams.append(u) or gram(u))
+        monkeypatch.setattr(pipeline, "_gram_stats", lambda u: grams.append(u) or gram(u))
         monkeypatch.setattr(pipeline, "_reflections", lambda v: reflected.append(v) or reflect(v))
         decomposed = record_decompositions(monkeypatch)
         pair = ObservablePair.default()
         for m in (pair.m1, pair.m2):
             assert ctx.observable_encoding(m).verify()["ok"]
-        projector = ctx._zero_phase_projector.dense
-        assert sum(u is projector for u in grams) == 1
+        projector = ctx._zero_phase_projector.diagonal
+        assert [u.shape for u in grams if u is not projector] == [(4, 4), (4, 4)]  # the dilations
         assert [name for name, _ in decomposed] == ["eigh", "eigh"]
         assert pipeline.block_encode_density(rho).verify()["ok"]
         assert len(reflected) == 1 and reflected[0] is rho.vectors
+
+    @pytest.mark.parametrize("cfg", [PEConfig.ideal(), PEConfig.bits(t=2)])
+    def test_observable_encodings_form_no_square_array(self, cfg, monkeypatch):
+        """Building and verifying both observable encodings of a context krons no
+        matrix and takes no Gram of a 2-D projector array: the tensor's block is
+        checked over the projector's diagonal, and its target is never formed."""
+        ctx = pipeline_context(cycle_graph(4), 1, pe=cfg)
+        krons, kron = [], pipeline._kron
+        grams, gram = [], pipeline._gram_stats
+        monkeypatch.setattr(pipeline, "_kron", lambda a, b: krons.append((a, b)) or kron(a, b))
+        for module in (pipeline, extraction):
+            monkeypatch.setattr(module, "_gram_stats", lambda u: grams.append(u) or gram(u),
+                                raising=False)
+        pair = ObservablePair.default()
+        for m in (pair.m1, pair.m2):
+            assert ctx.observable_encoding(m).verify()["ok"]
+        assert krons and all(a.ndim == b.ndim == 1 for a, b in krons)
+        projector_dim = 2 * ctx._zero_phase_projector.system_dim
+        assert not [u for u in grams if u.ndim == 2 and u.shape[0] == projector_dim]
 
     @pytest.mark.parametrize("convention", ["restricted", "dual"])
     @pytest.mark.parametrize("cfg", [PEConfig.ideal(), PEConfig.bits(t=2), PEConfig.bits()])
@@ -1370,6 +1389,15 @@ class TestResourceEstimate:
             resource_estimate(5, 1, kappa=2.0, beta=1.0, s_count=11, eps=0.1)
         assert resource_estimate(5, 1, kappa=2.0, beta=1.0, s_count=10,
                                  eps=0.1).grover_preparation_cost == 5.0
+
+    def test_counts_are_read_as_ints(self):
+        assert resource_estimate(5.0, 1, 2.0, 1.0, 3.0) == resource_estimate(5, 1, 2.0, 1.0, 3)
+
+    @pytest.mark.parametrize("args,name", [(("5", 1, 2.0, 1.0, 3), "vertex count n"),
+                                           ((5, 1, 2.0, 1.0, 2.5), "s_count")])
+    def test_a_count_that_is_no_integer_is_rejected(self, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            resource_estimate(*args)
 
     def test_pure_function(self):
         a = resource_estimate(5, 1, kappa=1.5, beta=2.0, s_count=7, eps=0.2, delta=0.1)

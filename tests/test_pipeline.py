@@ -47,6 +47,7 @@ from helpers import (
     path_graph,
     phase_estimation_unitary,
     prepare_phi,
+    projector_unitary,
     random_graph,
     record_decompositions,
     reflection_matrix,
@@ -137,6 +138,15 @@ class TestPhaseZeroProbability:
         # t=1: F(phi) = cos^2(phi/2)
         phi = 0.7
         assert phase_zero_probability(phi, 1) == pytest.approx(np.cos(phi / 2) ** 2)
+
+    def test_register_size_is_read_as_an_int(self):
+        assert phase_zero_probability(0.3, 2.0) == phase_zero_probability(0.3, 2)
+
+    @pytest.mark.parametrize("t", [2.5, None])
+    def test_a_register_size_that_is_no_integer_is_rejected(self, t):
+        with pytest.raises(ValueError, match=re.escape(f"phase register size t must be an integer, "
+                                                       f"got {t!r}")):
+            phase_zero_probability(0.3, t)
 
     def test_nonincreasing_in_t(self):
         grid = np.linspace(1e-3, 2 * np.pi - 1e-3, 500)
@@ -418,8 +428,8 @@ class TestBlockEncodeProjector:
 
     def test_a_changed_block_fails_verify(self):
         enc = block_encode_projector(2, 3)
-        assert not np.shares_memory(enc.target, enc.dense)
-        enc.dense[[0, 4]] = enc.dense[[4, 0]]  # rows of the top block: still a permutation
+        assert not np.shares_memory(enc.target, enc.diagonal)
+        enc.diagonal[[0, 4]] = enc.diagonal[[4, 0]]  # its dense unitary is still a permutation
         assert enc.unitarity_deviation() == 0.0
         with pytest.raises(BlockEncodingError, match=r"block 1\.000e\+00"):
             enc.verify()
@@ -427,11 +437,11 @@ class TestBlockEncodeProjector:
     def test_an_edit_behind_a_read_only_view_fails_verify(self):
         # verify() reads the matrix as it is now, whatever its flags say
         base = block_encode_projector(2, 3)
-        view = base.dense[:]
+        view = base.diagonal[:]
         view.flags.writeable = False
-        enc = BlockEncoding(base.ancilla_dim, base.system_dim, base.target, dense=view)
+        enc = BlockEncoding(base.ancilla_dim, base.system_dim, base.target, diagonal=view)
         assert enc.verify()["ok"]
-        base.dense[-1, -1] = 0.5  # outside the encoded block
+        base.diagonal[-1] = 0.5
         with pytest.raises(BlockEncodingError, match=r"unitarity 5\.000e-01"):
             enc.verify()
         tensor = tensor_block_encoding([enc, block_encode_hermitian(np.diag([0.0, 1.0]))])
@@ -517,13 +527,47 @@ class TestTensorBlockEncoding:
             encs = [block_encode_projector(phase_dim, slot_dim), block_encode_hermitian(np.diag(flag))]
         enc = tensor_block_encoding(encs)
         assert enc.dense is None
-        u = tensor_unitary([e.dense for e in encs], [e.system_dim for e in encs])
+        u = tensor_unitary(enc.factors, [e.system_dim for e in encs])
         assert u.shape == (enc.dim, enc.dim)
         assert np.array_equal(enc.encoded_block(), u[:enc.system_dim, :enc.system_dim])
         dense_dev = np.abs(u.conj().T @ u - np.eye(enc.dim)).max()
         assert abs(enc.unitarity_deviation() - dense_dev) < 1e-15
         x = rng.normal(size=enc.dim)
         assert np.abs(apply_encoding(enc, x) - u @ x).max() < 1e-15
+
+    @pytest.mark.parametrize("tamper", ["swapped diagonal", "half diagonal", "nan dilation",
+                                        "inf dilation", "off-diagonal target"])
+    def test_a_tampered_tensor_verifies_as_its_dense_oracle(self, tamper):
+        """verify() on the diagonal equals, to the bit, verify() of the same tensor
+        with the projector held as the dense unitary its diagonal fixes, and the
+        block deviation equals the one read off the whole dense unitary."""
+        proj = block_encode_projector(4, 3)
+        dil = self._random_hermitian(np.random.default_rng(400), 3)
+        if tamper == "swapped diagonal":
+            proj.diagonal[[0, 5]] = proj.diagonal[[5, 0]]
+        elif tamper == "half diagonal":
+            proj.diagonal[7] = 0.5
+        elif tamper == "nan dilation":
+            dil.dense[1, 2] = np.nan
+        elif tamper == "inf dilation":
+            dil.dense[0, 0] = np.inf
+        else:
+            proj.target[1, 4] = 0.5
+        twin = BlockEncoding(2, proj.system_dim, proj.target,
+                             dense=projector_unitary(proj.diagonal), description=proj.description)
+        enc, oracle = tensor_block_encoding([proj, dil]), tensor_block_encoding([twin, dil])
+        with np.errstate(invalid="ignore"):  # an inf entry meets 0 in the dilation's Gram
+            assert repr(enc.unitarity_deviation()) == repr(oracle.unitarity_deviation())
+            assert repr(enc.block_deviation()) == repr(oracle.block_deviation())
+            u, d = tensor_unitary(enc.factors, enc.factor_system_dims), enc.system_dim
+            whole = float(np.abs(u[:d, :d] - np.kron(proj.target, dil.target)).max())
+            assert repr(enc.block_deviation()) == repr(whole)
+            errors = []
+            for e in (enc, oracle):
+                with pytest.raises(BlockEncodingError) as caught:
+                    e.verify()
+                errors.append(str(caught.value))
+            assert errors[0] == errors[1]
 
     def test_takes_exactly_two_dense_encodings(self):
         proj, flag = block_encode_projector(2, 2), block_encode_hermitian(np.diag([0.0, 1.0]))
@@ -535,8 +579,15 @@ class TestTensorBlockEncoding:
 
     def test_dense_cap_counts_the_whole_product(self):
         proj, ident = block_encode_projector(2, 25), block_encode_hermitian(np.eye(24))
-        with pytest.raises(BlockEncodingError, match="exceeds the dense cap"):
-            tensor_block_encoding([proj, ident])  # 100 * 48 > 4608, never formed
+        enc = tensor_block_encoding([proj, ident])  # 100 * 48 > 4608, held as its factors
+        assert enc.verify()["ok"]
+        for read in (lambda: enc.target, enc.encoded_block):  # the reads that form it refuse
+            with pytest.raises(BlockEncodingError, match="dimension 4800 exceeds the dense cap"):
+                read()
+        dense = BlockEncoding(2, 50, proj.target, dense=projector_unitary(proj.diagonal))
+        twin = tensor_block_encoding([dense, ident])  # no diagonal factor: the check forms it
+        with pytest.raises(BlockEncodingError, match="dimension 4800 exceeds the dense cap"):
+            twin.verify()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_unitarity_is_the_dense_gram_deviation(self, seed):
@@ -876,3 +927,8 @@ class TestGroverCost:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             grover_prep_cost(4, 1, 0)
+
+    def test_counts_are_read_as_ints(self):
+        assert grover_prep_cost(5.0, 1, 3.0) == grover_prep_cost(5, 1, 3)
+        with pytest.raises(ValueError, match="s_k must be an integer, got 2.5"):
+            grover_prep_cost(5, 1, 2.5)
