@@ -249,7 +249,7 @@ class PipelineContext:
         """The encoding of |0><0|_phase x I_slot, built on first read from the
         register sizes (the spectrum only for an automatic t), read-only."""
         enc = block_encode_projector(2 ** self.cfg.resolve(self.op), self.op.dim)
-        enc.diagonal.flags.writeable = enc.target.flags.writeable = False
+        enc.diagonal.flags.writeable = enc._target.flags.writeable = False
         return enc
 
     def observable_encoding(self, m: np.ndarray):

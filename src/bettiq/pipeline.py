@@ -324,42 +324,53 @@ def _product_deviation(stats) -> float:
 def _entry_pairs(u: np.ndarray, d: int, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(blocks, targets), two 1-D arrays in which every pair (block entry, target
     entry) at one position of a factor's d x d block and target occurs: all d^2 of a
-    dense factor's; for a diagonal p, (p_i, target_ii), then (0, t) for each nonzero
-    target entry t off the diagonal and one (0, 0) if any such entry is zero.  An
-    entry of a kron's block comparison depends on its factors' pairs alone."""
+    dense factor's; for a diagonal p with its target's diagonal t, the pairs
+    (p_i, t_i) and, off the diagonal, one (0, 0).  An entry of a kron's block
+    comparison depends on its factors' pairs alone."""
     if u.ndim == 2:
         return u[:d, :d].ravel(), target.ravel()
-    nz = target.ravel().nonzero()[0]
-    off = target.flat[nz[nz % (d + 1) != 0]]
-    zeros = np.zeros(off.size + (off.size < d * d - d))
-    return np.concatenate((u, zeros)), np.concatenate((target.diagonal(), off, zeros[off.size:]))
+    zero = np.zeros(int(d > 1))
+    return np.concatenate((u, zero)), np.concatenate((target, zero))
 
 
+def _square(target: np.ndarray) -> np.ndarray:
+    """A held target as its matrix: a 1-D diagonal becomes the diagonal matrix."""
+    return np.diag(target) if target.ndim == 1 else target
+
+
+@dataclass(eq=False)
 class BlockEncoding:
     """Unitary whose all-zeros-ancilla block equals `target` (subnormalization 1),
     held as the factors of its circuit and never multiplied out.  A one-ancilla
     construction is its own one factor: a dense matrix (`dense`), or the projector
-    [[D, I - D], [I - D, D]] held as its 0/1 diagonal p (`diagonal`, D = diag(p)).
-    A tensor product holds its factors (matrices or diagonals), their system
-    dimensions and their targets; regrouping its ancillas in front permutes rows
-    and columns alike, so its block and Gram matrix are the krons of theirs, and
-    its target, their targets' kron, is formed only when read.  The mixture holds
-    its reflections R = phi (I - 2 w w^dagger): the mixture-index rotation's
-    (phase, vector), then the state preparations' (phases, vectors), one row each.
+    [[D, I - D], [I - D, D]] held as its 0/1 diagonal p (`diagonal`, D = diag(p))
+    with its target held as that target's diagonal, an array of its own.  A tensor
+    product holds its factors (matrices or diagonals), their system dimensions and
+    their held targets, one tuple; regrouping its ancillas in front permutes rows
+    and columns alike, so its block and Gram matrix are the krons of theirs.  A
+    target held as a diagonal or as factors is formed only when `target` is read.
+    The mixture holds its reflections R = phi (I - 2 w w^dagger): the mixture-index
+    rotation's (phase, vector), then the state preparations' (phases, vectors), one
+    row each.
     """
 
-    def __init__(self, ancilla_dim: int, system_dim: int, target: np.ndarray | None,
-                 dense: np.ndarray | None = None, diagonal: np.ndarray | None = None,
-                 factors: tuple[np.ndarray, ...] = (), factor_system_dims: tuple[int, ...] = (),
-                 factor_targets: tuple[np.ndarray, ...] = (),
-                 reflections: tuple[np.ndarray, ...] = (), description: str = ""):
-        self.ancilla_dim, self.system_dim, self.description = ancilla_dim, system_dim, description
-        self.dense, self.diagonal, self.reflections = dense, diagonal, reflections
-        self.factors, self.factor_system_dims = factors, factor_system_dims
-        self.factor_targets, self._target = factor_targets, target
-        one = dense if dense is not None else diagonal
-        if one is not None:
-            self.factors, self.factor_system_dims = (one,), (system_dim,)
+    ancilla_dim: int
+    system_dim: int
+    _target: np.ndarray | tuple[np.ndarray, ...]
+    dense: np.ndarray | None = None
+    diagonal: np.ndarray | None = None
+    factors: tuple[np.ndarray, ...] = ()
+    factor_system_dims: tuple[int, ...] = ()
+    reflections: tuple[np.ndarray, ...] = ()
+    description: str = ""
+
+    def __post_init__(self):
+        if self.diagonal is not None:
+            if self.dense is not None or np.ndim(self._target) != 1:
+                raise ValueError("a diagonal encoding has no dense matrix and a 1-D target")
+            self.factors, self.factor_system_dims = (self.diagonal,), (self.system_dim,)
+        elif self.dense is not None:
+            self.factors, self.factor_system_dims = (self.dense,), (self.system_dim,)
 
     @property
     def dim(self) -> int:
@@ -372,12 +383,12 @@ class BlockEncoding:
 
     @property
     def target(self) -> np.ndarray:
-        """The encoded matrix; a tensor product's is its factors' targets' kron,
-        formed at each read, and refused past the dense cap."""
-        if self._target is not None:
-            return self._target
+        """The encoded matrix, formed at each read from a diagonal or factored
+        target; a tensor product's is refused past the dense cap."""
+        if not isinstance(self._target, tuple):
+            return _square(self._target)
         self._check_dense_cap()
-        return reduce(_kron, self.factor_targets)
+        return reduce(_kron, map(_square, self._target))
 
     def encoded_block(self) -> np.ndarray:
         """(<0|_anc x I) U (|0>_anc x I), computed through the construction (a
@@ -403,14 +414,16 @@ class BlockEncoding:
         return _product_deviation([_gram_stats(u) for u in self.factors])
 
     def block_deviation(self) -> float:
-        """max|block - target|.  A tensor product with a diagonal factor takes it
-        factor by factor, over the kron of its factors' `_entry_pairs`: the same
-        products and differences as the whole comparison, NaN and inf included, on
-        O(P C) entries for the projector, and nothing past the dense cap is formed."""
-        if self._target is not None or all(u.ndim == 2 for u in self.factors):
-            return float(np.abs(self.encoded_block() - self.target).max())
-        blocks, targets = zip(*map(_entry_pairs, self.factors, self.factor_system_dims,
-                                   self.factor_targets))
+        """max|block - target|.  A target held as a matrix is compared whole; one
+        held as a diagonal or as factors factor by factor, over the kron of the
+        factors' `_entry_pairs`: the same products and differences as the whole
+        comparison, NaN and inf included, on O(P C) entries for the projector."""
+        held = self._target
+        if not isinstance(held, tuple):
+            if held.ndim == 2:
+                return float(np.abs(self.encoded_block() - held).max())
+            held = (held,)
+        blocks, targets = zip(*map(_entry_pairs, self.factors, self.factor_system_dims, held))
         return float(np.abs(reduce(_kron, blocks) - reduce(_kron, targets)).max())
 
     def verify(self, unitarity_tol: float = 1e-10, block_tol: float = 1e-9) -> dict:
@@ -448,14 +461,14 @@ def block_encode_density(rho: DensityOperator) -> BlockEncoding:
 def block_encode_projector(phase_dim: int, slot_dim: int) -> BlockEncoding:
     """Exact encoding of Pi = |0><0|_phase x I_slot with one ancilla qubit: the
     real permutation [[Pi, I - Pi], [I - Pi, Pi]], held as the 0/1 diagonal p of Pi
-    that fixes it.  The target is Pi, a square array of its own, so the block check
-    compares two arrays and an edit to p fails it."""
+    that fixes it.  The target is held as Pi's diagonal, an array of its own, so
+    the block check compares two arrays and an edit to p fails it."""
     phase_dim, slot_dim = _integer(phase_dim, "phase_dim"), _integer(slot_dim, "slot_dim")
     if phase_dim < 1 or slot_dim < 1:
         raise ValueError("dimensions must be >= 1")
     d = phase_dim * slot_dim
     p = (np.arange(d) < slot_dim).astype(float)
-    return BlockEncoding(2, d, np.diag(p), diagonal=p,
+    return BlockEncoding(2, d, p.copy(), diagonal=p,
                          description=f"zero-phase projector ({phase_dim}x{slot_dim})")
 
 
@@ -503,10 +516,9 @@ def tensor_block_encoding(encodings) -> BlockEncoding:
         if e.dense is None and e.diagonal is None:
             raise BlockEncodingError(f"tensor input {e.description or '?'} is not held densely "
                                      "or as a diagonal")
-    return BlockEncoding(a.ancilla_dim * b.ancilla_dim, a.system_dim * b.system_dim, None,
-                         factors=(*a.factors, *b.factors),
+    return BlockEncoding(a.ancilla_dim * b.ancilla_dim, a.system_dim * b.system_dim,
+                         (a._target, b._target), factors=(*a.factors, *b.factors),
                          factor_system_dims=(a.system_dim, b.system_dim),
-                         factor_targets=(a.target, b.target),
                          description=f"tensor of {a.description or '?'}, {b.description or '?'}")
 
 

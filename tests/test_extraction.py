@@ -203,6 +203,8 @@ class TestObservableB:
         assert krons and all(a.ndim == b.ndim == 1 for a, b in krons)
         projector_dim = 2 * ctx._zero_phase_projector.system_dim
         assert not [u for u in grams if u.ndim == 2 and u.shape[0] == projector_dim]
+        assert all(a.ndim == 1 for a in (ctx._zero_phase_projector.diagonal,
+                                         ctx._zero_phase_projector._target))
 
     @pytest.mark.parametrize("convention", ["restricted", "dual"])
     @pytest.mark.parametrize("cfg", [PEConfig.ideal(), PEConfig.bits(t=2), PEConfig.bits()])

@@ -428,7 +428,7 @@ class TestBlockEncodeProjector:
 
     def test_a_changed_block_fails_verify(self):
         enc = block_encode_projector(2, 3)
-        assert not np.shares_memory(enc.target, enc.diagonal)
+        assert not np.shares_memory(enc._target, enc.diagonal)
         enc.diagonal[[0, 4]] = enc.diagonal[[4, 0]]  # its dense unitary is still a permutation
         assert enc.unitarity_deviation() == 0.0
         with pytest.raises(BlockEncodingError, match=r"block 1\.000e\+00"):
@@ -439,7 +439,7 @@ class TestBlockEncodeProjector:
         base = block_encode_projector(2, 3)
         view = base.diagonal[:]
         view.flags.writeable = False
-        enc = BlockEncoding(base.ancilla_dim, base.system_dim, base.target, diagonal=view)
+        enc = BlockEncoding(base.ancilla_dim, base.system_dim, base._target, diagonal=view)
         assert enc.verify()["ok"]
         base.diagonal[-1] = 0.5
         with pytest.raises(BlockEncodingError, match=r"unitarity 5\.000e-01"):
@@ -536,7 +536,8 @@ class TestTensorBlockEncoding:
         assert np.abs(apply_encoding(enc, x) - u @ x).max() < 1e-15
 
     @pytest.mark.parametrize("tamper", ["swapped diagonal", "half diagonal", "nan dilation",
-                                        "inf dilation", "off-diagonal target"])
+                                        "inf dilation", "projector target",
+                                        "off-diagonal dilation target"])
     def test_a_tampered_tensor_verifies_as_its_dense_oracle(self, tamper):
         """verify() on the diagonal equals, to the bit, verify() of the same tensor
         with the projector held as the dense unitary its diagonal fixes, and the
@@ -551,8 +552,10 @@ class TestTensorBlockEncoding:
             dil.dense[1, 2] = np.nan
         elif tamper == "inf dilation":
             dil.dense[0, 0] = np.inf
+        elif tamper == "projector target":
+            proj._target[4] = 0.5
         else:
-            proj.target[1, 4] = 0.5
+            dil.target[1, 0] = 0.5
         twin = BlockEncoding(2, proj.system_dim, proj.target,
                              dense=projector_unitary(proj.diagonal), description=proj.description)
         enc, oracle = tensor_block_encoding([proj, dil]), tensor_block_encoding([twin, dil])
@@ -584,10 +587,14 @@ class TestTensorBlockEncoding:
         for read in (lambda: enc.target, enc.encoded_block):  # the reads that form it refuse
             with pytest.raises(BlockEncodingError, match="dimension 4800 exceeds the dense cap"):
                 read()
-        dense = BlockEncoding(2, 50, proj.target, dense=projector_unitary(proj.diagonal))
-        twin = tensor_block_encoding([dense, ident])  # no diagonal factor: the check forms it
-        with pytest.raises(BlockEncodingError, match="dimension 4800 exceeds the dense cap"):
-            twin.verify()
+
+    def test_one_held_form(self):
+        proj = block_encode_projector(2, 2)
+        with pytest.raises(ValueError, match="no dense matrix and a 1-D target"):
+            BlockEncoding(2, 4, proj._target, dense=projector_unitary(proj.diagonal),
+                          diagonal=proj.diagonal)
+        with pytest.raises(ValueError, match="no dense matrix and a 1-D target"):
+            BlockEncoding(2, 4, proj.target, diagonal=proj.diagonal)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_unitarity_is_the_dense_gram_deviation(self, seed):
